@@ -15,9 +15,10 @@ from .poly import (MultiPoly, PolyFamily, parse_poly, eval_symbol,
                    family_quadratic_real, family_explicit, constant, variable,
                    PolyError, ParseError)
 from .transform import (forward_dft, inverse_dft, SupportMask, support_mask,
-                        compute_R, RValue, supporting_function, eval_entire,
+                        Spectrum, SpatialStep, compute_R, RValue,
+                        supporting_function, eval_entire,
                         complex_growth_rate, ComplexGrowthReport)
-from .growth import (apply_op_spectral, apply_op_fd, growth_sequence,
+from .growth import (iterates, apply_op_spectral, apply_op_fd, growth_sequence,
                      GrowthSequence, estimate_limit, LimitEstimate,
                      liminf_check, LiminfReport, pointwise_growth,
                      PointwiseGrowthReport, schwartz_decay_check,

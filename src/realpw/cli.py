@@ -18,8 +18,8 @@ import numpy as np
 
 from .grid import make_grid, sample_builtin, GridError, MarginError
 from .poly import parse_poly, family_linear, family_quadratic, family_quadratic_real, \
-    family_explicit, ParseError, PolyError
-from .transform import forward_dft, support_mask, compute_R, complex_growth_rate
+    family_explicit, PolyError
+from .transform import Spectrum, compute_R, complex_growth_rate
 from .growth import growth_sequence, GrowthError
 from .reconstruct import reconstruct_support
 from .signal_io import (save_signal, load_signal, load_signal_csv,
@@ -94,8 +94,6 @@ def _parse_polys(cfg, d):
     for t in texts:
         try:
             out.append(parse_poly(t, d))
-        except ParseError as exc:
-            raise ConfigError("poly", f"{t!r}: {exc}")
         except PolyError as exc:
             raise ConfigError("poly", f"{t!r}: {exc}")
     return out
@@ -121,13 +119,9 @@ def _build_family(cfg, grid):
         if kind == "explicit":
             return family_explicit([parse_poly(t, grid.d)
                                     for t in _need(fam, "polys", list)])
-    except (PolyError, ParseError) as exc:
+    except PolyError as exc:
         raise ConfigError("family", str(exc))
     raise ConfigError("family.kind", f"unknown kind {kind!r}")
-
-
-def _base_report(cfg):
-    return {"config": cfg}
 
 
 def _finish_report(report, path):
@@ -162,17 +156,17 @@ def cmd_estimate(cfg):
     if not 0 < eps_rel < 1:
         raise ConfigError("eps_rel", "must be in (0, 1)")
     tol = float(cfg.get("rel_tol", 0.02))
-    mask = support_mask(forward_dft(f), eps_rel)
+    spec = Spectrum.of(f, eps_rel)
     rows = []
     for P in polys:
-        seq = growth_sequence(f, P, p, n_max, eps_rel=eps_rel)
-        R, resolved = compute_R(P, mask)
+        seq = growth_sequence(spec, P, p, n_max, eps_rel=eps_rel)
+        R, resolved = compute_R(P, spec.mask)
         gap = abs(seq.limit - R) if R == 0 else abs(seq.limit - R) / R
         rows.append({"growth": seq.to_json_dict(),
                      "R": R, "resolved": resolved, "relative_gap": gap,
                      "within_tolerance": bool(gap <= tol),
                      "lower_bound_only": not resolved})
-    report = _base_report(cfg)
+    report = {"config": cfg}
     report["estimate"] = rows
     _finish_report(report, cfg.get("out"))
     return EXIT_OK
@@ -195,7 +189,7 @@ def cmd_reconstruct(cfg):
             raise IOFailure(f"cannot read reference mask: {exc}")
     res = reconstruct_support(f, family, p, n_max, reference=reference,
                               tau=tau, eps_rel=eps_rel)
-    report = _base_report(cfg)
+    report = {"config": cfg}
     report["reconstruction"] = res.to_json_dict()
     _finish_report(report, cfg.get("out"))
     if cfg.get("mask_out"):
@@ -239,7 +233,7 @@ def cmd_complex_growth(cfg):
             rows.append(row)
             for ti, li in zip(rep.t, rep.log_abs):
                 csv_lines.append(f"{x0},{y},{float(ti)!r},{float(li)!r}")
-    report = _base_report(cfg)
+    report = {"config": cfg}
     report["complex_growth"] = rows
     _finish_report(report, cfg.get("out"))
     if cfg.get("csv_out"):
@@ -257,7 +251,7 @@ def cmd_verify(cfg):
     threads = cfg.get("threads")
     matrix = verify_mod.run_matrix(n_max=n_max,
                                    threads=int(threads) if threads else None)
-    report = _base_report(cfg)
+    report = {"config": cfg}
     report["matrix"] = {prop: {m: {"status": s, "detail": d}
                                for m, (s, d) in row.items()}
                         for prop, row in matrix.items()}

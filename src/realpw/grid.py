@@ -140,10 +140,11 @@ def lp_norm(f: SampledFunction, p) -> float:
     """Riemann-sum Lp norm (h^d * sum |f|^p)^(1/p); max |f| for p = inf."""
     if f.side != SPATIAL:
         raise GridError("lp_norm expects a spatial-side function")
-    return _lp_norm_values(f.values, f.grid.h ** f.grid.d, p)
+    return lp_norm_values(f.values, f.grid.h ** f.grid.d, p)
 
 
-def _lp_norm_values(values: np.ndarray, cell_measure: float, p) -> float:
+def lp_norm_values(values: np.ndarray, cell_measure: float, p) -> float:
+    """(cell_measure * sum |values|^p)^(1/p); max |values| for p = inf."""
     if np.isinf(p):
         return float(np.abs(values).max(initial=0.0))
     p = float(p)
@@ -250,7 +251,12 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         lo, hi = _support_extent(support, grid.d)
         _check_margin(lo, hi, grid.frequency_halfwidth, grid.dlam, "spectral support")
         w = float(spec.get("edge_width", 1.5 * grid.dlam))
-        F = smooth_step(_support_distance(support, grid.frequency_coords()) / w)
+        # the bump is exactly 0 outside the support, so sample its bounding box only
+        axis = grid.frequency_axis()
+        cells = [np.flatnonzero((axis >= l) & (axis <= u)) for l, u in zip(lo, hi)]
+        box = np.stack(np.meshgrid(*(axis[c] for c in cells), indexing="ij"), axis=-1)
+        F = np.zeros(grid.n_points)
+        F.reshape(grid.shape)[np.ix_(*cells)] = smooth_step(_support_distance(support, box) / w)
         from .transform import inverse_dft  # cycle-free: transform imports nothing here at runtime
 
         fun = SampledFunction(grid, FREQUENCY, F, label=spec.get("label", "spectral bump"))

@@ -5,6 +5,11 @@ symbol restricted to the support mask, with a per-step renormalization by
 s = max |P(i lam)| over the mask, so no intermediate value can overflow:
 the ledger identity is  ||P(d)^n f||_p = exp(S) * ||g||_p  with S = n*log(s).
 
+Every function here takes an input's `Spectrum` (transform and mask, built
+once) in place of the spatial input, and iterates through one primitive,
+`iterates`, which evaluates the symbol on the mask cells only.  Spatial
+ledgers (p != 2, weighted sup norms) go through one `SpatialStep` each.
+
 The restriction to the mask is deliberate: cells below the mask threshold sit
 at double-precision noise levels, and any such cell with a larger symbol
 modulus would overtake the signal after roughly ln(1e16)/ln(s_max/s_mask)
@@ -21,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .grid import Grid, SampledFunction, SPATIAL, GridError, lp_norm, _lp_norm_values
+from .grid import SampledFunction, SPATIAL, GridError, lp_norm
 from .poly import MultiPoly, eval_symbol_many
-from .transform import (DEFAULT_EPS_REL, support_mask, compute_R,
-                        forward_dft, forward_values, inverse_values)
+from .transform import (DEFAULT_EPS_REL, Spectrum, SpatialStep, compute_R,
+                        inverse_values)
 
 
 class GrowthError(ValueError):
@@ -110,48 +115,50 @@ def estimate_limit(log_norms) -> LimitEstimate:
 # spectral application of P(d)
 # ---------------------------------------------------------------------------
 
-def _symbol_on_grid(P: MultiPoly, grid: Grid) -> np.ndarray:
-    return eval_symbol_many(P, grid.frequency_coords())
+def iterates(spec: Spectrum, P: MultiPoly, n_max: int):
+    """Yield (n, S_n, G_n) for n = 1..n_max with P(d)^n f = exp(S_n) * g_n.
 
-
-def _masked_ratio(f: SampledFunction, P: MultiPoly, eps_rel: float):
-    """(F, mask, ratio, R): frequency values, mask, symbol/R on the mask."""
-    if f.side != SPATIAL:
-        raise GridError("expected a spatial-side function")
-    if P.d != f.grid.d:
+    G_n = F (P(i lam)/R)^n is the spectrum of g_n on the mask cells (in the
+    order of spec.F[spec.mask.field]), S_n = n log R with R = max |P(i lam)|
+    over the mask; nothing is yielded when R = 0.  G_n is updated in place.
+    """
+    if P.d != spec.grid.d:
         raise GridError("polynomial dimension mismatch")
-    F = forward_values(f.values, f.grid)
-    mask = support_mask(SampledFunction(f.grid, "frequency", F), eps_rel)
-    sym = _symbol_on_grid(P, f.grid)
-    R, _ = compute_R(P, mask)
+    sym = eval_symbol_many(P, spec.coords)
+    R = float(np.abs(sym).max(initial=0.0))
     if R == 0.0:
-        ratio = np.zeros(f.grid.n_points, dtype=complex)
-    else:
-        ratio = np.where(mask.field, sym / R, 0.0)
-    return F, mask, ratio, R
+        return
+    ratio = sym / R
+    logR = np.log(R)
+    G = spec.F[spec.mask.field]
+    for n in range(1, n_max + 1):
+        np.multiply(G, ratio, out=G)
+        yield n, n * logR, G
 
 
-def apply_op_spectral(f: SampledFunction, P: MultiPoly, n: int,
+def apply_op_spectral(f, P: MultiPoly, n: int,
                       eps_rel: float = DEFAULT_EPS_REL):
     """Apply P(d)^n spectrally; returns (g, S) with P(d)^n f = exp(S) * g.
 
-    Realized as multiplication by (P(i lam)/s)^n on the support mask with
+    f is a spatial-side SampledFunction or its Spectrum.  Realized as
+    multiplication by (P(i lam)/s)^n on the support mask with
     s = max |P(i lam)| over the mask, S = n log s.  An empty mask (or a symbol
     vanishing on it) returns the zero function with S = 0.
     """
     if n < 1:
         raise GrowthError(f"iteration count must be >= 1, got {n}")
-    F, mask, ratio, R = _masked_ratio(f, P, eps_rel)
-    if R == 0.0:
-        zero = np.zeros(f.grid.n_points, dtype=complex)
-        return f.with_values(zero, label=f"{P}^{n} (zero)"), 0.0
-    G = F * ratio
-    for _ in range(n - 1):
-        G = G * ratio
-    g = inverse_values(G, f.grid)
-    return (SampledFunction(f.grid, SPATIAL, g, label=f.label,
-                            meta={"op": str(P), "n": n, "resolved": mask.resolved}),
-            float(n * np.log(R)))
+    spec = Spectrum.of(f, eps_rel)
+    last = None
+    for last in iterates(spec, P, n):
+        pass
+    G = np.zeros(spec.grid.n_points, dtype=complex)
+    if last is None:
+        return spec.f.with_values(G, label=f"{P}^{n} (zero)"), 0.0
+    G[spec.mask.field] = last[2]
+    return (SampledFunction(spec.grid, SPATIAL, inverse_values(G, spec.grid),
+                            label=spec.f.label,
+                            meta={"op": str(P), "n": n, "resolved": spec.mask.resolved}),
+            float(last[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,89 +248,42 @@ class GrowthSequence:
         }
 
 
-def _zero_sequence(P, p, n_max, method, resolved):
-    return GrowthSequence(P, p, n_max, np.array([]), np.array([]), np.array([]),
-                          0.0, 0.0, "zero", 0, 0.0, method, resolved, truncated_at=1)
-
-
-def _norm_p(values, grid, p):
-    return _lp_norm_values(values, grid.h ** grid.d, p)
-
-
-def growth_sequence(f: SampledFunction, P: MultiPoly, p, n_max: int,
+def growth_sequence(f, P: MultiPoly, p, n_max: int,
                     method: str = "spectral",
                     eps_rel: float = DEFAULT_EPS_REL) -> GrowthSequence:
     """Ledger L_n = log ||P(d)^n f||_p for n = 1..n_max plus the limit estimate.
 
-    p = 2 avoids the per-step inverse transform: the spatial 2-norm equals the
-    frequency-side 2-norm under the grid measures (discrete Parseval), so the
-    ledger is summed directly on the frequency lattice.
+    f is a spatial-side SampledFunction or its Spectrum.  p = 2 avoids the
+    per-step inverse transform: the spatial 2-norm equals the frequency-side
+    2-norm under the grid measures (discrete Parseval), so the ledger is
+    summed directly on the mask cells.
     """
     if n_max < 8:
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
     if not np.isinf(p) and not p >= 1:
         raise GrowthError(f"p must be in [1, inf], got {p}")
-    if method == "finite-difference":
-        return _growth_sequence_fd(f, P, p, n_max)
-    if method != "spectral":
+    if method not in ("spectral", "finite-difference"):
         raise GrowthError(f"unknown method {method!r}")
-
-    F, mask, ratio, R = _masked_ratio(f, P, eps_rel)
-    if R == 0.0:
-        return _zero_sequence(P, p, n_max, method, mask.resolved)
-    logR = np.log(R)
-    dmeasure = f.grid.dlam ** f.grid.d
-    L = np.empty(n_max)
-    truncated_at = None
-    if p == 2:
-        # Parseval fast path on the mask cells only: everything off the mask
-        # is identically zero after the first multiplication.
-        Gm = F[mask.field].astype(complex)
-        rm = ratio[mask.field]
-        for n in range(1, n_max + 1):
-            Gm = Gm * rm
-            nrm = float(np.sqrt(dmeasure * np.sum(np.abs(Gm) ** 2)))
-            if nrm <= 0.0 or not np.isfinite(nrm):
-                truncated_at = n
-                L = L[: n - 1]
-                break
-            L[n - 1] = n * logR + np.log(nrm)
+    spec = Spectrum.of(f, eps_rel)
+    if method == "finite-difference":
+        norms = _fd_norms(spec.f, P, p, n_max)
+    elif p == 2:
+        dmeasure = spec.grid.dlam ** spec.grid.d
+        norms = ((n, S, float(np.sqrt(dmeasure * np.sum(np.abs(G) ** 2))))
+                 for n, S, G in iterates(spec, P, n_max))
     else:
-        G = F.astype(complex)
-        for n in range(1, n_max + 1):
-            G = G * ratio
-            nrm = _norm_p(inverse_values(G, f.grid), f.grid, p)
-            if nrm <= 0.0 or not np.isfinite(nrm):
-                truncated_at = n
-                L = L[: n - 1]
-                break
-            L[n - 1] = n * logR + np.log(nrm)
-    return _finish_sequence(P, p, n_max, L, method, mask.resolved, truncated_at)
-
-
-def _growth_sequence_fd(f, P, p, n_max, stencil_order=8):
-    u = f
-    L = np.empty(n_max)
-    total = 0.0
-    truncated_at = None
-    for n in range(1, n_max + 1):
-        v = apply_op_fd(u, P, stencil_order)
-        r = lp_norm(v, p)
-        if r <= 0.0 or not np.isfinite(r):
+        step = SpatialStep(spec)
+        norms = ((n, S, step.norm(step(G), p)) for n, S, G in iterates(spec, P, n_max))
+    L, truncated_at = [], None
+    for n, S, nrm in norms:
+        if nrm <= 0.0 or not np.isfinite(nrm):
             truncated_at = n
-            L = L[: n - 1]
             break
-        total += np.log(r)
-        L[n - 1] = total
-        u = v.with_values(v.values / r)
-    F = forward_dft(f)
-    resolved = support_mask(F).resolved
-    return _finish_sequence(P, p, n_max, L, "finite-difference", resolved, truncated_at)
-
-
-def _finish_sequence(P, p, n_max, L, method, resolved, truncated_at):
+        L.append(S + np.log(nrm))
+    L = np.array(L)
     if L.size == 0:
-        return _zero_sequence(P, p, n_max, method, resolved)
+        return GrowthSequence(P, p, n_max, L, L, L, 0.0, 0.0, "zero", 0, 0.0, method,
+                              spec.mask.resolved, truncated_at=1)
     n = np.arange(1, L.size + 1)
     roots = np.exp(L / n)
     steps = np.exp(np.diff(L)) if L.size > 1 else np.array([])
@@ -336,7 +296,18 @@ def _finish_sequence(P, p, n_max, L, method, resolved, truncated_at):
         limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
         tail_w, spread = L.size, float(roots.max() - roots.min())
     return GrowthSequence(P, p, n_max, L, roots, steps, limit, secondary, regime,
-                          tail_w, spread, method, resolved, truncated_at)
+                          tail_w, spread, method, spec.mask.resolved, truncated_at)
+
+
+def _fd_norms(f, P, p, n_max, stencil_order=8):
+    """(n, S_n, ||g_n||_p) for finite-difference iterates renormalized each step."""
+    u, S = f, 0.0
+    for n in range(1, n_max + 1):
+        u = apply_op_fd(u, P, stencil_order)
+        r = lp_norm(u, p)
+        yield n, S, r
+        S += np.log(r)
+        u = u.with_values(u.values / r)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +340,12 @@ class LiminfReport:
                  "margin", "passed")}
 
 
-def liminf_check(f: SampledFunction, P: MultiPoly, p, n_max: int,
+def liminf_check(f, P: MultiPoly, p, n_max: int,
                  tol: float = 0.02,
                  eps_rel: float = DEFAULT_EPS_REL) -> LiminfReport:
-    seq = growth_sequence(f, P, p, n_max, eps_rel=eps_rel)
-    F = forward_values(f.values, f.grid)
-    mask = support_mask(SampledFunction(f.grid, "frequency", F), eps_rel)
-    R, resolved = compute_R(P, mask)
+    spec = Spectrum.of(f, eps_rel)
+    seq = growth_sequence(spec, P, p, n_max, eps_rel=eps_rel)
+    R, resolved = compute_R(P, spec.mask)
     if seq.L.size == 0 or R == 0.0:
         return LiminfReport(R, resolved, tol, 0.0, 0.0, 0.0, 0.0, True)
     tail_w = seq.tail_window
@@ -392,21 +362,21 @@ def liminf_check(f: SampledFunction, P: MultiPoly, p, n_max: int,
 # pointwise growth (weighted sup norms)
 # ---------------------------------------------------------------------------
 
-def _weight_array(grid: Grid, N: int, sign: int) -> np.ndarray:
-    absx = np.linalg.norm(grid.spatial_coords(), axis=-1)
-    return (1.0 + absx) ** (sign * N)
-
-
-def _iter_spatial(f, P, n_max, eps_rel):
-    """Yield (n, S_n, g_n values) for the normalized spectral iterates."""
-    F, mask, ratio, R = _masked_ratio(f, P, eps_rel)
-    if R == 0.0:
-        return
-    logR = np.log(R)
-    G = F.astype(complex)
-    for n in range(1, n_max + 1):
-        G = G * ratio
-        yield n, n * logR, inverse_values(G, f.grid)
+def _weighted_sup_logs(f, P, n_max, eps_rel, exponents) -> np.ndarray:
+    """Row per exponent e: log max_x |P(d)^n f(x)| (1+|x|)^e for n = 1.. up to
+    the first vanishing iterate."""
+    spec = Spectrum.of(f, eps_rel)
+    step = SpatialStep(spec)
+    absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
+    weights = [step.fft_order((1.0 + absx) ** e) for e in exponents]
+    rows = []
+    for n, S, G in iterates(spec, P, n_max):
+        g = step(G)
+        tops = [step.norm(g * w, np.inf) for w in weights]
+        if tops[0] <= 0:
+            break
+        rows.append([S + np.log(top) for top in tops])
+    return np.array(rows).reshape(-1, len(exponents)).T
 
 
 @dataclass(frozen=True)
@@ -438,7 +408,7 @@ class PointwiseGrowthReport:
                 "regime": self.regime}
 
 
-def pointwise_growth(f: SampledFunction, P: MultiPoly, N: int, n_max: int,
+def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
                      mode: str = "growth",
                      eps_rel: float = DEFAULT_EPS_REL) -> PointwiseGrowthReport:
     if N < 0:
@@ -447,16 +417,9 @@ def pointwise_growth(f: SampledFunction, P: MultiPoly, N: int, n_max: int,
         raise GrowthError("n_max must be >= 8")
     if mode not in ("decay", "growth"):
         raise GrowthError("mode must be 'decay' or 'growth'")
-    weight = _weight_array(f.grid, N, +1 if mode == "decay" else -1)
-    logs = []
-    for n, S, g in _iter_spatial(f, P, n_max, eps_rel):
-        top = np.abs(g * weight).max()
-        if top <= 0:
-            break
-        logs.append(S + np.log(top))
-    if not logs:
-        return PointwiseGrowthReport(N, mode, np.array([]), 0.0, True, "zero")
-    log_W = np.array(logs)
+    log_W, = _weighted_sup_logs(f, P, n_max, eps_rel, [N if mode == "decay" else -N])
+    if not log_W.size:
+        return PointwiseGrowthReport(N, mode, log_W, 0.0, True, "zero")
     est = estimate_limit(log_W) if log_W.size >= 8 else None
     rtilde = est.limit if est else float(np.exp(log_W[-1] / log_W.size))
     regime = est.regime if est else "truncated"
@@ -495,25 +458,18 @@ class SchwartzDecayReport:
                 "per_n_log": [float(v) for v in self.per_n_log]}
 
 
-def schwartz_decay_check(f: SampledFunction, P: MultiPoly, R: float, N: int,
+def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
                          n_max: int,
                          eps_rel: float = DEFAULT_EPS_REL) -> SchwartzDecayReport:
     if R <= 0:
         raise GrowthError("claimed bound R must be positive")
     d = f.grid.d
-    w_N = _weight_array(f.grid, N, +1)
-    w_phi = _weight_array(f.grid, d + 1, +1)
-    logs, phi_logs = [], []
-    for n, S, g in _iter_spatial(f, P, n_max, eps_rel):
-        top = np.abs(g * w_N).max()
-        if top <= 0:
-            break
-        logs.append(S + np.log(top) - N * np.log(n) - n * np.log(R))
-        phi_logs.append(S + np.log(np.abs(g * w_phi).max())
-                        - n * np.log(R) - (d + 1) * np.log(n))
-    if not logs:
-        return SchwartzDecayReport(R, N, np.array([]), 0.0, 1.0, True, -np.inf)
-    per_n = np.array(logs)
+    W_N, W_phi = _weighted_sup_logs(f, P, n_max, eps_rel, [N, d + 1])
+    if not W_N.size:
+        return SchwartzDecayReport(R, N, W_N, 0.0, 1.0, True, -np.inf)
+    n = np.arange(1, W_N.size + 1)
+    per_n = W_N - N * np.log(n) - n * np.log(R)
+    phi_logs = W_phi - n * np.log(R) - (d + 1) * np.log(n)
     c_star_log = float(per_n.max())
     q = max(1, per_n.size // 4)
     early_max = float(per_n[:-q].max()) if per_n.size > q else c_star_log

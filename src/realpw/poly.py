@@ -21,9 +21,6 @@ class ParseError(PolyError):
         self.position = position
 
 
-_ZERO_TOL = 0.0  # stored coefficients are exactly-nonzero
-
-
 @dataclass(frozen=True)
 class MultiPoly:
     """Sparse multivariate polynomial: exponent multi-index -> complex coeff."""
@@ -351,16 +348,32 @@ def family_linear(directions) -> PolyFamily:
     return PolyFamily(tuple(polys), "linear-directions")
 
 
-def _quadratic_distance(center) -> MultiPoly:
-    # -sum_j (x_j - i c_j)^2 : symbol at i*lam equals sum_j (lam_j - c_j)^2,
-    # i.e. |P_c(i lam)| = |lam - c|^2 exactly (the documented sign convention).
-    c = np.asarray(center, dtype=float)
+def _squared_distance(c, a, sign) -> MultiPoly:
+    """sign * sum_j (x_j - a c_j)^2, for sign * a^2 = 1."""
     d = c.size
     out = constant(d, float(np.sum(c ** 2)))
     for j in range(d):
         ej = tuple(1 if k == j else 0 for k in range(d))
         e2j = tuple(2 if k == j else 0 for k in range(d))
-        out = out + MultiPoly(d, {e2j: -1.0, ej: 2j * c[j]} if c[j] != 0 else {e2j: -1.0})
+        term = {e2j: sign}
+        if c[j] != 0:
+            term[ej] = -2.0 * sign * a * c[j]
+        out = out + MultiPoly(d, term)
+    return out
+
+
+def _checked_centers(centers, grid) -> list:
+    """Centers as float arrays, each of the grid's dimension and inside its
+    frequency box."""
+    half = grid.frequency_halfwidth
+    out = []
+    for c in centers:
+        c = np.asarray(c, dtype=float)
+        if c.size != grid.d:
+            raise PolyError("center dimension mismatch")
+        if np.any(np.abs(c) > half):
+            raise PolyError(f"center {c} outside the frequency box [-{half:.6g}, {half:.6g})")
+        out.append(c)
     return out
 
 
@@ -374,15 +387,7 @@ def family_quadratic(centers, grid) -> PolyFamily:
     Euclidean disks; a single member centered in a ball recovers that ball.
     Centers must lie inside the frequency box.
     """
-    half = grid.frequency_halfwidth
-    polys = []
-    for c in centers:
-        c = np.asarray(c, dtype=float)
-        if c.size != grid.d:
-            raise PolyError("center dimension mismatch")
-        if np.any(np.abs(c) > half):
-            raise PolyError(f"center {c} outside the frequency box [-{half:.6g}, {half:.6g})")
-        polys.append(_quadratic_distance(c))
+    polys = [_squared_distance(c, 1j, -1.0) for c in _checked_centers(centers, grid)]
     return PolyFamily(tuple(polys), "quadratic-centers")
 
 
@@ -393,24 +398,7 @@ def family_quadratic_real(centers, grid) -> PolyFamily:
     in the hyperplane lam . c = 0; the sublevel sets are quartic ovals, which
     unlike disks can separate disconnected spectral supports.
     """
-    half = grid.frequency_halfwidth
-    polys = []
-    for c in centers:
-        c = np.asarray(c, dtype=float)
-        if c.size != grid.d:
-            raise PolyError("center dimension mismatch")
-        if np.any(np.abs(c) > half):
-            raise PolyError(f"center {c} outside the frequency box [-{half:.6g}, {half:.6g})")
-        d = c.size
-        out = constant(d, float(np.sum(c ** 2)))
-        for j in range(d):
-            ej = tuple(1 if k == j else 0 for k in range(d))
-            e2j = tuple(2 if k == j else 0 for k in range(d))
-            term = {e2j: 1.0}
-            if c[j] != 0:
-                term[ej] = -2.0 * c[j]
-            out = out + MultiPoly(d, term)
-        polys.append(out)
+    polys = [_squared_distance(c, 1.0, 1.0) for c in _checked_centers(centers, grid)]
     return PolyFamily(tuple(polys), "quadratic-centers-real")
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .grid import Grid, SampledFunction, SPATIAL, FREQUENCY, GridError, make_grid
+from .grid import SampledFunction, SPATIAL, GridError, make_grid
 from .poly import MultiPoly, PolyFamily, eval_symbol_many
-from .transform import (DEFAULT_EPS_REL, SupportMask, support_mask,
-                        forward_values)
+from .transform import DEFAULT_EPS_REL, SupportMask, Spectrum
 from .growth import growth_sequence
 
 DEFAULT_TAU = 0.01
@@ -31,17 +30,13 @@ class MaskMetrics:
                 "dilation_distance": self.dilation_distance}
 
 
-def _cell_index_array(grid: Grid, flat_mask: np.ndarray) -> np.ndarray:
-    return np.argwhere(flat_mask.reshape(grid.shape))
-
-
 def mask_metrics(estimated: SupportMask, reference: SupportMask) -> MaskMetrics:
     """Cell symmetric difference and two-sided Chebyshev dilation distance."""
     if estimated.grid != reference.grid:
         raise GridError("masks live on different grids")
     sym = int(np.logical_xor(estimated.field, reference.field).sum())
-    a = _cell_index_array(estimated.grid, estimated.field)
-    b = _cell_index_array(reference.grid, reference.field)
+    a = np.argwhere(estimated.field.reshape(estimated.grid.shape))
+    b = np.argwhere(reference.field.reshape(reference.grid.shape))
     if len(a) == 0 and len(b) == 0:
         return MaskMetrics(sym, 0)
     if len(a) == 0 or len(b) == 0:
@@ -92,24 +87,29 @@ def reconstruct_support(f: SampledFunction, family: PolyFamily, p, n_max: int,
     if family.d != f.grid.d:
         raise GridError("family dimension mismatch")
     grid = f.grid
+    spec = Spectrum.of(f, eps_rel)
     lams = grid.frequency_coords()
     keep = np.ones(grid.n_points, dtype=bool)
     limits, excluded = [], []
     resolved = True
     for i, P in enumerate(family):
-        seq = growth_sequence(f, P, p, n_max, eps_rel=eps_rel)
+        seq = growth_sequence(spec, P, p, n_max, eps_rel=eps_rel)
         if seq.truncated_at is not None and seq.regime != "zero":
             excluded.append(i)
             limits.append(float("nan"))
             continue
         limits.append(seq.limit)
         resolved = resolved and seq.resolved
-        sym = np.abs(eval_symbol_many(P, lams))
-        keep &= sym <= seq.limit * (1.0 + tau)
+        keep &= _sublevel(P, lams, seq.limit, tau)
     est = SupportMask(grid, keep, eps_rel, resolved)
     metrics = mask_metrics(est, reference) if reference is not None else None
     return ReconstructionResult(est, family, tuple(limits), tau,
                                 tuple(excluded), metrics)
+
+
+def _sublevel(P: MultiPoly, lams: np.ndarray, limit: float, tau: float) -> np.ndarray:
+    """|P(i lam)| <= limit * (1 + tau) at each frequency vector."""
+    return np.abs(eval_symbol_many(P, lams)) <= limit * (1.0 + tau)
 
 
 def membership_test(lam, limits, family: PolyFamily, tau: float = DEFAULT_TAU) -> bool:
@@ -117,13 +117,8 @@ def membership_test(lam, limits, family: PolyFamily, tau: float = DEFAULT_TAU) -
     if len(limits) != len(family):
         raise GridError("limits must cover the family")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    for P, lim in zip(family, limits):
-        if not np.isfinite(lim):
-            continue
-        val = np.abs(eval_symbol_many(P, lam[None, :]))[0]
-        if val > lim * (1.0 + tau):
-            return False
-    return True
+    return all(_sublevel(P, lam[None, :], lim, tau)[0]
+               for P, lim in zip(family, limits) if np.isfinite(lim))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +202,8 @@ def pde_support_probe(g: SampledFunction, P: MultiPoly, Q: MultiPoly,
     if g.side != SPATIAL:
         raise GridError("probe expects the right-hand side g on the spatial side")
     grid = g.grid
-    Fg = forward_values(g.values, grid)
-    mask = support_mask(SampledFunction(grid, FREQUENCY, Fg), eps_rel)
+    spec = Spectrum.of(g, eps_rel)
+    Fg, mask = spec.F, spec.mask
     sym = eval_symbol_many(P, grid.frequency_coords())
     ok = np.abs(sym) >= delta_zero
     mask_mass = np.abs(Fg[mask.field]).sum()

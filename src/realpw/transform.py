@@ -14,7 +14,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .grid import Grid, SampledFunction, SPATIAL, FREQUENCY, GridError, MARGIN_CELLS
+from .grid import (Grid, SampledFunction, SPATIAL, FREQUENCY, GridError, MARGIN_CELLS,
+                   lp_norm_values)
 from .poly import MultiPoly, eval_symbol_many
 
 DEFAULT_EPS_REL = 1e-8
@@ -34,6 +35,10 @@ def _ifftshift_all(a, d):
     return np.fft.ifftshift(a, axes=tuple(range(d)))
 
 
+def _inverse_scale(grid: Grid) -> float:
+    return (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
+
+
 def forward_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     v = values.reshape(grid.shape)
     out = _fftshift_all(np.fft.fftn(_ifftshift_all(v, grid.d)), grid.d)
@@ -44,8 +49,7 @@ def forward_values(values: np.ndarray, grid: Grid) -> np.ndarray:
 def inverse_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     v = values.reshape(grid.shape)
     out = _fftshift_all(np.fft.ifftn(_ifftshift_all(v, grid.d)), grid.d)
-    scale = (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
-    return (scale * out).ravel()
+    return (_inverse_scale(grid) * out).ravel()
 
 
 def forward_dft(f: SampledFunction) -> SampledFunction:
@@ -116,6 +120,71 @@ def support_mask(F: SampledFunction, eps_rel: float = DEFAULT_EPS_REL) -> Suppor
     frame = F.grid.boundary_frame(2)
     resolved = not bool((fld & frame).any())
     return SupportMask(F.grid, fld, eps_rel, resolved)
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """An input's transform and support mask, computed once for all its ledgers.
+
+    F is in centered order; coords and fft_index locate the mask cells (in the
+    order of F[mask.field]) by frequency and by flat position in FFT order.
+    """
+
+    f: SampledFunction
+    F: np.ndarray
+    mask: SupportMask
+    coords: np.ndarray
+    fft_index: np.ndarray
+
+    @classmethod
+    def of(cls, f, eps_rel: float = DEFAULT_EPS_REL) -> "Spectrum":
+        """Transform and mask a spatial-side f.  A Spectrum is passed through
+        if it was masked at eps_rel and rejected otherwise."""
+        if isinstance(f, Spectrum):
+            if f.mask.eps_rel != eps_rel:
+                raise GridError(f"spectrum masked at eps_rel={f.mask.eps_rel}, not {eps_rel}")
+            return f
+        if f.side != SPATIAL:
+            raise GridError("expected a spatial-side function")
+        grid = f.grid
+        F = forward_values(f.values, grid)
+        mask = support_mask(SampledFunction(grid, FREQUENCY, F), eps_rel)
+        cells = (np.argwhere(mask.field.reshape(grid.shape)) + grid.M // 2) % grid.M
+        return cls(f, F, mask, mask.coords(), np.ravel_multi_index(cells.T, grid.shape))
+
+    @property
+    def grid(self) -> Grid:
+        return self.f.grid
+
+
+class SpatialStep:
+    """Spatial samples of spectra carried on a Spectrum's mask cells.
+
+    A call scatters the cells into a zeroed FFT-order buffer and inverse-
+    transforms it into a second buffer.  Both are allocated once, and the
+    result, overwritten by the next call, is unscaled and in FFT order:
+    `norm` applies the scale and `fft_order` reorders weight arrays.
+    """
+
+    def __init__(self, spec: Spectrum):
+        grid = spec.grid
+        self._index = spec.fft_index
+        self._buf = np.zeros(grid.shape, dtype=complex)
+        self._out = np.empty_like(self._buf)
+        self._scale = _inverse_scale(grid)
+        self._cell = grid.h ** grid.d
+
+    def __call__(self, G: np.ndarray) -> np.ndarray:
+        self._buf.reshape(-1)[self._index] = G
+        return np.fft.ifftn(self._buf, out=self._out)
+
+    def fft_order(self, values: np.ndarray) -> np.ndarray:
+        """A centered-order spatial array in the order of the step's output."""
+        return _ifftshift_all(values.reshape(self._buf.shape), self._buf.ndim)
+
+    def norm(self, g: np.ndarray, p) -> float:
+        """Riemann-sum Lp norm of a step output, or of one times a weight."""
+        return self._scale * lp_norm_values(g, self._cell, p)
 
 
 class RValue(NamedTuple):

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledFunction, make_grid, sample_builtin
+from .grid import SampledFunction, FREQUENCY, make_grid, sample_builtin
 from .poly import parse_poly
-from .transform import (SupportMask, support_mask, compute_R, forward_dft,
-                        eval_entire, supporting_function)
+from .transform import (Spectrum, SpatialStep, compute_R, eval_entire,
+                        supporting_function)
 from .growth import (growth_sequence, liminf_check, pointwise_growth,
-                     apply_op_spectral, apply_op_fd, _masked_ratio)
-from .grid import lp_norm
+                     apply_op_spectral, apply_op_fd, iterates)
 
 DESK_NMAX = 64
 
@@ -108,35 +107,31 @@ def verify_corpus(n_max: int = DESK_NMAX) -> list:
 
 
 # ---------------------------------------------------------------------------
-# property rows
+# property rows, each called as check(member, n_max)
 # ---------------------------------------------------------------------------
 
-def _member_mask(member) -> SupportMask:
-    return support_mask(forward_dft(member.f))
-
-
 def check_limit_vs_R(member, n_max=DESK_NMAX, rel_tol=0.02):
-    mask = _member_mask(member)
-    if not mask.resolved:
+    spec = Spectrum.of(member.f)
+    if not spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
     worst = 0.0
     for P in member.polys:
-        R, _ = compute_R(P, mask)
+        R, _ = compute_R(P, spec.mask)
         for p in member.p_values:
-            seq = growth_sequence(member.f, P, p, n_max)
+            seq = growth_sequence(spec, P, p, n_max)
             gap = abs(seq.limit - R) if R == 0 else abs(seq.limit - R) / R
             worst = max(worst, gap)
     return ("pass" if worst <= rel_tol else "fail", f"worst gap {worst:.2e}")
 
 
 def check_liminf(member, n_max=DESK_NMAX):
-    mask = _member_mask(member)
-    if not mask.resolved:
+    spec = Spectrum.of(member.f)
+    if not spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
     worst = np.inf
     for P in member.polys:
         for p in member.p_values:
-            rep = liminf_check(member.f, P, p, n_max)
+            rep = liminf_check(spec, P, p, n_max)
             scale = rep.R if rep.R > 0 else 1.0
             worst = min(worst, rep.margin / scale)
             if not rep.passed:
@@ -146,42 +141,37 @@ def check_liminf(member, n_max=DESK_NMAX):
 
 def check_plancherel(member, n_max=DESK_NMAX, rel_tol=1e-10):
     """Spatial vs frequency 2-norm of P(d)^n f, every n (discrete Plancherel)."""
-    grid = member.f.grid
-    dmeas = grid.dlam ** grid.d
+    spec = Spectrum.of(member.f)
+    dmeas = spec.grid.dlam ** spec.grid.d
+    step = SpatialStep(spec)
     worst = 0.0
     for P in member.polys[:1]:
-        F, mask, ratio, R = _masked_ratio(member.f, P, 1e-8)
-        if R == 0:
-            continue
-        G = F.astype(complex)
-        from .transform import inverse_values
-        for n in range(1, n_max + 1):
-            G = G * ratio
+        for n, S, G in iterates(spec, P, n_max):
             freq = math.sqrt(dmeas * float(np.sum(np.abs(G) ** 2)))
-            spat = lp_norm(SampledFunction(grid, "spatial", inverse_values(G, grid)), 2)
             if freq == 0:
                 break
+            spat = step.norm(step(G), 2)
             worst = max(worst, abs(spat - freq) / freq)
     return ("pass" if worst <= rel_tol else "fail", f"worst rel diff {worst:.2e}")
 
 
 def check_rtilde_vs_R(member, n_max=DESK_NMAX, rel_tol=0.03, N=2):
-    mask = _member_mask(member)
-    if not mask.resolved:
+    spec = Spectrum.of(member.f)
+    if not spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
     worst = 0.0
     for P in member.polys:
-        R, _ = compute_R(P, mask)
+        R, _ = compute_R(P, spec.mask)
         if R == 0:
             continue
-        rep = pointwise_growth(member.f, P, N, n_max, mode="growth")
+        rep = pointwise_growth(spec, P, N, n_max, mode="growth")
         worst = max(worst, abs(rep.rtilde - R) / R)
     return ("pass" if worst <= rel_tol else "fail", f"worst gap {worst:.2e}")
 
 
-def check_raster(member):
+def check_raster(member, n_max=DESK_NMAX):
     from .reconstruct import local_spectrum_raster
-    mask = _member_mask(member)
+    mask = Spectrum.of(member.f).mask
     for P in member.polys:
         R, _ = compute_R(P, mask)
         ras = local_spectrum_raster(P, mask)
@@ -190,16 +180,15 @@ def check_raster(member):
     return ("pass", "raster max modulus equals R bit-exactly")
 
 
-def check_fd_oracle(member, rel_tol=1e-6):
+def check_fd_oracle(member, n_max=DESK_NMAX, rel_tol=1e-6):
     """Single application: spectral vs order-8 finite differences, 2-norm."""
-    mask = _member_mask(member)
-    grid = member.f.grid
-    quarter = 0.25 * grid.frequency_halfwidth
-    if mask.is_empty or np.abs(mask.coords()).max() > quarter:
+    spec = Spectrum.of(member.f)
+    quarter = 0.25 * spec.grid.frequency_halfwidth
+    if spec.mask.is_empty or np.abs(spec.coords).max() > quarter:
         return ("skip", "input occupies more than a quarter of the Nyquist band")
     worst = 0.0
     for P in member.polys:
-        g_spec, S = apply_op_spectral(member.f, P, 1)
+        g_spec, S = apply_op_spectral(spec, P, 1)
         spec_vals = np.exp(S) * g_spec.values
         fd_vals = apply_op_fd(member.f, P, 8).values
         denom = np.linalg.norm(spec_vals)
@@ -209,27 +198,28 @@ def check_fd_oracle(member, rel_tol=1e-6):
     return ("pass" if worst <= rel_tol else "fail", f"worst rel diff {worst:.2e}")
 
 
-def check_cauchy_bound(member, n_top=20):
-    """||d^n f||_inf <= C n! e^n / n^n * H(1)^n from the entire-extension constant."""
-    grid = member.f.grid
-    if grid.d != 1:
+def check_cauchy_bound(member, n_max=DESK_NMAX, n_top=20):
+    """||d^n f||_inf <= C n! e^n / n^n * H(1)^n from the entire-extension constant.
+
+    Checked for n <= n_top; n_max is not used.
+    """
+    if member.f.grid.d != 1:
         return ("skip", "d=1 check")
-    mask = _member_mask(member)
-    if not mask.resolved or mask.is_empty:
+    spec = Spectrum.of(member.f)
+    if not spec.mask.resolved or spec.mask.is_empty:
         return ("skip", "needs a resolved non-empty mask")
-    H1 = supporting_function(mask.coords(), np.array([1.0]))
-    Hm1 = supporting_function(mask.coords(), np.array([-1.0]))
+    H1 = supporting_function(spec.coords, np.array([1.0]))
+    Hm1 = supporting_function(spec.coords, np.array([-1.0]))
     Hsym = max(H1, Hm1)              # the Cauchy circle sees both directions
-    F = forward_dft(member.f)
+    F = SampledFunction(spec.grid, FREQUENCY, spec.F)
     zs = [x + 1j * t for x in (0.0, 0.7, -1.3, 3.1) for t in (0.0, 1.0, -2.0, 5.0, -10.0, 20.0)]
     C = 0.0
     for z in zs:
         Ht = H1 * max(z.imag, 0.0) + Hm1 * max(-z.imag, 0.0)
         C = max(C, abs(eval_entire(F, z)) / math.exp(Ht))
-    P = parse_poly("x1", 1)
-    for n in range(1, n_top + 1):
-        g, S = apply_op_spectral(member.f, P, n)
-        lhs = S + math.log(np.abs(g.values).max())
+    step = SpatialStep(spec)
+    for n, S, G in iterates(spec, parse_poly("x1", 1), n_top):
+        lhs = S + math.log(step.norm(step(G), np.inf))
         rhs = (math.log(C) + math.lgamma(n + 1) + n - n * math.log(n)
                + n * math.log(Hsym))
         if lhs > rhs:
@@ -261,11 +251,8 @@ def run_matrix(members=None, properties=None, n_max: int = DESK_NMAX,
 
     def run(job):
         prop_name, member = job
-        fn = properties[prop_name]
         try:
-            if prop_name in ("limit_vs_R", "liminf", "plancherel", "rtilde_vs_R"):
-                return prop_name, member.name, fn(member, n_max=n_max)
-            return prop_name, member.name, fn(member)
+            return prop_name, member.name, properties[prop_name](member, n_max)
         except Exception as exc:  # a crashed check is a failed check
             return prop_name, member.name, ("fail", f"error: {exc}")
 

@@ -13,9 +13,8 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     complex_growth_rate, apply_op_spectral, apply_op_fd,
                     family_quadratic, family_quadratic_real,
                     reconstruct_support, local_spectrum_raster,
-                    pde_support_probe, lp_norm)
+                    pde_support_probe, lp_norm, Spectrum, iterates)
 from realpw.verify import acceptance_corpus, check_cauchy_bound, two_box_support
-from realpw.growth import _masked_ratio
 from realpw.transform import inverse_values
 
 
@@ -82,11 +81,11 @@ def test_criterion_3_plancherel(corpus):
     for member in (corpus[0], corpus[2], corpus[4]):
         P = member.polys[0]
         grid = member.f.grid
-        F, mask, ratio, R = _masked_ratio(member.f, P, 1e-8)
-        G = F.astype(complex)
+        spec = Spectrum.of(member.f, 1e-8)
         dmeas = grid.dlam ** grid.d
-        for n in range(1, 65):
-            G = G * ratio
+        for n, S, Gm in iterates(spec, P, 64):
+            G = np.zeros(grid.n_points, dtype=complex)
+            G[spec.mask.field] = Gm
             freq = float(np.sqrt(dmeas * np.sum(np.abs(G) ** 2)))
             spat = lp_norm(SampledFunction(grid, "spatial",
                                            inverse_values(G, grid)), 2)

@@ -5,8 +5,11 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     support_mask, compute_R, parse_poly, lp_norm,
                     apply_op_spectral, apply_op_fd, growth_sequence,
                     estimate_limit, liminf_check, pointwise_growth,
-                    schwartz_decay_check, GrowthError)
-from realpw.verify import aligned_h
+                    schwartz_decay_check, GrowthError, GridError, Spectrum,
+                    iterates, eval_symbol_many, family_quadratic_real,
+                    reconstruct_support)
+from realpw.transform import forward_values, inverse_values
+from realpw.verify import acceptance_corpus, aligned_h
 
 
 @pytest.fixture(scope="module")
@@ -165,12 +168,10 @@ class TestGrowthSequence:
         # spatial vs frequency 2-norm of P(d)^n f, in log arithmetic
         grid, f = interval_bump
         P = parse_poly("x1", 1)
-        from realpw.growth import _masked_ratio
-        from realpw.transform import inverse_values
-        F, mask, ratio, R = _masked_ratio(f, P, 1e-8)
-        G = F.astype(complex)
-        for n in range(1, 65):
-            G = G * ratio
+        spec = Spectrum.of(f, 1e-8)
+        for n, S, Gm in iterates(spec, P, 64):
+            G = np.zeros(grid.n_points, dtype=complex)
+            G[spec.mask.field] = Gm
             freq = np.sqrt(grid.dlam * np.sum(np.abs(G) ** 2))
             spat = lp_norm(SampledFunction(grid, "spatial", inverse_values(G, grid)), 2)
             assert spat == pytest.approx(freq, rel=1e-10)
@@ -328,3 +329,82 @@ class TestOtherDimensionsAndNorms:
         R = compute_R(P, mask).value
         seq = growth_sequence(f, P, 2, 32)
         assert seq.limit == pytest.approx(R, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the one-transform engine against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_ledger(f, P, p, n_max, eps_rel=1e-8):
+    """(L, truncated_at) by the full-grid loop: transform, mask and symbol on
+    every call, one inverse transform per step for p != 2."""
+    grid = f.grid
+    F = forward_values(f.values, grid)
+    mask = support_mask(SampledFunction(grid, "frequency", F), eps_rel)
+    sym = eval_symbol_many(P, grid.frequency_coords())
+    R = float(np.abs(sym[mask.field]).max(initial=0.0))
+    if R == 0.0:
+        return np.array([]), 1
+    ratio = np.where(mask.field, sym / R, 0.0)
+    L = []
+    Gm, rm = F[mask.field].astype(complex), ratio[mask.field]
+    G = F.astype(complex)
+    for n in range(1, n_max + 1):
+        if p == 2:
+            Gm = Gm * rm
+            nrm = float(np.sqrt(grid.dlam ** grid.d * np.sum(np.abs(Gm) ** 2)))
+        else:
+            G = G * ratio
+            nrm = lp_norm(SampledFunction(grid, "spatial", inverse_values(G, grid)), p)
+        if nrm <= 0.0 or not np.isfinite(nrm):
+            return np.array(L), (1 if not L else n)
+        L.append(n * np.log(R) + np.log(nrm))
+    return np.array(L), None
+
+
+def reference_regime(L):
+    if L.size == 0:
+        return "zero"
+    return estimate_limit(L).regime if L.size >= 8 else "truncated"
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return acceptance_corpus()
+
+
+class TestEngineMatchesFullGridLoop:
+    def test_ledgers(self, corpus):
+        checked = 0
+        for member in corpus:
+            spec = Spectrum.of(member.f)
+            for P in member.polys:
+                for p in (1, 2, np.inf):
+                    L_ref, trunc_ref = reference_ledger(member.f, P, p, 16)
+                    seq = growth_sequence(spec, P, p, 16)
+                    assert seq.L.shape == L_ref.shape
+                    assert np.all(np.abs(seq.L - L_ref) <= 1e-12 * np.abs(L_ref))
+                    assert seq.regime == reference_regime(L_ref)
+                    assert seq.truncated_at == trunc_ref
+                    checked += 1
+        assert checked == 66
+
+    def test_two_box_mask_bit_identical(self, corpus):
+        member = corpus[4]
+        grid = member.f.grid
+        cvals = (np.arange(16) - 7) * (63 * grid.dlam / 8)
+        fam = family_quadratic_real([np.array([a, b]) for a in cvals for b in cvals], grid)
+        res = reconstruct_support(member.f, fam, 2, 200, tau=0.01)
+        lams = grid.frequency_coords()
+        keep = np.ones(grid.n_points, dtype=bool)
+        for P in fam:
+            L, _ = reference_ledger(member.f, P, 2, 200)
+            keep &= np.abs(eval_symbol_many(P, lams)) <= estimate_limit(L).limit * 1.01
+        assert np.array_equal(res.estimated.field, keep)
+
+    def test_rejects_spectrum_masked_elsewhere(self, interval_bump):
+        grid, f = interval_bump
+        spec = Spectrum.of(f, 1e-6)
+        with pytest.raises(GridError):
+            growth_sequence(spec, parse_poly("x1", 1), 2, 16)
+        assert growth_sequence(spec, parse_poly("x1", 1), 2, 16, eps_rel=1e-6).L.size == 16
