@@ -123,7 +123,7 @@ class SampledFunction:
 
 
 def make_grid(d: int, M: int, h: float) -> Grid:
-    """Build a periodic grid; d in {1,2,3}, M even and >= 8, h > 0.
+    """Build a periodic grid; d in {1,2,3}, M even and >= 8, h > 0 finite.
 
     Powers of two for M are recommended (FFT speed) but not required.
     """
@@ -131,8 +131,8 @@ def make_grid(d: int, M: int, h: float) -> Grid:
         raise GridError(f"dimension d must be 1, 2 or 3, got {d}")
     if not isinstance(M, (int, np.integer)) or M < 8 or M % 2 != 0:
         raise GridError(f"M must be an even integer >= 8, got {M}")
-    if not (h > 0):
-        raise GridError(f"spatial step h must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise GridError(f"spatial step h must be positive and finite, got {h}")
     return Grid(int(d), int(M), float(h))
 
 

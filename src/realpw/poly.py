@@ -259,11 +259,15 @@ class _Parser:
                 self.pos = mark  # not an exponent after all
         if self.pos == start:
             self.error("expected a number")
+        number = self.text[start:self.pos]
         try:
-            return float(self.text[start:self.pos])
+            value = float(number)
         except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
             self.pos = start
-            self.error(f"bad number {self.text[start:self.pos]!r}")
+            self.error(f"bad number {number!r}")
+        return value
 
 
 def parse_poly(text: str, d: int) -> MultiPoly:

@@ -80,28 +80,29 @@ def signal_to_dict(obj, encoding: str = "base64") -> dict:
 
 
 def signal_from_dict(doc: dict):
+    """Decode a signal document; any defect raises SignalIOError."""
     try:
         grid = make_grid(int(doc["d"]), int(doc["M"]), float(doc["h"]))
         side = doc["side"]
         encoding = doc.get("encoding", "array")
         raw = doc["values"]
-    except (KeyError, TypeError, ValueError, GridError) as exc:
-        raise SignalIOError(f"bad signal header: {exc}") from exc
-    if encoding == "base64":
-        flat = np.frombuffer(base64.b64decode(raw), dtype="<f8")
-    elif encoding == "array":
-        flat = np.asarray(raw, dtype=float)
-    else:
-        raise SignalIOError(f"unknown encoding {encoding!r}")
-    values = _deinterleave(flat)
-    if values.size != grid.n_points:
-        raise SignalIOError(
-            f"payload holds {values.size} values, grid needs {grid.n_points}")
-    if doc.get("payload") == "boolean":
-        field = values.real >= 0.5
-        return SupportMask(grid, field, float(doc.get("eps_rel", 0.5)),
-                           bool(doc.get("resolved", True)))
-    return SampledFunction(grid, side, values, label=doc.get("label", ""))
+        if encoding == "base64":
+            flat = np.frombuffer(base64.b64decode(raw), dtype="<f8")
+        elif encoding == "array":
+            flat = np.asarray(raw, dtype=float)
+        else:
+            raise SignalIOError(f"unknown encoding {encoding!r}")
+        values = _deinterleave(flat)
+        if values.size != grid.n_points:
+            raise SignalIOError(
+                f"payload holds {values.size} values, grid needs {grid.n_points}")
+        if doc.get("payload") == "boolean":
+            return SupportMask(grid, values.real >= 0.5, float(doc.get("eps_rel", 0.5)),
+                               bool(doc.get("resolved", True)))
+        return SampledFunction(grid, side, values, label=doc.get("label", ""))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # SignalIOError, GridError and binascii.Error (bad base64) are ValueErrors
+        raise SignalIOError(f"bad signal: {exc}") from exc
 
 
 def save_signal(obj, path: str, encoding: str = "base64"):
@@ -110,7 +111,11 @@ def save_signal(obj, path: str, encoding: str = "base64"):
 
 def load_signal(path: str):
     with open(path) as fh:
-        return signal_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise SignalIOError(f"not a JSON signal file: {exc}") from exc
+    return signal_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +133,16 @@ def save_signal_csv(f: SampledFunction, path: str):
 
 def load_signal_csv(path: str, h: float, side: str, label: str = "") -> SampledFunction:
     rows = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for ln, line in enumerate(fh):
             line = line.strip()
             if not line or (ln == 0 and line.lower().startswith("index")):
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SignalIOError(f"bad CSV row {ln + 1}: {line!r}")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            try:
+                k, re_part, im_part = line.split(",")
+                rows.append((int(k), float(re_part), float(im_part)))
+            except ValueError:
+                raise SignalIOError(f"bad CSV row {ln + 1}: {line!r}") from None
     if not rows:
         raise SignalIOError("empty CSV signal")
     rows.sort()
@@ -145,4 +151,7 @@ def load_signal_csv(path: str, h: float, side: str, label: str = "") -> SampledF
     if indices != list(range(-M // 2, M - M // 2)):
         raise SignalIOError("CSV indices must be contiguous -M/2 .. M/2-1")
     values = np.array([r[1] + 1j * r[2] for r in rows])
-    return SampledFunction(make_grid(1, M, h), side, values, label=label)
+    try:
+        return SampledFunction(make_grid(1, M, h), side, values, label=label)
+    except GridError as exc:
+        raise SignalIOError(f"bad CSV signal: {exc}") from exc

@@ -9,9 +9,9 @@ spectrum report "skip" when the member's mask touches the frequency boundary.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +40,11 @@ class CorpusMember:
     f: SampledFunction
     polys: tuple
     p_values: tuple
+
+    @cached_property
+    def spec(self) -> Spectrum:
+        """The input's spectrum and mask, built on first use for every row."""
+        return Spectrum.of(self.f)
 
 
 def _interval_member(name, M=1024, lo_cells=-8.5, hi_cells=8.5):
@@ -89,7 +94,7 @@ def acceptance_corpus() -> list:
     return members
 
 
-def verify_corpus(n_max: int = DESK_NMAX) -> list:
+def verify_corpus() -> list:
     """Smaller corpus behind `realpw verify` (runtime over accuracy)."""
     members = [
         _interval_member("interval [-1,1]", M=512),
@@ -111,7 +116,7 @@ def verify_corpus(n_max: int = DESK_NMAX) -> list:
 # ---------------------------------------------------------------------------
 
 def check_limit_vs_R(member, n_max=DESK_NMAX, rel_tol=0.02):
-    spec = Spectrum.of(member.f)
+    spec = member.spec
     if not spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
     worst = 0.0
@@ -125,7 +130,7 @@ def check_limit_vs_R(member, n_max=DESK_NMAX, rel_tol=0.02):
 
 
 def check_liminf(member, n_max=DESK_NMAX):
-    spec = Spectrum.of(member.f)
+    spec = member.spec
     if not spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
     worst = np.inf
@@ -141,7 +146,7 @@ def check_liminf(member, n_max=DESK_NMAX):
 
 def check_plancherel(member, n_max=DESK_NMAX, rel_tol=1e-10):
     """Spatial vs frequency 2-norm of P(d)^n f, every n (discrete Plancherel)."""
-    spec = Spectrum.of(member.f)
+    spec = member.spec
     dmeas = spec.grid.dlam ** spec.grid.d
     step = SpatialStep(spec)
     worst = 0.0
@@ -156,7 +161,7 @@ def check_plancherel(member, n_max=DESK_NMAX, rel_tol=1e-10):
 
 
 def check_rtilde_vs_R(member, n_max=DESK_NMAX, rel_tol=0.03, N=2):
-    spec = Spectrum.of(member.f)
+    spec = member.spec
     if not spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
     worst = 0.0
@@ -171,7 +176,7 @@ def check_rtilde_vs_R(member, n_max=DESK_NMAX, rel_tol=0.03, N=2):
 
 def check_raster(member, n_max=DESK_NMAX):
     from .reconstruct import local_spectrum_raster
-    mask = Spectrum.of(member.f).mask
+    mask = member.spec.mask
     for P in member.polys:
         R, _ = compute_R(P, mask)
         ras = local_spectrum_raster(P, mask)
@@ -182,7 +187,7 @@ def check_raster(member, n_max=DESK_NMAX):
 
 def check_fd_oracle(member, n_max=DESK_NMAX, rel_tol=1e-6):
     """Single application: spectral vs order-8 finite differences, 2-norm."""
-    spec = Spectrum.of(member.f)
+    spec = member.spec
     quarter = 0.25 * spec.grid.frequency_halfwidth
     if spec.mask.is_empty or np.abs(spec.coords).max() > quarter:
         return ("skip", "input occupies more than a quarter of the Nyquist band")
@@ -205,7 +210,7 @@ def check_cauchy_bound(member, n_max=DESK_NMAX, n_top=20):
     """
     if member.f.grid.d != 1:
         return ("skip", "d=1 check")
-    spec = Spectrum.of(member.f)
+    spec = member.spec
     if not spec.mask.resolved or spec.mask.is_empty:
         return ("skip", "needs a resolved non-empty mask")
     H1 = supporting_function(spec.coords, np.array([1.0]))
@@ -239,14 +244,12 @@ PROPERTIES = {
 
 
 def run_matrix(members=None, properties=None, n_max: int = DESK_NMAX,
-               threads: int | None = None) -> dict:
+               threads: int = 1) -> dict:
     """Evaluate the property matrix; returns {property: {member: (status, detail)}}."""
     if members is None:
-        members = verify_corpus(n_max)
+        members = verify_corpus()
     if properties is None:
         properties = PROPERTIES
-    if threads is None:
-        threads = int(os.environ.get("REALPW_THREADS", "1"))
     jobs = [(prop_name, member) for prop_name in properties for member in members]
 
     def run(job):

@@ -6,6 +6,7 @@ from realpw.verify import (verify_corpus, run_matrix, matrix_failed,
                            CorpusMember, check_limit_vs_R, check_liminf,
                            aligned_h)
 from realpw.poly import parse_poly
+from realpw.transform import Spectrum
 
 
 def test_aligned_h_places_edge_between_cells():
@@ -57,3 +58,18 @@ def test_badly_aligned_member_fails_matrix():
     matrix = run_matrix(members=[member], properties={"limit_vs_R": check_limit_vs_R})
     assert matrix["limit_vs_R"]["unaligned"][0] == "fail"
     assert matrix_failed(matrix)
+
+
+def test_spectrum_built_once_per_member(monkeypatch):
+    built = []
+    of = Spectrum.of.__func__
+
+    def counting_of(cls, f, *args):
+        if not isinstance(f, Spectrum):
+            built.append(f)
+        return of(cls, f, *args)
+
+    monkeypatch.setattr(Spectrum, "of", classmethod(counting_of))
+    members = verify_corpus()
+    run_matrix(members=members, n_max=16)
+    assert len(built) == len(members)
