@@ -13,13 +13,13 @@ from .grid import (Grid, SampledFunction, make_grid, sample_builtin, lp_norm,
 from .poly import (MultiPoly, PolyFamily, parse_poly, eval_symbol,
                    eval_symbol_many, family_linear, family_quadratic,
                    family_quadratic_real, family_explicit, constant, variable,
-                   PolyError, ParseError)
+                   symbol_bound, PolyError, ParseError)
 from .transform import (forward_dft, inverse_dft, SupportMask, support_mask,
                         Spectrum, SpatialStep, compute_R, RValue,
                         supporting_function, eval_entire,
                         complex_growth_rate, ComplexGrowthReport)
 from .growth import (iterates, apply_op_spectral, apply_op_fd, growth_sequence,
-                     GrowthSequence, estimate_limit, LimitEstimate,
+                     growth_sequences, GrowthSequence, estimate_limit, LimitEstimate,
                      liminf_check, LiminfReport, pointwise_growth,
                      PointwiseGrowthReport, schwartz_decay_check,
                      SchwartzDecayReport, GrowthError)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import make_grid, sample_builtin, SampledFunction, GridError
 from .poly import parse_poly, family_linear, family_quadratic, family_quadratic_real, \
-    family_explicit, PolyError
+    family_explicit, symbol_bound, PolyError
 from .transform import Spectrum, SupportMask, compute_R, complex_growth_rate
 from .growth import growth_sequence, GrowthError
 from .reconstruct import reconstruct_support
@@ -149,34 +149,45 @@ def _load_input(cfg):
     return f
 
 
-def _parse_polys(cfg, name, d):
+def _bounded(name, polys, grid):
+    """polys, unless a symbol could overflow a double on the frequency box."""
+    for P in polys:
+        if not np.isfinite(symbol_bound(P, grid.frequency_halfwidth)):
+            raise ConfigError(name, f"{P.to_text():.60}: |P(i lam)| on the frequency box "
+                                    "exceeds the double range")
+    return polys
+
+
+def _parse_polys(cfg, name, grid):
     out = []
     for t in _field(cfg, name):
         try:
-            out.append(parse_poly(t, d))
+            out.append(parse_poly(t, grid.d))
         except PolyError as exc:
             raise ConfigError(name, f"{t!r}: {exc}")
-    return out
+    return _bounded(name, out, grid)
 
 
 def _build_family(cfg, grid):
     kind = _field(cfg, "family.kind")
     try:
         if kind == "linear":
-            return family_linear(_field(cfg, "family.directions"))
-        if kind == "quadratic":
-            return family_quadratic(_field(cfg, "family.centers"), grid)
-        if kind == "explicit":
-            return family_explicit(_parse_polys(cfg, "family.polys", grid.d))
-        per_axis = _field(cfg, "family.per_axis")
-        span = _field(cfg, "family.span_cells") or (grid.M // 2) * 0.98
-        step = span * grid.dlam / (per_axis // 2)
-        axis_vals = (np.arange(per_axis) - (per_axis // 2 - 1)) * step
-        centers = [np.array(t) for t in itertools.product(*([axis_vals] * grid.d))]
-        builder = family_quadratic if kind == "quadratic_lattice" else family_quadratic_real
-        return builder(centers, grid)
+            family = family_linear(_field(cfg, "family.directions"))
+        elif kind == "quadratic":
+            family = family_quadratic(_field(cfg, "family.centers"), grid)
+        elif kind == "explicit":
+            family = family_explicit(_parse_polys(cfg, "family.polys", grid))
+        else:
+            per_axis = _field(cfg, "family.per_axis")
+            span = _field(cfg, "family.span_cells") or (grid.M // 2) * 0.98
+            step = span * grid.dlam / (per_axis // 2)
+            axis_vals = (np.arange(per_axis) - (per_axis // 2 - 1)) * step
+            centers = [np.array(t) for t in itertools.product(*([axis_vals] * grid.d))]
+            builder = family_quadratic if kind == "quadratic_lattice" else family_quadratic_real
+            family = builder(centers, grid)
     except PolyError as exc:
         raise ConfigError("family", str(exc))
+    return _bounded("family", family, grid)
 
 
 def _finish_report(report, path):
@@ -198,7 +209,7 @@ def cmd_estimate(cfg):
     f = _load_input(cfg)
     if f.side != "spatial":
         raise ConfigError("input", "estimate expects a spatial-side input")
-    polys = _parse_polys(cfg, "poly", f.grid.d)
+    polys = _parse_polys(cfg, "poly", f.grid)
     spec = Spectrum.of(f, eps_rel)
     rows = []
     for P in polys:

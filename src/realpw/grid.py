@@ -144,13 +144,25 @@ def lp_norm(f: SampledFunction, p) -> float:
 
 
 def lp_norm_values(values: np.ndarray, cell_measure: float, p) -> float:
-    """(cell_measure * sum |values|^p)^(1/p); max |values| for p = inf."""
+    """(cell_measure * sum |values|^p)^(1/p); max |values| for p = inf.
+
+    For p other than 1 and 2 the moduli are divided by their maximum before
+    the power, so a large finite p neither under- nor overflows (p = 1e7
+    agrees with p = inf).  p = 2 is summed unscaled, bit for bit as before:
+    its range is that of the p = 2 ledgers summed by Parseval.
+    """
+    mag = np.abs(values)
     if np.isinf(p):
-        return float(np.abs(values).max(initial=0.0))
+        return float(mag.max(initial=0.0))
     p = float(p)
     if p < 1:
         raise GridError(f"norm exponent p must be >= 1, got {p}")
-    return float((cell_measure * np.sum(np.abs(values) ** p)) ** (1.0 / p))
+    if p in (1.0, 2.0):
+        return float((cell_measure * np.sum(mag ** p)) ** (1.0 / p))
+    top = mag.max(initial=0.0)
+    if top == 0.0:
+        return 0.0
+    return float(top * (cell_measure * np.sum((mag / top) ** p)) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -115,25 +115,37 @@ def estimate_limit(log_norms) -> LimitEstimate:
 # spectral application of P(d)
 # ---------------------------------------------------------------------------
 
-def iterates(spec: Spectrum, P: MultiPoly, n_max: int):
+def iterates(spec: Spectrum, P, n_max: int):
     """Yield (n, S_n, G_n) for n = 1..n_max with P(d)^n f = exp(S_n) * g_n.
 
     G_n = F (P(i lam)/R)^n is the spectrum of g_n on the mask cells (in the
     order of spec.F[spec.mask.field]), S_n = n log R with R = max |P(i lam)|
     over the mask; nothing is yielded when R = 0.  G_n is updated in place.
+
+    P may also be a sequence of polynomials, a stack of members: G_n is then
+    a (members x mask cells) block with one row per member, S_n the vector of
+    their n log R, and one multiply per n advances the whole stack.  A member
+    with R = 0 keeps a zero row and log R = 0.
     """
-    if P.d != spec.grid.d:
-        raise GridError("polynomial dimension mismatch")
-    sym = eval_symbol_many(P, spec.coords)
-    R = float(np.abs(sym).max(initial=0.0))
-    if R == 0.0:
+    stacked = not isinstance(P, MultiPoly)
+    polys = P if stacked else [P]
+    R = np.zeros(len(polys))
+    ratio = np.zeros((len(polys), spec.coords.shape[0]), dtype=complex)
+    for k, member in enumerate(polys):
+        if member.d != spec.grid.d:
+            raise GridError("polynomial dimension mismatch")
+        sym = eval_symbol_many(member, spec.coords)
+        R[k] = np.abs(sym).max(initial=0.0)
+        if R[k] > 0.0:
+            ratio[k] = sym / float(R[k])
+    if not stacked and R[0] == 0.0:
         return
-    ratio = sym / R
-    logR = np.log(R)
-    G = spec.F[spec.mask.field]
+    logR = np.log(R, out=np.zeros_like(R), where=R > 0.0)
+    G = np.tile(spec.F[spec.mask.field], (len(R), 1))
+    rows, logR = (G, logR) if stacked else (G[0], logR[0])
     for n in range(1, n_max + 1):
         np.multiply(G, ratio, out=G)
-        yield n, n * logR, G
+        yield n, n * logR, rows
 
 
 def apply_op_spectral(f, P: MultiPoly, n: int,
@@ -256,7 +268,19 @@ def growth_sequence(f, P: MultiPoly, p, n_max: int,
     f is a spatial-side SampledFunction or its Spectrum.  p = 2 avoids the
     per-step inverse transform: the spatial 2-norm equals the frequency-side
     2-norm under the grid measures (discrete Parseval), so the ledger is
-    summed directly on the mask cells.
+    summed directly on the mask cells.  This is growth_sequences for one P.
+    """
+    return next(growth_sequences(f, [P], p, n_max, method, eps_rel))
+
+
+def growth_sequences(f, polys, p, n_max: int, method: str = "spectral",
+                     eps_rel: float = DEFAULT_EPS_REL):
+    """growth_sequence(f, P, p, n_max, method, eps_rel) for each P of polys,
+    in order, each built when it is consumed.
+
+    The spectral p = 2 ledgers run as one batch: members go through
+    `iterates` in stacks of at most n_points // (mask cells), so one multiply
+    per n serves a stack and its 2-norms are one row sum.
     """
     if n_max < 8:
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
@@ -265,25 +289,60 @@ def growth_sequence(f, P: MultiPoly, p, n_max: int,
     if method not in ("spectral", "finite-difference"):
         raise GrowthError(f"unknown method {method!r}")
     spec = Spectrum.of(f, eps_rel)
-    if method == "finite-difference":
-        norms = _fd_norms(spec.f, P, p, n_max)
-    elif p == 2:
-        dmeasure = spec.grid.dlam ** spec.grid.d
-        norms = ((n, S, float(np.sqrt(dmeasure * np.sum(np.abs(G) ** 2))))
-                 for n, S, G in iterates(spec, P, n_max))
-    else:
-        step = SpatialStep(spec)
-        norms = ((n, S, step.norm(step(G), p)) for n, S, G in iterates(spec, P, n_max))
-    L, truncated_at = [], None
-    for n, S, nrm in norms:
-        if nrm <= 0.0 or not np.isfinite(nrm):
-            truncated_at = n
+    polys = tuple(polys)
+    resolved = spec.mask.resolved
+    if method == "spectral" and p == 2:
+        size = max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
+        n = np.arange(1, n_max + 1)
+        for start in range(0, len(polys), size):
+            stack = polys[start:start + size]
+            for P, logR, nrm in zip(stack, *_parseval_norms(spec, stack, n_max)):
+                yield _ledger(P, p, n_max, n * logR, nrm, method, resolved)
+        return
+    step = SpatialStep(spec) if method == "spectral" else None
+    for P in polys:
+        if step is None:
+            norms = _fd_norms(spec.f, P, p, n_max)
+        else:
+            norms = ((n, S, step.norm(step(G), p)) for n, S, G in iterates(spec, P, n_max))
+        yield _ledger(P, p, n_max, *_cut(norms), method, resolved)
+
+
+def _parseval_norms(spec: Spectrum, polys, n_max: int):
+    """(log R, norms) of a stack of members: S_1 = log R per member and the
+    (members x n_max) 2-norms ||g_n||_2, summed on the mask cells."""
+    sums = np.empty((len(polys), n_max))
+    for n, S, G in iterates(spec, polys, n_max):
+        if n == 1:
+            logR = S
+        sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
+    sums *= spec.grid.dlam ** spec.grid.d
+    return logR, np.sqrt(sums, out=sums)
+
+
+def _cut(norms):
+    """(S, norms) arrays of a lazy ledger, ending at its first norm that is
+    not > 0 or not finite; no later step is computed."""
+    S, nrm = [], []
+    for _, s, r in norms:
+        S.append(s)
+        nrm.append(r)
+        if not (r > 0.0 and np.isfinite(r)):
             break
-        L.append(S + np.log(nrm))
-    L = np.array(L)
+    return np.array(S, dtype=float), np.array(nrm, dtype=float)
+
+
+def _ledger(P, p, n_max, S, nrm, method, resolved) -> GrowthSequence:
+    """The GrowthSequence of ledger terms S_n and ||g_n||_p, n = 1, 2, ...:
+    L_n = S_n + log ||g_n||_p up to the first norm that is not > 0 or not
+    finite, where the ledger is truncated."""
+    bad = ~((nrm > 0.0) & np.isfinite(nrm))
+    k = int(bad.argmax()) if bad.any() else nrm.size
+    truncated_at = k + 1 if k < nrm.size else None
+    L = S[:k] + np.log(nrm[:k])
     if L.size == 0:
         return GrowthSequence(P, p, n_max, L, L, L, 0.0, 0.0, "zero", 0, 0.0, method,
-                              spec.mask.resolved, truncated_at=1)
+                              resolved, truncated_at=1)
     n = np.arange(1, L.size + 1)
     roots = np.exp(L / n)
     steps = np.exp(np.diff(L)) if L.size > 1 else np.array([])
@@ -296,7 +355,7 @@ def growth_sequence(f, P: MultiPoly, p, n_max: int,
         limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
         tail_w, spread = L.size, float(roots.max() - roots.min())
     return GrowthSequence(P, p, n_max, L, roots, steps, limit, secondary, regime,
-                          tail_w, spread, method, spec.mask.resolved, truncated_at)
+                          tail_w, spread, method, resolved, truncated_at)
 
 
 def _fd_norms(f, P, p, n_max, stencil_order=8):

@@ -303,6 +303,17 @@ def eval_symbol_many(P: MultiPoly, lams: np.ndarray) -> np.ndarray:
     return out
 
 
+def symbol_bound(P: MultiPoly, halfwidth: float) -> float:
+    """sum |c_alpha| halfwidth^|alpha|, a bound on |P(i lam)| over the box
+    max_j |lam_j| <= halfwidth; inf when a power halfwidth^|alpha| or the
+    sum overflows a double."""
+    halfwidth = float(halfwidth)
+    try:
+        return float(sum(abs(c) * halfwidth ** sum(a) for a, c in P.coeffs.items()))
+    except OverflowError:                   # float ** int raises it, float * float gives inf
+        return float("inf")
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
@@ -355,15 +366,12 @@ def family_linear(directions) -> PolyFamily:
 def _squared_distance(c, a, sign) -> MultiPoly:
     """sign * sum_j (x_j - a c_j)^2, for sign * a^2 = 1."""
     d = c.size
-    out = constant(d, float(np.sum(c ** 2)))
+    coeffs = {(0,) * d: float(np.sum(c ** 2))}
     for j in range(d):
-        ej = tuple(1 if k == j else 0 for k in range(d))
-        e2j = tuple(2 if k == j else 0 for k in range(d))
-        term = {e2j: sign}
+        coeffs[tuple(2 if k == j else 0 for k in range(d))] = sign
         if c[j] != 0:
-            term[ej] = -2.0 * sign * a * c[j]
-        out = out + MultiPoly(d, term)
-    return out
+            coeffs[tuple(1 if k == j else 0 for k in range(d))] = -2.0 * sign * a * c[j]
+    return MultiPoly(d, coeffs)
 
 
 def _checked_centers(centers, grid) -> list:

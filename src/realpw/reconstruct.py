@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from .grid import SampledFunction, SPATIAL, GridError, make_grid
 from .poly import MultiPoly, PolyFamily, eval_symbol_many
 from .transform import DEFAULT_EPS_REL, SupportMask, Spectrum
-from .growth import growth_sequence
+from .growth import growth_sequence, growth_sequences
 
 DEFAULT_TAU = 0.01
+_SLICE = 8192
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,16 @@ def mask_metrics(estimated: SupportMask, reference: SupportMask) -> MaskMetrics:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """carved[i] counts the cells member i removed from those that members
+    0..i-1 kept; a member that carves nothing is redundant in that order."""
+
     estimated: SupportMask
     family: PolyFamily
     limits: tuple
     tau: float
     excluded_members: tuple
     metrics: MaskMetrics | None
+    carved: tuple
 
     def to_json_dict(self):
         out = {
@@ -66,6 +71,7 @@ class ReconstructionResult:
             "limits": [float(v) for v in self.limits],
             "tau": self.tau,
             "excluded_members": list(self.excluded_members),
+            "carved": list(self.carved),
             "estimated_cells": self.estimated.n_cells,
             "resolved": self.estimated.resolved,
         }
@@ -82,34 +88,45 @@ def reconstruct_support(f: SampledFunction, family: PolyFamily, p, n_max: int,
     for every family member, limits taken from growth sequences.
 
     Members whose sequence truncates are excluded and reported.  Family order
-    cannot matter: the estimate is an intersection.
+    cannot matter: the estimate is an intersection.  It is carved
+    progressively: each member's symbol is evaluated only on the cells that
+    the members before it kept.
     """
     if family.d != f.grid.d:
         raise GridError("family dimension mismatch")
     grid = f.grid
-    spec = Spectrum.of(f, eps_rel)
     lams = grid.frequency_coords()
-    keep = np.ones(grid.n_points, dtype=bool)
-    limits, excluded = [], []
+    cand = None                     # flat indices of the cells kept so far; None: all
+    limits, excluded, carved = [], [], []
     resolved = True
-    for i, P in enumerate(family):
-        seq = growth_sequence(spec, P, p, n_max, eps_rel=eps_rel)
+    for i, seq in enumerate(growth_sequences(f, family, p, n_max, eps_rel=eps_rel)):
         if seq.truncated_at is not None and seq.regime != "zero":
             excluded.append(i)
             limits.append(float("nan"))
+            carved.append(0)
             continue
         limits.append(seq.limit)
         resolved = resolved and seq.resolved
-        keep &= _sublevel(P, lams, seq.limit, tau)
+        ok = _sublevel(seq.P, lams if cand is None else lams[cand], seq.limit, tau)
+        carved.append(ok.size - int(np.count_nonzero(ok)))
+        cand = np.flatnonzero(ok) if cand is None else cand[ok]
+    keep = np.zeros(grid.n_points, dtype=bool)
+    keep[slice(None) if cand is None else cand] = True
     est = SupportMask(grid, keep, eps_rel, resolved)
     metrics = mask_metrics(est, reference) if reference is not None else None
     return ReconstructionResult(est, family, tuple(limits), tau,
-                                tuple(excluded), metrics)
+                                tuple(excluded), metrics, tuple(carved))
 
 
 def _sublevel(P: MultiPoly, lams: np.ndarray, limit: float, tau: float) -> np.ndarray:
-    """|P(i lam)| <= limit * (1 + tau) at each frequency vector."""
-    return np.abs(eval_symbol_many(P, lams)) <= limit * (1.0 + tau)
+    """|P(i lam)| <= limit * (1 + tau) at each frequency vector.
+
+    Evaluated in slices of _SLICE vectors: on a d = 2, M = 256 grid a
+    full-grid call then holds under 1 MB of symbol temporaries, not 5 MB.
+    """
+    bound = limit * (1.0 + tau)
+    return np.concatenate([np.abs(eval_symbol_many(P, lams[i:i + _SLICE])) <= bound
+                           for i in range(0, max(len(lams), 1), _SLICE)])
 
 
 def membership_test(lam, limits, family: PolyFamily, tau: float = DEFAULT_TAU) -> bool:

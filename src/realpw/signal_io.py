@@ -106,7 +106,15 @@ def signal_from_dict(doc: dict):
 
 
 def save_signal(obj, path: str, encoding: str = "base64"):
-    atomic_write_text(path, json.dumps(signal_to_dict(obj, encoding), sort_keys=True))
+    doc = signal_to_dict(obj, encoding)
+    if encoding == "base64":
+        # "values" sorts last and base64 text needs no JSON escaping: splice
+        # the payload in instead of having the encoder scan it
+        data = doc.pop("values")
+        text = "".join((json.dumps(doc, sort_keys=True)[:-1], ', "values": "', data, '"}'))
+    else:
+        text = json.dumps(doc, sort_keys=True)
+    atomic_write_text(path, text)
 
 
 def load_signal(path: str):

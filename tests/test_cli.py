@@ -328,6 +328,7 @@ PROBES = [
     ("estimate", "poly", 5, EXIT_CONFIG, "'poly'"),
     ("estimate", "poly", ["x1", 3], EXIT_CONFIG, "'poly'"),
     ("estimate", "poly", "x1^", EXIT_CONFIG, "'poly'"),
+    ("estimate", "poly", "x1^400", EXIT_CONFIG, "'poly'"),          # |P| > 1e308 on the box
     ("estimate", "grid", 5, EXIT_CONFIG, "'grid'"),
     ("estimate", "grid.d", 4, EXIT_CONFIG, "'grid.d'"),
     ("estimate", "grid.M", 7, EXIT_CONFIG, "'grid.M'"),
@@ -364,6 +365,8 @@ PROBES = [
     ("reconstruct", "family", {"kind": "linear", "directions": [[1, "a"]]},
      EXIT_CONFIG, "'family.directions'"),
     ("reconstruct", "family", {"kind": "explicit", "polys": "x1^"},
+     EXIT_CONFIG, "'family.polys'"),
+    ("reconstruct", "family", {"kind": "explicit", "polys": ["x1", "2*x1^300"]},
      EXIT_CONFIG, "'family.polys'"),
     ("reconstruct", "tau", -5, EXIT_CONFIG, "'tau'"),
     ("reconstruct", "eps_rel", 2, EXIT_CONFIG, "'eps_rel'"),

@@ -119,6 +119,14 @@ class TestLpNorm:
         means.append(lp_norm(f, np.inf))
         assert all(means[i] <= means[i + 1] * (1 + 1e-12) for i in range(3))
 
+    def test_large_p_approaches_sup(self):
+        rng = np.random.default_rng(5)
+        g = make_grid(1, 64, 0.1)
+        f = SampledFunction(g, "spatial", 0.1 * rng.standard_normal(64))
+        sup = lp_norm(f, np.inf)
+        assert 0.0 < lp_norm(f, 500) <= sup * 64 ** (1 / 500)
+        assert lp_norm(f, 1e7) == pytest.approx(sup, rel=1e-6)
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
         g = make_grid(1, 64, 0.1)

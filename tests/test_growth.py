@@ -7,7 +7,7 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     estimate_limit, liminf_check, pointwise_growth,
                     schwartz_decay_check, GrowthError, GridError, Spectrum,
                     iterates, eval_symbol_many, family_quadratic_real,
-                    reconstruct_support)
+                    reconstruct_support, growth_sequences)
 from realpw.transform import forward_values, inverse_values
 from realpw.verify import acceptance_corpus, aligned_h
 
@@ -318,6 +318,21 @@ class TestOtherDimensionsAndNorms:
         seq = growth_sequence(f, parse_poly("x1", 1), 4, 64)
         assert seq.limit == pytest.approx(R, rel=0.02)
 
+    def test_large_finite_p_does_not_underflow(self):
+        # |g|^500 of unscaled samples underflows to 0: the ledger used to end
+        # in regime "zero" with limit 0 while R = 5.89
+        grid = make_grid(1, 64, 0.5)
+        f = sample_builtin({"kind": "gaussian"}, grid)
+        P = parse_poly("x1", 1)
+        R = compute_R(P, support_mask(forward_dft(f))).value
+        seq = growth_sequence(f, P, 500, 64)
+        assert seq.regime != "zero" and seq.truncated_at is None
+        assert seq.limit == pytest.approx(R, rel=0.02)
+        # p = 1e7 differs from sup |g| by the factor (h * sum (|g|/max|g|)^p)^(1/p)
+        near, top = growth_sequence(f, P, 1e7, 64), growth_sequence(f, P, np.inf, 64)
+        assert np.all(np.abs(near.L - top.L) <= 1e-6)
+        assert near.limit == pytest.approx(top.limit, rel=1e-6)
+
     def test_d3_growth_smoke(self):
         grid = make_grid(3, 32, 0.4)
         dlam = grid.dlam
@@ -397,10 +412,14 @@ class TestEngineMatchesFullGridLoop:
         res = reconstruct_support(member.f, fam, 2, 200, tau=0.01)
         lams = grid.frequency_coords()
         keep = np.ones(grid.n_points, dtype=bool)
+        limits = []
         for P in fam:
             L, _ = reference_ledger(member.f, P, 2, 200)
-            keep &= np.abs(eval_symbol_many(P, lams)) <= estimate_limit(L).limit * 1.01
+            limits.append(estimate_limit(L).limit)
+            keep &= np.abs(eval_symbol_many(P, lams)) <= limits[-1] * 1.01
         assert np.array_equal(res.estimated.field, keep)
+        assert np.array_equal(np.array(res.limits), np.array(limits))
+        assert sum(res.carved) == grid.n_points - res.estimated.n_cells
 
     def test_rejects_spectrum_masked_elsewhere(self, interval_bump):
         grid, f = interval_bump
@@ -408,3 +427,40 @@ class TestEngineMatchesFullGridLoop:
         with pytest.raises(GridError):
             growth_sequence(spec, parse_poly("x1", 1), 2, 16)
         assert growth_sequence(spec, parse_poly("x1", 1), 2, 16, eps_rel=1e-6).L.size == 16
+
+
+# ---------------------------------------------------------------------------
+# batched p = 2 ledgers: one stack of members against one member at a time
+# ---------------------------------------------------------------------------
+
+def assert_same_sequence(a, b):
+    assert np.array_equal(a.L, b.L)
+    assert (a.limit, a.regime, a.truncated_at) == (b.limit, b.regime, b.truncated_at)
+
+
+class TestBatchedLedgers:
+    def test_corpus_batch_matches_single_members(self, corpus):
+        checked = 0
+        for member in corpus:
+            spec = Spectrum.of(member.f)
+            batch = list(growth_sequences(spec, member.polys, 2, 64))
+            assert [s.P for s in batch] == list(member.polys)
+            for P, seq in zip(member.polys, batch):
+                assert_same_sequence(seq, growth_sequence(spec, P, 2, 64))
+                checked += 1
+        assert checked == 22
+
+    def test_zero_symbol_member_in_a_batch(self, interval_bump):
+        grid, f = interval_bump
+        polys = [parse_poly("x1", 1), parse_poly("0", 1), parse_poly("x1^2", 1)]
+        batch = list(growth_sequences(f, polys, 2, 16))
+        zero = batch[1]
+        assert (zero.regime, zero.truncated_at, zero.limit, zero.L.size) == ("zero", 1, 0.0, 0)
+        for P, seq in zip(polys, batch):
+            assert_same_sequence(seq, growth_sequence(f, P, 2, 16))
+
+    def test_empty_mask_batch(self):
+        grid = make_grid(1, 64, 0.5)
+        f = SampledFunction(grid, "spatial", np.zeros(64))
+        for seq in growth_sequences(f, [parse_poly("x1", 1), parse_poly("1", 1)], 2, 16):
+            assert (seq.regime, seq.truncated_at, seq.limit, seq.L.size) == ("zero", 1, 0.0, 0)

@@ -54,6 +54,18 @@ class TestReconstructSupport:
         dilated = est | np.roll(est, 1) | np.roll(est, -1)
         assert np.all(dilated[reference.field])
 
+    def test_carved_counts_cells_per_member(self, interval_setup):
+        grid, f, reference = interval_setup
+        polys = [parse_poly("x1", 1), parse_poly("x1^2", 1), parse_poly("x1^3", 1)]
+        res = reconstruct_support(f, family_explicit(polys), 2, 64)
+        # x1 carves every cell outside its sublevel set; x1^2 and x1^3 have
+        # the same sublevel set up to the slack tau, so they remove (almost) nothing
+        assert len(res.carved) == 3 and sum(res.carved[1:]) <= 2
+        assert sum(res.carved) == grid.n_points - res.estimated.n_cells
+        alone = reconstruct_support(f, family_explicit(polys[:1]), 2, 64)
+        assert res.carved[0] == grid.n_points - alone.estimated.n_cells
+        assert res.to_json_dict()["carved"] == list(res.carved)
+
     def test_metrics_only_with_reference(self, interval_setup):
         grid, f, reference = interval_setup
         fam = family_explicit([parse_poly("x1", 1)])
