@@ -12,7 +12,7 @@ f is a bump on [-1, 1], and the probe recovers its support to one cell.
 import numpy as np
 
 from realpw import (make_grid, sample_builtin, SampledFunction, parse_poly,
-                    apply_op_spectral, pde_support_probe)
+                    apply_op_spectral, pde_support_probe, Spectrum)
 
 M, h = 1024, 0.005
 grid = make_grid(1, M, h)
@@ -22,7 +22,8 @@ f = sample_builtin({"kind": "spatial_bump",
                     "edge_width": 1.5 * h}, grid)
 
 P = parse_poly("x1^2 + 1", 1)
-g_norm, S = apply_op_spectral(f, P, 1, eps_rel=1e-14)
+spec = Spectrum.of(f, 1e-14)
+g_norm, S = apply_op_spectral(spec, P, 1)
 g = SampledFunction(grid, "spatial", np.exp(S) * g_norm.values,
                     label="right-hand side g = (d^2 + 1) f")
 print(f"synthesized {g.label}; true supp f = [{-b:.4f}, {b:.4f}]")
@@ -37,7 +38,7 @@ print(f"excluded symbol-floor mass: {rep.excluded_mass:.2e} "
       f"(heuristic flag: {rep.heuristic})")
 
 # A probe whose operator vanishes inside the spectrum must be flagged:
-gp, Sp = apply_op_spectral(f, parse_poly("x1", 1), 1, eps_rel=1e-14)
+gp, Sp = apply_op_spectral(spec, parse_poly("x1", 1), 1)
 g_bad = SampledFunction(grid, "spatial", np.exp(Sp) * gp.values)
 rep_bad = pde_support_probe(g_bad, parse_poly("x1", 1), parse_poly("x1", 1),
                             delta_zero=2.0, p=2, n_max=64)

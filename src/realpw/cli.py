@@ -20,7 +20,8 @@ import numpy as np
 from .grid import make_grid, sample_builtin, SampledFunction, GridError
 from .poly import parse_poly, family_linear, family_quadratic, family_quadratic_real, \
     family_explicit, symbol_bound, PolyError
-from .transform import Spectrum, SupportMask, compute_R, complex_growth_rate
+from .transform import (Spectrum, SupportMask, compute_R, complex_growth_rate,
+                        OVERFLOW_GUARD)
 from .growth import growth_sequence, GrowthError
 from .reconstruct import reconstruct_support
 from .signal_io import (save_signal, load_signal, load_signal_csv,
@@ -213,7 +214,7 @@ def cmd_estimate(cfg):
     spec = Spectrum.of(f, eps_rel)
     rows = []
     for P in polys:
-        seq = growth_sequence(spec, P, p, n_max, eps_rel=eps_rel)
+        seq = growth_sequence(spec, P, p, n_max)
         R, resolved = compute_R(P, spec.mask)
         gap = abs(seq.limit - R) if R == 0 else abs(seq.limit - R) / R
         rows.append({"growth": seq.to_json_dict(),
@@ -233,8 +234,8 @@ def cmd_reconstruct(cfg):
     if reference is not None and not (isinstance(reference, SupportMask)
                                       and reference.grid == f.grid):
         raise ConfigError("reference_mask", "must be a support mask on the input's grid")
-    res = reconstruct_support(f, family, p, n_max, reference=reference,
-                              tau=tau, eps_rel=eps_rel)
+    res = reconstruct_support(Spectrum.of(f, eps_rel), family, p, n_max,
+                              reference=reference, tau=tau)
     _finish_report({"config": cfg, "reconstruction": res.to_json_dict()}, out)
     if mask_out:
         save_signal(res.estimated, mask_out)
@@ -255,7 +256,8 @@ def cmd_complex_growth(cfg):
     noted_default, ys, x0s = ys is None, ys or [[1.0] * d], x0s or [[0.0] * d]
     # overflow guard, checked before any quadrature
     coords = f.grid.spatial_coords() if f.side == "spatial" else f.grid.frequency_coords()
-    if t_max * max(abs(c) for y in ys for c in y) * float(np.abs(coords).max()) > 700.0:
+    if (t_max * max(abs(c) for y in ys for c in y) * float(np.abs(coords).max())
+            > OVERFLOW_GUARD):
         raise ConfigError("complex_growth.t_max", "t window exceeds the exp overflow guard")
     t = np.linspace(t_min, t_max, t_count)
     rows, csv_lines = [], ["x0,y,t,log_abs"]

@@ -9,6 +9,8 @@ Every function here takes an input's `Spectrum` (transform and mask, built
 once) in place of the spatial input, and iterates through one primitive,
 `iterates`, which evaluates the symbol on the mask cells only.  Spatial
 ledgers (p != 2, weighted sup norms) go through one `SpatialStep` each.
+A spatial input is masked at DEFAULT_EPS_REL; a Spectrum carries its own
+threshold, so another one is chosen with Spectrum.of(f, eps_rel).
 
 The restriction to the mask is deliberate: cells below the mask threshold sit
 at double-precision noise levels, and any such cell with a larger symbol
@@ -26,10 +28,9 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .grid import SampledFunction, SPATIAL, GridError, lp_norm
+from .grid import SampledFunction, SPATIAL, GridError
 from .poly import MultiPoly, eval_symbol_many
-from .transform import (DEFAULT_EPS_REL, Spectrum, SpatialStep, compute_R,
-                        inverse_values)
+from .transform import Spectrum, SpatialStep, compute_R, inverse_values
 
 
 class GrowthError(ValueError):
@@ -121,6 +122,7 @@ def iterates(spec: Spectrum, P, n_max: int):
     G_n = F (P(i lam)/R)^n is the spectrum of g_n on the mask cells (in the
     order of spec.F[spec.mask.field]), S_n = n log R with R = max |P(i lam)|
     over the mask; nothing is yielded when R = 0.  G_n is updated in place.
+    A symbol that overflows a double on the mask raises GrowthError.
 
     P may also be a sequence of polynomials, a stack of members: G_n is then
     a (members x mask cells) block with one row per member, S_n the vector of
@@ -131,13 +133,17 @@ def iterates(spec: Spectrum, P, n_max: int):
     polys = P if stacked else [P]
     R = np.zeros(len(polys))
     ratio = np.zeros((len(polys), spec.coords.shape[0]), dtype=complex)
-    for k, member in enumerate(polys):
-        if member.d != spec.grid.d:
-            raise GridError("polynomial dimension mismatch")
-        sym = eval_symbol_many(member, spec.coords)
-        R[k] = np.abs(sym).max(initial=0.0)
-        if R[k] > 0.0:
-            ratio[k] = sym / float(R[k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, member in enumerate(polys):
+            if member.d != spec.grid.d:
+                raise GridError("polynomial dimension mismatch")
+            sym = eval_symbol_many(member, spec.coords)
+            R[k] = np.abs(sym).max(initial=0.0)
+            if not np.isfinite(R[k]):
+                raise GrowthError(f"{member.to_text():.60}: |P(i lam)| on the mask "
+                                  "exceeds the double range")
+            if R[k] > 0.0:
+                ratio[k] = sym / float(R[k])
     if not stacked and R[0] == 0.0:
         return
     logR = np.log(R, out=np.zeros_like(R), where=R > 0.0)
@@ -148,8 +154,7 @@ def iterates(spec: Spectrum, P, n_max: int):
         yield n, n * logR, rows
 
 
-def apply_op_spectral(f, P: MultiPoly, n: int,
-                      eps_rel: float = DEFAULT_EPS_REL):
+def apply_op_spectral(f, P: MultiPoly, n: int):
     """Apply P(d)^n spectrally; returns (g, S) with P(d)^n f = exp(S) * g.
 
     f is a spatial-side SampledFunction or its Spectrum.  Realized as
@@ -159,7 +164,7 @@ def apply_op_spectral(f, P: MultiPoly, n: int,
     """
     if n < 1:
         raise GrowthError(f"iteration count must be >= 1, got {n}")
-    spec = Spectrum.of(f, eps_rel)
+    spec = Spectrum.of(f)
     last = None
     for last in iterates(spec, P, n):
         pass
@@ -238,7 +243,6 @@ class GrowthSequence:
     regime: str
     tail_window: int
     spread: float
-    method: str
     resolved: bool
     truncated_at: int | None = None
 
@@ -251,7 +255,6 @@ class GrowthSequence:
             "roots": [float(v) for v in self.roots],
             "limit": self.limit,
             "spread": self.spread,
-            "method": self.method,
             "secondary": self.secondary,
             "regime": self.regime,
             "tail_window": self.tail_window,
@@ -260,9 +263,7 @@ class GrowthSequence:
         }
 
 
-def growth_sequence(f, P: MultiPoly, p, n_max: int,
-                    method: str = "spectral",
-                    eps_rel: float = DEFAULT_EPS_REL) -> GrowthSequence:
+def growth_sequence(f, P: MultiPoly, p, n_max: int) -> GrowthSequence:
     """Ledger L_n = log ||P(d)^n f||_p for n = 1..n_max plus the limit estimate.
 
     f is a spatial-side SampledFunction or its Spectrum.  p = 2 avoids the
@@ -270,42 +271,36 @@ def growth_sequence(f, P: MultiPoly, p, n_max: int,
     2-norm under the grid measures (discrete Parseval), so the ledger is
     summed directly on the mask cells.  This is growth_sequences for one P.
     """
-    return next(growth_sequences(f, [P], p, n_max, method, eps_rel))
+    return next(growth_sequences(f, [P], p, n_max))
 
 
-def growth_sequences(f, polys, p, n_max: int, method: str = "spectral",
-                     eps_rel: float = DEFAULT_EPS_REL):
-    """growth_sequence(f, P, p, n_max, method, eps_rel) for each P of polys,
-    in order, each built when it is consumed.
+def growth_sequences(f, polys, p, n_max: int):
+    """growth_sequence(f, P, p, n_max) for each P of polys, in order, each
+    built when it is consumed.
 
-    The spectral p = 2 ledgers run as one batch: members go through
-    `iterates` in stacks of at most n_points // (mask cells), so one multiply
-    per n serves a stack and its 2-norms are one row sum.
+    The p = 2 ledgers run as one batch: members go through `iterates` in
+    stacks of at most n_points // (mask cells), so one multiply per n serves
+    a stack and its 2-norms are one row sum.
     """
     if n_max < 8:
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
     if not np.isinf(p) and not p >= 1:
         raise GrowthError(f"p must be in [1, inf], got {p}")
-    if method not in ("spectral", "finite-difference"):
-        raise GrowthError(f"unknown method {method!r}")
-    spec = Spectrum.of(f, eps_rel)
+    spec = Spectrum.of(f)
     polys = tuple(polys)
     resolved = spec.mask.resolved
-    if method == "spectral" and p == 2:
+    if p == 2:
         size = max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
         n = np.arange(1, n_max + 1)
         for start in range(0, len(polys), size):
             stack = polys[start:start + size]
             for P, logR, nrm in zip(stack, *_parseval_norms(spec, stack, n_max)):
-                yield _ledger(P, p, n_max, n * logR, nrm, method, resolved)
+                yield _ledger(P, p, n_max, n * logR, nrm, resolved)
         return
-    step = SpatialStep(spec) if method == "spectral" else None
+    step = SpatialStep(spec)
     for P in polys:
-        if step is None:
-            norms = _fd_norms(spec.f, P, p, n_max)
-        else:
-            norms = ((n, S, step.norm(step(G), p)) for n, S, G in iterates(spec, P, n_max))
-        yield _ledger(P, p, n_max, *_cut(norms), method, resolved)
+        norms = ((n, S, step.norm(step(G), p)) for n, S, G in iterates(spec, P, n_max))
+        yield _ledger(P, p, n_max, *_cut(norms), resolved)
 
 
 def _parseval_norms(spec: Spectrum, polys, n_max: int):
@@ -332,7 +327,7 @@ def _cut(norms):
     return np.array(S, dtype=float), np.array(nrm, dtype=float)
 
 
-def _ledger(P, p, n_max, S, nrm, method, resolved) -> GrowthSequence:
+def _ledger(P, p, n_max, S, nrm, resolved) -> GrowthSequence:
     """The GrowthSequence of ledger terms S_n and ||g_n||_p, n = 1, 2, ...:
     L_n = S_n + log ||g_n||_p up to the first norm that is not > 0 or not
     finite, where the ledger is truncated."""
@@ -341,7 +336,7 @@ def _ledger(P, p, n_max, S, nrm, method, resolved) -> GrowthSequence:
     truncated_at = k + 1 if k < nrm.size else None
     L = S[:k] + np.log(nrm[:k])
     if L.size == 0:
-        return GrowthSequence(P, p, n_max, L, L, L, 0.0, 0.0, "zero", 0, 0.0, method,
+        return GrowthSequence(P, p, n_max, L, L, L, 0.0, 0.0, "zero", 0, 0.0,
                               resolved, truncated_at=1)
     n = np.arange(1, L.size + 1)
     roots = np.exp(L / n)
@@ -355,18 +350,7 @@ def _ledger(P, p, n_max, S, nrm, method, resolved) -> GrowthSequence:
         limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
         tail_w, spread = L.size, float(roots.max() - roots.min())
     return GrowthSequence(P, p, n_max, L, roots, steps, limit, secondary, regime,
-                          tail_w, spread, method, resolved, truncated_at)
-
-
-def _fd_norms(f, P, p, n_max, stencil_order=8):
-    """(n, S_n, ||g_n||_p) for finite-difference iterates renormalized each step."""
-    u, S = f, 0.0
-    for n in range(1, n_max + 1):
-        u = apply_op_fd(u, P, stencil_order)
-        r = lp_norm(u, p)
-        yield n, S, r
-        S += np.log(r)
-        u = u.with_values(u.values / r)
+                          tail_w, spread, resolved, truncated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +384,9 @@ class LiminfReport:
 
 
 def liminf_check(f, P: MultiPoly, p, n_max: int,
-                 tol: float = 0.02,
-                 eps_rel: float = DEFAULT_EPS_REL) -> LiminfReport:
-    spec = Spectrum.of(f, eps_rel)
-    seq = growth_sequence(spec, P, p, n_max, eps_rel=eps_rel)
+                 tol: float = 0.02) -> LiminfReport:
+    spec = Spectrum.of(f)
+    seq = growth_sequence(spec, P, p, n_max)
     R, resolved = compute_R(P, spec.mask)
     if seq.L.size == 0 or R == 0.0:
         return LiminfReport(R, resolved, tol, 0.0, 0.0, 0.0, 0.0, True)
@@ -421,10 +404,10 @@ def liminf_check(f, P: MultiPoly, p, n_max: int,
 # pointwise growth (weighted sup norms)
 # ---------------------------------------------------------------------------
 
-def _weighted_sup_logs(f, P, n_max, eps_rel, exponents) -> np.ndarray:
+def _weighted_sup_logs(f, P, n_max, exponents) -> np.ndarray:
     """Row per exponent e: log max_x |P(d)^n f(x)| (1+|x|)^e for n = 1.. up to
     the first vanishing iterate."""
-    spec = Spectrum.of(f, eps_rel)
+    spec = Spectrum.of(f)
     step = SpatialStep(spec)
     absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
     weights = [step.fft_order((1.0 + absx) ** e) for e in exponents]
@@ -468,15 +451,14 @@ class PointwiseGrowthReport:
 
 
 def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
-                     mode: str = "growth",
-                     eps_rel: float = DEFAULT_EPS_REL) -> PointwiseGrowthReport:
+                     mode: str = "growth") -> PointwiseGrowthReport:
     if N < 0:
         raise GrowthError("weight exponent N must be >= 0")
     if n_max < 8:
         raise GrowthError("n_max must be >= 8")
     if mode not in ("decay", "growth"):
         raise GrowthError("mode must be 'decay' or 'growth'")
-    log_W, = _weighted_sup_logs(f, P, n_max, eps_rel, [N if mode == "decay" else -N])
+    log_W, = _weighted_sup_logs(f, P, n_max, [N if mode == "decay" else -N])
     if not log_W.size:
         return PointwiseGrowthReport(N, mode, log_W, 0.0, True, "zero")
     est = estimate_limit(log_W) if log_W.size >= 8 else None
@@ -518,12 +500,11 @@ class SchwartzDecayReport:
 
 
 def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
-                         n_max: int,
-                         eps_rel: float = DEFAULT_EPS_REL) -> SchwartzDecayReport:
+                         n_max: int) -> SchwartzDecayReport:
     if R <= 0:
         raise GrowthError("claimed bound R must be positive")
     d = f.grid.d
-    W_N, W_phi = _weighted_sup_logs(f, P, n_max, eps_rel, [N, d + 1])
+    W_N, W_phi = _weighted_sup_logs(f, P, n_max, [N, d + 1])
     if not W_N.size:
         return SchwartzDecayReport(R, N, W_N, 0.0, 1.0, True, -np.inf)
     n = np.arange(1, W_N.size + 1)

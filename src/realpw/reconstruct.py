@@ -80,12 +80,13 @@ class ReconstructionResult:
         return out
 
 
-def reconstruct_support(f: SampledFunction, family: PolyFamily, p, n_max: int,
+def reconstruct_support(f, family: PolyFamily, p, n_max: int,
                         reference: SupportMask | None = None,
-                        tau: float = DEFAULT_TAU,
-                        eps_rel: float = DEFAULT_EPS_REL) -> ReconstructionResult:
+                        tau: float = DEFAULT_TAU) -> ReconstructionResult:
     """Estimate supp Ff as the cells passing |P(i lam)| <= limit(P)*(1+tau)
-    for every family member, limits taken from growth sequences.
+    for every family member, limits taken from growth sequences.  f is a
+    spatial-side SampledFunction or its Spectrum; the estimate carries the
+    Spectrum's mask threshold.
 
     Members whose sequence truncates are excluded and reported.  Family order
     cannot matter: the estimate is an intersection.  It is carved
@@ -95,11 +96,12 @@ def reconstruct_support(f: SampledFunction, family: PolyFamily, p, n_max: int,
     if family.d != f.grid.d:
         raise GridError("family dimension mismatch")
     grid = f.grid
+    spec = Spectrum.of(f)
     lams = grid.frequency_coords()
     cand = None                     # flat indices of the cells kept so far; None: all
     limits, excluded, carved = [], [], []
     resolved = True
-    for i, seq in enumerate(growth_sequences(f, family, p, n_max, eps_rel=eps_rel)):
+    for i, seq in enumerate(growth_sequences(spec, family, p, n_max)):
         if seq.truncated_at is not None and seq.regime != "zero":
             excluded.append(i)
             limits.append(float("nan"))
@@ -112,7 +114,7 @@ def reconstruct_support(f: SampledFunction, family: PolyFamily, p, n_max: int,
         cand = np.flatnonzero(ok) if cand is None else cand[ok]
     keep = np.zeros(grid.n_points, dtype=bool)
     keep[slice(None) if cand is None else cand] = True
-    est = SupportMask(grid, keep, eps_rel, resolved)
+    est = SupportMask(grid, keep, spec.mask.eps_rel, resolved)
     metrics = mask_metrics(est, reference) if reference is not None else None
     return ReconstructionResult(est, family, tuple(limits), tau,
                                 tuple(excluded), metrics, tuple(carved))
@@ -233,7 +235,7 @@ def pde_support_probe(g: SampledFunction, P: MultiPoly, Q: MultiPoly,
     # with step dlam; that grid's dual lattice is the original x lattice.
     swap_grid = make_grid(grid.d, grid.M, grid.dlam)
     swapped = SampledFunction(swap_grid, SPATIAL, quotient, label="Ff (quotient)")
-    seq = growth_sequence(swapped, Q, p, n_max, eps_rel=eps_rel)
+    seq = growth_sequence(Spectrum.of(swapped, eps_rel), Q, p, n_max)
     M_limit = seq.limit
 
     # sublevel set {x : |Q(-ix)| <= M} over the original spatial lattice

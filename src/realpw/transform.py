@@ -137,18 +137,20 @@ class Spectrum:
     fft_index: np.ndarray
 
     @classmethod
-    def of(cls, f, eps_rel: float = DEFAULT_EPS_REL) -> "Spectrum":
-        """Transform and mask a spatial-side f.  A Spectrum is passed through
-        if it was masked at eps_rel and rejected otherwise."""
+    def of(cls, f, eps_rel: float | None = None) -> "Spectrum":
+        """Transform and mask a spatial-side f at eps_rel (DEFAULT_EPS_REL if
+        None).  A Spectrum is passed through, and rejected if an eps_rel is
+        given that it was not masked at."""
         if isinstance(f, Spectrum):
-            if f.mask.eps_rel != eps_rel:
+            if eps_rel is not None and f.mask.eps_rel != eps_rel:
                 raise GridError(f"spectrum masked at eps_rel={f.mask.eps_rel}, not {eps_rel}")
             return f
         if f.side != SPATIAL:
             raise GridError("expected a spatial-side function")
         grid = f.grid
         F = forward_values(f.values, grid)
-        mask = support_mask(SampledFunction(grid, FREQUENCY, F), eps_rel)
+        mask = support_mask(SampledFunction(grid, FREQUENCY, F),
+                            DEFAULT_EPS_REL if eps_rel is None else eps_rel)
         cells = (np.argwhere(mask.field.reshape(grid.shape)) + grid.M // 2) % grid.M
         return cls(f, F, mask, mask.coords(), np.ravel_multi_index(cells.T, grid.shape))
 

@@ -248,7 +248,7 @@ def test_criterion_10_pde_probe():
                         "support": {"shape": "box", "lo": [-b], "hi": [b]},
                         "edge_width": 1.5 * h}, grid)
     P = parse_poly("x1^2 + 1", 1)
-    g_fun, S = apply_op_spectral(f, P, 1, eps_rel=1e-14)
+    g_fun, S = apply_op_spectral(Spectrum.of(f, 1e-14), P, 1)
     g = SampledFunction(grid, "spatial", np.exp(S) * g_fun.values)
     rep = pde_support_probe(g, P, parse_poly("x1", 1), delta_zero=1e-3,
                             p=2, n_max=64)

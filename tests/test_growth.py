@@ -200,13 +200,14 @@ class TestGrowthSequence:
         mask0 = support_mask(forward_dft(f))
         assert np.array_equal(np.roll(mask0.field, shift), mask_shifted.field)
 
-    def test_fd_method_agrees_at_small_n(self, interval_bump):
+    def test_fd_ledger_agrees_at_small_n(self, interval_bump):
         grid, f = interval_bump
         P = parse_poly("x1", 1)
-        a = growth_sequence(f, P, 2, 8, method="spectral")
-        b = growth_sequence(f, P, 2, 8, method="finite-difference")
-        assert np.allclose(a.L, b.L, rtol=1e-6)
-        assert b.method == "finite-difference"
+        u, L_fd = f, []
+        for _ in range(8):
+            u = apply_op_fd(u, P, 8)
+            L_fd.append(np.log(lp_norm(u, 2)))
+        assert np.allclose(growth_sequence(f, P, 2, 8).L, L_fd, rtol=1e-6)
 
     def test_rejects_small_n_max(self, interval_bump):
         grid, f = interval_bump
@@ -226,7 +227,7 @@ class TestGrowthSequence:
         doc = seq.to_json_dict()
         assert doc["p"] == "inf"
         assert len(doc["L"]) == len(doc["roots"]) == 8
-        assert set(doc) >= {"P", "p", "n_max", "L", "roots", "limit", "spread", "method"}
+        assert set(doc) >= {"P", "p", "n_max", "L", "roots", "limit", "spread"}
 
 
 class TestLiminfCheck:
@@ -333,6 +334,19 @@ class TestOtherDimensionsAndNorms:
         assert np.all(np.abs(near.L - top.L) <= 1e-6)
         assert near.limit == pytest.approx(top.limit, rel=1e-6)
 
+    def test_overflowing_symbol_raises(self):
+        # |(i lam)^400| passes the double range on this grid: the ledgers used
+        # to end in regime "zero" with limit 0, and liminf_check passed with R = nan
+        grid = make_grid(1, 64, 0.25)
+        f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, grid)
+        P = parse_poly("x1^400", 1)
+        for run in (lambda: growth_sequence(f, P, 2, 16),
+                    lambda: growth_sequence(f, P, np.inf, 16),
+                    lambda: pointwise_growth(f, P, 1, 16),
+                    lambda: liminf_check(f, P, 2, 16)):
+            with pytest.raises(GrowthError, match=r"x1\^400"):
+                run()
+
     def test_d3_growth_smoke(self):
         grid = make_grid(3, 32, 0.4)
         dlam = grid.dlam
@@ -421,12 +435,16 @@ class TestEngineMatchesFullGridLoop:
         assert np.array_equal(np.array(res.limits), np.array(limits))
         assert sum(res.carved) == grid.n_points - res.estimated.n_cells
 
-    def test_rejects_spectrum_masked_elsewhere(self, interval_bump):
+    def test_spectrum_carries_its_threshold(self, interval_bump):
         grid, f = interval_bump
+        P = parse_poly("x1", 1)
         spec = Spectrum.of(f, 1e-6)
+        L, _ = reference_ledger(f, P, 2, 16, eps_rel=1e-6)
+        assert np.array_equal(growth_sequence(spec, P, 2, 16).L, L)
+        fam = family_quadratic_real([np.array([0.0])], grid)
+        assert reconstruct_support(spec, fam, 2, 16).estimated.eps_rel == 1e-6
         with pytest.raises(GridError):
-            growth_sequence(spec, parse_poly("x1", 1), 2, 16)
-        assert growth_sequence(spec, parse_poly("x1", 1), 2, 16, eps_rel=1e-6).L.size == 16
+            Spectrum.of(spec, 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     support_mask, compute_R, parse_poly, family_linear,
                     family_quadratic, family_quadratic_real, family_explicit,
                     reconstruct_support, membership_test, local_spectrum_raster,
-                    pde_support_probe, mask_metrics, apply_op_spectral)
+                    pde_support_probe, mask_metrics, apply_op_spectral, Spectrum)
 from realpw.verify import aligned_h
 
 
@@ -148,7 +148,7 @@ def probe_setup():
                         "support": {"shape": "box", "lo": [-b], "hi": [b]},
                         "edge_width": 1.5 * h}, grid)
     P = parse_poly("x1^2 + 1", 1)
-    g_fun, S = apply_op_spectral(f, P, 1, eps_rel=1e-14)
+    g_fun, S = apply_op_spectral(Spectrum.of(f, 1e-14), P, 1)
     g = SampledFunction(grid, "spatial", np.exp(S) * g_fun.values, label="rhs")
     return grid, f, g, P, b
 
@@ -179,7 +179,7 @@ class TestPdeProbe:
         # P = x1 vanishes at the center of the spectrum; with the floor above
         # the first nonzero cells a visible share of the mask mass is excluded
         grid, f, g, P, b = probe_setup
-        gp, S = apply_op_spectral(f, parse_poly("x1", 1), 1, eps_rel=1e-14)
+        gp, S = apply_op_spectral(Spectrum.of(f, 1e-14), parse_poly("x1", 1), 1)
         g2 = SampledFunction(grid, "spatial", np.exp(S) * gp.values)
         rep = pde_support_probe(g2, parse_poly("x1", 1), parse_poly("x1", 1),
                                 delta_zero=2.0, p=2, n_max=64)
