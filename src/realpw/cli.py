@@ -20,8 +20,7 @@ import numpy as np
 from .grid import make_grid, sample_builtin, SampledFunction, GridError
 from .poly import parse_poly, family_linear, family_quadratic, family_quadratic_real, \
     family_explicit, symbol_bound, PolyError
-from .transform import (Spectrum, SupportMask, compute_R, complex_growth_rate,
-                        OVERFLOW_GUARD)
+from .transform import Spectrum, SupportMask, complex_growth_rate, OVERFLOW_GUARD
 from .growth import growth_sequence, GrowthError
 from .reconstruct import reconstruct_support
 from .signal_io import (save_signal, load_signal, load_signal_csv,
@@ -33,6 +32,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 MAX_GRID_POINTS = 2 ** 24        # M^d cap: 256 MiB per complex array
+MAX_COUNT = 4096                 # cap on n_max, t_count and lattice-family members
 
 
 class ConfigError(Exception):
@@ -76,7 +76,7 @@ FIELDS = {
     "grid.h": (float, _REQUIRED, lambda v: 0 < v <= 1e100, "a number in (0, 1e100]"),
     "poly": (list, _REQUIRED, _texts, "a polynomial text or a non-empty list of them"),
     "p": (float, 2.0, lambda v: v >= 1, "a number >= 1 or 'inf'"),
-    "n_max": (int, 64, lambda v: v >= 8, "an integer >= 8"),
+    "n_max": (int, 64, lambda v: 8 <= v <= MAX_COUNT, f"an integer in [8, {MAX_COUNT}]"),
     "eps_rel": (float, 1e-8, lambda v: 0 < v < 1, "a number in (0, 1)"),
     "rel_tol": (float, 0.02, lambda v: 0 <= v < math.inf, "a number >= 0"),
     "tau": (float, 0.01, lambda v: 0 <= v < math.inf, "a number >= 0"),
@@ -89,7 +89,8 @@ FIELDS = {
     "family.span_cells": (float, None, lambda v: 0 < v < math.inf, "a number > 0"),
     "complex_growth.t_min": (float, 10.0, lambda v: 0 < v < math.inf, "a number > 0"),
     "complex_growth.t_max": (float, 40.0, lambda v: 0 < v < math.inf, "a number > t_min"),
-    "complex_growth.t_count": (int, 31, lambda v: v >= 3, "an integer >= 3"),
+    "complex_growth.t_count": (int, 31, lambda v: 3 <= v <= MAX_COUNT,
+                               f"an integer in [3, {MAX_COUNT}]"),
     "complex_growth.x0": (list, None, _vectors, "a non-empty list of d-vectors"),
     "complex_growth.y": (list, None, _vectors, "a non-empty list of d-vectors"),
     "reference_mask": _PATH,
@@ -180,6 +181,9 @@ def _build_family(cfg, grid):
             family = family_explicit(_parse_polys(cfg, "family.polys", grid))
         else:
             per_axis = _field(cfg, "family.per_axis")
+            if per_axis ** grid.d > MAX_COUNT:
+                raise ConfigError("family.per_axis",
+                                  f"per_axis^d = {per_axis}^{grid.d} exceeds {MAX_COUNT} members")
             span = _field(cfg, "family.span_cells") or (grid.M // 2) * 0.98
             step = span * grid.dlam / (per_axis // 2)
             axis_vals = (np.arange(per_axis) - (per_axis // 2 - 1)) * step
@@ -215,12 +219,11 @@ def cmd_estimate(cfg):
     rows = []
     for P in polys:
         seq = growth_sequence(spec, P, p, n_max)
-        R, resolved = compute_R(P, spec.mask)
-        gap = abs(seq.limit - R) if R == 0 else abs(seq.limit - R) / R
         rows.append({"growth": seq.to_json_dict(),
-                     "R": R, "resolved": resolved, "relative_gap": gap,
-                     "within_tolerance": bool(gap <= tol),
-                     "lower_bound_only": not resolved})
+                     "R": seq.R, "resolved": seq.resolved,
+                     "relative_gap": seq.relative_gap,
+                     "within_tolerance": bool(seq.relative_gap <= tol),
+                     "lower_bound_only": not seq.resolved})
     _finish_report({"config": cfg, "estimate": rows}, out)
     return EXIT_OK
 

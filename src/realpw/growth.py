@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .grid import SampledFunction, SPATIAL, GridError
 from .poly import MultiPoly, eval_symbol_many
-from .transform import Spectrum, SpatialStep, compute_R, inverse_values
+from .transform import Spectrum, SpatialStep, inverse_values
 
 
 class GrowthError(ValueError):
@@ -117,17 +117,18 @@ def estimate_limit(log_norms) -> LimitEstimate:
 # ---------------------------------------------------------------------------
 
 def iterates(spec: Spectrum, P, n_max: int):
-    """Yield (n, S_n, G_n) for n = 1..n_max with P(d)^n f = exp(S_n) * g_n.
+    """(R, steps) of P(d)^n f = exp(S_n) * g_n, n = 1..n_max.
 
-    G_n = F (P(i lam)/R)^n is the spectrum of g_n on the mask cells (in the
-    order of spec.F[spec.mask.field]), S_n = n log R with R = max |P(i lam)|
-    over the mask; nothing is yielded when R = 0.  G_n is updated in place.
-    A symbol that overflows a double on the mask raises GrowthError.
+    R = max |P(i lam)| over the mask cells, the one place a ledger's symbol
+    is evaluated.  steps yields (n, S_n, G_n): G_n = F (P(i lam)/R)^n is the
+    spectrum of g_n on the mask cells (in the order of spec.F[spec.mask.field]),
+    updated in place, and S_n = n log R; nothing is yielded when R = 0.  A
+    symbol that overflows a double on the mask raises GrowthError.
 
-    P may also be a sequence of polynomials, a stack of members: G_n is then
-    a (members x mask cells) block with one row per member, S_n the vector of
-    their n log R, and one multiply per n advances the whole stack.  A member
-    with R = 0 keeps a zero row and log R = 0.
+    P may also be a sequence of polynomials, a stack of members: R is then
+    the vector of their R, G_n a (members x mask cells) block with one row per
+    member, S_n the vector of their n log R, and one multiply per n advances
+    the whole stack.  A member with R = 0 keeps a zero row and log R = 0.
     """
     stacked = not isinstance(P, MultiPoly)
     polys = P if stacked else [P]
@@ -144,14 +145,16 @@ def iterates(spec: Spectrum, P, n_max: int):
                                   "exceeds the double range")
             if R[k] > 0.0:
                 ratio[k] = sym / float(R[k])
-    if not stacked and R[0] == 0.0:
-        return
     logR = np.log(R, out=np.zeros_like(R), where=R > 0.0)
     G = np.tile(spec.F[spec.mask.field], (len(R), 1))
     rows, logR = (G, logR) if stacked else (G[0], logR[0])
-    for n in range(1, n_max + 1):
-        np.multiply(G, ratio, out=G)
-        yield n, n * logR, rows
+    n_top = n_max if stacked or R[0] > 0.0 else 0
+
+    def steps():
+        for n in range(1, n_top + 1):
+            np.multiply(G, ratio, out=G)
+            yield n, n * logR, rows
+    return (R if stacked else float(R[0])), steps()
 
 
 def apply_op_spectral(f, P: MultiPoly, n: int):
@@ -165,8 +168,9 @@ def apply_op_spectral(f, P: MultiPoly, n: int):
     if n < 1:
         raise GrowthError(f"iteration count must be >= 1, got {n}")
     spec = Spectrum.of(f)
+    _, steps = iterates(spec, P, n)
     last = None
-    for last in iterates(spec, P, n):
+    for last in steps:
         pass
     G = np.zeros(spec.grid.n_points, dtype=complex)
     if last is None:
@@ -230,7 +234,8 @@ def apply_op_fd(f: SampledFunction, P: MultiPoly,
 
 @dataclass(frozen=True)
 class GrowthSequence:
-    """Per-n log-norm ledger of ||P(d)^n f||_p and its limit estimate."""
+    """Per-n log-norm ledger of ||P(d)^n f||_p, its limit estimate and the
+    R = max |P(i lam)| over the mask that normalised it."""
 
     P: MultiPoly
     p: float
@@ -243,8 +248,15 @@ class GrowthSequence:
     regime: str
     tail_window: int
     spread: float
+    R: float
     resolved: bool
     truncated_at: int | None = None
+
+    @property
+    def relative_gap(self) -> float:
+        """|limit - R| / R, or |limit - R| when R = 0."""
+        gap = abs(self.limit - self.R)
+        return gap if self.R == 0 else gap / self.R
 
     def to_json_dict(self):
         return {
@@ -294,25 +306,28 @@ def growth_sequences(f, polys, p, n_max: int):
         n = np.arange(1, n_max + 1)
         for start in range(0, len(polys), size):
             stack = polys[start:start + size]
-            for P, logR, nrm in zip(stack, *_parseval_norms(spec, stack, n_max)):
-                yield _ledger(P, p, n_max, n * logR, nrm, resolved)
+            for P, R, logR, nrm in zip(stack, *_parseval_norms(spec, stack, n_max)):
+                yield _ledger(P, p, n_max, R, n * logR, nrm, resolved)
         return
     step = SpatialStep(spec)
     for P in polys:
-        norms = ((n, S, step.norm(step(G), p)) for n, S, G in iterates(spec, P, n_max))
-        yield _ledger(P, p, n_max, *_cut(norms), resolved)
+        R, steps = iterates(spec, P, n_max)
+        norms = ((n, S, step.norm(step(G), p)) for n, S, G in steps)
+        yield _ledger(P, p, n_max, R, *_cut(norms), resolved)
 
 
 def _parseval_norms(spec: Spectrum, polys, n_max: int):
-    """(log R, norms) of a stack of members: S_1 = log R per member and the
-    (members x n_max) 2-norms ||g_n||_2, summed on the mask cells."""
+    """(R, log R, norms) of a stack of members: R and S_1 = log R per member
+    and the (members x n_max) 2-norms ||g_n||_2, summed on the mask cells."""
     sums = np.empty((len(polys), n_max))
-    for n, S, G in iterates(spec, polys, n_max):
-        if n == 1:
-            logR = S
-        sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
+    R, steps = iterates(spec, polys, n_max)
+    with np.errstate(over="ignore"):    # an overflowing norm is reported by _ledger
+        for n, S, G in steps:
+            if n == 1:
+                logR = S
+            sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
     sums *= spec.grid.dlam ** spec.grid.d
-    return logR, np.sqrt(sums, out=sums)
+    return R.tolist(), logR, np.sqrt(sums, out=sums)
 
 
 def _cut(norms):
@@ -327,17 +342,20 @@ def _cut(norms):
     return np.array(S, dtype=float), np.array(nrm, dtype=float)
 
 
-def _ledger(P, p, n_max, S, nrm, resolved) -> GrowthSequence:
+def _ledger(P, p, n_max, R, S, nrm, resolved) -> GrowthSequence:
     """The GrowthSequence of ledger terms S_n and ||g_n||_p, n = 1, 2, ...:
-    L_n = S_n + log ||g_n||_p up to the first norm that is not > 0 or not
-    finite, where the ledger is truncated."""
+    L_n = S_n + log ||g_n||_p up to the first norm that is not > 0, where the
+    ledger is truncated.  A norm that is not finite raises GrowthError."""
     bad = ~((nrm > 0.0) & np.isfinite(nrm))
     k = int(bad.argmax()) if bad.any() else nrm.size
+    if k < nrm.size and not np.isfinite(nrm[k]):
+        raise GrowthError(f"{P.to_text():.60} at p = {float(p):g}: ||P(d)^{k + 1} f|| "
+                          "exceeds the double range; the input's values are too large")
     truncated_at = k + 1 if k < nrm.size else None
     L = S[:k] + np.log(nrm[:k])
     if L.size == 0:
         return GrowthSequence(P, p, n_max, L, L, L, 0.0, 0.0, "zero", 0, 0.0,
-                              resolved, truncated_at=1)
+                              R, resolved, truncated_at=1)
     n = np.arange(1, L.size + 1)
     roots = np.exp(L / n)
     steps = np.exp(np.diff(L)) if L.size > 1 else np.array([])
@@ -350,7 +368,7 @@ def _ledger(P, p, n_max, S, nrm, resolved) -> GrowthSequence:
         limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
         tail_w, spread = L.size, float(roots.max() - roots.min())
     return GrowthSequence(P, p, n_max, L, roots, steps, limit, secondary, regime,
-                          tail_w, spread, resolved, truncated_at)
+                          tail_w, spread, R, resolved, truncated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -377,48 +395,39 @@ class LiminfReport:
     margin: float
     passed: bool
 
-    def to_json_dict(self):
-        return {k: getattr(self, k) for k in
-                ("R", "resolved", "tol", "step_median", "step_min", "root_min",
-                 "margin", "passed")}
 
-
-def liminf_check(f, P: MultiPoly, p, n_max: int,
-                 tol: float = 0.02) -> LiminfReport:
-    spec = Spectrum.of(f)
-    seq = growth_sequence(spec, P, p, n_max)
-    R, resolved = compute_R(P, spec.mask)
+def liminf_check(seq: GrowthSequence, tol: float = 0.02) -> LiminfReport:
+    """The liminf probe of a ledger against the R it carries."""
+    R, w = seq.R, seq.tail_window
     if seq.L.size == 0 or R == 0.0:
-        return LiminfReport(R, resolved, tol, 0.0, 0.0, 0.0, 0.0, True)
-    tail_w = seq.tail_window
-    steps_tail = seq.step_factors[-tail_w:]
-    roots_tail = seq.roots[-tail_w:]
-    step_median = float(np.median(steps_tail))
-    threshold = R * (1.0 - tol)
-    margin = step_median - threshold
-    return LiminfReport(R, resolved, tol, step_median, float(steps_tail.min()),
-                        float(roots_tail.min()), float(margin), bool(margin >= 0))
+        return LiminfReport(R, seq.resolved, tol, 0.0, 0.0, 0.0, 0.0, True)
+    step_median = float(np.median(seq.step_factors[-w:]))
+    margin = step_median - R * (1.0 - tol)
+    return LiminfReport(R, seq.resolved, tol, step_median, float(seq.step_factors[-w:].min()),
+                        float(seq.roots[-w:].min()), float(margin), bool(margin >= 0))
 
 
 # ---------------------------------------------------------------------------
 # pointwise growth (weighted sup norms)
 # ---------------------------------------------------------------------------
 
-def _weighted_sup_logs(f, P, n_max, exponents) -> np.ndarray:
-    """Row per exponent e: log max_x |P(d)^n f(x)| (1+|x|)^e for n = 1.. up to
-    the first vanishing iterate."""
+def _weighted_sup_logs(f, P, n_max, exponents):
+    """(R, logs): R = max |P(i lam)| over the mask and a row of logs per
+    exponent e, log max_x |P(d)^n f(x)| (1+|x|)^e for n = 1.. up to the first
+    vanishing iterate."""
     spec = Spectrum.of(f)
     step = SpatialStep(spec)
     absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
     weights = [step.fft_order((1.0 + absx) ** e) for e in exponents]
+    R, steps = iterates(spec, P, n_max)
     rows = []
-    for n, S, G in iterates(spec, P, n_max):
+    for n, S, G in steps:
         g = step(G)
         tops = [step.norm(g * w, np.inf) for w in weights]
         if tops[0] <= 0:
             break
         rows.append([S + np.log(top) for top in tops])
-    return np.array(rows).reshape(-1, len(exponents)).T
+    return R, np.array(rows).reshape(-1, len(exponents)).T
 
 
 @dataclass(frozen=True)
@@ -428,26 +437,17 @@ class PointwiseGrowthReport:
     mode="decay": W_n = sup |P(d)^n f(x)| (1+|x|)^{+N}  (Schwartz envelope
     C n^N R^n (1+|x|)^{-N} with the weight moved across);
     mode="growth": W_n = sup |P(d)^n f(x)| (1+|x|)^{-N}  (order-N distribution
-    envelope C n^N R^n (1+|x|)^{+N}).
+    envelope C n^N R^n (1+|x|)^{+N}).  R = max |P(i lam)| over the mask is the
+    value rtilde estimates.
     """
 
     N: int
     mode: str
     log_W: np.ndarray
     rtilde: float
+    R: float
     admissible: bool
     regime: str
-
-    @property
-    def W(self):
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_W)
-
-    def to_json_dict(self):
-        return {"N": self.N, "mode": self.mode,
-                "log_W": [float(v) for v in self.log_W],
-                "rtilde": self.rtilde, "admissible": self.admissible,
-                "regime": self.regime}
 
 
 def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
@@ -458,9 +458,9 @@ def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
         raise GrowthError("n_max must be >= 8")
     if mode not in ("decay", "growth"):
         raise GrowthError("mode must be 'decay' or 'growth'")
-    log_W, = _weighted_sup_logs(f, P, n_max, [N if mode == "decay" else -N])
+    R, (log_W,) = _weighted_sup_logs(f, P, n_max, [N if mode == "decay" else -N])
     if not log_W.size:
-        return PointwiseGrowthReport(N, mode, log_W, 0.0, True, "zero")
+        return PointwiseGrowthReport(N, mode, log_W, 0.0, R, True, "zero")
     est = estimate_limit(log_W) if log_W.size >= 8 else None
     rtilde = est.limit if est else float(np.exp(log_W[-1] / log_W.size))
     regime = est.regime if est else "truncated"
@@ -470,7 +470,7 @@ def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
     q = max(2, log_W.size // 4)
     trend = float(np.mean(np.diff(ratio[-q:]))) if log_W.size > q else 0.0
     admissible = bool(np.isfinite(rtilde) and trend <= 0.01)
-    return PointwiseGrowthReport(N, mode, log_W, float(rtilde), admissible, regime)
+    return PointwiseGrowthReport(N, mode, log_W, float(rtilde), R, admissible, regime)
 
 
 @dataclass(frozen=True)
@@ -492,19 +492,13 @@ class SchwartzDecayReport:
     plateaued: bool
     phi_sup_log: float
 
-    def to_json_dict(self):
-        return {"R": self.R, "N": self.N, "C_star": self.C_star,
-                "ratio_last_quarter": self.ratio_last_quarter,
-                "plateaued": self.plateaued, "phi_sup_log": self.phi_sup_log,
-                "per_n_log": [float(v) for v in self.per_n_log]}
-
 
 def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
                          n_max: int) -> SchwartzDecayReport:
     if R <= 0:
         raise GrowthError("claimed bound R must be positive")
     d = f.grid.d
-    W_N, W_phi = _weighted_sup_logs(f, P, n_max, [N, d + 1])
+    _, (W_N, W_phi) = _weighted_sup_logs(f, P, n_max, [N, d + 1])
     if not W_N.size:
         return SchwartzDecayReport(R, N, W_N, 0.0, 1.0, True, -np.inf)
     n = np.arange(1, W_N.size + 1)

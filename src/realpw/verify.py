@@ -121,11 +121,8 @@ def check_limit_vs_R(member, n_max=DESK_NMAX, rel_tol=0.02):
         return ("skip", "mask touches the frequency boundary")
     worst = 0.0
     for P in member.polys:
-        R, _ = compute_R(P, spec.mask)
         for p in member.p_values:
-            seq = growth_sequence(spec, P, p, n_max)
-            gap = abs(seq.limit - R) if R == 0 else abs(seq.limit - R) / R
-            worst = max(worst, gap)
+            worst = max(worst, growth_sequence(spec, P, p, n_max).relative_gap)
     return ("pass" if worst <= rel_tol else "fail", f"worst gap {worst:.2e}")
 
 
@@ -136,7 +133,7 @@ def check_liminf(member, n_max=DESK_NMAX):
     worst = np.inf
     for P in member.polys:
         for p in member.p_values:
-            rep = liminf_check(spec, P, p, n_max)
+            rep = liminf_check(growth_sequence(spec, P, p, n_max))
             scale = rep.R if rep.R > 0 else 1.0
             worst = min(worst, rep.margin / scale)
             if not rep.passed:
@@ -151,7 +148,7 @@ def check_plancherel(member, n_max=DESK_NMAX, rel_tol=1e-10):
     step = SpatialStep(spec)
     worst = 0.0
     for P in member.polys[:1]:
-        for n, S, G in iterates(spec, P, n_max):
+        for n, S, G in iterates(spec, P, n_max)[1]:
             freq = math.sqrt(dmeas * float(np.sum(np.abs(G) ** 2)))
             if freq == 0:
                 break
@@ -166,11 +163,9 @@ def check_rtilde_vs_R(member, n_max=DESK_NMAX, rel_tol=0.03, N=2):
         return ("skip", "mask touches the frequency boundary")
     worst = 0.0
     for P in member.polys:
-        R, _ = compute_R(P, spec.mask)
-        if R == 0:
-            continue
         rep = pointwise_growth(spec, P, N, n_max, mode="growth")
-        worst = max(worst, abs(rep.rtilde - R) / R)
+        if rep.R > 0:
+            worst = max(worst, abs(rep.rtilde - rep.R) / rep.R)
     return ("pass" if worst <= rel_tol else "fail", f"worst gap {worst:.2e}")
 
 
@@ -223,7 +218,7 @@ def check_cauchy_bound(member, n_max=DESK_NMAX, n_top=20):
         Ht = H1 * max(z.imag, 0.0) + Hm1 * max(-z.imag, 0.0)
         C = max(C, abs(eval_entire(F, z)) / math.exp(Ht))
     step = SpatialStep(spec)
-    for n, S, G in iterates(spec, parse_poly("x1", 1), n_top):
+    for n, S, G in iterates(spec, parse_poly("x1", 1), n_top)[1]:
         lhs = S + math.log(step.norm(step(G), np.inf))
         rhs = (math.log(C) + math.lgamma(n + 1) + n - n * math.log(n)
                + n * math.log(Hsym))

@@ -83,7 +83,7 @@ def test_criterion_3_plancherel(corpus):
         grid = member.f.grid
         spec = Spectrum.of(member.f, 1e-8)
         dmeas = grid.dlam ** grid.d
-        for n, S, Gm in iterates(spec, P, 64):
+        for n, S, Gm in iterates(spec, P, 64)[1]:
             G = np.zeros(grid.n_points, dtype=complex)
             G[spec.mask.field] = Gm
             freq = float(np.sqrt(dmeas * np.sum(np.abs(G) ** 2)))

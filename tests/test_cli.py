@@ -321,6 +321,8 @@ PROBES = [
     ("estimate", "n_max", 64.7, EXIT_CONFIG, "'n_max'"),
     ("estimate", "n_max", 4, EXIT_CONFIG, "'n_max'"),
     ("estimate", "n_max", True, EXIT_CONFIG, "'n_max'"),
+    ("estimate", "n_max", 4097, EXIT_CONFIG, "'n_max'"),
+    ("estimate", "n_max", 10 ** 12, EXIT_CONFIG, "'n_max'"),          # 8 TB of norms
     ("estimate", "eps_rel", 0, EXIT_CONFIG, "'eps_rel'"),
     ("estimate", "eps_rel", "x", EXIT_CONFIG, "'eps_rel'"),
     ("estimate", "rel_tol", -1, EXIT_CONFIG, "'rel_tol'"),
@@ -360,6 +362,8 @@ PROBES = [
     ("estimate", "out", 5, EXIT_CONFIG, "'out'"),
     ("estimate", "out", "report\0.json", EXIT_CONFIG, "'out'"),
     ("reconstruct", "family.per_axis", 0, EXIT_CONFIG, "'family.per_axis'"),
+    ("reconstruct", "family.per_axis", 4097, EXIT_CONFIG, "'family.per_axis'"),
+    ("reconstruct", "n_max", 4097, EXIT_CONFIG, "'n_max'"),
     ("reconstruct", "family.kind", "cubic", EXIT_CONFIG, "'family.kind'"),
     ("reconstruct", "family", "x", EXIT_CONFIG, "'family'"),
     ("reconstruct", "family", {"kind": "linear", "directions": [[1, "a"]]},
@@ -378,6 +382,10 @@ PROBES = [
     ("reconstruct", "mask_out", "@absent_dir/mask.json", EXIT_IO, "absent_dir"),
     ("complex-growth", "complex_growth.t_min", "", EXIT_CONFIG, "'complex_growth.t_min'"),
     ("complex-growth", "complex_growth.t_count", 2, EXIT_CONFIG, "'complex_growth.t_count'"),
+    ("complex-growth", "complex_growth.t_count", 4097, EXIT_CONFIG,
+     "'complex_growth.t_count'"),
+    ("complex-growth", "complex_growth.t_count", 10 ** 12, EXIT_CONFIG,
+     "'complex_growth.t_count'"),
     ("complex-growth", "complex_growth.t_max", 0.5, EXIT_CONFIG, "'complex_growth.t_max'"),
     ("complex-growth", "complex_growth.y", [["a"]], EXIT_CONFIG, "'complex_growth.y'"),
     ("complex-growth", "complex_growth.y", [[1, 2]], EXIT_CONFIG, "'complex_growth.y'"),
@@ -387,6 +395,7 @@ PROBES = [
     ("verify", "threads", 0, EXIT_CONFIG, "'threads'"),
     ("verify", "threads", "two", EXIT_CONFIG, "'threads'"),
     ("verify", "n_max", 4, EXIT_CONFIG, "'n_max'"),
+    ("verify", "n_max", 4097, EXIT_CONFIG, "'n_max'"),
 ]
 
 
@@ -431,6 +440,24 @@ class TestBadInputs:
     def test_readme_lists_every_field(self):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
         assert [name for name in FIELDS if f"`{name}`" not in readme] == []
+
+    def test_lattice_member_cap_counts_every_axis(self, tmp_path, capsys):
+        # 65^2 = 4225 members on a d = 2 grid; 65 alone would pass on d = 1
+        c = with_field(small_cfg(), "grid", {"d": 2, "M": 64, "h": 0.25})
+        c["family"]["per_axis"] = 65
+        cfg = write_config(tmp_path, "cfg.json", c)
+        assert main(["reconstruct", "--config", cfg]) == EXIT_CONFIG
+        assert "'family.per_axis'" in capsys.readouterr().err
+
+    def test_input_beyond_double_range_is_config_error(self, tmp_path, capsys):
+        # the p = 2 ledger of this input used to overflow to regime "zero",
+        # limit 0.0, and the run exited 0
+        f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
+        save_signal(f.with_values(f.values * 1e160), str(tmp_path / "huge.json"))
+        cfg = write_config(tmp_path, "cfg.json", {"input": {"path": str(tmp_path / "huge.json")},
+                                                  "poly": "x1", "p": 2, "n_max": 16})
+        assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+        assert "x1 at p = 2" in capsys.readouterr().err
 
     def test_nmax_override_is_checked(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", small_cfg())

@@ -169,7 +169,7 @@ class TestGrowthSequence:
         grid, f = interval_bump
         P = parse_poly("x1", 1)
         spec = Spectrum.of(f, 1e-8)
-        for n, S, Gm in iterates(spec, P, 64):
+        for n, S, Gm in iterates(spec, P, 64)[1]:
             G = np.zeros(grid.n_points, dtype=complex)
             G[spec.mask.field] = Gm
             freq = np.sqrt(grid.dlam * np.sum(np.abs(G) ** 2))
@@ -233,7 +233,7 @@ class TestGrowthSequence:
 class TestLiminfCheck:
     def test_bump_margin(self, interval_bump):
         grid, f = interval_bump
-        rep = liminf_check(f, parse_poly("x1", 1), 2, 64)
+        rep = liminf_check(growth_sequence(f, parse_poly("x1", 1), 2, 64))
         assert rep.passed
         assert rep.margin >= 0.0
         assert rep.step_median >= rep.R * 0.98
@@ -241,7 +241,7 @@ class TestLiminfCheck:
     def test_zero_function_trivially_holds(self):
         grid = make_grid(1, 64, 0.5)
         f = SampledFunction(grid, "spatial", np.zeros(64))
-        rep = liminf_check(f, parse_poly("x1", 1), 2, 16)
+        rep = liminf_check(growth_sequence(f, parse_poly("x1", 1), 2, 16))
         assert rep.passed and rep.R == 0.0
 
     def test_mixed_poly_on_box(self):
@@ -249,7 +249,7 @@ class TestLiminfCheck:
         f = sample_builtin({"kind": "spectral_bump",
                             "support": {"shape": "box", "lo": [-1, -1], "hi": [1, 1]}},
                            grid)
-        rep = liminf_check(f, parse_poly("x1*x2", 2), 2, 64)
+        rep = liminf_check(growth_sequence(f, parse_poly("x1*x2", 2), 2, 64))
         assert rep.passed and rep.margin / rep.R >= -0.02
 
 
@@ -343,9 +343,21 @@ class TestOtherDimensionsAndNorms:
         for run in (lambda: growth_sequence(f, P, 2, 16),
                     lambda: growth_sequence(f, P, np.inf, 16),
                     lambda: pointwise_growth(f, P, 1, 16),
-                    lambda: liminf_check(f, P, 2, 16)):
+                    lambda: liminf_check(growth_sequence(f, P, 2, 16))):
             with pytest.raises(GrowthError, match=r"x1\^400"):
                 run()
+
+    def test_input_beyond_double_range_raises(self):
+        # |g|^2 of a 1e160-scaled input overflows: the p = 2 ledger used to end
+        # in regime "zero" with limit 0 after "overflow encountered in square"
+        grid = make_grid(1, 64, 0.25)
+        f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, grid)
+        huge = f.with_values(f.values * 1e160)
+        P = parse_poly("x1", 1)
+        with pytest.raises(GrowthError, match=r"x1 at p = 2: .* double range"):
+            growth_sequence(huge, P, 2, 16)
+        seq = growth_sequence(huge, P, np.inf, 16)
+        assert seq.truncated_at is None and seq.R == growth_sequence(f, P, 2, 16).R
 
     def test_d3_growth_smoke(self):
         grid = make_grid(3, 32, 0.4)
@@ -482,3 +494,56 @@ class TestBatchedLedgers:
         f = SampledFunction(grid, "spatial", np.zeros(64))
         for seq in growth_sequences(f, [parse_poly("x1", 1), parse_poly("1", 1)], 2, 16):
             assert (seq.regime, seq.truncated_at, seq.limit, seq.L.size) == ("zero", 1, 0.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# every ledger carries the R it was normalised by
+# ---------------------------------------------------------------------------
+
+class TestLedgerCarriesR:
+    def test_corpus_R_is_the_reference(self, corpus):
+        checked = 0
+        for member in corpus:
+            spec = Spectrum.of(member.f)
+            for P in member.polys:
+                ref = compute_R(P, spec.mask)
+                for p in (1, 2, np.inf):
+                    seq = growth_sequence(spec, P, p, 8)
+                    assert seq.R == ref.value and type(seq.R) is float
+                    assert seq.resolved == ref.resolved == spec.mask.resolved
+                    checked += 1
+        assert checked == 66
+
+    @pytest.mark.parametrize("p", [2, np.inf])
+    def test_zero_symbol_and_empty_mask_batches(self, interval_bump, p):
+        grid, f = interval_bump
+        zero = SampledFunction(make_grid(1, 64, 0.5), "spatial", np.zeros(64))
+        for g, texts in ((f, ["x1", "0", "x1^2"]), (zero, ["x1", "1"])):
+            spec = Spectrum.of(g)
+            polys = [parse_poly(t, 1) for t in texts]
+            for P, seq in zip(polys, growth_sequences(spec, polys, p, 16)):
+                assert seq.R == compute_R(P, spec.mask).value
+                assert seq.resolved == spec.mask.resolved
+
+    def test_relative_gap(self, interval_bump):
+        grid, f = interval_bump
+        seq = growth_sequence(f, parse_poly("x1", 1), 2, 64)
+        assert seq.relative_gap == abs(seq.limit - seq.R) / seq.R
+        zero = growth_sequence(f, parse_poly("0", 1), 2, 16)
+        assert (zero.R, zero.relative_gap) == (0.0, 0.0)
+
+    def test_pointwise_reports_carry_R(self, interval_bump):
+        grid, f = interval_bump
+        spec = Spectrum.of(f)
+        for text in ("x1", "x1^2", "0.5+2*i*x1", "0"):
+            P = parse_poly(text, 1)
+            for mode in ("growth", "decay"):
+                rep = pointwise_growth(spec, P, 2, 8, mode=mode)
+                assert rep.R == compute_R(P, spec.mask).value
+
+    def test_liminf_reads_the_ledger(self, interval_bump):
+        grid, f = interval_bump
+        seq = growth_sequence(f, parse_poly("x1", 1), np.inf, 64)
+        rep = liminf_check(seq, tol=0.02)
+        assert (rep.R, rep.resolved) == (seq.R, seq.resolved)
+        assert rep.step_median == float(np.median(seq.step_factors[-seq.tail_window:]))

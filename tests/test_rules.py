@@ -1,0 +1,29 @@
+"""Two code rules checked on the syntax tree: no module imports another
+module's leading-underscore name, and no library module but the CLI prints."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).parents[1]
+LIBRARY = sorted((ROOT / "src" / "realpw").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def nodes(path):
+    return ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def test_no_private_name_is_imported():
+    private = [f"{path.name}:{node.lineno} {alias.name}"
+               for path in LIBRARY + TESTS for node in nodes(path)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_only_the_cli_prints():
+    prints = [f"{path.name}:{node.lineno}"
+              for path in LIBRARY if path.name != "cli.py" for node in nodes(path)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "print"]
+    assert prints == []
