@@ -21,7 +21,7 @@ from .grid import make_grid, sample_builtin, SampledFunction, GridError
 from .poly import parse_poly, family_linear, family_quadratic, family_quadratic_real, \
     family_explicit, symbol_bound, PolyError
 from .transform import Spectrum, SupportMask, complex_growth_rate, OVERFLOW_GUARD
-from .growth import growth_sequence, GrowthError
+from .growth import growth_sequences, GrowthError
 from .reconstruct import reconstruct_support
 from .signal_io import (save_signal, load_signal, load_signal_csv,
                         atomic_write_text, SignalIOError)
@@ -151,6 +151,14 @@ def _load_input(cfg):
     return f
 
 
+def _spectrum(f, eps_rel):
+    """The input's Spectrum; an input it cannot be built from is named."""
+    try:
+        return Spectrum.of(f, eps_rel)
+    except GridError as exc:
+        raise ConfigError("input", str(exc))
+
+
 def _bounded(name, polys, grid):
     """polys, unless a symbol could overflow a double on the frequency box."""
     for P in polys:
@@ -215,15 +223,12 @@ def cmd_estimate(cfg):
     if f.side != "spatial":
         raise ConfigError("input", "estimate expects a spatial-side input")
     polys = _parse_polys(cfg, "poly", f.grid)
-    spec = Spectrum.of(f, eps_rel)
-    rows = []
-    for P in polys:
-        seq = growth_sequence(spec, P, p, n_max)
-        rows.append({"growth": seq.to_json_dict(),
-                     "R": seq.R, "resolved": seq.resolved,
-                     "relative_gap": seq.relative_gap,
-                     "within_tolerance": bool(seq.relative_gap <= tol),
-                     "lower_bound_only": not seq.resolved})
+    rows = [{"growth": seq.to_json_dict(),
+             "R": seq.R, "resolved": seq.resolved,
+             "relative_gap": seq.relative_gap,
+             "within_tolerance": bool(seq.relative_gap <= tol),
+             "lower_bound_only": not seq.resolved}
+            for seq in growth_sequences(_spectrum(f, eps_rel), polys, p, n_max)]
     _finish_report({"config": cfg, "estimate": rows}, out)
     return EXIT_OK
 
@@ -237,7 +242,7 @@ def cmd_reconstruct(cfg):
     if reference is not None and not (isinstance(reference, SupportMask)
                                       and reference.grid == f.grid):
         raise ConfigError("reference_mask", "must be a support mask on the input's grid")
-    res = reconstruct_support(Spectrum.of(f, eps_rel), family, p, n_max,
+    res = reconstruct_support(_spectrum(f, eps_rel), family, p, n_max,
                               reference=reference, tau=tau)
     _finish_report({"config": cfg, "reconstruction": res.to_json_dict()}, out)
     if mask_out:

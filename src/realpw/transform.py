@@ -140,7 +140,8 @@ class Spectrum:
     def of(cls, f, eps_rel: float | None = None) -> "Spectrum":
         """Transform and mask a spatial-side f at eps_rel (DEFAULT_EPS_REL if
         None).  A Spectrum is passed through, and rejected if an eps_rel is
-        given that it was not masked at."""
+        given that it was not masked at.  An f whose transform overflows a
+        double raises GridError."""
         if isinstance(f, Spectrum):
             if eps_rel is not None and f.mask.eps_rel != eps_rel:
                 raise GridError(f"spectrum masked at eps_rel={f.mask.eps_rel}, not {eps_rel}")
@@ -148,9 +149,14 @@ class Spectrum:
         if f.side != SPATIAL:
             raise GridError("expected a spatial-side function")
         grid = f.grid
-        F = forward_values(f.values, grid)
-        mask = support_mask(SampledFunction(grid, FREQUENCY, F),
-                            DEFAULT_EPS_REL if eps_rel is None else eps_rel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = forward_values(f.values, grid)
+        try:
+            transform = SampledFunction(grid, FREQUENCY, F)
+        except GridError:       # F is on f's grid, so only a value can be bad
+            raise GridError("the input's transform exceeds the double range; "
+                            "its values are too large") from None
+        mask = support_mask(transform, DEFAULT_EPS_REL if eps_rel is None else eps_rel)
         cells = (np.argwhere(mask.field.reshape(grid.shape)) + grid.M // 2) % grid.M
         return cls(f, F, mask, mask.coords(), np.ravel_multi_index(cells.T, grid.shape))
 
@@ -162,27 +168,56 @@ class Spectrum:
 class SpatialStep:
     """Spatial samples of spectra carried on a Spectrum's mask cells.
 
-    A call scatters the cells into a zeroed FFT-order buffer and inverse-
-    transforms it into a second buffer.  Both are allocated once, and the
-    result, overwritten by the next call, is unscaled and in FFT order:
-    `norm` applies the scale and `fft_order` reorders weight arrays.
+    The step is ifftn of the cells scattered into a zeroed FFT-order buffer,
+    with its passes pruned (J. D. Markel, "FFT pruning", 1971).  ifftn
+    transforms the last axis first, axis 0 last, and a line that holds no
+    nonzero value transforms to zeros.  So every pass but the last runs only
+    on the lines that the mask occupies along the axes not yet transformed,
+    held in a compact buffer.  Each pass transforms contiguous lines along the
+    last axis and writes its result transposed into the next pass's buffer;
+    the last pass runs from a zeroed full buffer into a second one.  Each
+    line goes through the same 1-D transform as in ifftn, so the output
+    equals ifftn's bit for bit, with its axes reversed: `ifftn(buf).T`.  The
+    buffers are allocated once, and the result, overwritten by the next call,
+    is unscaled: `norm` applies the scale and `fft_order` puts weight arrays
+    in the output's order.
     """
 
     def __init__(self, spec: Spectrum):
         grid = spec.grid
-        self._index = spec.fft_index
-        self._buf = np.zeros(grid.shape, dtype=complex)
-        self._out = np.empty_like(self._buf)
+        M, d = grid.M, grid.d
+        # One pass per axis a = d-1, ..., 0.  Its buffer's rows are the
+        # occupied lines (index prefixes i_0..i_{a-1}) times the axes already
+        # transformed, in reverse order; index scatters the previous pass's
+        # output (at first G, on the cells) into the buffer, flat.  The two
+        # full buffers of the last pass are allocated first: the other order
+        # raised the estimate-corpus peak RSS by 0.4 MB.
+        full = np.zeros((M ** (d - 1), M), dtype=complex)
+        out = np.empty_like(full)
+        self._passes = []
+        codes = spec.fft_index
+        for a in range(d - 1, -1, -1):
+            lines = np.unique(codes // M) if a else np.zeros(1, dtype=np.intp)
+            width = M ** (d - 1 - a)
+            rows = np.searchsorted(lines, codes // M)[:, None] * width + np.arange(width)
+            buf = np.zeros((lines.size * width, M), dtype=complex) if a else full
+            self._passes.append((buf.reshape(-1), buf, np.empty_like(buf) if a else out,
+                                 (rows * M + codes[:, None] % M).ravel()))
+            codes = lines
+        self._out = out.reshape(grid.shape)
         self._scale = _inverse_scale(grid)
         self._cell = grid.h ** grid.d
 
     def __call__(self, G: np.ndarray) -> np.ndarray:
-        self._buf.reshape(-1)[self._index] = G
-        return np.fft.ifftn(self._buf, out=self._out)
+        for flat, buf, out, index in self._passes:
+            flat[index] = G.ravel()
+            G = np.fft.ifft(buf, axis=-1, out=out)
+        return self._out
 
     def fft_order(self, values: np.ndarray) -> np.ndarray:
         """A centered-order spatial array in the order of the step's output."""
-        return _ifftshift_all(values.reshape(self._buf.shape), self._buf.ndim)
+        return np.ascontiguousarray(
+            _ifftshift_all(values.reshape(self._out.shape), self._out.ndim).T)
 
     def norm(self, g: np.ndarray, p) -> float:
         """Riemann-sum Lp norm of a step output, or of one times a weight."""
@@ -225,7 +260,7 @@ def supporting_function(points, y) -> float:
 # entire extension by quadrature
 # ---------------------------------------------------------------------------
 
-def eval_entire(f: SampledFunction, z, margin_tol: float = 1e-10) -> complex:
+def eval_entire(f: SampledFunction, z, margin_tol: float = 1e-10):
     """Transform of f at a complex argument z, by direct quadrature.
 
     For spatial-side f this is Ff(z) = h^d (2 pi)^{-d/2} sum f(x) e^{-i z.x};
@@ -233,15 +268,22 @@ def eval_entire(f: SampledFunction, z, margin_tol: float = 1e-10) -> complex:
     function, dlam^d (2 pi)^{-d/2} sum F(lam) e^{+i z.lam}.  The input must be
     effectively supported inside the box with a 10-cell margin, otherwise the
     quadrature of the real exponential is meaningless.
+
+    z is a d-vector, giving a complex, or a (k, d) stack, giving k values,
+    each the value its row gives alone; the input is checked and its support
+    built once for the stack.
     """
     grid = f.grid
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (grid.d,):
-        raise GridError(f"z must be a complex vector of length {grid.d}")
+    z = np.asarray(z, dtype=complex)
+    stack = np.atleast_2d(z)
+    if z.ndim > 2 or stack.shape[1:] != (grid.d,):
+        raise GridError(f"z must be a complex vector of length {grid.d} "
+                        "or a stack of them, one per row")
+    out = np.zeros(stack.shape[0], dtype=complex)
     mag = np.abs(f.values)
     top = mag.max(initial=0.0)
     if top == 0.0:
-        return 0.0 + 0.0j
+        return out if z.ndim == 2 else complex(out[0])
     frame = grid.boundary_frame(MARGIN_CELLS)
     frame_top = mag[frame].max(initial=0.0)
     if frame_top > margin_tol * top:
@@ -262,14 +304,17 @@ def eval_entire(f: SampledFunction, z, margin_tol: float = 1e-10) -> complex:
         sign = +1.0
         scale = grid.dlam ** grid.d / (2.0 * np.pi) ** (grid.d / 2.0)
     reach = float(np.abs(coords).max(initial=0.0))
-    if np.abs(z.imag).max() * reach > OVERFLOW_GUARD:
-        raise GridError(
-            f"eval_entire: |Im z| * support radius = "
-            f"{np.abs(z.imag).max() * reach:.3g} exceeds the overflow guard "
-            f"{OVERFLOW_GUARD:g}"
-        )
-    phase = coords @ (sign * 1j * z)
-    return complex(scale * np.sum(f.values[support] * np.exp(phase)))
+    values = f.values[support]
+    for k, zk in enumerate(stack):
+        if np.abs(zk.imag).max() * reach > OVERFLOW_GUARD:
+            raise GridError(
+                f"eval_entire: |Im z| * support radius = "
+                f"{np.abs(zk.imag).max() * reach:.3g} exceeds the overflow guard "
+                f"{OVERFLOW_GUARD:g}"
+            )
+        phase = coords @ (sign * 1j * zk)
+        out[k] = scale * np.sum(values * np.exp(phase))
+    return out if z.ndim == 2 else complex(out[0])
 
 
 UNDERFLOW_FLOOR = 1e-290
@@ -318,7 +363,7 @@ def complex_growth_rate(f: SampledFunction, x0, y, t_samples) -> ComplexGrowthRe
         raise GridError("need at least 3 strictly increasing t samples")
     if np.any(np.diff(t) <= 0):
         raise GridError("t samples must be strictly increasing")
-    vals = np.array([eval_entire(f, x0 + 1j * ti * y) for ti in t])
+    vals = eval_entire(f, [x0 + 1j * ti * y for ti in t])
     keep = np.abs(vals) >= UNDERFLOW_FLOOR
     n_dropped = int((~keep).sum())
     t_k, v_k = t[keep], vals[keep]

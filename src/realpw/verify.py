@@ -214,9 +214,9 @@ def check_cauchy_bound(member, n_max=DESK_NMAX, n_top=20):
     F = SampledFunction(spec.grid, FREQUENCY, spec.F)
     zs = [x + 1j * t for x in (0.0, 0.7, -1.3, 3.1) for t in (0.0, 1.0, -2.0, 5.0, -10.0, 20.0)]
     C = 0.0
-    for z in zs:
+    for z, Fz in zip(zs, eval_entire(F, np.array(zs)[:, None])):
         Ht = H1 * max(z.imag, 0.0) + Hm1 * max(-z.imag, 0.0)
-        C = max(C, abs(eval_entire(F, z)) / math.exp(Ht))
+        C = max(C, abs(Fz) / math.exp(Ht))
     step = SpatialStep(spec)
     for n, S, G in iterates(spec, parse_poly("x1", 1), n_top)[1]:
         lhs = S + math.log(step.norm(step(G), np.inf))

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,21 @@ class TestBadInputs:
                                                   "poly": "x1", "p": 2, "n_max": 16})
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
         assert "x1 at p = 2" in capsys.readouterr().err
+
+    def test_input_beyond_transform_range_names_input(self, tmp_path, capsys):
+        # at 1e308 the forward FFT overflows: the run used to print numpy's
+        # overflow warnings and reject the input as "values must be finite"
+        f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
+        save_signal(f.with_values(f.values * 1e308), str(tmp_path / "huge.json"))
+        for p in (2, "inf"):
+            cfg = write_config(tmp_path, "cfg.json", {"input": {"path": str(tmp_path / "huge.json")},
+                                                      "poly": "x1", "p": p, "n_max": 16})
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+            assert caught == []
+            err = capsys.readouterr().err
+            assert "'input'" in err and "double range" in err
 
     def test_nmax_override_is_checked(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", small_cfg())

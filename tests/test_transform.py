@@ -4,7 +4,10 @@ import pytest
 from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     inverse_dft, support_mask, compute_R, supporting_function,
                     eval_entire, complex_growth_rate, parse_poly, lp_norm,
-                    GridError)
+                    GridError, Spectrum, SpatialStep, iterates, growth_sequence)
+from realpw.grid import lp_norm_values
+from realpw.transform import inverse_values
+from realpw.verify import acceptance_corpus
 
 
 def random_function(grid, seed):
@@ -222,6 +225,40 @@ class TestEvalEntire:
         with pytest.raises(GridError, match="overflow"):
             eval_entire(f, [0.0 + 800.0j])
 
+    def test_stack_equals_single_points(self):
+        g, f = self.spatial_bump()
+        F = forward_dft(sample_builtin({"kind": "spectral_bump",
+                                        "support": {"shape": "box", "lo": [-1], "hi": [1]}},
+                                       make_grid(1, 1024, 0.05)))
+        zs = np.array([[x + 1j * t] for x in (0.0, 0.7, -1.3) for t in (0.0, 2.0, -5.0, 20.0)])
+        for h in (f, F):
+            single = np.array([eval_entire(h, z) for z in zs])
+            assert_bitwise(eval_entire(h, zs), single)
+        g2 = make_grid(2, 64, 0.1)
+        f2 = sample_builtin({"kind": "spatial_bump",
+                             "support": {"shape": "ball", "radius": 1.5}}, g2)
+        zs2 = np.array([[0.5 + 1j, -2j], [0.0, 0.0], [3.0 - 0.5j, 1.0 + 4j]])
+        assert_bitwise(eval_entire(f2, zs2), np.array([eval_entire(f2, z) for z in zs2]))
+        assert isinstance(eval_entire(f2, zs2[0]), complex)
+
+    def test_stack_errors_are_the_single_point_errors(self):
+        g, f = self.spatial_bump()
+        zs = np.array([[1.0 + 1j], [800.0j], [900.0j]])
+        with pytest.raises(GridError) as single:
+            eval_entire(f, zs[1])
+        with pytest.raises(GridError) as stacked:
+            eval_entire(f, zs)
+        assert str(stacked.value) == str(single.value)
+        wide = SampledFunction(make_grid(1, 64, 0.1), "spatial", np.ones(64))
+        with pytest.raises(GridError) as single:
+            eval_entire(wide, [1.0])
+        with pytest.raises(GridError) as stacked:
+            eval_entire(wide, [[1.0], [2.0]])
+        assert str(stacked.value) == str(single.value)
+        for bad in ([1.0, 2.0], [[1.0, 2.0]], np.zeros((2, 1, 1))):
+            with pytest.raises(GridError, match="length 1"):
+                eval_entire(f, bad)
+
 
 class TestComplexGrowthRate:
     def test_zero_direction_zero_slope(self):
@@ -256,3 +293,145 @@ class TestEntireGrowthHalfOpenBump:
                             "support": {"shape": "box", "lo": [0.0], "hi": [1.0]}}, g)
         rep = complex_growth_rate(f, [0.0], [1.0], np.linspace(10, 40, 31))
         assert rep.slope == pytest.approx(1.0, abs=0.05)
+
+
+class TestSpectrumRange:
+    def test_transform_beyond_double_range_raises(self):
+        # finite samples near 1e308 overflow in the forward FFT: Spectrum.of
+        # used to warn "overflow encountered in fft" and then reject the
+        # NaN/Inf transform as "values must be finite"
+        grid = make_grid(1, 64, 0.25)
+        f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, grid)
+        huge = f.with_values(f.values * 1e308)
+        with pytest.raises(GridError, match="transform exceeds the double range"):
+            Spectrum.of(huge)
+        with pytest.raises(GridError, match="transform exceeds the double range"):
+            growth_sequence(huge, parse_poly("x1", 1), np.inf, 16)
+        assert Spectrum.of(f.with_values(f.values * 1e300)).mask.n_cells > 0
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the pruned spatial step against numpy's ifftn
+# ---------------------------------------------------------------------------
+
+def spectrum_on_cells(grid, cells, seed=0):
+    """A Spectrum whose mask is exactly the given FFT-order cells."""
+    rng = np.random.default_rng(seed)
+    B = np.zeros(grid.shape, dtype=complex)
+    for c in cells:
+        B[c] = rng.uniform(0.5, 1.0) * np.exp(2j * np.pi * rng.uniform())
+    f = SampledFunction(grid, "spatial", inverse_values(np.fft.fftshift(B).ravel(), grid))
+    spec = Spectrum.of(f)
+    assert set(spec.fft_index.tolist()) == {int(np.ravel_multi_index(c, grid.shape))
+                                            for c in cells}
+    return spec
+
+
+def ifftn_reference(spec, G):
+    """numpy's ifftn of G scattered into a zeroed FFT-order buffer, with its
+    axes reversed: the step's declared output order."""
+    buf = np.zeros(spec.grid.shape, dtype=complex)
+    buf.reshape(-1)[spec.fft_index] = G
+    return np.ascontiguousarray(np.fft.ifftn(buf).T)
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(np.ascontiguousarray(a).view(np.int64), b.view(np.int64))
+
+
+def mask_cells(name, d, M):
+    """FFT-order cells of the named test mask."""
+    if name == "one cell":
+        return [(3,) * d]
+    if name == "full last-axis line":
+        return [(2,) * (d - 1) + (k,) for k in range(M)]
+    if name == "full axis-0 line":
+        return [(k,) + (2,) * (d - 1) for k in range(M)]
+    if name == "wrapping past 0":       # offsets -1, 0, 1 on every axis
+        return [tuple(int(v) for v in (np.array(c) - 1) % M) for c in np.ndindex(*(3,) * d)]
+    rng = np.random.default_rng(d)      # "empty lines": a few scattered cells
+    return sorted({tuple(int(v) for v in rng.integers(0, M, d)) for _ in range(5)})
+
+
+MASKS = ["one cell", "full last-axis line", "full axis-0 line", "wrapping past 0",
+         "empty lines"]
+
+
+@pytest.fixture(scope="module")
+def corpus_specs():
+    return [(m, Spectrum.of(m.f)) for m in acceptance_corpus()]
+
+
+class TestPrunedStep:
+    @pytest.mark.parametrize("d,M", [(1, 16), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("name", MASKS)
+    def test_equals_ifftn(self, d, M, name):
+        spec = spectrum_on_cells(make_grid(d, M, 0.5), mask_cells(name, d, M))
+        step = SpatialStep(spec)
+        rng = np.random.default_rng(7)
+        for _ in range(3):              # a call must not leave data for the next
+            k = spec.fft_index.size
+            G = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            assert_bitwise(step(G), ifftn_reference(spec, G))
+
+    def test_equals_ifftn_on_the_acceptance_corpus(self, corpus_specs):
+        rng = np.random.default_rng(3)
+        for _, spec in corpus_specs:
+            step = SpatialStep(spec)
+            for G in (spec.F[spec.mask.field],
+                      spec.F[spec.mask.field] * np.exp(2j * np.pi * rng.uniform(
+                          size=spec.fft_index.size))):
+                assert_bitwise(step(G), ifftn_reference(spec, G))
+
+    def test_asymmetric_weight_through_fft_order(self, corpus_specs):
+        specs = [spectrum_on_cells(make_grid(2, 16, 0.5), mask_cells("empty lines", 2, 16)),
+                 spectrum_on_cells(make_grid(3, 8, 0.5), mask_cells("wrapping past 0", 3, 8)),
+                 corpus_specs[2][1]]                   # the d = 2 acceptance ball
+        for spec in specs:
+            grid = spec.grid
+            x = grid.spatial_coords()
+            w = (1.0 + np.linalg.norm(x - 0.3 * x.max(axis=0), axis=-1)) ** 2 * (
+                1.5 + np.tanh(x[:, 0] - 2.0 * x[:, -1]))
+            step = SpatialStep(spec)
+            G = spec.F[spec.mask.field]
+            buf = np.zeros(grid.shape, dtype=complex)
+            buf.reshape(-1)[spec.fft_index] = G
+            scale = (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
+            ref = scale * lp_norm_values(
+                np.fft.ifftn(buf) * np.fft.ifftshift(w.reshape(grid.shape)), 1.0, np.inf)
+            assert step.norm(step(G) * step.fft_order(w), np.inf) == ref
+            # the weight's reordering matters: without the axis reversal it misses
+            unreversed = np.fft.ifftshift(w.reshape(grid.shape))
+            assert step.norm(step(G) * unreversed, np.inf) != ref
+
+
+def ifftn_ledger(spec, P, n_max):
+    """{p: L} for p = 1 and inf by the unpruned step: numpy's ifftn of the
+    scattered FFT-order buffer at every n."""
+    grid = spec.grid
+    scale = (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
+    buf = np.zeros(grid.shape, dtype=complex)
+    S, norms = [], {1: [], np.inf: []}
+    for n, S_n, G in iterates(spec, P, n_max)[1]:
+        buf.reshape(-1)[spec.fft_index] = G
+        g = np.fft.ifftn(buf)
+        S.append(S_n)
+        for p in norms:
+            norms[p].append(scale * lp_norm_values(g, grid.h ** grid.d, p))
+    return {p: np.array(S) + np.log(np.array(nrm)) for p, nrm in norms.items()}
+
+
+class TestStepLedgersMatchIfftn:
+    def test_acceptance_rows(self, corpus_specs):
+        checked = 0
+        for member, spec in corpus_specs:
+            for P in member.polys:
+                ref = ifftn_ledger(spec, P, 64)
+                L_inf = growth_sequence(spec, P, np.inf, 64).L
+                assert np.array_equal(L_inf, ref[np.inf])
+                L_1 = growth_sequence(spec, P, 1, 64).L
+                assert L_1.shape == ref[1].shape
+                assert np.all(np.abs(L_1 - ref[1]) <= 1e-12 * np.abs(ref[1]))
+                checked += 2
+        assert checked == 44          # the 22 p = 2 rows never run the step
