@@ -15,11 +15,11 @@ from .poly import (MultiPoly, PolyFamily, parse_poly, eval_symbol,
                    family_quadratic_real, family_explicit, constant, variable,
                    symbol_bound, PolyError, ParseError)
 from .transform import (forward_dft, inverse_dft, SupportMask, support_mask,
-                        Spectrum, SpatialStep, compute_R, RValue,
-                        supporting_function, eval_entire,
-                        complex_growth_rate, ComplexGrowthReport)
-from .growth import (iterates, apply_op_spectral, apply_op_fd, growth_sequence,
-                     growth_sequences, GrowthSequence, estimate_limit, LimitEstimate,
+                        Spectrum, compute_R, RValue, supporting_function,
+                        eval_entire, complex_growth_rate, ComplexGrowthReport)
+from .growth import (iterates, spatial_norms, apply_op_spectral, apply_op_fd,
+                     growth_sequence, growth_sequences, GrowthSequence,
+                     estimate_limit, LimitEstimate,
                      liminf_check, LiminfReport, pointwise_growth,
                      PointwiseGrowthReport, schwartz_decay_check,
                      SchwartzDecayReport, GrowthError)

@@ -157,8 +157,10 @@ def lp_norm_values(values: np.ndarray, cell_measure: float, p) -> float:
     p = float(p)
     if p < 1:
         raise GridError(f"norm exponent p must be >= 1, got {p}")
-    if p in (1.0, 2.0):
-        return float((cell_measure * np.sum(mag ** p)) ** (1.0 / p))
+    if p == 1.0:
+        return float(cell_measure * np.sum(mag))
+    if p == 2.0:
+        return float((cell_measure * np.sum(mag ** p)) ** 0.5)
     top = mag.max(initial=0.0)
     if top == 0.0:
         return 0.0

@@ -7,8 +7,10 @@ the ledger identity is  ||P(d)^n f||_p = exp(S) * ||g||_p  with S = n*log(s).
 
 Every function here takes an input's `Spectrum` (transform and mask, built
 once) in place of the spatial input, and iterates through one primitive,
-`iterates`, which evaluates the symbol on the mask cells only.  Spatial
-ledgers (p != 2, weighted sup norms) go through one `SpatialStep` each.
+`iterates`, which evaluates the symbol on the mask cells only.  Every
+spatial norm (the p != 2 ledgers, the weighted sup norms) comes from one
+pass per polynomial, `spatial_norms`, which reads all the norms a caller
+asks for from each `SpatialStep` output.
 A spatial input is masked at DEFAULT_EPS_REL; a Spectrum carries its own
 threshold, so another one is chosen with Spectrum.of(f, eps_rel).
 
@@ -24,6 +26,8 @@ locates the spectral support in the ball of radius sqrt(R) around the origin.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -229,13 +233,73 @@ def apply_op_fd(f: SampledFunction, P: MultiPoly,
 
 
 # ---------------------------------------------------------------------------
+# spatial norms of the iterates
+# ---------------------------------------------------------------------------
+
+def spatial_norms(f, polys, n_max: int, norms):
+    """(R, rows) for each P of polys, in order, each computed when consumed.
+
+    One spatial pass per P: `iterates` and one `SpatialStep` call per n, and
+    from each step output g_n every norm of `norms`, a list of (p, e): the
+    Riemann-sum Lp norm ||(1+|x|)^e g_n||_p, p in [1, inf].  rows[k] is the
+    (S, values) pair of arrays of norms[k]: S_n = n log R and the norm, for
+    n = 1, 2, ..., cut at (and ending with) the row's first value that is not
+    > 0; the pass stops once every row is cut.  So the weighted norm of
+    P(d)^n f is exp(S_n) times the row's value.  A value that is not finite
+    raises GrowthError naming P, p and n.  f is a spatial-side SampledFunction
+    or its Spectrum; every P reuses one step's buffers.
+    """
+    spec = Spectrum.of(f)
+    step = SpatialStep(spec)
+    if any(e for _, e in norms):
+        absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
+    weights = [step.fft_order((1.0 + absx) ** e) if e else None for _, e in norms]
+    for P in polys:
+        R, steps = iterates(spec, P, n_max)
+        S, rows, live = [], [[] for _ in norms], range(len(norms))
+        with np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
+            for n, s, G in steps:
+                g = step(G)
+                S.append(s)
+                for k in live:
+                    w = weights[k]
+                    rows[k].append(step.norm(g if w is None else g * w, norms[k][0]))
+                live = [k for k in live if _goes_on(P, norms[k], n, rows[k][-1])]
+                if not live:
+                    break
+        S = np.array(S, dtype=float)
+        yield R, [(S[:len(r)], np.array(r, dtype=float)) for r in rows]
+
+
+def _goes_on(P, norm, n, value) -> bool:
+    """Whether a row of spatial_norms goes on after its n-th value: not after
+    a value that is not > 0, and a value that is not finite raises."""
+    if not math.isfinite(value):
+        raise _overflow(P, *norm, n)
+    return value > 0.0
+
+
+def _overflow(P, p, e, n) -> GrowthError:
+    weight = f"(1+|x|)^{e:g} " if e else ""
+    return GrowthError(f"{P.to_text():.60} at p = {float(p):g}: ||{weight}P(d)^{n} f|| "
+                       "exceeds the double range; the input's values are too large")
+
+
+def _leading(values) -> int:
+    """Length of the row before its first value that is not > 0 or not finite."""
+    bad = ~((values > 0.0) & np.isfinite(values))
+    return int(bad.argmax()) if bad.any() else values.size
+
+
+# ---------------------------------------------------------------------------
 # growth sequences
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GrowthSequence:
     """Per-n log-norm ledger of ||P(d)^n f||_p, its limit estimate and the
-    R = max |P(i lam)| over the mask that normalised it."""
+    R = max |P(i lam)| over the mask that normalised it.  norms holds the
+    ||g_n||_p of the ledger's terms L_n = n log R + log ||g_n||_p."""
 
     P: MultiPoly
     p: float
@@ -243,6 +307,7 @@ class GrowthSequence:
     L: np.ndarray
     roots: np.ndarray
     step_factors: np.ndarray
+    norms: np.ndarray
     limit: float
     secondary: float
     regime: str
@@ -251,6 +316,34 @@ class GrowthSequence:
     R: float
     resolved: bool
     truncated_at: int | None = None
+
+    @classmethod
+    def from_row(cls, P, p, n_max, R, S, norms, resolved) -> "GrowthSequence":
+        """The ledger of terms S_n and ||g_n||_p, n = 1, 2, ..., (a row of
+        `spatial_norms` or of the p = 2 batch): L_n = S_n + log ||g_n||_p up
+        to the first norm that is not > 0, where the ledger is truncated.  A
+        norm that is not finite raises GrowthError."""
+        k = _leading(norms)
+        if k < norms.size and not np.isfinite(norms[k]):
+            raise _overflow(P, p, 0, k + 1)
+        truncated_at = k + 1 if k < norms.size else None
+        L = S[:k] + np.log(norms[:k])
+        if L.size == 0:
+            return cls(P, p, n_max, L, L, L, L, 0.0, 0.0, "zero", 0, 0.0,
+                       R, resolved, truncated_at=1)
+        n = np.arange(1, L.size + 1)
+        roots = np.exp(L / n)
+        steps = np.exp(np.diff(L)) if L.size > 1 else np.array([])
+        if L.size >= 8:
+            est = estimate_limit(L)
+            limit, secondary, regime = est.limit, est.secondary, est.regime
+            tail_w, spread = est.tail_window, est.spread
+        else:
+            # truncated too early for the estimator: report the last root
+            limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
+            tail_w, spread = L.size, float(roots.max() - roots.min())
+        return cls(P, p, n_max, L, roots, steps, norms[:k], limit, secondary, regime,
+                   tail_w, spread, R, resolved, truncated_at)
 
     @property
     def relative_gap(self) -> float:
@@ -292,7 +385,8 @@ def growth_sequences(f, polys, p, n_max: int):
 
     The p = 2 ledgers run as one batch: members go through `iterates` in
     stacks of at most n_points // (mask cells), so one multiply per n serves
-    a stack and its 2-norms are one row sum.
+    a stack and its 2-norms are one row sum.  Any other p is one spatial
+    pass per P (`spatial_norms`).
     """
     if n_max < 8:
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
@@ -307,13 +401,10 @@ def growth_sequences(f, polys, p, n_max: int):
         for start in range(0, len(polys), size):
             stack = polys[start:start + size]
             for P, R, logR, nrm in zip(stack, *_parseval_norms(spec, stack, n_max)):
-                yield _ledger(P, p, n_max, R, n * logR, nrm, resolved)
+                yield GrowthSequence.from_row(P, p, n_max, R, n * logR, nrm, resolved)
         return
-    step = SpatialStep(spec)
-    for P in polys:
-        R, steps = iterates(spec, P, n_max)
-        norms = ((n, S, step.norm(step(G), p)) for n, S, G in steps)
-        yield _ledger(P, p, n_max, R, *_cut(norms), resolved)
+    for P, (R, (row,)) in zip(polys, spatial_norms(spec, polys, n_max, [(p, 0)])):
+        yield GrowthSequence.from_row(P, p, n_max, R, *row, resolved)
 
 
 def _parseval_norms(spec: Spectrum, polys, n_max: int):
@@ -321,54 +412,13 @@ def _parseval_norms(spec: Spectrum, polys, n_max: int):
     and the (members x n_max) 2-norms ||g_n||_2, summed on the mask cells."""
     sums = np.empty((len(polys), n_max))
     R, steps = iterates(spec, polys, n_max)
-    with np.errstate(over="ignore"):    # an overflowing norm is reported by _ledger
+    with np.errstate(over="ignore"):    # an overflowing norm is reported by from_row
         for n, S, G in steps:
             if n == 1:
                 logR = S
             sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
     sums *= spec.grid.dlam ** spec.grid.d
     return R.tolist(), logR, np.sqrt(sums, out=sums)
-
-
-def _cut(norms):
-    """(S, norms) arrays of a lazy ledger, ending at its first norm that is
-    not > 0 or not finite; no later step is computed."""
-    S, nrm = [], []
-    for _, s, r in norms:
-        S.append(s)
-        nrm.append(r)
-        if not (r > 0.0 and np.isfinite(r)):
-            break
-    return np.array(S, dtype=float), np.array(nrm, dtype=float)
-
-
-def _ledger(P, p, n_max, R, S, nrm, resolved) -> GrowthSequence:
-    """The GrowthSequence of ledger terms S_n and ||g_n||_p, n = 1, 2, ...:
-    L_n = S_n + log ||g_n||_p up to the first norm that is not > 0, where the
-    ledger is truncated.  A norm that is not finite raises GrowthError."""
-    bad = ~((nrm > 0.0) & np.isfinite(nrm))
-    k = int(bad.argmax()) if bad.any() else nrm.size
-    if k < nrm.size and not np.isfinite(nrm[k]):
-        raise GrowthError(f"{P.to_text():.60} at p = {float(p):g}: ||P(d)^{k + 1} f|| "
-                          "exceeds the double range; the input's values are too large")
-    truncated_at = k + 1 if k < nrm.size else None
-    L = S[:k] + np.log(nrm[:k])
-    if L.size == 0:
-        return GrowthSequence(P, p, n_max, L, L, L, 0.0, 0.0, "zero", 0, 0.0,
-                              R, resolved, truncated_at=1)
-    n = np.arange(1, L.size + 1)
-    roots = np.exp(L / n)
-    steps = np.exp(np.diff(L)) if L.size > 1 else np.array([])
-    if L.size >= 8:
-        est = estimate_limit(L)
-        limit, secondary, regime = est.limit, est.secondary, est.regime
-        tail_w, spread = est.tail_window, est.spread
-    else:
-        # truncated too early for the estimator: report the last root
-        limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
-        tail_w, spread = L.size, float(roots.max() - roots.min())
-    return GrowthSequence(P, p, n_max, L, roots, steps, limit, secondary, regime,
-                          tail_w, spread, R, resolved, truncated_at)
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +461,10 @@ def liminf_check(seq: GrowthSequence, tol: float = 0.02) -> LiminfReport:
 # pointwise growth (weighted sup norms)
 # ---------------------------------------------------------------------------
 
-def _weighted_sup_logs(f, P, n_max, exponents):
-    """(R, logs): R = max |P(i lam)| over the mask and a row of logs per
-    exponent e, log max_x |P(d)^n f(x)| (1+|x|)^e for n = 1.. up to the first
-    vanishing iterate."""
-    spec = Spectrum.of(f)
-    step = SpatialStep(spec)
-    absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
-    weights = [step.fft_order((1.0 + absx) ** e) for e in exponents]
-    R, steps = iterates(spec, P, n_max)
-    rows = []
-    for n, S, G in steps:
-        g = step(G)
-        tops = [step.norm(g * w, np.inf) for w in weights]
-        if tops[0] <= 0:
-            break
-        rows.append([S + np.log(top) for top in tops])
-    return R, np.array(rows).reshape(-1, len(exponents)).T
+def _logs(S, values):
+    """S_n + log of a spatial_norms row's values, up to its first that is not > 0."""
+    k = _leading(values)
+    return S[:k] + np.log(values[:k])
 
 
 @dataclass(frozen=True)
@@ -449,6 +486,24 @@ class PointwiseGrowthReport:
     admissible: bool
     regime: str
 
+    @classmethod
+    def from_row(cls, N, mode, R, S, norms) -> "PointwiseGrowthReport":
+        """The report of a spatial_norms row of (inf, +N) (decay) or (inf, -N)
+        (growth) norms: log W_n = S_n + log of the row's value."""
+        log_W = _logs(S, norms)
+        if not log_W.size:
+            return cls(N, mode, log_W, 0.0, R, True, "zero")
+        est = estimate_limit(log_W) if log_W.size >= 8 else None
+        rtilde = est.limit if est else float(np.exp(log_W[-1] / log_W.size))
+        regime = est.regime if est else "truncated"
+        # bounded iff log(W_n / (n^N rtilde^n)) shows no upward trend at the end
+        n = np.arange(1, log_W.size + 1)
+        ratio = log_W - N * np.log(n) - n * np.log(max(rtilde, 1e-300))
+        q = max(2, log_W.size // 4)
+        trend = float(np.mean(np.diff(ratio[-q:]))) if log_W.size > q else 0.0
+        admissible = bool(np.isfinite(rtilde) and trend <= 0.01)
+        return cls(N, mode, log_W, float(rtilde), R, admissible, regime)
+
 
 def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
                      mode: str = "growth") -> PointwiseGrowthReport:
@@ -458,19 +513,9 @@ def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
         raise GrowthError("n_max must be >= 8")
     if mode not in ("decay", "growth"):
         raise GrowthError("mode must be 'decay' or 'growth'")
-    R, (log_W,) = _weighted_sup_logs(f, P, n_max, [N if mode == "decay" else -N])
-    if not log_W.size:
-        return PointwiseGrowthReport(N, mode, log_W, 0.0, R, True, "zero")
-    est = estimate_limit(log_W) if log_W.size >= 8 else None
-    rtilde = est.limit if est else float(np.exp(log_W[-1] / log_W.size))
-    regime = est.regime if est else "truncated"
-    # bounded iff log(W_n / (n^N rtilde^n)) shows no upward trend at the end
-    n = np.arange(1, log_W.size + 1)
-    ratio = log_W - N * np.log(n) - n * np.log(max(rtilde, 1e-300))
-    q = max(2, log_W.size // 4)
-    trend = float(np.mean(np.diff(ratio[-q:]))) if log_W.size > q else 0.0
-    admissible = bool(np.isfinite(rtilde) and trend <= 0.01)
-    return PointwiseGrowthReport(N, mode, log_W, float(rtilde), R, admissible, regime)
+    norm = (np.inf, N if mode == "decay" else -N)
+    R, (row,) = next(spatial_norms(f, [P], n_max, [norm]))
+    return PointwiseGrowthReport.from_row(N, mode, R, *row)
 
 
 @dataclass(frozen=True)
@@ -498,7 +543,9 @@ def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
     if R <= 0:
         raise GrowthError("claimed bound R must be positive")
     d = f.grid.d
-    _, (W_N, W_phi) = _weighted_sup_logs(f, P, n_max, [N, d + 1])
+    # both weights are >= 1, so the two rows vanish at the same n
+    _, (W_N, W_phi) = next(spatial_norms(f, [P], n_max, [(np.inf, N), (np.inf, d + 1)]))
+    W_N, W_phi = _logs(*W_N), _logs(*W_phi)
     if not W_N.size:
         return SchwartzDecayReport(R, N, W_N, 0.0, 1.0, True, -np.inf)
     n = np.arange(1, W_N.size + 1)

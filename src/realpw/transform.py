@@ -102,7 +102,10 @@ class SupportMask:
         return not self.field.any()
 
     def coords(self) -> np.ndarray:
-        return self.grid.frequency_coords()[self.field]
+        """Frequency coordinates of the mask cells, (n_cells, d), row-major."""
+        axis = self.grid.frequency_axis()
+        return np.stack([axis[k] for k in np.nonzero(self.field.reshape(self.grid.shape))],
+                        axis=-1)
 
 
 def support_mask(F: SampledFunction, eps_rel: float = DEFAULT_EPS_REL) -> SupportMask:

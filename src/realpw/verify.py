@@ -8,19 +8,19 @@ spectrum report "skip" when the member's mask touches the frequency boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import SampledFunction, FREQUENCY, make_grid, sample_builtin
 from .poly import parse_poly
-from .transform import (Spectrum, SpatialStep, compute_R, eval_entire,
-                        supporting_function)
-from .growth import (growth_sequence, liminf_check, pointwise_growth,
-                     apply_op_spectral, apply_op_fd, iterates)
+from .transform import Spectrum, compute_R, eval_entire, supporting_function
+from .growth import (GrowthSequence, PointwiseGrowthReport, growth_sequences,
+                     spatial_norms, liminf_check, apply_op_spectral, apply_op_fd)
 
 DESK_NMAX = 64
 
@@ -34,17 +34,72 @@ def aligned_h(M: int, edge: float, cells: int) -> float:
     return 2.0 * math.pi * (cells + 0.5) / (M * edge)
 
 
+# rtilde_vs_R's weight: the order-2 distribution envelope, growth mode
+RTILDE_N = 2
+
+
+@dataclass(frozen=True)
+class Ledgers:
+    """Every ledger the matrix reads of one member at one n_max.
+
+    sequences: a GrowthSequence per (P, p) of polys x p_values, in that
+    order; rtilde: a growth-mode PointwiseGrowthReport per P at N = RTILDE_N;
+    plancherel: the (spatial, frequency) 2-norms of g_n for polys[0], the
+    spatial row as spatial_norms gives it (ending at a value not > 0), the
+    frequency one as the ledger keeps it.  The p = 2 ledgers of all polys are
+    one Parseval batch; everything else is one spatial pass per P.
+    """
+
+    sequences: list
+    rtilde: list
+    plancherel: list
+
+    @classmethod
+    def of(cls, member, n_max: int) -> "Ledgers":
+        spec, polys = member.spec, member.polys
+        batch = growth_sequences(spec, polys, 2, n_max)
+        spatial_p = [p for p in member.p_values if p != 2]
+        norms = [(p, 0) for p in spatial_p] + [(np.inf, -RTILDE_N)]
+        passes = itertools.chain(spatial_norms(spec, polys[:1], n_max, norms + [(2, 0)]),
+                                 spatial_norms(spec, polys[1:], n_max, norms))
+        out = cls([], [], [])
+        for P, seq2, (R, rows) in zip(polys, batch, passes):
+            by_p = {p: GrowthSequence.from_row(P, p, n_max, R, *row, spec.mask.resolved)
+                    for p, row in zip(spatial_p, rows)}
+            out.sequences.extend(seq2 if p == 2 else by_p[p] for p in member.p_values)
+            out.rtilde.append(PointwiseGrowthReport.from_row(
+                RTILDE_N, "growth", R, *rows[len(spatial_p)]))
+            if len(rows) > len(norms):          # polys[0]'s pass adds (2, 0)
+                out.plancherel.append((rows[-1][1], seq2.norms))
+        return out
+
+
 @dataclass
 class CorpusMember:
     name: str
     f: SampledFunction
     polys: tuple
     p_values: tuple
+    # A cached_property would build under one lock for every member, which
+    # serializes the fan-out threads; each member has its own.
+    _lock: threading.RLock = field(default_factory=threading.RLock, init=False,
+                                   repr=False, compare=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
+    def _once(self, key, build):
+        with self._lock:
+            if key not in self._built:
+                self._built[key] = build()
+            return self._built[key]
+
+    @property
     def spec(self) -> Spectrum:
         """The input's spectrum and mask, built on first use for every row."""
-        return Spectrum.of(self.f)
+        return self._once("spec", lambda: Spectrum.of(self.f))
+
+    def ledgers(self, n_max: int) -> Ledgers:
+        """The member's Ledgers at n_max, built on first use for every row."""
+        return self._once(n_max, lambda: Ledgers.of(self, n_max))
 
 
 def _interval_member(name, M=1024, lo_cells=-8.5, hi_cells=8.5):
@@ -116,54 +171,39 @@ def verify_corpus() -> list:
 # ---------------------------------------------------------------------------
 
 def check_limit_vs_R(member, n_max=DESK_NMAX, rel_tol=0.02):
-    spec = member.spec
-    if not spec.mask.resolved:
+    if not member.spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
-    worst = 0.0
-    for P in member.polys:
-        for p in member.p_values:
-            worst = max(worst, growth_sequence(spec, P, p, n_max).relative_gap)
+    worst = max((seq.relative_gap for seq in member.ledgers(n_max).sequences), default=0.0)
     return ("pass" if worst <= rel_tol else "fail", f"worst gap {worst:.2e}")
 
 
 def check_liminf(member, n_max=DESK_NMAX):
-    spec = member.spec
-    if not spec.mask.resolved:
+    if not member.spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
     worst = np.inf
-    for P in member.polys:
-        for p in member.p_values:
-            rep = liminf_check(growth_sequence(spec, P, p, n_max))
-            scale = rep.R if rep.R > 0 else 1.0
-            worst = min(worst, rep.margin / scale)
-            if not rep.passed:
-                return ("fail", f"margin {rep.margin:.3e} for {P} p={p}")
+    for seq in member.ledgers(n_max).sequences:
+        rep = liminf_check(seq)
+        scale = rep.R if rep.R > 0 else 1.0
+        worst = min(worst, rep.margin / scale)
+        if not rep.passed:
+            return ("fail", f"margin {rep.margin:.3e} for {seq.P} p={seq.p}")
     return ("pass", f"worst relative margin {worst:+.2e}")
 
 
 def check_plancherel(member, n_max=DESK_NMAX, rel_tol=1e-10):
     """Spatial vs frequency 2-norm of P(d)^n f, every n (discrete Plancherel)."""
-    spec = member.spec
-    dmeas = spec.grid.dlam ** spec.grid.d
-    step = SpatialStep(spec)
     worst = 0.0
-    for P in member.polys[:1]:
-        for n, S, G in iterates(spec, P, n_max)[1]:
-            freq = math.sqrt(dmeas * float(np.sum(np.abs(G) ** 2)))
-            if freq == 0:
-                break
-            spat = step.norm(step(G), 2)
-            worst = max(worst, abs(spat - freq) / freq)
+    for spat, freq in member.ledgers(n_max).plancherel:
+        k = min(spat.size, freq.size)   # a spatial row that vanishes first ends in 0
+        worst = max(worst, float((np.abs(spat[:k] - freq[:k]) / freq[:k]).max(initial=0.0)))
     return ("pass" if worst <= rel_tol else "fail", f"worst rel diff {worst:.2e}")
 
 
-def check_rtilde_vs_R(member, n_max=DESK_NMAX, rel_tol=0.03, N=2):
-    spec = member.spec
-    if not spec.mask.resolved:
+def check_rtilde_vs_R(member, n_max=DESK_NMAX, rel_tol=0.03):
+    if not member.spec.mask.resolved:
         return ("skip", "mask touches the frequency boundary")
     worst = 0.0
-    for P in member.polys:
-        rep = pointwise_growth(spec, P, N, n_max, mode="growth")
+    for rep in member.ledgers(n_max).rtilde:
         if rep.R > 0:
             worst = max(worst, abs(rep.rtilde - rep.R) / rep.R)
     return ("pass" if worst <= rel_tol else "fail", f"worst gap {worst:.2e}")
@@ -217,9 +257,9 @@ def check_cauchy_bound(member, n_max=DESK_NMAX, n_top=20):
     for z, Fz in zip(zs, eval_entire(F, np.array(zs)[:, None])):
         Ht = H1 * max(z.imag, 0.0) + Hm1 * max(-z.imag, 0.0)
         C = max(C, abs(Fz) / math.exp(Ht))
-    step = SpatialStep(spec)
-    for n, S, G in iterates(spec, parse_poly("x1", 1), n_top)[1]:
-        lhs = S + math.log(step.norm(step(G), np.inf))
+    _, ((S, top),) = next(spatial_norms(spec, [parse_poly("x1", 1)], n_top, [(np.inf, 0)]))
+    for n, (S_n, top_n) in enumerate(zip(S, top), start=1):
+        lhs = S_n + math.log(top_n)
         rhs = (math.log(C) + math.lgamma(n + 1) + n - n * math.log(n)
                + n * math.log(Hsym))
         if lhs > rhs:

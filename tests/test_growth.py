@@ -7,9 +7,11 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     estimate_limit, liminf_check, pointwise_growth,
                     schwartz_decay_check, GrowthError, GridError, Spectrum,
                     iterates, eval_symbol_many, family_quadratic_real,
-                    reconstruct_support, growth_sequences)
-from realpw.transform import forward_values, inverse_values
-from realpw.verify import acceptance_corpus, aligned_h
+                    reconstruct_support, growth_sequences, spatial_norms,
+                    GrowthSequence, PointwiseGrowthReport)
+from realpw.transform import SpatialStep, forward_values, inverse_values
+from realpw.verify import (acceptance_corpus, aligned_h, verify_corpus, DESK_NMAX,
+                           RTILDE_N)
 
 
 @pytest.fixture(scope="module")
@@ -547,3 +549,148 @@ class TestLedgerCarriesR:
         rep = liminf_check(seq, tol=0.02)
         assert (rep.R, rep.resolved) == (seq.R, seq.resolved)
         assert rep.step_median == float(np.median(seq.step_factors[-seq.tail_window:]))
+
+
+# ---------------------------------------------------------------------------
+# spatial_norms: one pass per P reads every norm, as the loops it replaced did
+# ---------------------------------------------------------------------------
+
+def parent_ledger(spec, P, p, n_max):
+    """(L, truncated_at) by the per-norm loop spatial_norms replaced: one
+    SpatialStep call and one norm per n, cut at the first norm that is not > 0
+    or not finite."""
+    step = SpatialStep(spec)
+    S, nrm = [], []
+    for _, s, G in iterates(spec, P, n_max)[1]:
+        S.append(s)
+        nrm.append(step.norm(step(G), p))
+        if not (nrm[-1] > 0.0 and np.isfinite(nrm[-1])):
+            break
+    S, nrm = np.array(S, dtype=float), np.array(nrm, dtype=float)
+    bad = ~((nrm > 0.0) & np.isfinite(nrm))
+    k = int(bad.argmax()) if bad.any() else nrm.size
+    return S[:k] + np.log(nrm[:k]), (k + 1 if k < nrm.size else None)
+
+
+def parent_weighted_sup_logs(spec, P, n_max, exponents):
+    """The weighted sup-norm loop spatial_norms replaced: a row of logs
+    log max_x |P(d)^n f(x)| (1+|x|)^e per exponent, up to the first vanishing
+    iterate."""
+    step = SpatialStep(spec)
+    absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
+    weights = [step.fft_order((1.0 + absx) ** e) for e in exponents]
+    rows = []
+    for n, S, G in iterates(spec, P, n_max)[1]:
+        g = step(G)
+        tops = [step.norm(g * w, np.inf) for w in weights]
+        if tops[0] <= 0:
+            break
+        rows.append([S + np.log(top) for top in tops])
+    return np.array(rows).reshape(-1, len(exponents)).T
+
+
+def assert_same_ledger(a, b):
+    assert np.array_equal(a.L, b.L) and np.array_equal(a.roots, b.roots)
+    assert (a.limit, a.regime, a.truncated_at, a.R) == (b.limit, b.regime, b.truncated_at, b.R)
+
+
+def assert_same_pointwise(a, b):
+    assert np.array_equal(a.log_W, b.log_W)
+    assert (a.rtilde, a.admissible, a.regime, a.R) == (b.rtilde, b.admissible, b.regime, b.R)
+
+
+@pytest.fixture(scope="module")
+def both_corpora():
+    """(member, n_max): the verify corpus at its n_max, the acceptance corpus
+    at a shorter one (its d = 2 steps are 4 times larger)."""
+    return ([(m, DESK_NMAX) for m in verify_corpus()]
+            + [(m, 12) for m in acceptance_corpus()])
+
+
+class TestSpatialNormsMatchParentPaths:
+    def test_verify_ledgers_match_standalone_and_parent(self, both_corpora):
+        checked = 0
+        for member, n_max in both_corpora:
+            spec, ledgers = member.spec, member.ledgers(n_max)
+            seqs = iter(ledgers.sequences)
+            for P, rep in zip(member.polys, ledgers.rtilde):
+                for p in member.p_values:
+                    seq = next(seqs)
+                    assert (seq.P, seq.p) == (P, p)
+                    assert_same_ledger(seq, growth_sequence(spec, P, p, n_max))
+                    if p != 2:
+                        L, truncated_at = parent_ledger(spec, P, p, n_max)
+                        assert np.array_equal(seq.L, L) and seq.truncated_at == truncated_at
+                    checked += 1
+                assert_same_pointwise(rep, pointwise_growth(spec, P, RTILDE_N, n_max))
+                (log_W,) = parent_weighted_sup_logs(spec, P, n_max, [-RTILDE_N])
+                assert np.array_equal(rep.log_W, log_W)
+        assert checked == 3 * (8 + 22)
+
+    def test_pointwise_modes_and_schwartz_from_one_pass(self, both_corpora):
+        N, n_max = 2, 16
+        for member, _ in both_corpora:
+            spec, d = member.spec, member.spec.grid.d
+            norms = [(np.inf, N), (np.inf, -N), (np.inf, d + 1)]
+            for P, (R, rows) in zip(member.polys,
+                                    spatial_norms(spec, member.polys, n_max, norms)):
+                ref = parent_weighted_sup_logs(spec, P, n_max, [N, -N, d + 1])
+                for mode, row, log_W in (("decay", rows[0], ref[0]),
+                                         ("growth", rows[1], ref[1])):
+                    rep = PointwiseGrowthReport.from_row(N, mode, R, *row)
+                    assert_same_pointwise(rep, pointwise_growth(spec, P, N, n_max, mode))
+                    assert np.array_equal(rep.log_W, log_W)
+                claim = 1.05 * R
+                check = schwartz_decay_check(spec, P, claim, N, n_max)
+                n = np.arange(1, ref.shape[1] + 1)
+                c_star = float(np.exp(float(np.max(ref[0] - N * np.log(n) - n * np.log(claim)))))
+                phi = float(np.max(ref[2] - n * np.log(claim) - (d + 1) * np.log(n)))
+                assert (check.C_star, check.phi_sup_log) == (c_star, phi)
+
+    def test_zero_input(self):
+        f = SampledFunction(make_grid(2, 16, 0.5), "spatial", np.zeros(256))
+        spec, P = Spectrum.of(f), parse_poly("x1", 2)
+        (R, rows), = spatial_norms(spec, [P], 16, [(1, 0), (np.inf, -2), (np.inf, 3)])
+        assert R == 0.0 and all(S.size == v.size == 0 for S, v in rows)
+        seq = GrowthSequence.from_row(P, 1, 16, R, *rows[0], True)
+        assert_same_ledger(seq, growth_sequence(spec, P, 1, 16))
+        assert (seq.regime, seq.truncated_at) == ("zero", 1)
+        assert parent_ledger(spec, P, 1, 16) == (pytest.approx([]), None)
+        rep = PointwiseGrowthReport.from_row(2, "growth", R, *rows[1])
+        assert_same_pointwise(rep, pointwise_growth(spec, P, 2, 16))
+        assert rep.regime == "zero"
+        assert schwartz_decay_check(spec, P, 1.0, 2, 16).C_star == 0.0
+
+    def test_each_row_is_cut_at_its_own_zero(self, interval_bump):
+        # at this scale |g_n|^2 underflows after three steps: the p = 2 row
+        # ends in its 0 at n = 4 while the p = 1 and max rows run on
+        grid, f = interval_bump
+        spec, P = Spectrum.of(f.with_values(f.values * 1e-159)), parse_poly("x1^2", 1)
+        (R, rows), = spatial_norms(spec, [P], 64, [(1, 0), (2, 0), (np.inf, 0)])
+        assert [v.size for _, v in rows] == [64, 4, 64]
+        assert rows[1][1][-1] == 0.0 and np.array_equal(rows[1][0], rows[0][0][:4])
+        for p, row in zip((1, 2, np.inf), rows):
+            seq = GrowthSequence.from_row(P, p, 64, R, *row, spec.mask.resolved)
+            L, truncated_at = parent_ledger(spec, P, p, 64)
+            assert np.array_equal(seq.L, L) and seq.truncated_at == truncated_at
+        short = GrowthSequence.from_row(P, 2, 64, R, *rows[1], spec.mask.resolved)
+        assert (short.truncated_at, short.regime, short.L.size) == (4, "truncated", 3)
+        assert np.array_equal(short.norms, rows[1][1][:3])
+
+    def test_overflowing_norm_message(self):
+        # a spike near the double range: the step's transform overflows, which
+        # used to escape as numpy's "overflow encountered in ifft" warning
+        grid = make_grid(1, 1024, 1.0)
+        values = np.zeros(1024)
+        values[512] = 1e307
+        spec, P = Spectrum.of(SampledFunction(grid, "spatial", values)), parse_poly("x1", 1)
+        for p in (1, np.inf):
+            with pytest.raises(GrowthError, match=(
+                    rf"^1.0\*x1 at p = {float(p):g}: \|\|P\(d\)\^1 f\|\| exceeds the "
+                    r"double range; the input's values are too large$")):
+                growth_sequence(spec, P, p, 16)
+        values[512] = 1e300             # finite steps; the weight (1+|x|)^10 overflows
+        spike = SampledFunction(grid, "spatial", values)
+        with pytest.raises(GrowthError, match=r"x1 at p = inf: \|\|\(1\+\|x\|\)\^10 P\(d\)\^1 f"):
+            pointwise_growth(spike, P, 10, 16, mode="decay")
+        assert pointwise_growth(spike, P, 10, 16, mode="growth").log_W.size == 16

@@ -1,5 +1,6 @@
-"""Two code rules checked on the syntax tree: no module imports another
-module's leading-underscore name, and no library module but the CLI prints."""
+"""Code rules checked on the syntax tree: no module imports another module's
+leading-underscore name, no library module but the CLI prints, and only the
+transform and growth modules name SpatialStep."""
 
 import ast
 import pathlib
@@ -27,3 +28,14 @@ def test_only_the_cli_prints():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "print"]
     assert prints == []
+
+
+def test_one_spatial_loop():
+    # every spatial norm of the iterates comes from growth.spatial_norms, so
+    # no second per-n inverse-transform loop grows elsewhere
+    named = [f"{path.name}:{node.lineno}"
+             for path in LIBRARY if path.name not in ("transform.py", "growth.py")
+             for node in nodes(path)
+             if "SpatialStep" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None))]
+    assert named == []

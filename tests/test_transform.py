@@ -4,9 +4,9 @@ import pytest
 from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     inverse_dft, support_mask, compute_R, supporting_function,
                     eval_entire, complex_growth_rate, parse_poly, lp_norm,
-                    GridError, Spectrum, SpatialStep, iterates, growth_sequence)
+                    GridError, Spectrum, iterates, growth_sequence)
 from realpw.grid import lp_norm_values
-from realpw.transform import inverse_values
+from realpw.transform import SpatialStep, inverse_values
 from realpw.verify import acceptance_corpus
 
 

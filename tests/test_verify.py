@@ -1,12 +1,16 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from realpw import make_grid, sample_builtin
+from realpw import make_grid, sample_builtin, growth, verify
 from realpw.verify import (verify_corpus, run_matrix, matrix_failed,
                            CorpusMember, check_limit_vs_R, check_liminf,
-                           aligned_h)
+                           aligned_h, PROPERTIES)
 from realpw.poly import parse_poly
-from realpw.transform import Spectrum
+from realpw.transform import Spectrum, SpatialStep
 
 
 def test_aligned_h_places_edge_between_cells():
@@ -41,11 +45,11 @@ def test_matrix_reports_skip_not_fail():
 
 
 def test_thread_fanout_matches_sequential():
-    members = verify_corpus()[:1]
-    seq = run_matrix(members=members, n_max=16, threads=1)
-    par = run_matrix(members=members, n_max=16, threads=4)
-    assert {k: {m: s for m, (s, _) in row.items()} for k, row in seq.items()} == \
-           {k: {m: s for m, (s, _) in row.items()} for k, row in par.items()}
+    # each run gets fresh members, so neither reads the other's ledgers
+    seq = run_matrix(members=verify_corpus(), threads=1)
+    par = run_matrix(members=verify_corpus(), threads=2)
+    assert seq == par
+    assert len(seq) == len(PROPERTIES) and all(len(row) == 3 for row in seq.values())
 
 
 def test_badly_aligned_member_fails_matrix():
@@ -73,3 +77,66 @@ def test_spectrum_built_once_per_member(monkeypatch):
     members = verify_corpus()
     run_matrix(members=members, n_max=16)
     assert len(built) == len(members)
+
+
+def test_one_spatial_pass_per_member_and_poly(monkeypatch):
+    passes, calls, steps = [], [], []
+    spatial_norms, iterates, step = verify.spatial_norms, growth.iterates, SpatialStep.__call__
+
+    def counting_norms(spec, polys, n_max, norms):
+        for P, out in zip(polys, spatial_norms(spec, polys, n_max, norms)):
+            passes.append(P.to_text())
+            yield out
+
+    def counting_iterates(*args):
+        calls.append(args[1])
+        return iterates(*args)
+
+    def counting_step(self, G):
+        steps.append(G.shape)
+        return step(self, G)
+
+    monkeypatch.setattr(verify, "spatial_norms", counting_norms)
+    monkeypatch.setattr(growth, "iterates", counting_iterates)
+    monkeypatch.setattr(SpatialStep, "__call__", counting_step)
+    members = verify_corpus()
+    run_matrix(members=members, n_max=16)
+    # cauchy_bound's own pass: x1 on each d = 1 member, for n <= 20
+    cauchy = ["1.0*x1"] * sum(m.f.grid.d == 1 for m in members)
+    assert sorted(passes) == sorted([P.to_text() for m in members for P in m.polys] + cauchy)
+    assert len(steps) == 16 * sum(len(m.polys) for m in members) + 20 * len(cauchy)
+    for log in (passes, calls, steps):
+        log.clear()
+    for member in members:
+        assert member.ledgers(16) is member.ledgers(16)
+    assert passes == calls == steps == []
+
+
+def test_concurrent_first_use_builds_once(monkeypatch):
+    # more threads than cores race for one member's first ledgers: a lost
+    # check-then-build would build twice or hand out two different objects
+    built = []
+    of = verify.Ledgers.of.__func__
+
+    def counting_of(cls, member, n_max):
+        built.append(n_max)
+        return of(cls, member, n_max)
+
+    monkeypatch.setattr(verify.Ledgers, "of", classmethod(counting_of))
+    member = under_resolved_member()
+    start = threading.Barrier(8)
+
+    def first_use():
+        start.wait(timeout=60)
+        return member.ledgers(16)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(first_use) for _ in range(8)]
+            results = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert built == [16]
+    assert all(res is results[0] for res in results)
