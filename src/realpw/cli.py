@@ -80,7 +80,6 @@ FIELDS = {
     "eps_rel": (float, 1e-8, lambda v: 0 < v < 1, "a number in (0, 1)"),
     "rel_tol": (float, 0.02, lambda v: 0 <= v < math.inf, "a number >= 0"),
     "tau": (float, 0.01, lambda v: 0 <= v < math.inf, "a number >= 0"),
-    "threads": (int, 1, lambda v: v >= 1, "an integer >= 1"),
     "family.kind": (str, _REQUIRED, _FAMILIES.__contains__, " | ".join(_FAMILIES)),
     "family.directions": (list, _REQUIRED, _vectors, "a non-empty list of vectors"),
     "family.centers": (list, _REQUIRED, _vectors, "a non-empty list of vectors"),
@@ -285,8 +284,8 @@ def cmd_complex_growth(cfg):
 
 
 def cmd_verify(cfg):
-    n_max, threads, out = (_field(cfg, k) for k in ("n_max", "threads", "out"))
-    matrix = verify_mod.run_matrix(n_max=n_max, threads=threads)
+    n_max, out = _field(cfg, "n_max"), _field(cfg, "out")
+    matrix = verify_mod.run_matrix(n_max=n_max)
     failed = verify_mod.matrix_failed(matrix)
     cells = {prop: {m: {"status": s, "detail": d} for m, (s, d) in row.items()}
              for prop, row in matrix.items()}

@@ -8,10 +8,9 @@ spectrum report "skip" when the member's mask touches the frequency boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,26 +79,18 @@ class CorpusMember:
     f: SampledFunction
     polys: tuple
     p_values: tuple
-    # A cached_property would build under one lock for every member, which
-    # serializes the fan-out threads; each member has its own.
-    _lock: threading.RLock = field(default_factory=threading.RLock, init=False,
-                                   repr=False, compare=False)
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ledgers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _once(self, key, build):
-        with self._lock:
-            if key not in self._built:
-                self._built[key] = build()
-            return self._built[key]
-
-    @property
+    @functools.cached_property
     def spec(self) -> Spectrum:
         """The input's spectrum and mask, built on first use for every row."""
-        return self._once("spec", lambda: Spectrum.of(self.f))
+        return Spectrum.of(self.f)
 
     def ledgers(self, n_max: int) -> Ledgers:
         """The member's Ledgers at n_max, built on first use for every row."""
-        return self._once(n_max, lambda: Ledgers.of(self, n_max))
+        if n_max not in self._ledgers:
+            self._ledgers[n_max] = Ledgers.of(self, n_max)
+        return self._ledgers[n_max]
 
 
 def _interval_member(name, M=1024, lo_cells=-8.5, hi_cells=8.5):
@@ -278,30 +269,20 @@ PROPERTIES = {
 }
 
 
-def run_matrix(members=None, properties=None, n_max: int = DESK_NMAX,
-               threads: int = 1) -> dict:
+def run_matrix(members=None, properties=None, n_max: int = DESK_NMAX) -> dict:
     """Evaluate the property matrix; returns {property: {member: (status, detail)}}."""
     if members is None:
         members = verify_corpus()
     if properties is None:
         properties = PROPERTIES
-    jobs = [(prop_name, member) for prop_name in properties for member in members]
-
-    def run(job):
-        prop_name, member = job
-        try:
-            return prop_name, member.name, properties[prop_name](member, n_max)
-        except Exception as exc:  # a crashed check is a failed check
-            return prop_name, member.name, ("fail", f"error: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
     matrix: dict = {name: {} for name in properties}
-    for prop_name, member_name, outcome in results:
-        matrix[prop_name][member_name] = outcome
+    for prop_name, check in properties.items():
+        for member in members:
+            try:
+                outcome = check(member, n_max)
+            except Exception as exc:  # a crashed check is a failed check
+                outcome = ("fail", f"error: {exc}")
+            matrix[prop_name][member.name] = outcome
     return matrix
 
 

@@ -1,6 +1,7 @@
 """Code rules checked on the syntax tree: no module imports another module's
-leading-underscore name, no library module but the CLI prints, and only the
-transform and growth modules name SpatialStep."""
+leading-underscore name, no library module but the CLI prints, only the
+transform and growth modules name SpatialStep, and the library starts no
+threads."""
 
 import ast
 import pathlib
@@ -39,3 +40,19 @@ def test_one_spatial_loop():
              if "SpatialStep" in (getattr(node, "id", None), getattr(node, "attr", None),
                                   getattr(node, "name", None))]
     assert named == []
+
+
+def test_library_starts_no_threads():
+    # verify's 2-thread fan-out lost to one thread on a 2-vCPU VM (BLAS at
+    # one thread, `realpw verify` in-process, 20 alternating pairs): 0.0655 s
+    # against 0.0620 s median, 2 threads faster in 4 of 20, the same matrix.
+    # Bring threads back only with a workload that shows a gain.
+    def modules(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+    imports = [f"{path.name}:{node.lineno} {name}"
+               for path in LIBRARY for node in nodes(path) for name in modules(node)
+               if name.split(".")[0] in ("threading", "concurrent")]
+    assert imports == []

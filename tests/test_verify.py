@@ -1,7 +1,3 @@
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -44,14 +40,6 @@ def test_matrix_reports_skip_not_fail():
     assert matrix["limit_vs_R"]["under-resolved"][0] == "skip"
 
 
-def test_thread_fanout_matches_sequential():
-    # each run gets fresh members, so neither reads the other's ledgers
-    seq = run_matrix(members=verify_corpus(), threads=1)
-    par = run_matrix(members=verify_corpus(), threads=2)
-    assert seq == par
-    assert len(seq) == len(PROPERTIES) and all(len(row) == 3 for row in seq.values())
-
-
 def test_badly_aligned_member_fails_matrix():
     # unaligned support edge leaves a barely-weighted boundary cell: the
     # limit visibly undershoots R at n=64 and the matrix must say so
@@ -75,8 +63,9 @@ def test_spectrum_built_once_per_member(monkeypatch):
 
     monkeypatch.setattr(Spectrum, "of", classmethod(counting_of))
     members = verify_corpus()
-    run_matrix(members=members, n_max=16)
+    matrix = run_matrix(members=members, n_max=16)
     assert len(built) == len(members)
+    assert len(matrix) == len(PROPERTIES) and all(len(row) == 3 for row in matrix.values())
 
 
 def test_one_spatial_pass_per_member_and_poly(monkeypatch):
@@ -110,33 +99,3 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
     for member in members:
         assert member.ledgers(16) is member.ledgers(16)
     assert passes == calls == steps == []
-
-
-def test_concurrent_first_use_builds_once(monkeypatch):
-    # more threads than cores race for one member's first ledgers: a lost
-    # check-then-build would build twice or hand out two different objects
-    built = []
-    of = verify.Ledgers.of.__func__
-
-    def counting_of(cls, member, n_max):
-        built.append(n_max)
-        return of(cls, member, n_max)
-
-    monkeypatch.setattr(verify.Ledgers, "of", classmethod(counting_of))
-    member = under_resolved_member()
-    start = threading.Barrier(8)
-
-    def first_use():
-        start.wait(timeout=60)
-        return member.ledgers(16)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(first_use) for _ in range(8)]
-            results = [fut.result(timeout=60) for fut in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert built == [16]
-    assert all(res is results[0] for res in results)
