@@ -17,9 +17,10 @@ import numpy as np
 
 from .grid import SampledFunction, FREQUENCY, make_grid, sample_builtin
 from .poly import parse_poly
-from .transform import Spectrum, compute_R, eval_entire, supporting_function
+from .transform import Spectrum, eval_entire, supporting_function
 from .growth import (GrowthSequence, PointwiseGrowthReport, growth_sequences,
                      spatial_norms, liminf_check, apply_op_spectral, apply_op_fd)
+from .reconstruct import local_spectrum_raster
 
 DESK_NMAX = 64
 
@@ -201,13 +202,10 @@ def check_rtilde_vs_R(member, n_max=DESK_NMAX, rel_tol=0.03):
 
 
 def check_raster(member, n_max=DESK_NMAX):
-    from .reconstruct import local_spectrum_raster
-    mask = member.spec.mask
-    for P in member.polys:
-        R, _ = compute_R(P, mask)
-        ras = local_spectrum_raster(P, mask)
-        if ras.max_modulus != R:
-            return ("fail", f"raster max {ras.max_modulus!r} != R {R!r} for {P}")
+    for P, rep in zip(member.polys, member.ledgers(n_max).rtilde):
+        ras = local_spectrum_raster(P, member.spec.mask)
+        if ras.max_modulus != rep.R:
+            return ("fail", f"raster max {ras.max_modulus!r} != R {rep.R!r} for {P}")
     return ("pass", "raster max modulus equals R bit-exactly")
 
 
@@ -232,13 +230,17 @@ def check_fd_oracle(member, n_max=DESK_NMAX, rel_tol=1e-6):
 def check_cauchy_bound(member, n_max=DESK_NMAX, n_top=20):
     """||d^n f||_inf <= C n! e^n / n^n * H(1)^n from the entire-extension constant.
 
-    Checked for n <= n_top; n_max is not used.
+    Checked for n <= min(n_top, n_max) on the member's (x1, p = inf) ledger.
     """
     if member.f.grid.d != 1:
         return ("skip", "d=1 check")
     spec = member.spec
     if not spec.mask.resolved or spec.mask.is_empty:
         return ("skip", "needs a resolved non-empty mask")
+    x1 = parse_poly("x1", 1)
+    seq = next((s for s in member.ledgers(n_max).sequences if s.P == x1 and np.isinf(s.p)), None)
+    if seq is None:
+        return ("skip", "needs an (x1, p = inf) ledger")
     H1 = supporting_function(spec.coords, np.array([1.0]))
     Hm1 = supporting_function(spec.coords, np.array([-1.0]))
     Hsym = max(H1, Hm1)              # the Cauchy circle sees both directions
@@ -248,14 +250,12 @@ def check_cauchy_bound(member, n_max=DESK_NMAX, n_top=20):
     for z, Fz in zip(zs, eval_entire(F, np.array(zs)[:, None])):
         Ht = H1 * max(z.imag, 0.0) + Hm1 * max(-z.imag, 0.0)
         C = max(C, abs(Fz) / math.exp(Ht))
-    _, ((S, top),) = next(spatial_norms(spec, [parse_poly("x1", 1)], n_top, [(np.inf, 0)]))
-    for n, (S_n, top_n) in enumerate(zip(S, top), start=1):
-        lhs = S_n + math.log(top_n)
+    for n, lhs in enumerate(seq.L[:n_top], start=1):
         rhs = (math.log(C) + math.lgamma(n + 1) + n - n * math.log(n)
                + n * math.log(Hsym))
         if lhs > rhs:
             return ("fail", f"violated at n={n}: lhs-rhs={lhs - rhs:.3e} (log)")
-    return ("pass", f"holds for n <= {n_top} with C={C:.4g}")
+    return ("pass", f"holds for n <= {min(n_top, n_max)} with C={C:.4g}")
 
 
 PROPERTIES = {

@@ -1,7 +1,7 @@
 """Code rules checked on the syntax tree: no module imports another module's
 leading-underscore name, no library module but the CLI prints, only the
-transform and growth modules name SpatialStep, and the library starts no
-threads."""
+transform and growth modules name SpatialStep, the library starts no
+threads, and every verify row reads its member's one Ledgers build."""
 
 import ast
 import pathlib
@@ -56,3 +56,24 @@ def test_library_starts_no_threads():
                for path in LIBRARY for node in nodes(path) for name in modules(node)
                if name.split(".")[0] in ("threading", "concurrent")]
     assert imports == []
+
+
+def test_verify_rows_read_the_ledgers():
+    # only Ledgers.of runs a ledger pass in verify, so each member's spectrum
+    # is stepped and each symbol evaluated once for every row of the matrix
+    def called(node):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+    path = ROOT / "src" / "realpw" / "verify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    of = [node for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Ledgers"
+          for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "of"]
+    inside_of = {id(node) for node in ast.walk(of[0])} if of else set()
+    passes = [f"verify.py:{node.lineno} {called(node)}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and id(node) not in inside_of
+              and called(node) in ("spatial_norms", "growth_sequences", "iterates")]
+    named = [f"verify.py:{node.lineno}" for node in ast.walk(tree)
+             if "compute_R" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "name", None))]
+    assert len(of) == 1
+    assert (passes, named) == ([], [])

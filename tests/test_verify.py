@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from realpw import make_grid, sample_builtin, growth, verify
-from realpw.verify import (verify_corpus, run_matrix, matrix_failed,
-                           CorpusMember, check_limit_vs_R, check_liminf,
-                           aligned_h, PROPERTIES)
+from realpw.verify import (verify_corpus, acceptance_corpus, run_matrix, matrix_failed,
+                           CorpusMember, check_limit_vs_R, check_liminf, check_raster,
+                           check_cauchy_bound, aligned_h, PROPERTIES)
+from realpw.grid import SampledFunction, FREQUENCY
 from realpw.poly import parse_poly
-from realpw.transform import Spectrum, SpatialStep
+from realpw.reconstruct import local_spectrum_raster
+from realpw.transform import (Spectrum, SpatialStep, compute_R, eval_entire,
+                              supporting_function)
 
 
 def test_aligned_h_places_edge_between_cells():
@@ -90,12 +95,66 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
     monkeypatch.setattr(SpatialStep, "__call__", counting_step)
     members = verify_corpus()
     run_matrix(members=members, n_max=16)
-    # cauchy_bound's own pass: x1 on each d = 1 member, for n <= 20
-    cauchy = ["1.0*x1"] * sum(m.f.grid.d == 1 for m in members)
-    assert sorted(passes) == sorted([P.to_text() for m in members for P in m.polys] + cauchy)
-    assert len(steps) == 16 * sum(len(m.polys) for m in members) + 20 * len(cauchy)
+    # every row, cauchy_bound and raster_radius too, reads the members' ledgers
+    assert sorted(passes) == sorted(P.to_text() for m in members for P in m.polys)
+    assert len(steps) == 16 * sum(len(m.polys) for m in members)
     for log in (passes, calls, steps):
         log.clear()
     for member in members:
         assert member.ledgers(16) is member.ledgers(16)
     assert passes == calls == steps == []
+
+
+def test_cauchy_without_an_x1_inf_ledger_skips():
+    f = verify_corpus()[0].f
+    member = CorpusMember("no x1 at p = inf", f, (parse_poly("x1", 1),), (1, 2))
+    assert check_cauchy_bound(member, 16) == ("skip", "needs an (x1, p = inf) ledger")
+
+
+def reference_cauchy_lhs(member, n_top=20):
+    """log ||d^n f||_inf, n <= n_top, from a spatial pass of x1 of its own."""
+    _, ((S, top),) = next(growth.spatial_norms(member.spec, [parse_poly("x1", 1)], n_top,
+                                               [(np.inf, 0)]))
+    return [S_n + math.log(top_n) for S_n, top_n in zip(S, top)]
+
+
+def reference_cauchy_bound(member, n_top=20):
+    """check_cauchy_bound as it read before the ledgers: its own x1 pass."""
+    spec = member.spec
+    H1 = supporting_function(spec.coords, np.array([1.0]))
+    Hm1 = supporting_function(spec.coords, np.array([-1.0]))
+    Hsym = max(H1, Hm1)
+    F = SampledFunction(spec.grid, FREQUENCY, spec.F)
+    zs = [x + 1j * t for x in (0.0, 0.7, -1.3, 3.1) for t in (0.0, 1.0, -2.0, 5.0, -10.0, 20.0)]
+    C = 0.0
+    for z, Fz in zip(zs, eval_entire(F, np.array(zs)[:, None])):
+        C = max(C, abs(Fz) / math.exp(H1 * max(z.imag, 0.0) + Hm1 * max(-z.imag, 0.0)))
+    for n, lhs in enumerate(reference_cauchy_lhs(member, n_top), start=1):
+        rhs = (math.log(C) + math.lgamma(n + 1) + n - n * math.log(n)
+               + n * math.log(Hsym))
+        if lhs > rhs:
+            return ("fail", f"violated at n={n}: lhs-rhs={lhs - rhs:.3e} (log)")
+    return ("pass", f"holds for n <= {n_top} with C={C:.4g}")
+
+
+def reference_raster(member):
+    """check_raster as it read before the ledgers: R from compute_R."""
+    mask = member.spec.mask
+    for P in member.polys:
+        R, _ = compute_R(P, mask)
+        ras = local_spectrum_raster(P, mask)
+        if ras.max_modulus != R:
+            return ("fail", f"raster max {ras.max_modulus!r} != R {R!r} for {P}")
+    return ("pass", "raster max modulus equals R bit-exactly")
+
+
+@pytest.mark.parametrize("corpus", [verify_corpus, acceptance_corpus])
+def test_cauchy_and_raster_read_the_ledgers_as_their_own_passes(corpus):
+    x1 = parse_poly("x1", 1)
+    for member in (m for m in corpus() if m.f.grid.d == 1):
+        (seq,) = [s for s in member.ledgers(64).sequences if s.P == x1 and np.isinf(s.p)]
+        assert seq.L[:20].tobytes() == np.array(reference_cauchy_lhs(member)).tobytes()
+        assert check_cauchy_bound(member, 64) == reference_cauchy_bound(member)
+        assert check_raster(member, 64) == reference_raster(member)
+        status, detail = check_cauchy_bound(member, 16)
+        assert status == "pass" and detail.startswith("holds for n <= 16 with C=")
