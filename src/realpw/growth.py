@@ -8,9 +8,10 @@ the ledger identity is  ||P(d)^n f||_p = exp(S) * ||g||_p  with S = n*log(s).
 Every function here takes an input's `Spectrum` (transform and mask, built
 once) in place of the spatial input, and iterates through one primitive,
 `iterates`, which evaluates the symbol on the mask cells only.  Every
-spatial norm (the p != 2 ledgers, the weighted sup norms) comes from one
-pass per polynomial, `spatial_norms`, which reads all the norms a caller
-asks for from each `SpatialStep` output.
+ledger comes from one pass, `spatial_norms`, run per stack of members: each
+pass sums every member's Parseval 2-norm row (the p = 2 ledgers) on the mask
+cells, and reads every spatial norm a caller asks for (the p != 2 ledgers,
+the weighted sup norms) from one `SpatialStep` output per member and n.
 A spatial input is masked at DEFAULT_EPS_REL; a Spectrum carries its own
 threshold, so another one is chosen with Spectrum.of(f, eps_rel).
 
@@ -120,22 +121,19 @@ def estimate_limit(log_norms) -> LimitEstimate:
 # spectral application of P(d)
 # ---------------------------------------------------------------------------
 
-def iterates(spec: Spectrum, P, n_max: int):
-    """(R, steps) of P(d)^n f = exp(S_n) * g_n, n = 1..n_max.
+def iterates(spec: Spectrum, polys, n_max: int):
+    """(R, steps) of P(d)^n f = exp(S_n) * g_n, n = 1..n_max, for a stack of
+    members P of polys.
 
-    R = max |P(i lam)| over the mask cells, the one place a ledger's symbol
-    is evaluated.  steps yields (n, S_n, G_n): G_n = F (P(i lam)/R)^n is the
-    spectrum of g_n on the mask cells (in the order of spec.F[spec.mask.field]),
-    updated in place, and S_n = n log R; nothing is yielded when R = 0.  A
-    symbol that overflows a double on the mask raises GrowthError.
-
-    P may also be a sequence of polynomials, a stack of members: R is then
-    the vector of their R, G_n a (members x mask cells) block with one row per
-    member, S_n the vector of their n log R, and one multiply per n advances
-    the whole stack.  A member with R = 0 keeps a zero row and log R = 0.
+    R is the vector of max |P(i lam)| over the mask cells, the one place a
+    ledger's symbol is evaluated.  steps yields (n, S_n, G_n): G_n is a
+    (members x mask cells) block whose row F (P(i lam)/R)^n is the spectrum
+    of g_n on the mask cells (in the order of spec.F[spec.mask.field]),
+    updated in place, and S_n the vector of n log R; one multiply per n
+    advances the whole stack.  A member with R = 0 keeps a zero row and
+    log R = 0.  A symbol that overflows a double on the mask raises
+    GrowthError.
     """
-    stacked = not isinstance(P, MultiPoly)
-    polys = P if stacked else [P]
     R = np.zeros(len(polys))
     ratio = np.zeros((len(polys), spec.coords.shape[0]), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -151,14 +149,12 @@ def iterates(spec: Spectrum, P, n_max: int):
                 ratio[k] = sym / float(R[k])
     logR = np.log(R, out=np.zeros_like(R), where=R > 0.0)
     G = np.tile(spec.F[spec.mask.field], (len(R), 1))
-    rows, logR = (G, logR) if stacked else (G[0], logR[0])
-    n_top = n_max if stacked or R[0] > 0.0 else 0
 
     def steps():
-        for n in range(1, n_top + 1):
+        for n in range(1, n_max + 1):
             np.multiply(G, ratio, out=G)
-            yield n, n * logR, rows
-    return (R if stacked else float(R[0])), steps()
+            yield n, n * logR, G
+    return R, steps()
 
 
 def apply_op_spectral(f, P: MultiPoly, n: int):
@@ -172,18 +168,17 @@ def apply_op_spectral(f, P: MultiPoly, n: int):
     if n < 1:
         raise GrowthError(f"iteration count must be >= 1, got {n}")
     spec = Spectrum.of(f)
-    _, steps = iterates(spec, P, n)
-    last = None
-    for last in steps:
-        pass
+    R, steps = iterates(spec, [P], n)
     G = np.zeros(spec.grid.n_points, dtype=complex)
-    if last is None:
+    if R[0] == 0.0:
         return spec.f.with_values(G, label=f"{P}^{n} (zero)"), 0.0
-    G[spec.mask.field] = last[2]
+    for _, S, rows in steps:
+        pass
+    G[spec.mask.field] = rows[0]
     return (SampledFunction(spec.grid, SPATIAL, inverse_values(G, spec.grid),
                             label=spec.f.label,
                             meta={"op": str(P), "n": n, "resolved": spec.mask.resolved}),
-            float(last[1]))
+            float(S[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,38 +232,58 @@ def apply_op_fd(f: SampledFunction, P: MultiPoly,
 # ---------------------------------------------------------------------------
 
 def spatial_norms(f, polys, n_max: int, norms):
-    """(R, rows) for each P of polys, in order, each computed when consumed.
+    """(R, two, rows) for each P of polys, in order: the one ledger pass.
 
-    One spatial pass per P: `iterates` and one `SpatialStep` call per n, and
-    from each step output g_n every norm of `norms`, a list of (p, e): the
-    Riemann-sum Lp norm ||(1+|x|)^e g_n||_p, p in [1, inf].  rows[k] is the
-    (S, values) pair of arrays of norms[k]: S_n = n log R and the norm, for
-    n = 1, 2, ..., cut at (and ending with) the row's first value that is not
-    > 0; the pass stops once every row is cut.  So the weighted norm of
-    P(d)^n f is exp(S_n) times the row's value.  A value that is not finite
-    raises GrowthError naming P, p and n.  f is a spatial-side SampledFunction
-    or its Spectrum; every P reuses one step's buffers.
+    Members go through `iterates` in stacks of at most n_points // (mask
+    cells), each run when its first member is consumed.  two is the member's
+    Parseval row: the (S, values) arrays, n = 1..n_max, of S_n = n log R and
+    ||g_n||_2 summed on the mask cells.  rows[k] is the (S, values) pair of
+    norms[k], a list of (p, e): the Riemann-sum Lp norm ||(1+|x|)^e g_n||_p,
+    p in [1, inf], of one `SpatialStep` output per n, cut at (and ending
+    with) the row's first value that is not > 0, so the weighted norm of
+    P(d)^n f is exp(S_n) times the row's value.  Only members with R > 0 and
+    a row not yet cut are stepped; with no norms no step is built.  A
+    spatial value that is not finite raises GrowthError naming P, p and n;
+    two is checked by its reader.  f is a SampledFunction or its Spectrum.
     """
-    spec = Spectrum.of(f)
-    step = SpatialStep(spec)
-    if any(e for _, e in norms):
-        absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
-    weights = [step.fft_order((1.0 + absx) ** e) if e else None for _, e in norms]
-    for P in polys:
-        R, steps = iterates(spec, P, n_max)
-        S, rows, live = [], [[] for _ in norms], range(len(norms))
+    spec, polys = Spectrum.of(f), tuple(polys)
+    if norms:
+        step = SpatialStep(spec)
+        if any(e for _, e in norms):
+            absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
+        weights = [step.fft_order((1.0 + absx) ** e) if e else None for _, e in norms]
+    size = max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
+    ns = np.arange(1, n_max + 1)
+    for start in range(0, len(polys), size):
+        stack = polys[start:start + size]
+        # sums, which the yielded rows keep alive, comes before the stack's
+        # blocks, which are freed before the first yield: either the other way
+        # round cost each later reconstruct-twobox job ~1 500 page faults (6 MB)
+        sums = np.empty((len(stack), n_max))
+        R, steps = iterates(spec, stack, n_max)
+        logR = R    # until S_1 = log R replaces it (with n_max = 0 every S is empty)
+        rows = [[[] for _ in norms] for _ in stack]
+        live = {m: range(len(norms)) for m in range(len(stack)) if R[m] > 0.0} if norms else {}
         with np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
             for n, s, G in steps:
-                g = step(G)
-                S.append(s)
-                for k in live:
-                    w = weights[k]
-                    rows[k].append(step.norm(g if w is None else g * w, norms[k][0]))
-                live = [k for k in live if _goes_on(P, norms[k], n, rows[k][-1])]
-                if not live:
-                    break
-        S = np.array(S, dtype=float)
-        yield R, [(S[:len(r)], np.array(r, dtype=float)) for r in rows]
+                if n == 1:
+                    logR = s
+                sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
+                for m, ks in list(live.items()):
+                    g = step(G[m])
+                    for k in ks:
+                        w = weights[k]
+                        rows[m][k].append(step.norm(g if w is None else g * w, norms[k][0]))
+                    live[m] = [k for k in ks if _goes_on(stack[m], norms[k], n, rows[m][k][-1])]
+                    if not live[m]:
+                        del live[m]
+        steps = G = None
+        sums *= spec.grid.dlam ** spec.grid.d
+        np.sqrt(sums, out=sums)
+        for m in range(len(stack)):
+            S = ns * logR[m]
+            yield float(R[m]), (S, sums[m]), [(S[:len(r)], np.array(r, dtype=float))
+                                              for r in rows[m]]
 
 
 def _goes_on(P, norm, n, value) -> bool:
@@ -320,7 +335,7 @@ class GrowthSequence:
     @classmethod
     def from_row(cls, P, p, n_max, R, S, norms, resolved) -> "GrowthSequence":
         """The ledger of terms S_n and ||g_n||_p, n = 1, 2, ..., (a row of
-        `spatial_norms` or of the p = 2 batch): L_n = S_n + log ||g_n||_p up
+        `spatial_norms` or its Parseval row): L_n = S_n + log ||g_n||_p up
         to the first norm that is not > 0, where the ledger is truncated.  A
         norm that is not finite raises GrowthError."""
         k = _leading(norms)
@@ -381,44 +396,17 @@ def growth_sequence(f, P: MultiPoly, p, n_max: int) -> GrowthSequence:
 
 def growth_sequences(f, polys, p, n_max: int):
     """growth_sequence(f, P, p, n_max) for each P of polys, in order, each
-    built when it is consumed.
-
-    The p = 2 ledgers run as one batch: members go through `iterates` in
-    stacks of at most n_points // (mask cells), so one multiply per n serves
-    a stack and its 2-norms are one row sum.  Any other p is one spatial
-    pass per P (`spatial_norms`).
-    """
+    built when its stack of `spatial_norms` is consumed: p = 2 reads the
+    pass's Parseval row, any other p its one spatial row."""
     if n_max < 8:
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
     if not np.isinf(p) and not p >= 1:
         raise GrowthError(f"p must be in [1, inf], got {p}")
-    spec = Spectrum.of(f)
-    polys = tuple(polys)
-    resolved = spec.mask.resolved
-    if p == 2:
-        size = max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
-        n = np.arange(1, n_max + 1)
-        for start in range(0, len(polys), size):
-            stack = polys[start:start + size]
-            for P, R, logR, nrm in zip(stack, *_parseval_norms(spec, stack, n_max)):
-                yield GrowthSequence.from_row(P, p, n_max, R, n * logR, nrm, resolved)
-        return
-    for P, (R, (row,)) in zip(polys, spatial_norms(spec, polys, n_max, [(p, 0)])):
-        yield GrowthSequence.from_row(P, p, n_max, R, *row, resolved)
-
-
-def _parseval_norms(spec: Spectrum, polys, n_max: int):
-    """(R, log R, norms) of a stack of members: R and S_1 = log R per member
-    and the (members x n_max) 2-norms ||g_n||_2, summed on the mask cells."""
-    sums = np.empty((len(polys), n_max))
-    R, steps = iterates(spec, polys, n_max)
-    with np.errstate(over="ignore"):    # an overflowing norm is reported by from_row
-        for n, S, G in steps:
-            if n == 1:
-                logR = S
-            sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
-    sums *= spec.grid.dlam ** spec.grid.d
-    return R.tolist(), logR, np.sqrt(sums, out=sums)
+    spec, polys = Spectrum.of(f), tuple(polys)
+    norms = [] if p == 2 else [(p, 0)]
+    for P, (R, two, rows) in zip(polys, spatial_norms(spec, polys, n_max, norms)):
+        yield GrowthSequence.from_row(P, p, n_max, R, *(rows[0] if norms else two),
+                                      spec.mask.resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +502,7 @@ def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
     if mode not in ("decay", "growth"):
         raise GrowthError("mode must be 'decay' or 'growth'")
     norm = (np.inf, N if mode == "decay" else -N)
-    R, (row,) = next(spatial_norms(f, [P], n_max, [norm]))
+    R, _, (row,) = next(spatial_norms(f, [P], n_max, [norm]))
     return PointwiseGrowthReport.from_row(N, mode, R, *row)
 
 
@@ -544,7 +532,7 @@ def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
         raise GrowthError("claimed bound R must be positive")
     d = f.grid.d
     # both weights are >= 1, so the two rows vanish at the same n
-    _, (W_N, W_phi) = next(spatial_norms(f, [P], n_max, [(np.inf, N), (np.inf, d + 1)]))
+    _, _, (W_N, W_phi) = next(spatial_norms(f, [P], n_max, [(np.inf, N), (np.inf, d + 1)]))
     W_N, W_phi = _logs(*W_N), _logs(*W_phi)
     if not W_N.size:
         return SchwartzDecayReport(R, N, W_N, 0.0, 1.0, True, -np.inf)

@@ -18,8 +18,8 @@ import numpy as np
 from .grid import SampledFunction, FREQUENCY, make_grid, sample_builtin
 from .poly import parse_poly
 from .transform import Spectrum, eval_entire, supporting_function
-from .growth import (GrowthSequence, PointwiseGrowthReport, growth_sequences,
-                     spatial_norms, liminf_check, apply_op_spectral, apply_op_fd)
+from .growth import (GrowthSequence, PointwiseGrowthReport, spatial_norms,
+                     liminf_check, apply_op_spectral, apply_op_fd)
 from .reconstruct import local_spectrum_raster
 
 DESK_NMAX = 64
@@ -42,14 +42,19 @@ RTILDE_N = 2
 class Ledgers:
     """Every ledger the matrix reads of one member at one n_max.
 
-    sequences: a GrowthSequence per (P, p) of polys x p_values, in that
-    order; rtilde: a growth-mode PointwiseGrowthReport per P at N = RTILDE_N;
-    plancherel: the (spatial, frequency) 2-norms of g_n for polys[0], the
-    spatial row as spatial_norms gives it (ending at a value not > 0), the
-    frequency one as the ledger keeps it.  The p = 2 ledgers of all polys are
-    one Parseval batch; everything else is one spatial pass per P.
+    R: max |P(i lam)| over the mask per P of polys; sequences: a
+    GrowthSequence per (P, p) of polys x p_values, in that order; rtilde: a
+    growth-mode PointwiseGrowthReport per P at N = RTILDE_N; plancherel: the
+    (spatial, frequency) 2-norms of g_n for polys[0], the spatial row as
+    spatial_norms gives it (ending at a value not > 0), the frequency one as
+    the p = 2 ledger keeps it.  One `spatial_norms` pass per stack of polys
+    gives them all: the p = 2 ledgers and the frequency side read its
+    Parseval rows.  A member whose mask is not resolved gets no sequences
+    or rtilde (every row that reads them skips it), so its pass steps only
+    polys[0], for the spatial 2-norms.
     """
 
+    R: list
     sequences: list
     rtilde: list
     plancherel: list
@@ -57,19 +62,24 @@ class Ledgers:
     @classmethod
     def of(cls, member, n_max: int) -> "Ledgers":
         spec, polys = member.spec, member.polys
-        batch = growth_sequences(spec, polys, 2, n_max)
+        resolved = spec.mask.resolved
         spatial_p = [p for p in member.p_values if p != 2]
-        norms = [(p, 0) for p in spatial_p] + [(np.inf, -RTILDE_N)]
+        norms = [(p, 0) for p in spatial_p] + [(np.inf, -RTILDE_N)] if resolved else []
         passes = itertools.chain(spatial_norms(spec, polys[:1], n_max, norms + [(2, 0)]),
                                  spatial_norms(spec, polys[1:], n_max, norms))
-        out = cls([], [], [])
-        for P, seq2, (R, rows) in zip(polys, batch, passes):
-            by_p = {p: GrowthSequence.from_row(P, p, n_max, R, *row, spec.mask.resolved)
-                    for p, row in zip(spatial_p, rows)}
-            out.sequences.extend(seq2 if p == 2 else by_p[p] for p in member.p_values)
-            out.rtilde.append(PointwiseGrowthReport.from_row(
-                RTILDE_N, "growth", R, *rows[len(spatial_p)]))
+        out = cls([], [], [], [])
+        for P, (R, two, rows) in zip(polys, passes):
+            out.R.append(R)
+            seqs = {}
+            if resolved:
+                by_p = {2: two, **dict(zip(spatial_p, rows))}
+                seqs = {p: GrowthSequence.from_row(P, p, n_max, R, *by_p[p], resolved)
+                        for p in member.p_values}
+                out.sequences.extend(seqs.values())
+                out.rtilde.append(PointwiseGrowthReport.from_row(
+                    RTILDE_N, "growth", R, *rows[len(spatial_p)]))
             if len(rows) > len(norms):          # polys[0]'s pass adds (2, 0)
+                seq2 = seqs.get(2) or GrowthSequence.from_row(P, 2, n_max, R, *two, resolved)
                 out.plancherel.append((rows[-1][1], seq2.norms))
         return out
 
@@ -202,10 +212,10 @@ def check_rtilde_vs_R(member, n_max=DESK_NMAX, rel_tol=0.03):
 
 
 def check_raster(member, n_max=DESK_NMAX):
-    for P, rep in zip(member.polys, member.ledgers(n_max).rtilde):
+    for P, R in zip(member.polys, member.ledgers(n_max).R):
         ras = local_spectrum_raster(P, member.spec.mask)
-        if ras.max_modulus != rep.R:
-            return ("fail", f"raster max {ras.max_modulus!r} != R {rep.R!r} for {P}")
+        if ras.max_modulus != R:
+            return ("fail", f"raster max {ras.max_modulus!r} != R {R!r} for {P}")
     return ("pass", "raster max modulus equals R bit-exactly")
 
 

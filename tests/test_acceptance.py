@@ -83,9 +83,9 @@ def test_criterion_3_plancherel(corpus):
         grid = member.f.grid
         spec = Spectrum.of(member.f, 1e-8)
         dmeas = grid.dlam ** grid.d
-        for n, S, Gm in iterates(spec, P, 64)[1]:
+        for n, S, Gm in iterates(spec, [P], 64)[1]:
             G = np.zeros(grid.n_points, dtype=complex)
-            G[spec.mask.field] = Gm
+            G[spec.mask.field] = Gm[0]
             freq = float(np.sqrt(dmeas * np.sum(np.abs(G) ** 2)))
             spat = lp_norm(SampledFunction(grid, "spatial",
                                            inverse_values(G, grid)), 2)

@@ -171,9 +171,9 @@ class TestGrowthSequence:
         grid, f = interval_bump
         P = parse_poly("x1", 1)
         spec = Spectrum.of(f, 1e-8)
-        for n, S, Gm in iterates(spec, P, 64)[1]:
+        for n, S, Gm in iterates(spec, [P], 64)[1]:
             G = np.zeros(grid.n_points, dtype=complex)
-            G[spec.mask.field] = Gm
+            G[spec.mask.field] = Gm[0]
             freq = np.sqrt(grid.dlam * np.sum(np.abs(G) ** 2))
             spat = lp_norm(SampledFunction(grid, "spatial", inverse_values(G, grid)), 2)
             assert spat == pytest.approx(freq, rel=1e-10)
@@ -499,6 +499,72 @@ class TestBatchedLedgers:
 
 
 # ---------------------------------------------------------------------------
+# p = 2 ledgers from spatial_norms' Parseval rows, against the batch they replaced
+# ---------------------------------------------------------------------------
+
+def parent_parseval_sequences(spec, polys, n_max):
+    """The p = 2 branch of growth_sequences before spatial_norms summed the
+    2-norms: stacks of at most n_points // (mask cells) members, each stack's
+    2-norms summed on the mask cells by its own iterates run."""
+    polys = tuple(polys)
+    size = max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
+    n = np.arange(1, n_max + 1)
+    for start in range(0, len(polys), size):
+        stack = polys[start:start + size]
+        sums = np.empty((len(stack), n_max))
+        R, steps = iterates(spec, stack, n_max)
+        with np.errstate(over="ignore"):
+            for k, S, G in steps:
+                if k == 1:
+                    logR = S
+                sums[:, k - 1] = np.sum(np.abs(G) ** 2, axis=1)
+        sums *= spec.grid.dlam ** spec.grid.d
+        norms = np.sqrt(sums, out=sums)
+        for P, R_k, logR_k, nrm in zip(stack, R.tolist(), logR, norms):
+            yield GrowthSequence.from_row(P, 2, n_max, R_k, n * logR_k, nrm,
+                                          spec.mask.resolved)
+
+
+def small_box():
+    """d = 1 box of 11 mask cells on 64 points: stacks of at most 5 members."""
+    grid = make_grid(1, 64, 0.5)
+    return sample_builtin({"kind": "spectral_bump",
+                           "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
+
+
+class TestParsevalRowsMatchParentBatch:
+    def cases(self):
+        for member in verify_corpus() + acceptance_corpus():
+            yield member.spec, member.polys
+        spec = Spectrum.of(small_box())
+        family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], spec.grid).polys
+        assert len(family) > 2 * (spec.grid.n_points // spec.coords.shape[0])  # 3 stacks
+        yield spec, family
+        yield spec, [parse_poly(t, 1) for t in ("x1", "0", "x1^2")]
+        empty = Spectrum.of(SampledFunction(make_grid(1, 64, 0.5), "spatial", np.zeros(64)))
+        assert empty.mask.is_empty
+        yield empty, [parse_poly("x1", 1), parse_poly("1", 1)]
+
+    def test_bit_identical(self, monkeypatch):
+        def no_step(spec):
+            raise AssertionError("a p = 2 ledger built a SpatialStep")
+
+        monkeypatch.setattr("realpw.growth.SpatialStep", no_step)
+        checked = 0
+        for spec, polys in self.cases():
+            new = list(growth_sequences(spec, polys, 2, 64))
+            ref = list(parent_parseval_sequences(spec, polys, 64))
+            assert len(new) == len(ref) == len(polys)
+            for a, b in zip(new, ref):
+                assert a.L.tobytes() == b.L.tobytes() and a.norms.tobytes() == b.norms.tobytes()
+                assert ((a.P, a.limit, a.regime, a.truncated_at, a.R)
+                        == (b.P, b.limit, b.regime, b.truncated_at, b.R))
+                assert type(a.R) is float
+                checked += 1
+        assert checked == 8 + 22 + 12 + 3 + 2
+
+
+# ---------------------------------------------------------------------------
 # every ledger carries the R it was normalised by
 # ---------------------------------------------------------------------------
 
@@ -561,9 +627,10 @@ def parent_ledger(spec, P, p, n_max):
     or not finite."""
     step = SpatialStep(spec)
     S, nrm = [], []
-    for _, s, G in iterates(spec, P, n_max)[1]:
-        S.append(s)
-        nrm.append(step.norm(step(G), p))
+    R, steps = iterates(spec, [P], n_max)
+    for _, s, G in steps if R[0] > 0.0 else ():
+        S.append(s[0])
+        nrm.append(step.norm(step(G[0]), p))
         if not (nrm[-1] > 0.0 and np.isfinite(nrm[-1])):
             break
     S, nrm = np.array(S, dtype=float), np.array(nrm, dtype=float)
@@ -580,12 +647,12 @@ def parent_weighted_sup_logs(spec, P, n_max, exponents):
     absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
     weights = [step.fft_order((1.0 + absx) ** e) for e in exponents]
     rows = []
-    for n, S, G in iterates(spec, P, n_max)[1]:
-        g = step(G)
+    for n, S, G in iterates(spec, [P], n_max)[1]:
+        g = step(G[0])
         tops = [step.norm(g * w, np.inf) for w in weights]
         if tops[0] <= 0:
             break
-        rows.append([S + np.log(top) for top in tops])
+        rows.append([S[0] + np.log(top) for top in tops])
     return np.array(rows).reshape(-1, len(exponents)).T
 
 
@@ -632,8 +699,8 @@ class TestSpatialNormsMatchParentPaths:
         for member, _ in both_corpora:
             spec, d = member.spec, member.spec.grid.d
             norms = [(np.inf, N), (np.inf, -N), (np.inf, d + 1)]
-            for P, (R, rows) in zip(member.polys,
-                                    spatial_norms(spec, member.polys, n_max, norms)):
+            for P, (R, two, rows) in zip(member.polys,
+                                         spatial_norms(spec, member.polys, n_max, norms)):
                 ref = parent_weighted_sup_logs(spec, P, n_max, [N, -N, d + 1])
                 for mode, row, log_W in (("decay", rows[0], ref[0]),
                                          ("growth", rows[1], ref[1])):
@@ -650,7 +717,7 @@ class TestSpatialNormsMatchParentPaths:
     def test_zero_input(self):
         f = SampledFunction(make_grid(2, 16, 0.5), "spatial", np.zeros(256))
         spec, P = Spectrum.of(f), parse_poly("x1", 2)
-        (R, rows), = spatial_norms(spec, [P], 16, [(1, 0), (np.inf, -2), (np.inf, 3)])
+        (R, two, rows), = spatial_norms(spec, [P], 16, [(1, 0), (np.inf, -2), (np.inf, 3)])
         assert R == 0.0 and all(S.size == v.size == 0 for S, v in rows)
         seq = GrowthSequence.from_row(P, 1, 16, R, *rows[0], True)
         assert_same_ledger(seq, growth_sequence(spec, P, 1, 16))
@@ -666,7 +733,7 @@ class TestSpatialNormsMatchParentPaths:
         # ends in its 0 at n = 4 while the p = 1 and max rows run on
         grid, f = interval_bump
         spec, P = Spectrum.of(f.with_values(f.values * 1e-159)), parse_poly("x1^2", 1)
-        (R, rows), = spatial_norms(spec, [P], 64, [(1, 0), (2, 0), (np.inf, 0)])
+        (R, two, rows), = spatial_norms(spec, [P], 64, [(1, 0), (2, 0), (np.inf, 0)])
         assert [v.size for _, v in rows] == [64, 4, 64]
         assert rows[1][1][-1] == 0.0 and np.array_equal(rows[1][0], rows[0][0][:4])
         for p, row in zip((1, 2, np.inf), rows):

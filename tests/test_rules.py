@@ -1,7 +1,8 @@
 """Code rules checked on the syntax tree: no module imports another module's
 leading-underscore name, no library module but the CLI prints, only the
-transform and growth modules name SpatialStep, the library starts no
-threads, and every verify row reads its member's one Ledgers build."""
+transform and growth modules name SpatialStep, one ledger pass runs the
+iterates, the library starts no threads, and every verify row reads its
+member's one Ledgers build."""
 
 import ast
 import pathlib
@@ -13,6 +14,11 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 def nodes(path):
     return ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def called(node):
+    """The name a call node calls, bare or as an attribute."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
 
 
 def test_no_private_name_is_imported():
@@ -42,6 +48,20 @@ def test_one_spatial_loop():
     assert named == []
 
 
+def test_one_ledger_pass():
+    # every ledger, p = 2 too, comes from growth.spatial_norms, so each
+    # member's symbol is evaluated once per pass and no second iteration
+    # loop grows beside it; apply_op_spectral keeps only the last iterate
+    callers = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {id(node): getattr(top, "name", None)
+                 for top in tree.body for node in ast.walk(top)}
+        callers += [f"{path.name} {owner[id(node)]}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and called(node) == "iterates"]
+    assert sorted(callers) == ["growth.py apply_op_spectral", "growth.py spatial_norms"]
+
+
 def test_library_starts_no_threads():
     # verify's 2-thread fan-out lost to one thread on a 2-vCPU VM (BLAS at
     # one thread, `realpw verify` in-process, 20 alternating pairs): 0.0655 s
@@ -61,9 +81,6 @@ def test_library_starts_no_threads():
 def test_verify_rows_read_the_ledgers():
     # only Ledgers.of runs a ledger pass in verify, so each member's spectrum
     # is stepped and each symbol evaluated once for every row of the matrix
-    def called(node):
-        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-
     path = ROOT / "src" / "realpw" / "verify.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     of = [node for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Ledgers"

@@ -413,10 +413,10 @@ def ifftn_ledger(spec, P, n_max):
     scale = (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
     buf = np.zeros(grid.shape, dtype=complex)
     S, norms = [], {1: [], np.inf: []}
-    for n, S_n, G in iterates(spec, P, n_max)[1]:
-        buf.reshape(-1)[spec.fft_index] = G
+    for n, S_n, G in iterates(spec, [P], n_max)[1]:
+        buf.reshape(-1)[spec.fft_index] = G[0]
         g = np.fft.ifftn(buf)
-        S.append(S_n)
+        S.append(S_n[0])
         for p in norms:
             norms[p].append(scale * lp_norm_values(g, grid.h ** grid.d, p))
     return {p: np.array(S) + np.log(np.array(nrm)) for p, nrm in norms.items()}

@@ -105,6 +105,48 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
     assert passes == calls == steps == []
 
 
+def test_under_resolved_member_steps_polys0_only(monkeypatch):
+    # no row reads an unresolved member's sequences or rtilde rows: its pass
+    # steps polys[0] alone, for plancherel's spatial 2-norms
+    steps, step = [], SpatialStep.__call__
+
+    def counting_step(self, G):
+        steps.append(G.shape)
+        return step(self, G)
+
+    monkeypatch.setattr(SpatialStep, "__call__", counting_step)
+    member = CorpusMember("under-resolved", under_resolved_member().f,
+                          (parse_poly("x1", 1), parse_poly("x1^2", 1)), (2,))
+    matrix = run_matrix(members=[member], n_max=16)
+    assert len(steps) == 16
+    assert {name: row[member.name] for name, row in matrix.items()} == {
+        "limit_vs_R": ("skip", "mask touches the frequency boundary"),
+        "liminf": ("skip", "mask touches the frequency boundary"),
+        "plancherel": ("pass", "worst rel diff 2.19e-16"),
+        "rtilde_vs_R": ("skip", "mask touches the frequency boundary"),
+        "raster_radius": ("pass", "raster max modulus equals R bit-exactly"),
+        "fd_oracle": ("skip", "input occupies more than a quarter of the Nyquist band"),
+        "cauchy_bound": ("skip", "needs a resolved non-empty mask"),
+    }
+    ledgers = member.ledgers(16)
+    assert (ledgers.sequences, ledgers.rtilde, len(ledgers.plancherel)) == ([], [], 1)
+    assert ledgers.R == [compute_R(P, member.spec.mask).value for P in member.polys]
+
+
+def test_each_symbol_evaluated_once_per_ledger_build(monkeypatch):
+    evaluated, eval_symbol_many = [], growth.eval_symbol_many
+
+    def counting_eval(P, lams):
+        evaluated.append(P.to_text())
+        return eval_symbol_many(P, lams)
+
+    monkeypatch.setattr(growth, "eval_symbol_many", counting_eval)
+    members = verify_corpus()
+    for member in members:
+        member.ledgers(16)
+    assert sorted(evaluated) == sorted(P.to_text() for m in members for P in m.polys)
+
+
 def test_cauchy_without_an_x1_inf_ledger_skips():
     f = verify_corpus()[0].f
     member = CorpusMember("no x1 at p = inf", f, (parse_poly("x1", 1),), (1, 2))
@@ -113,7 +155,7 @@ def test_cauchy_without_an_x1_inf_ledger_skips():
 
 def reference_cauchy_lhs(member, n_top=20):
     """log ||d^n f||_inf, n <= n_top, from a spatial pass of x1 of its own."""
-    _, ((S, top),) = next(growth.spatial_norms(member.spec, [parse_poly("x1", 1)], n_top,
+    _, _, ((S, top),) = next(growth.spatial_norms(member.spec, [parse_poly("x1", 1)], n_top,
                                                [(np.inf, 0)]))
     return [S_n + math.log(top_n) for S_n, top_n in zip(S, top)]
 
