@@ -11,7 +11,11 @@ once) in place of the spatial input, and iterates through one primitive,
 ledger comes from one pass, `spatial_norms`, run per stack of members: each
 pass sums every member's Parseval 2-norm row (the p = 2 ledgers) on the mask
 cells, and reads every spatial norm a caller asks for (the p != 2 ledgers,
-the weighted sup norms) from one `SpatialStep` output per member and n.
+the weighted sup norms) from one `SpatialStep` output per member and n, or
+per pair (n - 1, n) when the member's iterates are all real: the mask is
+resolved and closed under lam -> -lam, F is Hermitian on it to HERMITIAN_TOL
+of max |F|, and P has real coefficients.  Then one transform of
+G_(n-1) + i G_n gives g_(n-1) as its real part and g_n as its imaginary part.
 A spatial input is masked at DEFAULT_EPS_REL; a Spectrum carries its own
 threshold, so another one is chosen with Spectrum.of(f, eps_rel).
 
@@ -40,6 +44,10 @@ from .transform import Spectrum, SpatialStep, inverse_values
 
 class GrowthError(ValueError):
     pass
+
+
+# spatial_norms pairs real iterates only on spectra Hermitian to this share of max |F|
+HERMITIAN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -245,45 +253,98 @@ def spatial_norms(f, polys, n_max: int, norms):
     a row not yet cut are stepped; with no norms no step is built.  A
     spatial value that is not finite raises GrowthError naming P, p and n;
     two is checked by its reader.  f is a SampledFunction or its Spectrum.
+
+    A member pairs, taking one step per (n - 1, n) in place of two, when
+    its iterates are all real: (1) the mask is resolved, as a cell on a
+    Nyquist plane is its own mirror and there P(i lam) is not real; (2) the
+    mask cells are closed under lam -> -lam; (3) F is Hermitian on them to
+    HERMITIAN_TOL of max |F|; (4) every coefficient of P is real.  The
+    spectrum's half is decided once per call.  A paired member's G_n waits
+    at odd n in a per-stack buffer; at even n one step of G_(n-1) + i G_n
+    gives the norms of n - 1 (its real part), then of n (its imaginary
+    part), each with its own cut and overflow check, and an odd n_max steps
+    its last n alone.  Paired rows match the unpaired ones to rounding.
     """
     spec, polys = Spectrum.of(f), tuple(polys)
+    cells = spec.coords.shape[0]
+    real = False
     if norms:
         step = SpatialStep(spec)
         if any(e for _, e in norms):
             absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
         weights = [step.fft_order((1.0 + absx) ** e) if e else None for _, e in norms]
-    size = max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
+        real, pair = _real_iterates(spec), np.empty(cells, dtype=complex)
+    size = max(1, spec.grid.n_points // max(1, cells))
     ns = np.arange(1, n_max + 1)
     for start in range(0, len(polys), size):
         stack = polys[start:start + size]
-        # sums, which the yielded rows keep alive, comes before the stack's
-        # blocks, which are freed before the first yield: either the other way
-        # round cost each later reconstruct-twobox job ~1 500 page faults (6 MB)
+        # sums, which the yielded rows keep alive, and held come before the
+        # stack's blocks, and all but sums are freed before the first yield:
+        # sums the other way round cost each later reconstruct-twobox job
+        # ~1 500 page faults (6 MB)
         sums = np.empty((len(stack), n_max))
+        paired = [m for m, P in enumerate(stack)
+                  if real and all(c.imag == 0.0 for c in P.coeffs.values())]
+        held = dict(zip(paired, np.empty((len(paired), cells), dtype=complex)))
         R, steps = iterates(spec, stack, n_max)
         logR = R    # until S_1 = log R replaces it (with n_max = 0 every S is empty)
         rows = [[[] for _ in norms] for _ in stack]
         live = {m: range(len(norms)) for m in range(len(stack)) if R[m] > 0.0} if norms else {}
+
+        def read(m, ks, n, g):
+            """Append the n-th value of member m's live rows ks; the rows that go on."""
+            for k in ks:
+                w = weights[k]
+                rows[m][k].append(step.norm(g if w is None else g * w, norms[k][0]))
+            return [k for k in ks if _goes_on(stack[m], norms[k], n, rows[m][k][-1])]
+
         with np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
             for n, s, G in steps:
                 if n == 1:
                     logR = s
                 sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
                 for m, ks in list(live.items()):
-                    g = step(G[m])
-                    for k in ks:
-                        w = weights[k]
-                        rows[m][k].append(step.norm(g if w is None else g * w, norms[k][0]))
-                    live[m] = [k for k in ks if _goes_on(stack[m], norms[k], n, rows[m][k][-1])]
-                    if not live[m]:
+                    if m not in held:
+                        ks = read(m, ks, n, step(G[m]))
+                    elif n % 2 and n < n_max:       # g_n waits for g_(n+1)
+                        held[m][:] = G[m]
+                    elif n % 2:                     # an odd n_max's last n, alone
+                        ks = read(m, ks, n, step(G[m]).real)
+                    else:                           # g_(n-1) + i g_n from one transform
+                        np.multiply(G[m], 1j, out=pair)
+                        pair += held[m]
+                        g = step(pair)
+                        ks = read(m, ks, n - 1, g.real)
+                        ks = read(m, ks, n, g.imag) if ks else ks
+                    if ks:
+                        live[m] = ks
+                    else:
                         del live[m]
-        steps = G = None
+        steps = G = held = None
         sums *= spec.grid.dlam ** spec.grid.d
         np.sqrt(sums, out=sums)
         for m in range(len(stack)):
             S = ns * logR[m]
             yield float(R[m]), (S, sums[m]), [(S[:len(r)], np.array(r, dtype=float))
                                               for r in rows[m]]
+
+
+def _real_iterates(spec: Spectrum) -> bool:
+    """Whether every real-coefficient P(d)^n f is real on spec's mask: the mask
+    is resolved (no cell on a Nyquist plane, its own mirror, where P(i lam) is
+    not real), closed under lam -> -lam, and F is Hermitian there to
+    HERMITIAN_TOL of max |F|."""
+    if not spec.mask.resolved or spec.mask.is_empty:
+        return False
+    M, shape = spec.grid.M, spec.grid.shape
+    mirror = np.ravel_multi_index(tuple(-i % M for i in np.unravel_index(spec.fft_index, shape)),
+                                  shape)
+    order = np.argsort(spec.fft_index)
+    at = order[np.searchsorted(spec.fft_index, mirror, sorter=order).clip(max=order.size - 1)]
+    if not np.array_equal(spec.fft_index[at], mirror):
+        return False
+    F = spec.F[spec.mask.field]
+    return bool(np.abs(F[at] - F.conj()).max() <= HERMITIAN_TOL * np.abs(F).max())
 
 
 def _goes_on(P, norm, n, value) -> bool:

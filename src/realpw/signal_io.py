@@ -40,11 +40,16 @@ def _deinterleave(flat: np.ndarray) -> np.ndarray:
 
 def atomic_write_text(path: str, text: str):
     """Write via a temp file in the target directory, then rename."""
+    _atomic_write(path, "w", text)
+
+
+def _atomic_write(path: str, mode: str, *chunks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -52,31 +57,38 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def signal_to_dict(obj, encoding: str = "base64") -> dict:
-    """Serializable dict for a SampledFunction or SupportMask."""
+def _document(obj, encoding: str):
+    """(header, payload) of a signal document: every key but "values", and
+    the interleaved float64 values."""
     if encoding not in ("base64", "array"):
         raise SignalIOError(f"encoding must be 'base64' or 'array', got {encoding!r}")
     if isinstance(obj, SupportMask):
         grid, side, label = obj.grid, "frequency", f"mask eps_rel={obj.eps_rel:g}"
-        values = obj.field.astype(complex)
+        flat = np.zeros(2 * grid.n_points, dtype="<f8")
+        flat[0::2] = obj.field          # 1.0 and 0.0 straight from the bool field
         payload = "boolean"
         extra = {"eps_rel": obj.eps_rel, "resolved": obj.resolved}
     elif isinstance(obj, SampledFunction):
         grid, side, label = obj.grid, obj.side, obj.label
-        values = obj.values
+        flat = _interleave(obj.values)
         payload = "complex"
         extra = {}
     else:
         raise SignalIOError(f"cannot serialize {type(obj).__name__}")
-    flat = _interleave(values)
+    head = {"d": grid.d, "M": grid.M, "h": grid.h, "side": side, "label": label,
+            "payload": payload, "encoding": encoding}
+    head.update(extra)
+    return head, flat
+
+
+def signal_to_dict(obj, encoding: str = "base64") -> dict:
+    """Serializable dict for a SampledFunction or SupportMask."""
+    doc, flat = _document(obj, encoding)
     if encoding == "base64":
-        data = base64.b64encode(flat.tobytes()).decode("ascii")
+        doc["values"] = base64.b64encode(flat).decode("ascii")
     else:
-        data = [float(v) for v in flat]
-    out = {"d": grid.d, "M": grid.M, "h": grid.h, "side": side, "label": label,
-           "payload": payload, "encoding": encoding, "values": data}
-    out.update(extra)
-    return out
+        doc["values"] = [float(v) for v in flat]
+    return doc
 
 
 def signal_from_dict(doc: dict):
@@ -106,15 +118,15 @@ def signal_from_dict(doc: dict):
 
 
 def save_signal(obj, path: str, encoding: str = "base64"):
-    doc = signal_to_dict(obj, encoding)
-    if encoding == "base64":
-        # "values" sorts last and base64 text needs no JSON escaping: splice
-        # the payload in instead of having the encoder scan it
-        data = doc.pop("values")
-        text = "".join((json.dumps(doc, sort_keys=True)[:-1], ', "values": "', data, '"}'))
-    else:
-        text = json.dumps(doc, sort_keys=True)
-    atomic_write_text(path, text)
+    if encoding != "base64":
+        atomic_write_text(path, json.dumps(signal_to_dict(obj, encoding), sort_keys=True))
+        return
+    # "values" sorts last and base64 needs no JSON escaping: the header (ASCII,
+    # as json.dumps escapes the rest) and the payload's bytes go to the file as
+    # they are, with no text copy of the payload
+    head, flat = _document(obj, encoding)
+    _atomic_write(path, "wb", json.dumps(head, sort_keys=True)[:-1].encode("ascii"),
+                  b', "values": "', base64.b64encode(flat), b'"}')
 
 
 def load_signal(path: str):

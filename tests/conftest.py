@@ -1,5 +1,27 @@
+import numpy as np
+import pytest
 from hypothesis import settings
 
 # Fixed examples on every run: a fuzz test cannot pass once and fail the next time.
 settings.register_profile("realpw", derandomize=True, deadline=None, print_blob=True)
 settings.load_profile("realpw")
+
+
+def mirrored(a):
+    """a at -lam on the centered grid: index j goes to (M - j) % M on every axis."""
+    return np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+
+
+def pairs_iterates(spec, P):
+    """Whether spatial_norms steps P's real iterates two per transform on
+    spec, decided on the centered grid: a resolved mask closed under
+    lam -> -lam, F Hermitian on it to 1e-12 of max |F|, and real P."""
+    field, F = spec.mask.field.reshape(spec.grid.shape), spec.F.reshape(spec.grid.shape)
+    return bool(spec.mask.resolved and field.any() and np.array_equal(mirrored(field), field)
+                and np.abs(mirrored(F) - F.conj())[field].max() <= 1e-12 * np.abs(F).max()
+                and all(c.imag == 0.0 for c in P.coeffs.values()))
+
+
+@pytest.fixture(scope="session")
+def pairs():
+    return pairs_iterates

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     support_mask, compute_R, parse_poly, lp_norm,
@@ -8,7 +9,7 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     schwartz_decay_check, GrowthError, GridError, Spectrum,
                     iterates, eval_symbol_many, family_quadratic_real,
                     reconstruct_support, growth_sequences, spatial_norms,
-                    GrowthSequence, PointwiseGrowthReport)
+                    GrowthSequence, PointwiseGrowthReport, MultiPoly)
 from realpw.transform import SpatialStep, forward_values, inverse_values
 from realpw.verify import (acceptance_corpus, aligned_h, verify_corpus, DESK_NMAX,
                            RTILDE_N)
@@ -666,6 +667,20 @@ def assert_same_pointwise(a, b):
     assert (a.rtilde, a.admissible, a.regime, a.R) == (b.rtilde, b.admissible, b.regime, b.R)
 
 
+def assert_matches_parent(logs, limit, regime, ref, paired):
+    """A row's logs, limit and regime against the parent path's logs: bit for
+    bit on an unpaired row.  A paired row (g_(n-1) and g_n read from one
+    transform) keeps the regime; its limit is within 1e-12 relative, and its
+    logs within 1e-12 of max(1, |log|)."""
+    assert logs.shape == ref.shape
+    if not paired:
+        assert np.array_equal(logs, ref)
+        return
+    assert logs == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    est = estimate_limit(ref)
+    assert regime == est.regime and limit == pytest.approx(est.limit, rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def both_corpora():
     """(member, n_max): the verify corpus at its n_max, the acceptance corpus
@@ -675,8 +690,8 @@ def both_corpora():
 
 
 class TestSpatialNormsMatchParentPaths:
-    def test_verify_ledgers_match_standalone_and_parent(self, both_corpora):
-        checked = 0
+    def test_verify_ledgers_match_standalone_and_parent(self, both_corpora, pairs):
+        checked = paired = 0
         for member, n_max in both_corpora:
             spec, ledgers = member.spec, member.ledgers(n_max)
             seqs = iter(ledgers.sequences)
@@ -687,14 +702,17 @@ class TestSpatialNormsMatchParentPaths:
                     assert_same_ledger(seq, growth_sequence(spec, P, p, n_max))
                     if p != 2:
                         L, truncated_at = parent_ledger(spec, P, p, n_max)
-                        assert np.array_equal(seq.L, L) and seq.truncated_at == truncated_at
+                        assert seq.truncated_at == truncated_at
+                        assert_matches_parent(seq.L, seq.limit, seq.regime, L, pairs(spec, P))
                     checked += 1
                 assert_same_pointwise(rep, pointwise_growth(spec, P, RTILDE_N, n_max))
                 (log_W,) = parent_weighted_sup_logs(spec, P, n_max, [-RTILDE_N])
-                assert np.array_equal(rep.log_W, log_W)
+                assert_matches_parent(rep.log_W, rep.rtilde, rep.regime, log_W, pairs(spec, P))
+                paired += pairs(spec, P)
         assert checked == 3 * (8 + 22)
+        assert paired == 4 + 14         # the real P on the real inputs
 
-    def test_pointwise_modes_and_schwartz_from_one_pass(self, both_corpora):
+    def test_pointwise_modes_and_schwartz_from_one_pass(self, both_corpora, pairs):
         N, n_max = 2, 16
         for member, _ in both_corpora:
             spec, d = member.spec, member.spec.grid.d
@@ -702,17 +720,22 @@ class TestSpatialNormsMatchParentPaths:
             for P, (R, two, rows) in zip(member.polys,
                                          spatial_norms(spec, member.polys, n_max, norms)):
                 ref = parent_weighted_sup_logs(spec, P, n_max, [N, -N, d + 1])
+                paired = pairs(spec, P)
                 for mode, row, log_W in (("decay", rows[0], ref[0]),
                                          ("growth", rows[1], ref[1])):
                     rep = PointwiseGrowthReport.from_row(N, mode, R, *row)
                     assert_same_pointwise(rep, pointwise_growth(spec, P, N, n_max, mode))
-                    assert np.array_equal(rep.log_W, log_W)
+                    assert_matches_parent(rep.log_W, rep.rtilde, rep.regime, log_W, paired)
                 claim = 1.05 * R
                 check = schwartz_decay_check(spec, P, claim, N, n_max)
                 n = np.arange(1, ref.shape[1] + 1)
                 c_star = float(np.exp(float(np.max(ref[0] - N * np.log(n) - n * np.log(claim)))))
                 phi = float(np.max(ref[2] - n * np.log(claim) - (d + 1) * np.log(n)))
-                assert (check.C_star, check.phi_sup_log) == (c_star, phi)
+                if paired:
+                    assert check.C_star == pytest.approx(c_star, rel=1e-12)
+                    assert check.phi_sup_log == pytest.approx(phi, rel=1e-12, abs=1e-12)
+                else:
+                    assert (check.C_star, check.phi_sup_log) == (c_star, phi)
 
     def test_zero_input(self):
         f = SampledFunction(make_grid(2, 16, 0.5), "spatial", np.zeros(256))
@@ -761,3 +784,172 @@ class TestSpatialNormsMatchParentPaths:
         with pytest.raises(GrowthError, match=r"x1 at p = inf: \|\|\(1\+\|x\|\)\^10 P\(d\)\^1 f"):
             pointwise_growth(spike, P, 10, 16, mode="decay")
         assert pointwise_growth(spike, P, 10, 16, mode="growth").log_W.size == 16
+
+
+# ---------------------------------------------------------------------------
+# two real iterates per transform: spatial_norms against the unpaired path
+# ---------------------------------------------------------------------------
+
+def unpaired_rows(spec, P, n_max, norms):
+    """(R, rows) of spatial_norms for one P by the unpaired path: one
+    SpatialStep call and one value per live row and n, a row cut after its
+    first value that is not > 0 and ending at its first that is not finite."""
+    step = SpatialStep(spec)
+    absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
+    weights = [step.fft_order((1.0 + absx) ** e) for _, e in norms]
+    R, steps = iterates(spec, [P], n_max)
+    S, rows = [], [[] for _ in norms]
+    for _, s, G in steps if R[0] > 0.0 else ():
+        going = [k for k, row in enumerate(rows) if not row or 0.0 < row[-1] < np.inf]
+        if not going:
+            break
+        S.append(s[0])
+        g = step(G[0])
+        for k in going:
+            rows[k].append(step.norm(g * weights[k] if norms[k][1] else g, norms[k][0]))
+    S = np.array(S, dtype=float)
+    return float(R[0]), [(S[:len(r)], np.array(r, dtype=float)) for r in rows]
+
+
+def assert_rows_match_unpaired(spec, P, n_max, norms, paired):
+    """spatial_norms' rows of P as ledgers against the unpaired path: bit for
+    bit unpaired; paired within 1e-12 (logs of max(1, |L_n|), limits relative)
+    with the same regime and cut."""
+    (R, _, rows), = spatial_norms(spec, [P], n_max, norms)
+    R_ref, ref = unpaired_rows(spec, P, n_max, norms)
+    assert R == R_ref
+    for (p, _), row, ref_row in zip(norms, rows, ref):
+        a, b = (GrowthSequence.from_row(P, p, n_max, R, *r, True) for r in (row, ref_row))
+        assert (a.regime, a.truncated_at) == (b.regime, b.truncated_at)
+        if paired:
+            assert a.L == pytest.approx(b.L, rel=1e-12, abs=1e-12)
+            assert a.limit == pytest.approx(b.limit, rel=1e-12)
+        else:
+            assert a.L.tobytes() == b.L.tobytes() and a.limit == b.limit
+    return rows
+
+
+@pytest.fixture
+def count_steps(monkeypatch):
+    calls, step = [], SpatialStep.__call__
+
+    def counting_step(self, G):
+        calls.append(G.shape)
+        return step(self, G)
+
+    monkeypatch.setattr(SpatialStep, "__call__", counting_step)
+    return calls
+
+
+def offset_interval():
+    return verify_corpus()[1].f
+
+
+def under_resolved_bump():
+    """A sharp spatial bump: real and even, but its spectrum reaches the
+    Nyquist shells, where a cell is its own mirror."""
+    return sample_builtin({"kind": "spatial_bump",
+                           "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]},
+                           "edge_width": 0.15}, make_grid(1, 256, 0.1))
+
+
+NORMS = [(1, 0), (np.inf, 0), (np.inf, 2)]
+
+
+class TestPairedRealIterates:
+    @pytest.mark.parametrize("phase", [1.0, 1.0 + 1e-14j])
+    def test_paired_real_input_and_poly(self, phase, interval_bump, pairs, count_steps):
+        # F Hermitian to 2e-14 of max |F| pairs too: the bound is 1e-12
+        _, f = interval_bump
+        spec, P = Spectrum.of(f.with_values(f.values * phase)), parse_poly("x1", 1)
+        assert pairs(spec, P)
+        assert_rows_match_unpaired(spec, P, 16, NORMS, True)
+        assert len(count_steps) == 8 + 16      # pairs, then the unpaired reference
+
+    @pytest.mark.parametrize("case", ["under-resolved", "complex P", "non-Hermitian",
+                                      "complex input"])
+    def test_unpaired_inputs(self, case, interval_bump, pairs, count_steps):
+        # the complex input's mask is the interval's, closed under lam -> -lam,
+        # but its F is Hermitian only to 2e-10 of max |F|
+        _, bump = interval_bump
+        f, text = {"under-resolved": (under_resolved_bump(), "x1"),
+                   "complex P": (bump, "0.5+2*i*x1"),
+                   "non-Hermitian": (offset_interval(), "x1"),
+                   "complex input": (bump.with_values(bump.values * (1.0 + 1e-10j)), "x1")}[case]
+        spec, P = Spectrum.of(f), parse_poly(text, 1)
+        assert not pairs(spec, P)
+        if case == "under-resolved":
+            # mirror-closed and Hermitian: only the Nyquist cells keep it unpaired
+            field = spec.mask.field
+            assert not spec.mask.resolved and field[0] and np.array_equal(field[1:], field[:0:-1])
+        assert_rows_match_unpaired(spec, P, 16, NORMS, False)
+        assert len(count_steps) == 16 + 16
+
+    @pytest.mark.parametrize("n_max", [8, 9, 21])
+    def test_odd_n_max_steps_its_last_n_alone(self, n_max, interval_bump, count_steps):
+        _, f = interval_bump
+        spec, P = Spectrum.of(f), parse_poly("x1^2", 1)
+        rows = assert_rows_match_unpaired(spec, P, n_max, NORMS, True)
+        assert [v.size for _, v in rows] == [n_max] * 3
+        assert len(count_steps) == (n_max + 1) // 2 + n_max
+
+    @pytest.mark.parametrize("norms", [[(2, 0)], [(1, 0), (2, 0), (np.inf, 0)]])
+    def test_row_cut_at_the_first_of_a_pair(self, norms, interval_bump):
+        # at this scale |g_n|^2 underflows at n = 7, g_7 being read from the
+        # real part of the (7, 8) transform; the other rows run on
+        _, f = interval_bump
+        spec, P = Spectrum.of(f.with_values(f.values * 1e-159)), parse_poly("x1", 1)
+        rows = assert_rows_match_unpaired(spec, P, 64, norms, True)
+        assert [v.size for _, v in rows] == [7 if p == 2 else 64 for p, _ in norms]
+
+    @pytest.mark.parametrize("n_star,n_max", [(9, 16), (10, 16), (9, 9)])
+    def test_overflow_at_either_member_of_a_pair(self, n_star, n_max, interval_bump, pairs):
+        # (1+|x|)^8 max |g_n| of this P sets new highs at n = 9 and 10: scaled
+        # so that the double range ends between the two highs, the norm
+        # overflows first at n_star
+        _, f = interval_bump
+        P, norms = parse_poly("x1^2 + x1^4", 1), [(np.inf, 8)]
+        _, ((_, v),) = unpaired_rows(Spectrum.of(f), P, n_star, norms)
+        assert v[-1] > 1.1 * v[:-1].max()
+        top = np.finfo(float).max / np.sqrt(v[-1] * v[:-1].max())
+        spec = Spectrum.of(f.with_values(f.values * top))
+        assert pairs(spec, P)
+        _, ((_, ref),) = unpaired_rows(spec, P, n_max, norms)
+        assert ref.size == n_star and np.isinf(ref[-1]) and np.isfinite(ref[:-1]).all()
+        with pytest.raises(GrowthError, match=rf"\^8 P\(d\)\^{n_star} f\|\| exceeds"):
+            list(spatial_norms(spec, [P], n_max, norms))
+
+
+def hermitian_input(d, M, cells, rng):
+    """A real input whose spectrum is a random Hermitian set of values on the
+    cells within `cells` of the origin on every axis (a resolved mask)."""
+    grid = make_grid(d, M, 0.5)
+    F = np.zeros(grid.shape, dtype=complex)
+    inner = (slice(M // 2 - cells, M // 2 + cells + 1),) * d
+    F[inner] = rng.standard_normal(F[inner].shape) + 1j * rng.standard_normal(F[inner].shape)
+    F = F + np.conj(np.roll(np.flip(F), 1, axis=tuple(range(d))))
+    return SampledFunction(grid, "spatial", inverse_values(F.ravel(), grid).real)
+
+
+MONOMIALS = {d: [a for a in np.ndindex(*(4,) * d) if sum(a) <= 3] for d in (1, 2)}
+
+
+@st.composite
+def paired_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    f = hermitian_input(d, 32 if d == 1 else 16, 5 if d == 1 else 3, rng)
+    coeffs = draw(st.dictionaries(st.sampled_from(MONOMIALS[d]),
+                                  st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3),
+                                  min_size=1, max_size=4))
+    return f, MultiPoly(d, coeffs), draw(st.integers(8, 21))
+
+
+class TestPairedLedgersProperty:
+    @settings(max_examples=200)
+    @given(case=paired_cases())
+    def test_paired_ledgers_match_unpaired(self, case, pairs):
+        f, P, n_max = case
+        spec = Spectrum.of(f)
+        assert pairs(spec, P)
+        assert_rows_match_unpaired(spec, P, n_max, NORMS, True)

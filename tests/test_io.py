@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -50,6 +51,25 @@ class TestJsonSignal:
         assert np.array_equal(back.field, mask.field)
         assert back.resolved == mask.resolved
         assert back.eps_rel == mask.eps_rel
+
+    @pytest.mark.parametrize("kind", ["mask", "signal"])
+    def test_file_is_the_json_document(self, tmp_path, kind):
+        # the payload goes to the file as bytes: the file still reads as
+        # json.dumps of the document, whose values are built here from the
+        # mask as complex numbers
+        g = make_grid(2, 64, 0.25)
+        f = sample_builtin({"kind": "spectral_bump",
+                            "support": {"shape": "box", "lo": [-2, -1], "hi": [2, 1]}}, g)
+        obj = support_mask(forward_dft(f)) if kind == "mask" else f.with_values(
+            f.values, label="bump \u03bb \"q\"")
+        values = obj.field.astype(complex) if kind == "mask" else obj.values
+        flat = np.empty(2 * values.size, dtype="<f8")
+        flat[0::2], flat[1::2] = values.real, values.imag
+        doc = signal_to_dict(obj)
+        assert doc["values"] == base64.b64encode(flat.tobytes()).decode("ascii")
+        path = tmp_path / "signal.json"
+        save_signal(obj, str(path))
+        assert path.read_bytes() == json.dumps(doc, sort_keys=True).encode("ascii")
 
     def test_bad_payload_length(self):
         doc = signal_to_dict(random_sf(), "array")

@@ -4,7 +4,7 @@ import pytest
 from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     inverse_dft, support_mask, compute_R, supporting_function,
                     eval_entire, complex_growth_rate, parse_poly, lp_norm,
-                    GridError, Spectrum, iterates, growth_sequence)
+                    GridError, Spectrum, iterates, growth_sequence, estimate_limit)
 from realpw.grid import lp_norm_values
 from realpw.transform import SpatialStep, inverse_values
 from realpw.verify import acceptance_corpus
@@ -423,15 +423,25 @@ def ifftn_ledger(spec, P, n_max):
 
 
 class TestStepLedgersMatchIfftn:
-    def test_acceptance_rows(self, corpus_specs):
-        checked = 0
+    def test_acceptance_rows(self, corpus_specs, pairs):
+        checked = paired = 0
         for member, spec in corpus_specs:
             for P in member.polys:
                 ref = ifftn_ledger(spec, P, 64)
-                L_inf = growth_sequence(spec, P, np.inf, 64).L
-                assert np.array_equal(L_inf, ref[np.inf])
-                L_1 = growth_sequence(spec, P, 1, 64).L
-                assert L_1.shape == ref[1].shape
-                assert np.all(np.abs(L_1 - ref[1]) <= 1e-12 * np.abs(ref[1]))
+                seq_inf, seq_1 = (growth_sequence(spec, P, p, 64) for p in (np.inf, 1))
+                assert seq_inf.L.shape == seq_1.L.shape == ref[1].shape
+                assert seq_inf.truncated_at is seq_1.truncated_at is None
+                if pairs(spec, P):
+                    # g_(n-1) and g_n from one transform: the refactor bound
+                    for seq, p in ((seq_inf, np.inf), (seq_1, 1)):
+                        assert seq.L == pytest.approx(ref[p], rel=1e-12, abs=1e-12)
+                        est = estimate_limit(ref[p])
+                        assert seq.limit == pytest.approx(est.limit, rel=1e-12)
+                        assert seq.regime == est.regime
+                    paired += 2
+                else:
+                    assert np.array_equal(seq_inf.L, ref[np.inf])
+                    assert np.all(np.abs(seq_1.L - ref[1]) <= 1e-12 * np.abs(ref[1]))
                 checked += 2
         assert checked == 44          # the 22 p = 2 rows never run the step
+        assert paired == 28           # the real P on the real inputs

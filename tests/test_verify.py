@@ -97,7 +97,10 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
     run_matrix(members=members, n_max=16)
     # every row, cauchy_bound and raster_radius too, reads the members' ledgers
     assert sorted(passes) == sorted(P.to_text() for m in members for P in m.polys)
-    assert len(steps) == 16 * sum(len(m.polys) for m in members)
+    # each real P on a real input steps g_(n-1) and g_n in one transform: 8
+    # steps for those 4 (member, P), 16 for the other 4 (the offset interval's
+    # complex input, the interval's complex P)
+    assert len(steps) == 8 * 4 + 16 * 4 == 96
     for log in (passes, calls, steps):
         log.clear()
     for member in members:
