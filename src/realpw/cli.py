@@ -19,10 +19,11 @@ import numpy as np
 
 from .grid import make_grid, sample_builtin, SampledFunction, GridError
 from .poly import parse_poly, family_linear, family_quadratic, family_quadratic_real, \
-    family_explicit, symbol_bound, PolyError
-from .transform import Spectrum, SupportMask, complex_growth_rate, OVERFLOW_GUARD
+    family_explicit, symbol_bound, PolyError, MAX_COUNT
+from .transform import (Spectrum, SupportMask, complex_growth_rate, OVERFLOW_GUARD,
+                        DEFAULT_EPS_REL)
 from .growth import growth_sequences, GrowthError
-from .reconstruct import reconstruct_support
+from .reconstruct import reconstruct_support, DEFAULT_TAU
 from .signal_io import (save_signal, load_signal, load_signal_csv,
                         atomic_write_text, SignalIOError)
 from . import verify as verify_mod
@@ -32,7 +33,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 MAX_GRID_POINTS = 2 ** 24        # M^d cap: 256 MiB per complex array
-MAX_COUNT = 4096                 # cap on n_max, t_count and lattice-family members
 
 
 class ConfigError(Exception):
@@ -77,9 +77,9 @@ FIELDS = {
     "poly": (list, _REQUIRED, _texts, "a polynomial text or a non-empty list of them"),
     "p": (float, 2.0, lambda v: v >= 1, "a number >= 1 or 'inf'"),
     "n_max": (int, 64, lambda v: 8 <= v <= MAX_COUNT, f"an integer in [8, {MAX_COUNT}]"),
-    "eps_rel": (float, 1e-8, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "eps_rel": (float, DEFAULT_EPS_REL, lambda v: 0 < v < 1, "a number in (0, 1)"),
     "rel_tol": (float, 0.02, lambda v: 0 <= v < math.inf, "a number >= 0"),
-    "tau": (float, 0.01, lambda v: 0 <= v < math.inf, "a number >= 0"),
+    "tau": (float, DEFAULT_TAU, lambda v: 0 <= v < math.inf, "a number >= 0"),
     "family.kind": (str, _REQUIRED, _FAMILIES.__contains__, " | ".join(_FAMILIES)),
     "family.directions": (list, _REQUIRED, _vectors, "a non-empty list of vectors"),
     "family.centers": (list, _REQUIRED, _vectors, "a non-empty list of vectors"),
@@ -136,7 +136,7 @@ def _load_input(cfg):
             raise ConfigError("grid.M", f"M^d = {M}^{d} exceeds {MAX_GRID_POINTS} points")
         try:
             return sample_builtin(builtin, make_grid(d, M, h))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError("input.builtin", str(exc))
     if path is None:
         raise ConfigError("input", "needs either 'builtin' or 'path'")
@@ -204,7 +204,10 @@ def _build_family(cfg, grid):
 
 def _finish_report(report, path):
     report["meta"] = {"timestamp": datetime.datetime.now().isoformat()}
-    full = json.dumps(report, sort_keys=True, indent=2)
+    try:
+        full = json.dumps(report, sort_keys=True, indent=2)
+    except RecursionError:      # a config value nested nearly as deep as json.load reads
+        raise ConfigError("--config", "nested too deeply to write into the report") from None
     if path:
         atomic_write_text(path, full + "\n")
     else:
@@ -307,8 +310,8 @@ def _read_config(args):
         with open(args.config) as fh:
             try:
                 cfg = json.load(fh)
-            except ValueError as exc:    # JSONDecodeError, UnicodeDecodeError
-                raise ConfigError("--config", f"not valid JSON: {exc}")
+            except (ValueError, RecursionError) as exc:  # bad JSON or bytes, or too deep
+                raise ConfigError("--config", f"not readable JSON: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("--config", f"expected a JSON object, got {cfg!r:.60}")
     for name in ("poly", "p", "n_max", "eps_rel", "input", "out"):

@@ -333,18 +333,13 @@ def _real_iterates(spec: Spectrum) -> bool:
     """Whether every real-coefficient P(d)^n f is real on spec's mask: the mask
     is resolved (no cell on a Nyquist plane, its own mirror, where P(i lam) is
     not real), closed under lam -> -lam, and F is Hermitian there to
-    HERMITIAN_TOL of max |F|."""
-    if not spec.mask.resolved or spec.mask.is_empty:
-        return False
-    M, shape = spec.grid.M, spec.grid.shape
-    mirror = np.ravel_multi_index(tuple(-i % M for i in np.unravel_index(spec.fft_index, shape)),
-                                  shape)
-    order = np.argsort(spec.fft_index)
-    at = order[np.searchsorted(spec.fft_index, mirror, sorter=order).clip(max=order.size - 1)]
-    if not np.array_equal(spec.fft_index[at], mirror):
+    HERMITIAN_TOL of max |F|.  On a resolved mask lam -> -lam reverses the
+    row-major order of the cells, so the mirror of cell k is cell -1 - k."""
+    if (not spec.mask.resolved or spec.mask.is_empty
+            or not np.array_equal(spec.coords[::-1], -spec.coords)):
         return False
     F = spec.F[spec.mask.field]
-    return bool(np.abs(F[at] - F.conj()).max() <= HERMITIAN_TOL * np.abs(F).max())
+    return bool(np.abs(F[::-1] - F.conj()).max() <= HERMITIAN_TOL * np.abs(F).max())
 
 
 def _goes_on(P, norm, n, value) -> bool:

@@ -7,6 +7,9 @@ P(i*lam).  Coefficients are complex throughout.
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -144,137 +147,90 @@ def variable(d: int, j: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-# expr   := term (("+"|"-") term)*
+# expr   := ("+"|"-")? term (("+"|"-") term)*
 # term   := factor ("*" factor)*
 # factor := base ("^" uint)?
 # base   := var | number | "i" | "(" expr ")"
-# Implicit multiplication is not allowed.
+# "^" binds tightest and takes one unsigned integer per factor (x1^2^3 is an
+# error); "*" binds tighter than "+" and "-", and all three associate to the
+# left.  A leading sign covers the whole first term: -x1*x2 + 1 is
+# (-(x1*x2)) + 1.  Implicit multiplication is not allowed.  base^k is refused
+# when base has t >= 2 terms and C(k + t - 1, t - 1), a bound on the terms of
+# the power, exceeds MAX_COUNT.
 
-class _Parser:
-    def __init__(self, text: str, d: int):
-        self.text = text
-        self.d = d
-        self.pos = 0
+MAX_COUNT = 4096    # cap on the terms of a power, and the CLI's on n_max, t_count and families
 
-    def error(self, msg):
-        raise ParseError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def parse(self) -> MultiPoly:
-        out = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        return out
-
-    def expr(self) -> MultiPoly:
-        if self.take("-"):
-            out = -self.term()
-        else:
-            self.take("+")
-            out = self.term()
-        while True:
-            if self.take("+"):
-                out = out + self.term()
-            elif self.take("-"):
-                out = out - self.term()
-            else:
-                return out
-
-    def term(self) -> MultiPoly:
-        out = self.factor()
-        while self.take("*"):
-            out = out * self.factor()
-        return out
-
-    def factor(self) -> MultiPoly:
-        base = self.base()
-        if self.take("^"):
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("expected integer exponent after '^'")
-            return base ** int(self.text[start:self.pos])
-        return base
-
-    def base(self) -> MultiPoly:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            out = self.expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            return out
-        if ch == "i":
-            self.pos += 1
-            return constant(self.d, 1j)
-        if ch == "x":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("expected variable index after 'x'")
-            j = int(self.text[start:self.pos])
-            if not 1 <= j <= self.d:
-                self.error(f"variable x{j} exceeds dimension d={self.d}")
-            return variable(self.d, j)
-        if ch.isdigit() or ch == ".":
-            return constant(self.d, self.number())
-        self.error("expected a number, variable, 'i' or '('")
-
-    def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent after all
-        if self.pos == start:
-            self.error("expected a number")
-        number = self.text[start:self.pos]
-        try:
-            value = float(number)
-        except ValueError:
-            value = np.nan
-        if not np.isfinite(value):
-            self.pos = start
-            self.error(f"bad number {number!r}")
-        return value
+_TOKEN = re.compile(r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<var>x\d*)|(?P<end>\Z)|(?P<char>.))")
+_LEVEL = {"(": 0, "+": 1, "-": 1, "neg": 1, "*": 2}
+_APPLY = {"+": MultiPoly.__add__, "-": MultiPoly.__sub__, "*": MultiPoly.__mul__,
+          "neg": lambda _, right: -right}     # a leading "-", stacked over a None
 
 
 def parse_poly(text: str, d: int) -> MultiPoly:
-    """Parse an expression like "x1^2 + 0.5*i*x2" into a MultiPoly."""
+    """Parse an expression like "x1^2 + 0.5*i*x2" into a MultiPoly.  One loop
+    over the tokens keeps an operand and an operator stack (Dijkstra's
+    shunting-yard), so no nesting depth recurses."""
     if d not in (1, 2, 3):
         raise PolyError(f"dimension d must be 1, 2 or 3, got {d}")
-    return _Parser(text, d).parse()
+    values, ops, state = [], [], "sign"     # sign | operand | operator | power | powered
+
+    def reduce(level):      # apply the stacked operators that bind at least as tightly
+        while ops and _LEVEL[ops[-1]] >= level:
+            right = values.pop()
+            values[-1] = _APPLY[ops.pop()](values[-1], right)
+
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        token, at = m.group(kind), m.start(kind)
+        if state == "power":
+            if kind != "number" or not token.isdecimal():
+                raise ParseError("expected integer exponent after '^'", at)
+            try:
+                k, t = int(token), len(values[-1].coeffs)
+            except ValueError:      # past Python's limit on the digits of an int
+                raise ParseError("exponent too long", at) from None
+            if t >= 2 and (k > MAX_COUNT or math.comb(k + t - 1, t - 1) > MAX_COUNT):
+                raise ParseError(f"a power of {t} terms may exceed {MAX_COUNT} terms", caret)
+            values[-1], state = values[-1] ** k, "powered"
+        elif state == "sign" and token in ("+", "-"):
+            if token == "-":
+                values.append(None)
+                ops.append("neg")
+            state = "operand"
+        elif token == "(" and state in ("sign", "operand"):
+            ops.append("(")
+            state = "sign"
+        elif state in ("sign", "operand"):
+            if kind == "number" and math.isfinite(float(token)):
+                values.append(constant(d, float(token)))
+            elif kind == "number":
+                raise ParseError(f"bad number {token!r}", at)
+            elif kind == "var" and 1 <= float(token[1:] or "nan") <= d:    # float: no digit cap
+                values.append(variable(d, int(token[1:])))
+            elif kind == "var":
+                raise ParseError(f"expected a variable index in 1..{d} after 'x'", m.end())
+            elif token == "i":
+                values.append(constant(d, 1j))
+            else:
+                raise ParseError("expected a number, variable, 'i' or '('", at)
+            state = "operator"
+        elif token == "^" and state == "operator":
+            state, caret = "power", at
+        elif token in ("+", "-", "*"):
+            reduce(_LEVEL[token])
+            ops.append(token)
+            state = "operand"
+        elif token == ")" and "(" in ops:
+            reduce(1)
+            ops.pop()
+            state = "operator"
+        elif kind == "end" and "(" not in ops:
+            reduce(1)
+            return values[0]
+        else:
+            raise ParseError("expected ')'" if "(" in ops else
+                             f"unexpected character {text[at]!r}", at)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def load_signal(path: str):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad JSON or bytes, or too deep
             raise SignalIOError(f"not a JSON signal file: {exc}") from exc
     return signal_from_dict(doc)
 

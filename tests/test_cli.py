@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import pathlib
+import time
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from realpw import cli
 from realpw.cli import main, FIELDS, EXIT_OK, EXIT_CONFIG, EXIT_IO
 from realpw import (make_grid, sample_builtin, save_signal, forward_dft, support_mask,
                     SignalIOError)
@@ -484,6 +486,119 @@ class TestBadInputs:
     def test_nmax_override_is_checked(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", small_cfg())
         assert main(["estimate", "--config", cfg, "--nmax", "0"]) == EXIT_CONFIG
+
+
+def nested(depth, leaf="1"):
+    """JSON text of leaf inside depth arrays."""
+    return "[" * depth + leaf + "]" * depth
+
+
+def decoder_limit():
+    """The least array depth that json.loads, called from here, cannot read."""
+    lo, hi = 1, 1 << 16
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            json.loads(nested(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid
+    return hi
+
+
+def with_note(cfg, note_json):
+    """cfg's JSON text with an unknown key "note" holding note_json."""
+    return json.dumps(cfg)[:-1] + f', "note": {note_json}}}'
+
+
+class TestDeepInputs:
+    """No nesting depth ends in a traceback: each boundary that reads nested
+    input exits 2 and names its field."""
+
+    def test_config_past_the_decoder_names_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        for text in (nested(decoder_limit() + 50), with_note(small_cfg(), nested(5000))):
+            path.write_text(text)
+            assert main(["estimate", "--config", str(path)]) == EXIT_CONFIG
+            assert "'--config'" in capsys.readouterr().err
+
+    def test_config_depth_sweep_never_raises(self, tmp_path, capsys):
+        # an unknown key nested from below the decoder's limit to past it:
+        # json.load reads it or names --config, and where the report's
+        # json.dumps, deeper on the stack, cannot write it, that names --config
+        limit, codes = decoder_limit(), set()
+        for depth in range(limit - 12, limit + 3):
+            (tmp_path / "cfg.json").write_text(with_note(small_cfg(), nested(depth)))
+            code = main(["estimate", "--config", str(tmp_path / "cfg.json")])
+            assert code == EXIT_OK or (code == EXIT_CONFIG
+                                       and "'--config'" in capsys.readouterr().err)
+            codes.add(code)
+        assert codes == {EXIT_OK, EXIT_CONFIG}
+
+    def test_report_too_deep_to_write_names_config(self, monkeypatch, capsys):
+        # handed to main as parsed: a decoder that nests deeper than the
+        # report's encoder can follow (the sweep above finds such a depth)
+        note = 1
+        for _ in range(5000):
+            note = [note]
+        monkeypatch.setattr(cli, "_read_config", lambda args: dict(small_cfg(), note=note))
+        assert main(["estimate"]) == EXIT_CONFIG
+        assert "'--config'" in capsys.readouterr().err
+
+    def test_signal_file_past_the_decoder_names_its_field(self, tmp_path, capsys):
+        deep = str(tmp_path / "deep.json")
+        pathlib.Path(deep).write_text(nested(decoder_limit() + 50))
+        for command, name, value, field in (
+                ("estimate", "input", {"path": deep}, "'input.path'"),
+                ("reconstruct", "reference_mask", deep, "'reference_mask'")):
+            cfg = write_config(tmp_path, "cfg.json", with_field(small_cfg(), name, value))
+            assert main([command, "--config", cfg]) == EXIT_CONFIG
+            assert field in capsys.readouterr().err
+
+    def test_union_past_the_frame_limit_names_builtin(self, monkeypatch, capsys):
+        # grid._support_extent takes two frames per union level, so 600
+        # levels exhaust the frame limit.  json.load refuses such a file
+        # first where its decoder shares that limit, so the config is handed
+        # to main as parsed, as a decoder with a limit of its own reads it
+        support = {"shape": "box", "lo": [-1.0], "hi": [1.0]}
+        for _ in range(600):
+            support = {"shape": "union", "parts": [support]}
+        cfg = with_field(small_cfg(), "input.builtin",
+                         {"kind": "spectral_bump", "support": support})
+        monkeypatch.setattr(cli, "_read_config", lambda args: cfg)
+        assert main(["estimate"]) == EXIT_CONFIG
+        assert "'input.builtin'" in capsys.readouterr().err
+
+
+class TestPolyTexts:
+    def test_deep_parentheses_run_as_the_bare_poly(self, tmp_path, capsys):
+        reports = []
+        for poly in ("x1", "(" * 3000 + "x1" + ")" * 3000):
+            c = dict(small_cfg(), poly=poly, out=str(tmp_path / "report.json"))
+            assert main(["estimate", "--config", write_config(tmp_path, "cfg.json", c)]) \
+                == EXIT_OK
+            reports.append(json.loads((tmp_path / "report.json").read_text())["estimate"])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("poly", ["(" * 100_000 + "x1" + ")" * 99_999, "x1\u00b2",
+                                      "x1^" + "9" * 5000],
+                             ids=["unclosed-100000-deep", "superscript", "long-exponent"])
+    def test_bad_poly_names_poly(self, tmp_path, capsys, poly):
+        c = dict(small_cfg(), poly=poly)
+        assert main(["estimate", "--config", write_config(tmp_path, "cfg.json", c)]) \
+            == EXIT_CONFIG
+        assert "'poly'" in capsys.readouterr().err
+
+    def test_power_over_the_cap_names_poly_at_once(self, tmp_path, capsys):
+        c = with_field(small_cfg(), "grid", {"d": 3, "M": 32, "h": 0.5})
+        c["input"]["builtin"]["sigma"] = 0.3
+        c["poly"] = "(x1+x2+x3+1)^200"
+        cfg = write_config(tmp_path, "cfg.json", c)
+        start = time.perf_counter()
+        assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "'poly'" in err and "(at position 12)" in err
 
 
 HOSTILE_SCALARS = st.one_of(

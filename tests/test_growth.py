@@ -10,7 +10,9 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     iterates, eval_symbol_many, family_quadratic_real,
                     reconstruct_support, growth_sequences, spatial_norms,
                     GrowthSequence, PointwiseGrowthReport, MultiPoly)
-from realpw.transform import SpatialStep, forward_values, inverse_values
+from realpw import growth
+from realpw.growth import HERMITIAN_TOL
+from realpw.transform import SpatialStep, SupportMask, forward_values, inverse_values
 from realpw.verify import (acceptance_corpus, aligned_h, verify_corpus, DESK_NMAX,
                            RTILDE_N)
 
@@ -953,3 +955,74 @@ class TestPairedLedgersProperty:
         spec = Spectrum.of(f)
         assert pairs(spec, P)
         assert_rows_match_unpaired(spec, P, n_max, NORMS, True)
+
+
+# ---------------------------------------------------------------------------
+# the pairing gate reads the mask's row-major order, against the index lookup
+# ---------------------------------------------------------------------------
+
+def parent_real_iterates(spec):
+    """growth._real_iterates before it read the mask's own order: each cell's
+    mirror looked up by its flat FFT index."""
+    if not spec.mask.resolved or spec.mask.is_empty:
+        return False
+    M, shape = spec.grid.M, spec.grid.shape
+    mirror = np.ravel_multi_index(tuple(-i % M for i in np.unravel_index(spec.fft_index, shape)),
+                                  shape)
+    order = np.argsort(spec.fft_index)
+    at = order[np.searchsorted(spec.fft_index, mirror, sorter=order).clip(max=order.size - 1)]
+    if not np.array_equal(spec.fft_index[at], mirror):
+        return False
+    F = spec.F[spec.mask.field]
+    return bool(np.abs(F[at] - F.conj()).max() <= HERMITIAN_TOL * np.abs(F).max())
+
+
+def mirrored(a):
+    """a at -lam on the centered grid."""
+    return np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+
+
+def spectrum_on(grid, field, F):
+    """A Spectrum of mask field and centered F, resolved as support_mask
+    decides: no cell in the outer two frequency shells."""
+    mask = SupportMask(grid, field, 1e-8, not (field & grid.boundary_frame(2)).any())
+    cells = (np.argwhere(field.reshape(grid.shape)) + grid.M // 2) % grid.M
+    return Spectrum(SampledFunction(grid, "spatial", np.zeros(grid.n_points)), F, mask,
+                    mask.coords(), np.ravel_multi_index(cells.T, grid.shape))
+
+
+def gate_cases(rng, count):
+    """count spectra on d = 1, 2, 3 grids: masks closed under lam -> -lam or
+    not, inside the resolved box or reaching its edge, empty or not; F
+    Hermitian or flat (a plateau, which any order of the cells pairs), exactly
+    or but for about one cell or all of them by 1e-14..1e-10 of max |F|, or
+    not Hermitian at all."""
+    for k in range(count):
+        d = 1 + k % 3
+        grid = make_grid(d, (32, 16, 12)[d - 1], 0.5)
+        shape, M = grid.shape, grid.M
+        inside = ~grid.boundary_frame(3).reshape(shape)     # its mirror is resolved too
+        field = rng.random(shape) < rng.choice([0.05, 0.2, 0.6])
+        field &= inside | (rng.random() < 0.15)
+        if rng.random() < 0.8:
+            field |= mirrored(field)
+        if rng.random() < 0.15:
+            field[tuple(rng.integers(0, M, d))] ^= True
+        G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        F = [G, np.ones(shape, dtype=complex), G + mirrored(G).conj()][rng.choice(3, p=[.1, .2, .7])]
+        scale = rng.choice([0.0, 0.0, 1e-14, 5e-13, 2e-12, 1e-10]) * np.abs(F).max()
+        noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        F = F + (noise if rng.random() < 0.5 else noise * (rng.random(shape) < 1 / field.size))
+        F[~field] *= 1e-9           # below the mask, as support_mask leaves it
+        yield spectrum_on(grid, field.ravel(), F.ravel())
+
+
+def test_pairing_gate_matches_index_lookup(pairs):
+    # on a resolved mask lam -> -lam reverses the cells' row-major order, so
+    # a mirror-closed mask has coords[::-1] == -coords and F's mirror is F[::-1]
+    decided = {True: 0, False: 0}
+    for spec in gate_cases(np.random.default_rng(0), 1500):
+        want = pairs(spec, parse_poly("x1", spec.grid.d))
+        assert growth._real_iterates(spec) == parent_real_iterates(spec) == want
+        decided[want] += 1
+    assert min(decided.values()) > 300, decided

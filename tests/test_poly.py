@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from realpw import (MultiPoly, parse_poly, eval_symbol, eval_symbol_many,
                     family_linear, family_quadratic, family_quadratic_real,
                     make_grid, PolyError, ParseError, constant, variable)
+from realpw.poly import MAX_COUNT
 
 
 class TestParser:
@@ -206,3 +210,244 @@ class TestAlgebraHelpers:
     def test_variable_out_of_range(self):
         with pytest.raises(PolyError):
             variable(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the token loop against the recursive-descent parser it replaced
+# ---------------------------------------------------------------------------
+
+class ReferenceParser:
+    """The recursive-descent parser that parse_poly replaced, kept as the
+    reference: a hand-written lexer and one method per grammar rule.  It
+    recurses once per nesting level, and "x1\u00b2" ends in int("1\u00b2")."""
+
+    def __init__(self, text: str, d: int):
+        self.text = text
+        self.d = d
+        self.pos = 0
+
+    def error(self, msg):
+        raise ParseError(msg, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def parse(self) -> MultiPoly:
+        out = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error(f"unexpected character {self.text[self.pos]!r}")
+        return out
+
+    def expr(self) -> MultiPoly:
+        if self.take("-"):
+            out = -self.term()
+        else:
+            self.take("+")
+            out = self.term()
+        while True:
+            if self.take("+"):
+                out = out + self.term()
+            elif self.take("-"):
+                out = out - self.term()
+            else:
+                return out
+
+    def term(self) -> MultiPoly:
+        out = self.factor()
+        while self.take("*"):
+            out = out * self.factor()
+        return out
+
+    def factor(self) -> MultiPoly:
+        base = self.base()
+        if self.take("^"):
+            self.skip_ws()
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if self.pos == start:
+                self.error("expected integer exponent after '^'")
+            return base ** int(self.text[start:self.pos])
+        return base
+
+    def base(self) -> MultiPoly:
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            out = self.expr()
+            if not self.take(")"):
+                self.error("expected ')'")
+            return out
+        if ch == "i":
+            self.pos += 1
+            return constant(self.d, 1j)
+        if ch == "x":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if self.pos == start:
+                self.error("expected variable index after 'x'")
+            j = int(self.text[start:self.pos])
+            if not 1 <= j <= self.d:
+                self.error(f"variable x{j} exceeds dimension d={self.d}")
+            return variable(self.d, j)
+        if ch.isdigit() or ch == ".":
+            return constant(self.d, self.number())
+        self.error("expected a number, variable, 'i' or '('")
+
+    def number(self) -> float:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos < len(self.text) and self.text[self.pos] == ".":
+            self.pos += 1
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+        if self.pos < len(self.text) and self.text[self.pos] in "eE":
+            mark = self.pos
+            self.pos += 1
+            if self.pos < len(self.text) and self.text[self.pos] in "+-":
+                self.pos += 1
+            if self.pos < len(self.text) and self.text[self.pos].isdigit():
+                while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                    self.pos += 1
+            else:
+                self.pos = mark  # not an exponent after all
+        if self.pos == start:
+            self.error("expected a number")
+        number = self.text[start:self.pos]
+        try:
+            value = float(number)
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            self.pos = start
+            self.error(f"bad number {number!r}")
+        return value
+
+
+def bits(P):
+    """P's coefficients with their real and imaginary parts bit for bit."""
+    return {a: (c.real.hex(), c.imag.hex()) for a, c in P.coeffs.items()}
+
+
+SPACES = ["", "", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
+ATOMS = ["x1", "x2", "x3", "x0", "x4", "x01", "x003", "i", "0", "1", "7", "2.5", ".5", "3.",
+         "1e3", "2E-1", "7e+2", "0.0", "1e999", "1e-400", "\u0661", "x\u0662", "1.5e", "4e+"]
+EXPONENTS = ["0", "1", "2", "3", "02"]
+GARBAGE = "x123i+-*^().eE \t\u00b2\u0661\u00a0"
+
+
+def grammar_text(pick, depth=3):
+    """A text of the parser's grammar, each choice made by pick(options):
+    sums, products, groups with a leading sign, powers and signed terms over
+    numbers, variables and i, with whitespace between the tokens."""
+    rule = pick(range(7)) if depth else 0
+    if rule <= 1:
+        return pick(ATOMS)
+    inner = [grammar_text(pick, depth - 1) for _ in range(1 + (rule == 2))]
+    if rule == 2:
+        return inner[0] + pick(SPACES) + pick("+-*") + pick(SPACES) + inner[1]
+    if rule == 3:
+        return "(" + pick(["", "-", "+", " - "]) + inner[0] + pick(SPACES) + ")"
+    if rule == 4:
+        return inner[0] + pick(SPACES) + "^" + pick(SPACES) + pick(EXPONENTS)
+    return pick(["-", "+", "- "]) + inner[0]
+
+
+def text_from(rng) -> str:
+    """A grammar text of rng's choosing with up to two characters inserted,
+    deleted or replaced; or, one time in eight, a short string of grammar
+    characters and look-alikes."""
+    def pick(options):
+        return options[rng.randrange(len(options))]
+
+    if pick(range(8)) == 0:
+        return "".join(pick(GARBAGE) for _ in range(pick(range(9))))
+    text = grammar_text(pick)
+    for _ in range(pick([0, 0, 1, 2])):
+        where, edit, ch = pick(range(len(text) + 1)), pick(range(3)), pick(GARBAGE)
+        text = text[:where] + ("" if edit == 1 else ch) + text[where + (edit != 0):]
+    return text
+
+
+class TestParserMatchesReference:
+    # 400 examples of 25 texts: 10 000 texts, each at d = 1, 2 and 3
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=True))
+    def test_same_language_and_bit_identical_coefficients(self, rng):
+        for text in (text_from(rng) for _ in range(25)):
+            for d in (1, 2, 3):
+                try:
+                    want = bits(ReferenceParser(text, d).parse())
+                except ValueError:        # ParseError, or int() of a non-ASCII digit
+                    want = None
+                try:
+                    got = bits(parse_poly(text, d))
+                except ParseError as exc:
+                    assert 0 <= exc.position <= len(text), (text, d, exc)
+                    if "may exceed" in str(exc):     # the power cap, new on purpose
+                        assert want is not None, (text, d)
+                        continue
+                    got = None
+                assert got == want, (text, d)
+
+
+class TestParserBoundaries:
+    def test_any_nesting_depth(self):
+        # the recursive parser raised RecursionError from about 330 levels on
+        deep = "(" * 100_000 + "x1" + ")" * 100_000
+        assert parse_poly(deep, 1).coeffs == {(1,): 1.0 + 0j}
+        with pytest.raises(ParseError) as err:
+            parse_poly(deep[:-1], 1)
+        assert err.value.position == len(deep) - 1
+
+    @pytest.mark.parametrize("text,position", [("x1\u00b2", 2), ("x\u00b2", 1),
+                                               ("x1^\u00b2", 3), ("\u00b2", 0)])
+    def test_non_ascii_digit_is_a_parse_error(self, text, position):
+        # the reference raises a bare ValueError from int() on the first three
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, 1)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", ["x1^" + "9" * 5000, "x" + "1" * 5000])
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_poly(text, 1)
+
+
+class TestPowerCap:
+    def test_power_over_the_cap_is_refused_at_the_caret(self):
+        start = time.perf_counter()
+        for text, t, k in (("(x1+x2+x3+1)^200", 4, 200), ("(x1+x2+x3+1)^28", 4, 28),
+                           ("(x1 + 1) ^ 4096", 2, 4096)):
+            with pytest.raises(ParseError) as err:
+                parse_poly(text, 3)
+            assert err.value.position == text.index("^")
+            assert math.comb(k + t - 1, t - 1) > MAX_COUNT
+        assert time.perf_counter() - start < 1.0
+
+    def test_power_under_the_cap_parses(self):
+        # C(23, 3) = 1771 terms, as many as the power has
+        P = parse_poly("(x1+x2+x3+1)^20", 3)
+        assert len(P.coeffs) == math.comb(23, 3) <= MAX_COUNT
+        assert P.coeffs[(0, 0, 0)] == 1 and P.coeffs[(20, 0, 0)] == 1
+
+    def test_monomial_and_zero_powers_are_not_capped(self):
+        assert parse_poly("x1^100000", 1).coeffs == {(100000,): 1.0 + 0j}
+        assert parse_poly("(2*i*x1*x2)^5000", 2).degree == 10000
+        assert parse_poly("(0*x1)^99999", 1).is_zero

@@ -1,8 +1,8 @@
 """Code rules checked on the syntax tree: no module imports another module's
 leading-underscore name, no library module but the CLI prints, only the
 transform and growth modules name SpatialStep, one ledger pass runs the
-iterates, the library starts no threads, and every verify row reads its
-member's one Ledgers build."""
+iterates, the library starts no threads, every verify row reads its
+member's one Ledgers build, and every JSON read catches RecursionError."""
 
 import ast
 import pathlib
@@ -94,3 +94,25 @@ def test_verify_rows_read_the_ledgers():
                                 getattr(node, "name", None))]
     assert len(of) == 1
     assert (passes, named) == ([], [])
+
+
+def test_every_json_read_catches_recursion():
+    # json.load raises RecursionError, not ValueError, on deep nesting, and
+    # uncaught that is a traceback with exit 1, the code of a failed verify
+    def catches_recursion(handler):
+        names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(getattr(name, "id", None) == "RecursionError" for name in names)
+
+    reads, unguarded = 0, []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        guarded = {id(inner) for node in ast.walk(tree)
+                   if isinstance(node, ast.Try) and any(map(catches_recursion, node.handlers))
+                   for stmt in node.body for inner in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and called(node) in ("load", "loads")
+                    and getattr(getattr(node.func, "value", None), "id", None) == "json"):
+                reads += 1
+                if id(node) not in guarded:
+                    unguarded.append(f"{path.name}:{node.lineno}")
+    assert reads and unguarded == []
