@@ -19,7 +19,7 @@ from .transform import (forward_dft, inverse_dft, SupportMask, support_mask,
                         eval_entire, complex_growth_rate, ComplexGrowthReport)
 from .growth import (iterates, spatial_norms, apply_op_spectral, apply_op_fd,
                      growth_sequence, growth_sequences, GrowthSequence,
-                     estimate_limit, LimitEstimate,
+                     estimate_limit, estimate_limits, LimitEstimate,
                      liminf_check, LiminfReport, pointwise_growth,
                      PointwiseGrowthReport, schwartz_decay_check,
                      SchwartzDecayReport, GrowthError)

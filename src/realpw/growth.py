@@ -19,6 +19,11 @@ G_(n-1) + i G_n gives g_(n-1) as its real part and g_n as its imaginary part.
 A spatial input is masked at DEFAULT_EPS_REL; a Spectrum carries its own
 threshold, so another one is chosen with Spectrum.of(f, eps_rel).
 
+Every limit comes from one estimator, `estimate_limits`, which takes a stack
+of ledgers of one length and works along its rows; GrowthSequence.from_rows
+calls it once per length for a stack's ledgers, so growth_sequences pays one
+call per stack of `spatial_norms` and length, not one per member.
+
 The restriction to the mask is deliberate: cells below the mask threshold sit
 at double-precision noise levels, and any such cell with a larger symbol
 modulus would overtake the signal after roughly ln(1e16)/ln(s_max/s_mask)
@@ -66,8 +71,16 @@ class LimitEstimate:
     gap: float
 
 
-def estimate_limit(log_norms) -> LimitEstimate:
-    """Estimate lim exp(L_n/n) from L_n, n = 1..n_max (n_max >= 8).
+# ledgers per pass of estimate_limits, so its temporaries stay near this many
+# rows whatever the stack: with all 256 rows of a reconstruct-twobox job in one
+# pass its peak RSS sat 0.8-1.0 MB above the per-ledger estimator's in each of
+# 10 checkout directories tried
+_CHUNK = 64
+
+
+def estimate_limits(log_norms) -> list:
+    """A LimitEstimate of lim exp(L_n/n) per row of a (ledgers, n_max) array
+    of L_n, n = 1..n_max (n_max >= 8), in row order.
 
     Step ratios r_n = L_n - L_{n-1} over the trailing three quarters are
     split into three equal windows.  Window medians classify the tail:
@@ -78,51 +91,62 @@ def estimate_limit(log_norms) -> LimitEstimate:
     * large in-window scatter -> median of the raw tail roots exp(L_n/n).
 
     The secondary estimate is the last consecutive ratio exp(L_n - L_{n-1});
-    both are reported, the primary is the classified one.
+    both are reported, the primary is the classified one.  Every statistic is
+    taken along the rows, _CHUNK rows at a time, so a stack of ledgers costs
+    one pass of small-array calls per _CHUNK ledgers, not one per ledger.
     """
     L = np.asarray(log_norms, dtype=float)
-    if L.ndim != 1 or L.size < 8:
+    if L.ndim != 2 or L.shape[1] < 8:
         raise GrowthError("estimate_limit needs at least 8 log-norm entries")
     if not np.all(np.isfinite(L)):
         raise GrowthError("non-finite log-norms; truncate the sequence first")
-    n_max = L.size
-    n = np.arange(1, n_max + 1)
-    roots = np.exp(L / n)
-    tail_w = max(4, n_max // 4)
-    tail_roots = roots[-tail_w:]
-    spread = float(tail_roots.max() - tail_roots.min())
-    secondary = float(np.exp(L[-1] - L[-2]))
+    return [est for lo in range(0, len(L), _CHUNK) for est in _estimate_rows(L[lo:lo + _CHUNK])]
 
-    steps = np.diff(L)              # r_n for n = 2..n_max
-    ns = n[1:]
-    keep = ns >= max(n_max // 4, 2)
-    rw, nw = steps[keep], ns[keep]
-    k = len(rw) // 3
+
+def _estimate_rows(L) -> list:
+    """estimate_limits of a checked (ledgers, n_max) array, all rows at once."""
+    n_max = L.shape[1]
+    tail_w = max(4, n_max // 4)
+    tail_roots = np.exp(L[:, -tail_w:] / np.arange(n_max - tail_w + 1, n_max + 1))
+    spread = tail_roots.max(axis=1) - tail_roots.min(axis=1)
+    secondary = np.exp(L[:, -1] - L[:, -2])
+
+    first = max(n_max // 4, 2)      # r_n for n = first..n_max
+    rw, nw = np.diff(L[:, first - 2:], axis=1), np.arange(first, n_max + 1)
+    k = rw.shape[1] // 3
     k -= k % 2                      # even windows: alternating terms cancel in medians
     if k < 2:
-        k = max(len(rw) // 3, 1)
-    wins = [(rw[-3 * k:-2 * k], nw[-3 * k:-2 * k]),
-            (rw[-2 * k:-k], nw[-2 * k:-k]),
-            (rw[-k:], nw[-k:])]
-    med = [float(np.median(w[0])) for w in wins]
-    invn = [float(np.mean(1.0 / w[1])) for w in wins]
+        k = max(rw.shape[1] // 3, 1)
+    wins = [slice(-3 * k, -2 * k), slice(-2 * k, -k), slice(-k, None)]
+    invn = [float(np.mean(1.0 / nw[w])) for w in wins]
     # Even-window medians of the log steps cancel period-2 parity oscillation
     # exactly (they average the two middle values), so the trust statistic is
     # the scatter of consecutive-step pair sums, which is parity-invariant.
-    pair = rw[:-1] + rw[1:]
-    scatter = float(np.median(np.abs(pair - np.median(pair)))) if pair.size else 0.0
+    # A median does not read the order of its row, so each one partitions its
+    # temporary in place, not a copy; the window medians come after pair,
+    # which reads rw in order.
+    pair = rw[:, :-1] + rw[:, 1:]
+    pair -= np.median(pair, axis=1, keepdims=True, overwrite_input=True)
+    scatter = np.median(np.abs(pair, out=pair), axis=1, overwrite_input=True)
+    med = [np.median(rw[:, w], axis=1, overwrite_input=True) for w in wins]
 
-    if scatter > 0.5:
-        primary, regime = float(np.median(tail_roots)), "noisy-tail-median"
-    else:
-        d21, d32 = med[1] - med[0], med[2] - med[1]
-        if abs(d32) <= 0.35 * abs(d21) or abs(d21) < 1e-12:
-            primary, regime = float(np.exp(med[2])), "geometric"
-        else:
-            a = (med[2] * invn[0] - med[0] * invn[2]) / (invn[0] - invn[2])
-            primary, regime = float(np.exp(a)), "richardson"
-    return LimitEstimate(primary, secondary, regime, tail_w, spread,
-                         abs(primary - secondary))
+    noisy = scatter > 0.5
+    d21, d32 = med[1] - med[0], med[2] - med[1]
+    geometric = (np.abs(d32) <= 0.35 * np.abs(d21)) | (np.abs(d21) < 1e-12)
+    richardson = (med[2] * invn[0] - med[0] * invn[2]) / (invn[0] - invn[2])
+    primary = np.median(tail_roots, axis=1, overwrite_input=True)
+    np.exp(np.where(geometric, med[2], richardson), out=primary, where=~noisy)
+    regime = np.where(noisy, "noisy-tail-median", np.where(geometric, "geometric", "richardson"))
+    return [LimitEstimate(a, b, r, tail_w, s, abs(a - b)) for a, b, r, s in
+            zip(primary.tolist(), secondary.tolist(), regime.tolist(), spread.tolist())]
+
+
+def estimate_limit(log_norms) -> LimitEstimate:
+    """estimate_limits of one ledger L_n, n = 1..n_max (n_max >= 8)."""
+    L = np.asarray(log_norms, dtype=float)
+    if L.ndim != 1:
+        raise GrowthError("estimate_limit takes one ledger; estimate_limits a stack")
+    return estimate_limits(L[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +298,7 @@ def spatial_norms(f, polys, n_max: int, norms):
             absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
         weights = [step.fft_order((1.0 + absx) ** e) if e else None for _, e in norms]
         real, pair = _real_iterates(spec), np.empty(cells, dtype=complex)
-    size = max(1, spec.grid.n_points // max(1, cells))
+    size = _stack_size(spec)
     ns = np.arange(1, n_max + 1)
     for start in range(0, len(polys), size):
         stack = polys[start:start + size]
@@ -327,6 +351,12 @@ def spatial_norms(f, polys, n_max: int, norms):
             S = ns * logR[m]
             yield float(R[m]), (S, sums[m]), [(S[:len(r)], np.array(r, dtype=float))
                                               for r in rows[m]]
+
+
+def _stack_size(spec: Spectrum) -> int:
+    """Members per stack of spatial_norms: a (members x mask cells) block
+    holds at most n_points values."""
+    return max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
 
 
 def _real_iterates(spec: Spectrum) -> bool:
@@ -393,28 +423,53 @@ class GrowthSequence:
         """The ledger of terms S_n and ||g_n||_p, n = 1, 2, ..., (a row of
         `spatial_norms` or its Parseval row): L_n = S_n + log ||g_n||_p up
         to the first norm that is not > 0, where the ledger is truncated.  A
-        norm that is not finite raises GrowthError."""
-        k = _leading(norms)
-        if k < norms.size and not np.isfinite(norms[k]):
-            raise _overflow(P, p, 0, k + 1)
-        truncated_at = k + 1 if k < norms.size else None
-        L = S[:k] + np.log(norms[:k])
-        if L.size == 0:
-            return cls(P, p, n_max, L, L, L, L, 0.0, 0.0, "zero", 0, 0.0,
-                       R, resolved, truncated_at=1)
-        n = np.arange(1, L.size + 1)
-        roots = np.exp(L / n)
-        steps = np.exp(np.diff(L)) if L.size > 1 else np.array([])
-        if L.size >= 8:
-            est = estimate_limit(L)
-            limit, secondary, regime = est.limit, est.secondary, est.regime
-            tail_w, spread = est.tail_window, est.spread
-        else:
-            # truncated too early for the estimator: report the last root
-            limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
-            tail_w, spread = L.size, float(roots.max() - roots.min())
-        return cls(P, p, n_max, L, roots, steps, norms[:k], limit, secondary, regime,
-                   tail_w, spread, R, resolved, truncated_at)
+        norm that is not finite raises GrowthError.  This is from_rows for
+        one row."""
+        return next(cls.from_rows([(P, p, R, S, norms)], n_max, resolved))
+
+    @classmethod
+    def from_rows(cls, rows, n_max, resolved, out=None):
+        """from_row of each (P, p, R, S, norms) of rows, in order.  Every
+        ledger L is written into a row of one block: out, of one row per row
+        of rows and at least as many columns as the longest norms, or with
+        out None a new block, for which rows must be a sequence.  Then the
+        ledgers of each length of 8 or more get their limits from one
+        estimate_limits call, whose temporaries are freed before the first
+        yield.  Each sequence's L is a row of the block; its other arrays are
+        built when it is yielded."""
+        ledgers = out if out is not None else np.empty(
+            (len(rows), max((norms.size for *_, norms in rows), default=0)))
+        heads, lengths = [], []
+        for L, (P, p, R, S, norms) in zip(ledgers, rows, strict=True):
+            k = _leading(norms)
+            if k < norms.size and not np.isfinite(norms[k]):
+                raise _overflow(P, p, 0, k + 1)
+            np.add(S[:k], np.log(norms[:k]), out=L[:k])
+            heads.append((P, p, R, norms[:k], k + 1 if k < norms.size else None))
+            lengths.append(k)
+        estimates = {}
+        for k in sorted(set(lengths) - set(range(8))):
+            at = [i for i, length in enumerate(lengths) if length == k]
+            whole = len(at) == len(ledgers) and k == ledgers.shape[1]
+            estimates.update(zip(at, estimate_limits(ledgers if whole else ledgers[at, :k])))
+        for i, ((P, p, R, norms, truncated_at), k) in enumerate(zip(heads, lengths)):
+            L = ledgers[i, :k]
+            if L.size == 0:
+                yield cls(P, p, n_max, L, L, L, L, 0.0, 0.0, "zero", 0, 0.0,
+                          R, resolved, truncated_at=1)
+                continue
+            roots = np.exp(L / np.arange(1, L.size + 1))
+            steps = np.exp(np.diff(L)) if L.size > 1 else np.array([])
+            est = estimates.get(i)
+            if est is not None:
+                limit, secondary, regime = est.limit, est.secondary, est.regime
+                tail_w, spread = est.tail_window, est.spread
+            else:
+                # truncated too early for the estimator: report the last root
+                limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
+                tail_w, spread = L.size, float(roots.max() - roots.min())
+            yield cls(P, p, n_max, L, roots, steps, norms, limit, secondary, regime,
+                      tail_w, spread, R, resolved, truncated_at)
 
     @property
     def relative_gap(self) -> float:
@@ -452,17 +507,26 @@ def growth_sequence(f, P: MultiPoly, p, n_max: int) -> GrowthSequence:
 
 def growth_sequences(f, polys, p, n_max: int):
     """growth_sequence(f, P, p, n_max) for each P of polys, in order, each
-    built when its stack of `spatial_norms` is consumed: p = 2 reads the
-    pass's Parseval row, any other p its one spatial row."""
+    stack of `spatial_norms` built through one GrowthSequence.from_rows when
+    its first member is consumed: p = 2 reads the pass's Parseval row, any
+    other p its one spatial row."""
     if n_max < 8:
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
     if not np.isinf(p) and not p >= 1:
         raise GrowthError(f"p must be in [1, inf], got {p}")
     spec, polys = Spectrum.of(f), tuple(polys)
     norms = [] if p == 2 else [(p, 0)]
-    for P, (R, two, rows) in zip(polys, spatial_norms(spec, polys, n_max, norms)):
-        yield GrowthSequence.from_row(P, p, n_max, R, *(rows[0] if norms else two),
-                                      spec.mask.resolved)
+    passes, size = spatial_norms(spec, polys, n_max, norms), _stack_size(spec)
+    for start in range(0, len(polys), size):
+        stack = polys[start:start + size]
+        # the stack's ledgers take a block made before its pass, as the
+        # pass's sums do: made after it, a block or a batch of the ledgers put
+        # reconstruct-twobox's peak RSS ~1 MB above the per-ledger builder's
+        # in most checkout directories tried
+        ledgers = np.empty((len(stack), n_max))
+        rows = ((P, p, R, *(spatial[0] if norms else two))
+                for P, (R, two, spatial) in zip(stack, passes))
+        yield from GrowthSequence.from_rows(rows, n_max, spec.mask.resolved, ledgers)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +601,7 @@ class PointwiseGrowthReport:
         log_W = _logs(S, norms)
         if not log_W.size:
             return cls(N, mode, log_W, 0.0, R, True, "zero")
-        est = estimate_limit(log_W) if log_W.size >= 8 else None
+        est = estimate_limits(log_W[None])[0] if log_W.size >= 8 else None
         rtilde = est.limit if est else float(np.exp(log_W[-1] / log_W.size))
         regime = est.regime if est else "truncated"
         # bounded iff log(W_n / (n^N rtilde^n)) shows no upward trend at the end

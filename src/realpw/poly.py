@@ -155,10 +155,13 @@ def variable(d: int, j: int) -> MultiPoly:
 # error); "*" binds tighter than "+" and "-", and all three associate to the
 # left.  A leading sign covers the whole first term: -x1*x2 + 1 is
 # (-(x1*x2)) + 1.  Implicit multiplication is not allowed.  base^k is refused
-# when base has t >= 2 terms and C(k + t - 1, t - 1), a bound on the terms of
-# the power, exceeds MAX_COUNT.
+# at its "^" when base has t >= 2 terms and C(k + t - 1, t - 1), a bound on
+# the terms of the power, exceeds MAX_COUNT; a * b is refused at its "*" when
+# min(t_a t_b, C(deg a + deg b + d, d)), a bound on the terms of the product,
+# exceeds MAX_COUNT.
 
-MAX_COUNT = 4096    # cap on the terms of a power, and the CLI's on n_max, t_count and families
+# cap on the terms of a power or a product, and the CLI's on n_max, t_count and families
+MAX_COUNT = 4096
 
 _TOKEN = re.compile(r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                     r"|(?P<var>x\d*)|(?P<end>\Z)|(?P<char>.))")
@@ -176,9 +179,14 @@ def parse_poly(text: str, d: int) -> MultiPoly:
     values, ops, state = [], [], "sign"     # sign | operand | operator | power | powered
 
     def reduce(level):      # apply the stacked operators that bind at least as tightly
-        while ops and _LEVEL[ops[-1]] >= level:
-            right = values.pop()
-            values[-1] = _APPLY[ops.pop()](values[-1], right)
+        while ops and _LEVEL[ops[-1][0]] >= level:
+            (op, at), right = ops.pop(), values.pop()
+            if op == "*" and _product_terms(values[-1], right, d) > MAX_COUNT:
+                raise ParseError(f"a product may exceed {MAX_COUNT} terms", at)
+            values[-1] = _APPLY[op](values[-1], right)
+
+    def opened():           # whether a "(" waits for its ")"
+        return any(op == "(" for op, _ in ops)
 
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
@@ -196,10 +204,10 @@ def parse_poly(text: str, d: int) -> MultiPoly:
         elif state == "sign" and token in ("+", "-"):
             if token == "-":
                 values.append(None)
-                ops.append("neg")
+                ops.append(("neg", at))
             state = "operand"
         elif token == "(" and state in ("sign", "operand"):
-            ops.append("(")
+            ops.append(("(", at))
             state = "sign"
         elif state in ("sign", "operand"):
             if kind == "number" and math.isfinite(float(token)):
@@ -219,18 +227,25 @@ def parse_poly(text: str, d: int) -> MultiPoly:
             state, caret = "power", at
         elif token in ("+", "-", "*"):
             reduce(_LEVEL[token])
-            ops.append(token)
+            ops.append((token, at))
             state = "operand"
-        elif token == ")" and "(" in ops:
+        elif token == ")" and opened():
             reduce(1)
             ops.pop()
             state = "operator"
-        elif kind == "end" and "(" not in ops:
+        elif kind == "end" and not opened():
             reduce(1)
             return values[0]
         else:
-            raise ParseError("expected ')'" if "(" in ops else
+            raise ParseError("expected ')'" if opened() else
                              f"unexpected character {text[at]!r}", at)
+
+
+def _product_terms(a: MultiPoly, b: MultiPoly, d: int) -> int:
+    """A bound on the terms of a * b: the product of their term counts, or
+    the count of monomials of degree at most deg a + deg b if that is less."""
+    n = len(a.coeffs) * len(b.coeffs)
+    return n if n <= MAX_COUNT else min(n, math.comb(a.degree + b.degree + d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ class Ledgers:
     spatial_norms gives it (ending at a value not > 0), the frequency one as
     the p = 2 ledger keeps it.  One `spatial_norms` pass per stack of polys
     gives them all: the p = 2 ledgers and the frequency side read its
-    Parseval rows.  A member whose mask is not resolved gets no sequences
+    Parseval rows, and one GrowthSequence.from_rows builds the ledgers of
+    each P.  A member whose mask is not resolved gets no sequences
     or rtilde (every row that reads them skips it), so its pass steps only
     polys[0], for the spatial 2-norms.
     """
@@ -73,8 +74,8 @@ class Ledgers:
             seqs = {}
             if resolved:
                 by_p = {2: two, **dict(zip(spatial_p, rows))}
-                seqs = {p: GrowthSequence.from_row(P, p, n_max, R, *by_p[p], resolved)
-                        for p in member.p_values}
+                seqs = dict(zip(member.p_values, GrowthSequence.from_rows(
+                    [(P, p, R, *by_p[p]) for p in member.p_values], n_max, resolved)))
                 out.sequences.extend(seqs.values())
                 out.rtilde.append(PointwiseGrowthReport.from_row(
                     RTILDE_N, "growth", R, *rows[len(spatial_p)]))
@@ -230,11 +231,17 @@ def check_fd_oracle(member, n_max=DESK_NMAX, rel_tol=1e-6):
         g_spec, S = apply_op_spectral(spec, P, 1)
         spec_vals = np.exp(S) * g_spec.values
         fd_vals = apply_op_fd(member.f, P, 8).values
-        denom = np.linalg.norm(spec_vals)
+        denom = _norm(spec_vals)
         if denom == 0:
             continue
-        worst = max(worst, float(np.linalg.norm(fd_vals - spec_vals) / denom))
+        worst = max(worst, _norm(fd_vals - spec_vals) / denom)
     return ("pass" if worst <= rel_tol else "fail", f"worst rel diff {worst:.2e}")
+
+
+def _norm(x) -> float:
+    """2-norm of a complex vector by a plain sum: np.linalg.norm's dot wakes
+    the BLAS threads of a process that did not pin them to one."""
+    return math.sqrt(float(np.sum(x.real ** 2 + x.imag ** 2)))
 
 
 def check_cauchy_bound(member, n_max=DESK_NMAX, n_top=20):

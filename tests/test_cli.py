@@ -600,6 +600,15 @@ class TestPolyTexts:
         err = capsys.readouterr().err
         assert "'poly'" in err and "(at position 12)" in err
 
+    def test_product_over_the_cap_names_poly(self, tmp_path, capsys):
+        c = with_field(small_cfg(), "grid", {"d": 2, "M": 32, "h": 0.5})
+        c["input"]["builtin"]["sigma"] = 0.3
+        c["poly"] = "(x1+1)^400*(x2+1)^400"
+        assert main(["estimate", "--config", write_config(tmp_path, "cfg.json", c)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'poly'" in err and "product" in err and "(at position 10)" in err
+
 
 HOSTILE_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-10, 300),

@@ -400,7 +400,7 @@ class TestParserMatchesReference:
                     got = bits(parse_poly(text, d))
                 except ParseError as exc:
                     assert 0 <= exc.position <= len(text), (text, d, exc)
-                    if "may exceed" in str(exc):     # the power cap, new on purpose
+                    if "may exceed" in str(exc):     # the power and product caps
                         assert want is not None, (text, d)
                         continue
                     got = None
@@ -446,6 +446,20 @@ class TestPowerCap:
         P = parse_poly("(x1+x2+x3+1)^20", 3)
         assert len(P.coeffs) == math.comb(23, 3) <= MAX_COUNT
         assert P.coeffs[(0, 0, 0)] == 1 and P.coeffs[(20, 0, 0)] == 1
+
+    def test_product_over_the_cap_is_refused_at_its_star(self):
+        # (x1+1)^400 has 401 terms, so the product would have 160 801
+        for text, d in (("(x1+1)^400*(x2+1)^400", 2), ("(x1+1)^64 * (x2+1)^64", 2),
+                        ("x1 + (x1+x2+x3+1)^15*(x1+x2+x3+1)^15 - 1", 3)):
+            with pytest.raises(ParseError, match="product may exceed 4096 terms") as err:
+                parse_poly(text, d)
+            assert err.value.position == text.index("*")
+
+    def test_product_under_the_degree_bound_parses(self):
+        # 65 x 65 term pairs, but only 129 monomials of degree <= 128 in x1
+        P = parse_poly("(x1+1)^64*(x1+1)^64", 1)
+        assert len(P.coeffs) == 129 and P.coeffs[(128,)] == 1
+        assert len(parse_poly("(x1+x2+1)^15*(x1+x2+1)^15", 2).coeffs) == math.comb(32, 2)
 
     def test_monomial_and_zero_powers_are_not_capped(self):
         assert parse_poly("x1^100000", 1).coeffs == {(100000,): 1.0 + 0j}

@@ -2,7 +2,8 @@
 leading-underscore name, no library module but the CLI prints, only the
 transform and growth modules name SpatialStep, one ledger pass runs the
 iterates, the library starts no threads, every verify row reads its
-member's one Ledgers build, and every JSON read catches RecursionError."""
+member's one Ledgers build, every JSON read catches RecursionError, and
+ledger builders estimate limits by the stack."""
 
 import ast
 import pathlib
@@ -116,3 +117,12 @@ def test_every_json_read_catches_recursion():
                 if id(node) not in guarded:
                     unguarded.append(f"{path.name}:{node.lineno}")
     assert reads and unguarded == []
+
+
+def test_limits_are_estimated_by_the_stack():
+    # estimate_limit stays for library users; a ledger builder that called it
+    # once per ledger would pay one pass of small-array calls per member, the
+    # cost estimate_limits removed from reconstruct
+    calls = [f"{path.name}:{node.lineno}" for path in LIBRARY for node in nodes(path)
+             if isinstance(node, ast.Call) and called(node) == "estimate_limit"]
+    assert calls == []

@@ -203,3 +203,28 @@ def test_cauchy_and_raster_read_the_ledgers_as_their_own_passes(corpus):
         assert check_raster(member, 64) == reference_raster(member)
         status, detail = check_cauchy_bound(member, 16)
         assert status == "pass" and detail.startswith("holds for n <= 16 with C=")
+
+
+def test_fd_oracle_stays_off_blas(monkeypatch):
+    # np.linalg.norm of a complex vector is a BLAS dot, which wakes the BLAS
+    # threads of a process that did not pin them; the row sums instead, and
+    # its details keep the digits np.linalg.norm gave them
+    def linalg_norm_row(member):
+        worst = 0.0
+        for P in member.polys:
+            g_spec, S = growth.apply_op_spectral(member.spec, P, 1)
+            spec_vals = np.exp(S) * g_spec.values
+            fd_vals = growth.apply_op_fd(member.f, P, 8).values
+            denom = np.linalg.norm(spec_vals)
+            worst = max(worst, float(np.linalg.norm(fd_vals - spec_vals) / denom))
+        return ("pass" if worst <= 1e-6 else "fail", f"worst rel diff {worst:.2e}")
+
+    members = verify_corpus()
+    want = [linalg_norm_row(m) for m in members]
+
+    def no_blas(*args, **kwargs):
+        raise AssertionError("check_fd_oracle called np.linalg.norm")
+
+    monkeypatch.setattr(np.linalg, "norm", no_blas)
+    assert [verify.check_fd_oracle(m) for m in members] == want
+    assert [status for status, _ in want] == ["pass"] * 3
