@@ -24,9 +24,9 @@ from .growth import (iterates, spatial_norms, apply_op_spectral, apply_op_fd,
                      PointwiseGrowthReport, schwartz_decay_check,
                      SchwartzDecayReport, GrowthError)
 from .reconstruct import (reconstruct_support, ReconstructionResult,
-                          membership_test, local_spectrum_raster,
-                          LocalSpectrumRaster, pde_support_probe,
-                          PdeProbeReport, mask_metrics, MaskMetrics)
+                          local_spectrum_raster, LocalSpectrumRaster,
+                          pde_support_probe, PdeProbeReport, mask_metrics,
+                          MaskMetrics)
 from .signal_io import (save_signal, load_signal, save_signal_csv,
                         load_signal_csv, SignalIOError)
 

@@ -19,10 +19,15 @@ G_(n-1) + i G_n gives g_(n-1) as its real part and g_n as its imaginary part.
 A spatial input is masked at DEFAULT_EPS_REL; a Spectrum carries its own
 threshold, so another one is chosen with Spectrum.of(f, eps_rel).
 
-Every limit comes from one estimator, `estimate_limits`, which takes a stack
-of ledgers of one length and works along its rows; GrowthSequence.from_rows
-calls it once per length for a stack's ledgers, so growth_sequences pays one
-call per stack of `spatial_norms` and length, not one per member.
+Every ledger kind, the p-norm and Parseval rows of a GrowthSequence and the
+weighted sup rows of a PointwiseGrowthReport, becomes a limit through one
+path, `_estimates`: one `estimate_limits` call (which works along the rows of
+a stack of ledgers of one length) per length of 8 or more, the last root
+exp(L_n/n) for a shorter ledger ("truncated"), 0 for an empty one ("zero").
+GrowthSequence.from_rows runs it once per stack of rows, so growth_sequences
+pays one estimator call per stack of `spatial_norms` and length, not one per
+member.  A GrowthSequence stores its ledger L; its roots and step factors
+are derived from L when they are read.
 
 The restriction to the mask is deliberate: cells below the mask threshold sit
 at double-precision noise levels, and any such cell with a larger symbol
@@ -71,13 +76,6 @@ class LimitEstimate:
     gap: float
 
 
-# ledgers per pass of estimate_limits, so its temporaries stay near this many
-# rows whatever the stack: with all 256 rows of a reconstruct-twobox job in one
-# pass its peak RSS sat 0.8-1.0 MB above the per-ledger estimator's in each of
-# 10 checkout directories tried
-_CHUNK = 64
-
-
 def estimate_limits(log_norms) -> list:
     """A LimitEstimate of lim exp(L_n/n) per row of a (ledgers, n_max) array
     of L_n, n = 1..n_max (n_max >= 8), in row order.
@@ -92,19 +90,14 @@ def estimate_limits(log_norms) -> list:
 
     The secondary estimate is the last consecutive ratio exp(L_n - L_{n-1});
     both are reported, the primary is the classified one.  Every statistic is
-    taken along the rows, _CHUNK rows at a time, so a stack of ledgers costs
-    one pass of small-array calls per _CHUNK ledgers, not one per ledger.
+    taken along the rows, so a stack of ledgers costs one pass of small-array
+    calls, not one per ledger.
     """
     L = np.asarray(log_norms, dtype=float)
     if L.ndim != 2 or L.shape[1] < 8:
-        raise GrowthError("estimate_limit needs at least 8 log-norm entries")
+        raise GrowthError("estimate_limits needs a (ledgers, n_max) array with n_max >= 8")
     if not np.all(np.isfinite(L)):
         raise GrowthError("non-finite log-norms; truncate the sequence first")
-    return [est for lo in range(0, len(L), _CHUNK) for est in _estimate_rows(L[lo:lo + _CHUNK])]
-
-
-def _estimate_rows(L) -> list:
-    """estimate_limits of a checked (ledgers, n_max) array, all rows at once."""
     n_max = L.shape[1]
     tail_w = max(4, n_max // 4)
     tail_roots = np.exp(L[:, -tail_w:] / np.arange(n_max - tail_w + 1, n_max + 1))
@@ -144,9 +137,10 @@ def _estimate_rows(L) -> list:
 def estimate_limit(log_norms) -> LimitEstimate:
     """estimate_limits of one ledger L_n, n = 1..n_max (n_max >= 8)."""
     L = np.asarray(log_norms, dtype=float)
-    if L.ndim != 1:
-        raise GrowthError("estimate_limit takes one ledger; estimate_limits a stack")
-    return estimate_limits(L[None])[0]
+    if L.ndim != 1 or L.size < 8:
+        raise GrowthError("estimate_limit takes one ledger of at least 8 entries; "
+                          "estimate_limits a stack")
+    return _estimates([L])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +390,30 @@ def _leading(values) -> int:
 # growth sequences
 # ---------------------------------------------------------------------------
 
+def _logs(S, values):
+    """S_n + log of a row's values, up to its first that is not > 0."""
+    k = _leading(values)
+    return S[:k] + np.log(values[:k])
+
+
+def _estimates(ledgers) -> list:
+    """The LimitEstimate of each ledger, in order: the one limit path.  The
+    ledgers of each length of 8 or more share one estimate_limits call; a
+    shorter one reports its last root exp(L_n/n) as "truncated", an empty
+    one 0 as "zero"."""
+    out = [LimitEstimate(0.0, 0.0, "zero", 0, 0.0, 0.0)] * len(ledgers)
+    for i, L in enumerate(ledgers):
+        if 0 < L.size < 8:
+            roots = np.exp(L / np.arange(1, L.size + 1))
+            out[i] = LimitEstimate(float(roots[-1]), float(roots[-1]), "truncated", L.size,
+                                   float(roots.max() - roots.min()), 0.0)
+    for k in sorted({L.size for L in ledgers} - set(range(8))):
+        at = [i for i, L in enumerate(ledgers) if L.size == k]
+        for i, est in zip(at, estimate_limits([ledgers[i] for i in at])):
+            out[i] = est
+    return out
+
+
 @dataclass(frozen=True)
 class GrowthSequence:
     """Per-n log-norm ledger of ||P(d)^n f||_p, its limit estimate and the
@@ -406,8 +424,6 @@ class GrowthSequence:
     p: float
     n_max: int
     L: np.ndarray
-    roots: np.ndarray
-    step_factors: np.ndarray
     norms: np.ndarray
     limit: float
     secondary: float
@@ -428,48 +444,30 @@ class GrowthSequence:
         return next(cls.from_rows([(P, p, R, S, norms)], n_max, resolved))
 
     @classmethod
-    def from_rows(cls, rows, n_max, resolved, out=None):
-        """from_row of each (P, p, R, S, norms) of rows, in order.  Every
-        ledger L is written into a row of one block: out, of one row per row
-        of rows and at least as many columns as the longest norms, or with
-        out None a new block, for which rows must be a sequence.  Then the
-        ledgers of each length of 8 or more get their limits from one
-        estimate_limits call, whose temporaries are freed before the first
-        yield.  Each sequence's L is a row of the block; its other arrays are
-        built when it is yielded."""
-        ledgers = out if out is not None else np.empty(
-            (len(rows), max((norms.size for *_, norms in rows), default=0)))
-        heads, lengths = [], []
-        for L, (P, p, R, S, norms) in zip(ledgers, rows, strict=True):
-            k = _leading(norms)
+    def from_rows(cls, rows, n_max, resolved):
+        """from_row of each (P, p, R, S, norms) of rows, in order, with the
+        limits of all of them from one `_estimates` call."""
+        heads, ledgers = [], []
+        for P, p, R, S, norms in rows:
+            L = _logs(S, norms)
+            k = L.size
             if k < norms.size and not np.isfinite(norms[k]):
                 raise _overflow(P, p, 0, k + 1)
-            np.add(S[:k], np.log(norms[:k]), out=L[:k])
-            heads.append((P, p, R, norms[:k], k + 1 if k < norms.size else None))
-            lengths.append(k)
-        estimates = {}
-        for k in sorted(set(lengths) - set(range(8))):
-            at = [i for i, length in enumerate(lengths) if length == k]
-            whole = len(at) == len(ledgers) and k == ledgers.shape[1]
-            estimates.update(zip(at, estimate_limits(ledgers if whole else ledgers[at, :k])))
-        for i, ((P, p, R, norms, truncated_at), k) in enumerate(zip(heads, lengths)):
-            L = ledgers[i, :k]
-            if L.size == 0:
-                yield cls(P, p, n_max, L, L, L, L, 0.0, 0.0, "zero", 0, 0.0,
-                          R, resolved, truncated_at=1)
-                continue
-            roots = np.exp(L / np.arange(1, L.size + 1))
-            steps = np.exp(np.diff(L)) if L.size > 1 else np.array([])
-            est = estimates.get(i)
-            if est is not None:
-                limit, secondary, regime = est.limit, est.secondary, est.regime
-                tail_w, spread = est.tail_window, est.spread
-            else:
-                # truncated too early for the estimator: report the last root
-                limit, secondary, regime = float(roots[-1]), float(roots[-1]), "truncated"
-                tail_w, spread = L.size, float(roots.max() - roots.min())
-            yield cls(P, p, n_max, L, roots, steps, norms, limit, secondary, regime,
-                      tail_w, spread, R, resolved, truncated_at)
+            heads.append((P, p, R, norms[:k], None if 0 < k == norms.size else k + 1))
+            ledgers.append(L)
+        for (P, p, R, norms, truncated_at), L, est in zip(heads, ledgers, _estimates(ledgers)):
+            yield cls(P, p, n_max, L, norms, est.limit, est.secondary, est.regime,
+                      est.tail_window, est.spread, R, resolved, truncated_at)
+
+    @property
+    def roots(self) -> np.ndarray:
+        """The raw roots exp(L_n / n)."""
+        return np.exp(self.L / np.arange(1, self.L.size + 1))
+
+    @property
+    def step_factors(self) -> np.ndarray:
+        """The step ratios exp(L_n - L_(n-1)), n = 2..len(L)."""
+        return np.exp(np.diff(self.L))
 
     @property
     def relative_gap(self) -> float:
@@ -518,15 +516,9 @@ def growth_sequences(f, polys, p, n_max: int):
     norms = [] if p == 2 else [(p, 0)]
     passes, size = spatial_norms(spec, polys, n_max, norms), _stack_size(spec)
     for start in range(0, len(polys), size):
-        stack = polys[start:start + size]
-        # the stack's ledgers take a block made before its pass, as the
-        # pass's sums do: made after it, a block or a batch of the ledgers put
-        # reconstruct-twobox's peak RSS ~1 MB above the per-ledger builder's
-        # in most checkout directories tried
-        ledgers = np.empty((len(stack), n_max))
         rows = ((P, p, R, *(spatial[0] if norms else two))
-                for P, (R, two, spatial) in zip(stack, passes))
-        yield from GrowthSequence.from_rows(rows, n_max, spec.mask.resolved, ledgers)
+                for P, (R, two, spatial) in zip(polys[start:start + size], passes))
+        yield from GrowthSequence.from_rows(rows, n_max, spec.mask.resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -555,25 +547,21 @@ class LiminfReport:
 
 
 def liminf_check(seq: GrowthSequence, tol: float = 0.02) -> LiminfReport:
-    """The liminf probe of a ledger against the R it carries."""
+    """The liminf probe of a ledger against the R it carries.  A ledger of
+    fewer than 2 terms has no step factor and passes, as one with R = 0 does."""
     R, w = seq.R, seq.tail_window
-    if seq.L.size == 0 or R == 0.0:
+    if seq.L.size < 2 or R == 0.0:
         return LiminfReport(R, seq.resolved, tol, 0.0, 0.0, 0.0, 0.0, True)
-    step_median = float(np.median(seq.step_factors[-w:]))
+    steps = seq.step_factors[-w:]
+    step_median = float(np.median(steps))
     margin = step_median - R * (1.0 - tol)
-    return LiminfReport(R, seq.resolved, tol, step_median, float(seq.step_factors[-w:].min()),
+    return LiminfReport(R, seq.resolved, tol, step_median, float(steps.min()),
                         float(seq.roots[-w:].min()), float(margin), bool(margin >= 0))
 
 
 # ---------------------------------------------------------------------------
 # pointwise growth (weighted sup norms)
 # ---------------------------------------------------------------------------
-
-def _logs(S, values):
-    """S_n + log of a spatial_norms row's values, up to its first that is not > 0."""
-    k = _leading(values)
-    return S[:k] + np.log(values[:k])
-
 
 @dataclass(frozen=True)
 class PointwiseGrowthReport:
@@ -599,18 +587,15 @@ class PointwiseGrowthReport:
         """The report of a spatial_norms row of (inf, +N) (decay) or (inf, -N)
         (growth) norms: log W_n = S_n + log of the row's value."""
         log_W = _logs(S, norms)
-        if not log_W.size:
-            return cls(N, mode, log_W, 0.0, R, True, "zero")
-        est = estimate_limits(log_W[None])[0] if log_W.size >= 8 else None
-        rtilde = est.limit if est else float(np.exp(log_W[-1] / log_W.size))
-        regime = est.regime if est else "truncated"
+        (est,) = _estimates([log_W])
+        rtilde = est.limit
         # bounded iff log(W_n / (n^N rtilde^n)) shows no upward trend at the end
         n = np.arange(1, log_W.size + 1)
         ratio = log_W - N * np.log(n) - n * np.log(max(rtilde, 1e-300))
         q = max(2, log_W.size // 4)
         trend = float(np.mean(np.diff(ratio[-q:]))) if log_W.size > q else 0.0
         admissible = bool(np.isfinite(rtilde) and trend <= 0.01)
-        return cls(N, mode, log_W, float(rtilde), R, admissible, regime)
+        return cls(N, mode, log_W, rtilde, R, admissible, est.regime)
 
 
 def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,

@@ -131,15 +131,6 @@ def _sublevel(P: MultiPoly, lams: np.ndarray, limit: float, tau: float) -> np.nd
                            for i in range(0, max(len(lams), 1), _SLICE)])
 
 
-def membership_test(lam, limits, family: PolyFamily, tau: float = DEFAULT_TAU) -> bool:
-    """Single-point version: lam passes iff every |P(i lam)| <= limit*(1+tau)."""
-    if len(limits) != len(family):
-        raise GridError("limits must cover the family")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return all(_sublevel(P, lam[None, :], lim, tau)[0]
-               for P, lim in zip(family, limits) if np.isfinite(lim))
-
-
 # ---------------------------------------------------------------------------
 # local spectrum raster
 # ---------------------------------------------------------------------------

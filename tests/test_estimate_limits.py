@@ -1,5 +1,7 @@
 """estimate_limits, the one limit estimator: against the scalar estimate_limit
-it replaced, on synthetic ledgers, and called once per stack and length."""
+it replaced, on synthetic ledgers, and called once per stack and length; the
+ledgers and the weighted sup-norm reports against the short-ledger fallbacks
+each kept before one path served both."""
 
 import math
 
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realpw import (estimate_limits, estimate_limit, GrowthSequence, GrowthError,
-                    LimitEstimate, Spectrum, family_quadratic_real, growth_sequences,
-                    make_grid, parse_poly, reconstruct_support, sample_builtin)
+                    LimitEstimate, PointwiseGrowthReport, Spectrum, family_quadratic_real,
+                    growth_sequences, make_grid, parse_poly, reconstruct_support,
+                    sample_builtin)
 from realpw import growth
 from realpw.verify import acceptance_corpus
 
@@ -72,6 +75,25 @@ def reference_sequence(S, norms):
             float(roots.max() - roots.min()), truncated_at)
 
 
+def reference_pointwise(N, S, norms):
+    """(log_W, rtilde, regime, admissible) of a row as
+    PointwiseGrowthReport.from_row built them with its own estimator call
+    and its own short-row fallback."""
+    bad = ~((norms > 0.0) & np.isfinite(norms))
+    k = int(bad.argmax()) if bad.any() else norms.size
+    log_W = S[:k] + np.log(norms[:k])
+    if not log_W.size:
+        return log_W, 0.0, "zero", True
+    est = reference_estimate(log_W) if log_W.size >= 8 else None
+    rtilde = est.limit if est else float(np.exp(log_W[-1] / log_W.size))
+    regime = est.regime if est else "truncated"
+    n = np.arange(1, log_W.size + 1)
+    ratio = log_W - N * np.log(n) - n * np.log(max(rtilde, 1e-300))
+    q = max(2, log_W.size // 4)
+    trend = float(np.mean(np.diff(ratio[-q:]))) if log_W.size > q else 0.0
+    return log_W, float(rtilde), regime, bool(np.isfinite(rtilde) and trend <= 0.01)
+
+
 def fingerprint(est):
     return (est.limit.hex(), est.secondary.hex(), est.spread.hex(), est.gap.hex(),
             est.regime, est.tail_window)
@@ -114,22 +136,26 @@ class TestMatchesScalarEstimator:
     def test_ragged_stack_through_from_rows(self, n_max, rows, seed):
         # each row is cut at its own place (past n_max: not cut), by a 0 or a
         # negative norm, so one stack holds ledgers of several lengths, some
-        # too short to estimate and some empty
+        # too short to estimate and some empty; three more rows of the first
+        # ledger are cut to 0, 1 and 2 terms
         rng = np.random.default_rng(seed)
         P, n = parse_poly("x1", 1), np.arange(1, n_max + 1)
         stack = []
-        for params, cut, bad in rows:
+        cuts = [(params, int(cut * n_max), bad) for params, cut, bad in rows]
+        for params, at, bad in cuts + [(rows[0][0], k, 0.0) for k in (0, 1, 2)]:
             logR = params[0]
             S = n * logR
             norms = np.exp(synthetic(params, n_max, rng) - S)
-            norms[int(cut * n_max):int(cut * n_max) + 1] = bad
+            norms[at:at + 1] = bad
             stack.append((P, 2, math.exp(logR), S, norms))
         seqs = list(GrowthSequence.from_rows(stack, n_max, True))
         assert len(seqs) == len(stack)
+        assert [seq.L.size for seq in seqs[-3:]] == [0, 1, 2]
         for (_, _, R, S, norms), seq in zip(stack, seqs):
             L, roots, steps, limit, secondary, regime, tail_w, spread, truncated_at = \
                 reference_sequence(S, norms)
             assert seq.L.tobytes() == L.tobytes() and seq.roots.tobytes() == roots.tobytes()
+            assert seq.roots.shape == roots.shape and seq.step_factors.shape == steps.shape
             assert seq.step_factors.tobytes() == steps.tobytes()
             assert seq.norms.tobytes() == norms[:L.size].tobytes()
             assert ((seq.limit.hex(), seq.secondary.hex(), seq.spread.hex())
@@ -137,8 +163,27 @@ class TestMatchesScalarEstimator:
             assert (seq.regime, seq.tail_window, seq.truncated_at, seq.R) == \
                 (regime, tail_w, truncated_at, R)
 
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(0, 40), params=LEDGER, N=st.integers(0, 4),
+           cut=st.one_of(st.none(), st.floats(0.0, 1.0)), bad=st.sampled_from([0.0, -1.0]),
+           mode=st.sampled_from(["growth", "decay"]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_pointwise_rows_match_their_own_fallback(self, size, params, N, cut, bad, mode,
+                                                     seed):
+        # rows of 0 to 40 terms, some cut by a 0 or a negative value: the
+        # weighted sup-norm report reads its limit through the ledgers' path
+        rng = np.random.default_rng(seed)
+        S = np.arange(1, size + 1) * params[0]
+        norms = np.exp(synthetic(params, size, rng) - S)
+        if cut is not None:
+            norms[int(cut * size):int(cut * size) + 1] = bad
+        rep = PointwiseGrowthReport.from_row(N, mode, 1.5, S, norms)
+        log_W, rtilde, regime, admissible = reference_pointwise(N, S, norms)
+        assert rep.log_W.tobytes() == log_W.tobytes() and rep.log_W.size == log_W.size
+        assert (rep.rtilde.hex(), rep.regime, rep.admissible) == (rtilde.hex(), regime, admissible)
+        assert type(rep.rtilde) is float and (rep.N, rep.mode, rep.R) == (N, mode, 1.5)
+
     def test_stack_longer_than_one_pass(self):
-        # 300 rows cross every boundary of the estimator's passes
+        # 300 rows in one call
         rng = np.random.default_rng(1)
         L = np.array([synthetic((rng.uniform(-3, 3), rng.choice([0.0, 2.5]), rng.uniform(-20, 20),
                                  rng.choice([0.0, 0.7]), rng.uniform(-5, 5), rng.uniform(0.05, 0.95),

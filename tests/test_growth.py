@@ -257,6 +257,15 @@ class TestLiminfCheck:
         rep = liminf_check(growth_sequence(f, parse_poly("x1*x2", 2), 2, 64))
         assert rep.passed and rep.margin / rep.R >= -0.02
 
+    def test_ledger_without_a_step_factor(self):
+        # a ledger cut at n = 2 has one term and no step factor, as an empty
+        # one has none
+        seq = GrowthSequence.from_row(parse_poly("x1", 1), 2, 64, 1.0, np.zeros(64),
+                                      np.array([1.0, 0.0]), True)
+        assert (seq.L.size, seq.step_factors.size, seq.truncated_at) == (1, 0, 2)
+        rep = liminf_check(seq)
+        assert rep.passed and (rep.R, rep.step_median, rep.margin) == (1.0, 0.0, 0.0)
+
 
 class TestPointwiseGrowth:
     def test_constant_polynomial_N0(self, interval_bump):

@@ -4,7 +4,7 @@ import pytest
 from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     support_mask, compute_R, parse_poly, family_linear,
                     family_quadratic, family_quadratic_real, family_explicit,
-                    reconstruct_support, membership_test, local_spectrum_raster,
+                    reconstruct_support, local_spectrum_raster,
                     pde_support_probe, mask_metrics, apply_op_spectral, Spectrum)
 from realpw.verify import aligned_h
 
@@ -73,14 +73,19 @@ class TestReconstructSupport:
         assert reconstruct_support(f, fam, 2, 32, reference=reference).metrics is not None
 
 
+def cell(grid, lam):
+    """Flat index of the frequency cell nearest lam."""
+    return int(np.abs(grid.frequency_coords() - lam).max(axis=-1).argmin())
+
+
 class TestMembership:
     def test_inside_and_outside(self, interval_setup):
         grid, f, reference = interval_setup
         fam = family_explicit([parse_poly("x1", 1)])
         res = reconstruct_support(f, fam, 2, 64)
-        assert membership_test([0.0], res.limits, fam)
+        assert res.estimated.field[cell(grid, [0.0])]
         outside = reference.coords().max() + 10 * grid.dlam
-        assert not membership_test([outside], res.limits, fam)
+        assert not res.estimated.field[cell(grid, [outside])]
 
     def test_zero_support(self):
         grid = make_grid(1, 64, 0.5)
@@ -88,8 +93,8 @@ class TestMembership:
         fam = family_explicit([parse_poly("x1", 1)])
         res = reconstruct_support(f, fam, 2, 16)
         # all limits zero: only the symbol's zero set passes
-        assert membership_test([0.0], res.limits, fam)
-        assert not membership_test([1.0], res.limits, fam)
+        assert res.estimated.field[cell(grid, [0.0])]
+        assert not res.estimated.field[cell(grid, [1.0])]
 
 
 class TestLocalSpectrumRaster:

@@ -2,10 +2,12 @@
 leading-underscore name, no library module but the CLI prints, only the
 transform and growth modules name SpatialStep, one ledger pass runs the
 iterates, the library starts no threads, every verify row reads its
-member's one Ledgers build, every JSON read catches RecursionError, and
-ledger builders estimate limits by the stack."""
+member's one Ledgers build, every JSON read catches RecursionError, one
+helper estimates every limit, by the stack, and every library name the
+bench looks up exists."""
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -119,10 +121,55 @@ def test_every_json_read_catches_recursion():
     assert reads and unguarded == []
 
 
+def callers_of(name):
+    """"<module>:<function>" for each call of name in the library, by the
+    innermost function the call sits in."""
+    out = []
+    for path in LIBRARY:
+        scopes = [(ast.parse(path.read_text(), filename=str(path)), "<module>")]
+        while scopes:
+            scope, owner = scopes.pop()
+            todo = list(ast.iter_child_nodes(scope))
+            while todo:
+                node = todo.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scopes.append((node, node.name))
+                    continue
+                if isinstance(node, ast.Call) and called(node) == name:
+                    out.append(f"{path.name}:{owner}")
+                todo.extend(ast.iter_child_nodes(node))
+    return sorted(out)
+
+
 def test_limits_are_estimated_by_the_stack():
-    # estimate_limit stays for library users; a ledger builder that called it
-    # once per ledger would pay one pass of small-array calls per member, the
-    # cost estimate_limits removed from reconstruct
-    calls = [f"{path.name}:{node.lineno}" for path in LIBRARY for node in nodes(path)
-             if isinstance(node, ast.Call) and called(node) == "estimate_limit"]
-    assert calls == []
+    # every ledger kind becomes a limit through growth._estimates, which makes
+    # one estimate_limits call per stack and length; estimate_limit stays for
+    # library users, and a ledger builder that called it once per ledger would
+    # pay one pass of small-array calls per member, the cost estimate_limits
+    # removed from reconstruct
+    assert callers_of("estimate_limit") == []
+    assert callers_of("estimate_limits") == ["growth.py:_estimates"]
+
+
+def test_bench_names_resolve():
+    # bench/spans.py rebinds each TARGETS key with getattr and bench/workloads.py
+    # imports from realpw, so a library name deleted or renamed under them
+    # crashes the traced bench run; read both with ast, not by importing them
+    def resolves(module, attrs):
+        obj = importlib.import_module(module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        return obj is not None
+
+    spans = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    targets = [key.value for node in ast.walk(spans) if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+               for key in node.value.keys]
+    imported = [(node.module, alias.name)
+                for node in ast.walk(ast.parse((ROOT / "bench" / "workloads.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "realpw"
+                for alias in node.names]
+    assert "growth.estimate_limit" in targets and ("realpw", "compute_R") in imported
+    missing = [t for t in targets if not resolves(f"realpw.{t.split('.')[0]}", t.split(".")[1:])]
+    missing += [f"{m}.{n}" for m, n in imported if not resolves(m, [n])]
+    assert missing == []
