@@ -177,13 +177,21 @@ def _parse_polys(cfg, name, grid):
     return _bounded(name, out, grid)
 
 
+def _d_vectors(cfg, name, d):
+    """A FIELDS entry of vectors, unless one of them has other than d entries."""
+    vecs = _field(cfg, name)
+    if vecs and any(len(v) != d for v in vecs):
+        raise ConfigError(name, f"each vector needs d = {d} entries")
+    return vecs
+
+
 def _build_family(cfg, grid):
     kind = _field(cfg, "family.kind")
     try:
         if kind == "linear":
-            family = family_linear(_field(cfg, "family.directions"))
+            family = family_linear(_d_vectors(cfg, "family.directions", grid.d))
         elif kind == "quadratic":
-            family = family_quadratic(_field(cfg, "family.centers"), grid)
+            family = family_quadratic(_d_vectors(cfg, "family.centers", grid.d), grid)
         elif kind == "explicit":
             family = family_explicit(_parse_polys(cfg, "family.polys", grid))
         else:
@@ -253,16 +261,14 @@ def cmd_reconstruct(cfg):
 
 
 def cmd_complex_growth(cfg):
-    t_min, t_max, t_count, ys, x0s, out, csv_out = (_field(cfg, k) for k in (
+    t_min, t_max, t_count, out, csv_out = (_field(cfg, k) for k in (
         "complex_growth.t_min", "complex_growth.t_max", "complex_growth.t_count",
-        "complex_growth.y", "complex_growth.x0", "out", "csv_out"))
+        "out", "csv_out"))
     if t_min >= t_max:
         raise ConfigError("complex_growth.t_max", f"must exceed t_min = {t_min}")
     f = _load_input(cfg)
     d = f.grid.d
-    for name, vecs in (("complex_growth.y", ys), ("complex_growth.x0", x0s)):
-        if vecs and any(len(v) != d for v in vecs):
-            raise ConfigError(name, f"each vector needs d = {d} entries")
+    ys, x0s = (_d_vectors(cfg, f"complex_growth.{k}", d) for k in ("y", "x0"))
     noted_default, ys, x0s = ys is None, ys or [[1.0] * d], x0s or [[0.0] * d]
     # overflow guard, checked before any quadrature
     coords = f.grid.spatial_coords() if f.side == "spatial" else f.grid.frequency_coords()

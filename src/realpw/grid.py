@@ -211,22 +211,36 @@ def _support_distance(support: dict, coords: np.ndarray) -> np.ndarray:
 
 
 def _support_extent(support: dict, d: int):
-    """Axis-aligned bounding box of the support, as (lo, hi) arrays."""
+    """Axis-aligned bounding box (lo, hi) of the support; GridError if it has no interior."""
     kind = support["shape"]
     if kind == "box":
-        return (np.asarray(support["lo"], float), np.asarray(support["hi"], float))
+        lo, hi = np.asarray(support["lo"], float), np.asarray(support["hi"], float)
+        if not np.all(lo < hi):
+            raise GridError(f"box needs lo < hi on every axis, got lo {lo}, hi {hi}")
+        return (lo, hi)
     if kind == "ball":
         c = np.asarray(support.get("center", np.zeros(d)), float)
         r = float(support["radius"])
+        if not r > 0.0:
+            raise GridError(f"ball radius must be positive, got {r!r}")
         return (c - r, c + r)
     if kind == "annulus":
         c = np.asarray(support.get("center", np.zeros(d)), float)
-        r = float(support["r_out"])
+        r, r_in = float(support["r_out"]), float(support["r_in"])
+        if not r > max(r_in, 0.0):
+            raise GridError(f"annulus needs r_out > max(r_in, 0), got {r_in!r}, {r!r}")
         return (c - r, c + r)
     if kind == "union":
         los, his = zip(*(_support_extent(s, d) for s in support["parts"]))
         return (np.min(los, axis=0), np.max(his, axis=0))
     raise GridError(f"unknown support shape {kind!r}")
+
+
+def _edge_width(spec: dict, default: float) -> float:
+    w = float(spec.get("edge_width", default))
+    if not 0.0 < w < np.inf:
+        raise GridError(f"edge_width must be positive and finite, got {w!r}")
+    return w
 
 
 def _check_margin(lo, hi, halfwidth, step, what):
@@ -264,7 +278,7 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         support = spec["support"]
         lo, hi = _support_extent(support, grid.d)
         _check_margin(lo, hi, grid.frequency_halfwidth, grid.dlam, "spectral support")
-        w = float(spec.get("edge_width", 1.5 * grid.dlam))
+        w = _edge_width(spec, 1.5 * grid.dlam)
         # the bump is exactly 0 outside the support, so sample its bounding box only
         axis = grid.frequency_axis()
         cells = [np.flatnonzero((axis >= l) & (axis <= u)) for l, u in zip(lo, hi)]
@@ -292,7 +306,7 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         lo, hi = _support_extent(support, grid.d)
         _check_margin(lo, hi, grid.spatial_halfwidth, grid.h, "spatial support")
         half = np.min((np.asarray(hi) - np.asarray(lo)) / 2.0)
-        w = float(spec.get("edge_width", 0.2 * half))
+        w = _edge_width(spec, 0.2 * half)
         f = smooth_step(_support_distance(support, grid.spatial_coords()) / w)
         meta = {"kind": kind, "support": support, "edge_width": w}
         return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "spatial bump"), meta=meta)

@@ -164,8 +164,6 @@ def iterates(spec: Spectrum, polys, n_max: int):
     ratio = np.zeros((len(polys), spec.coords.shape[0]), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, member in enumerate(polys):
-            if member.d != spec.grid.d:
-                raise GridError("polynomial dimension mismatch")
             sym = eval_symbol_many(member, spec.coords)
             R[k] = np.abs(sym).max(initial=0.0)
             if not np.isfinite(R[k]):
@@ -194,12 +192,10 @@ def apply_op_spectral(f, P: MultiPoly, n: int):
     if n < 1:
         raise GrowthError(f"iteration count must be >= 1, got {n}")
     spec = Spectrum.of(f)
-    R, steps = iterates(spec, [P], n)
-    G = np.zeros(spec.grid.n_points, dtype=complex)
-    if R[0] == 0.0:
-        return spec.f.with_values(G, label=f"{P}^{n} (zero)"), 0.0
+    _, steps = iterates(spec, [P], n)
     for _, S, rows in steps:
         pass
+    G = np.zeros(spec.grid.n_points, dtype=complex)
     G[spec.mask.field] = rows[0]
     return (SampledFunction(spec.grid, SPATIAL, inverse_values(G, spec.grid),
                             label=spec.f.label,

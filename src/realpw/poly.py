@@ -32,15 +32,16 @@ class MultiPoly:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # An exponent must equal its int (2.0 and numpy ints do, 1.5 and '2'
+        # do not), so distinct keys stay distinct and no terms merge.
         clean = {}
         for alpha, c in self.coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.d or any(a < 0 for a in alpha):
-                raise PolyError(f"bad exponent multi-index {alpha} for d={self.d}")
+            exps = tuple(map(int, alpha))
+            if exps != alpha or len(exps) != self.d or any(a < 0 for a in exps):
+                raise PolyError(f"bad exponent multi-index {alpha!r} for d={self.d}")
             c = complex(c)
             if c != 0:
-                clean[alpha] = clean.get(alpha, 0) + c
-        clean = {a: c for a, c in clean.items() if c != 0}
+                clean[exps] = c
         object.__setattr__(self, "coeffs", clean)
 
     @property
@@ -252,21 +253,17 @@ def _product_terms(a: MultiPoly, b: MultiPoly, d: int) -> int:
 # symbols
 # ---------------------------------------------------------------------------
 
-def eval_symbol(P: MultiPoly, lam) -> complex:
-    """P(i*lam) at a single real frequency vector lam."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (P.d,):
-        raise PolyError(f"frequency vector must have length {P.d}, got {lam.shape}")
-    return complex(eval_symbol_many(P, lam[None, :])[0])
-
-
 def eval_symbol_many(P: MultiPoly, lams: np.ndarray) -> np.ndarray:
-    """P(i*lam) over an array of frequency vectors, shape (..., d)."""
+    """P(i*lam) over an array of frequency vectors, shape (..., d).  The one
+    path from a polynomial to its symbol's values; points whose last axis is
+    not P.d long raise PolyError."""
     lams = np.asarray(lams, dtype=float)
+    if lams.shape[-1:] != (P.d,):
+        raise PolyError(f"{P.to_text():.60}: d = {P.d}, but the points have shape {lams.shape}")
     z = 1j * lams
     out = np.zeros(lams.shape[:-1], dtype=complex)
     for alpha, c in P.coeffs.items():
-        term = np.full(lams.shape[:-1], c, dtype=complex)
+        term = c
         for j, e in enumerate(alpha):
             if e:
                 term = term * z[..., j] ** e
@@ -346,14 +343,11 @@ def _squared_distance(c, a, sign) -> MultiPoly:
 
 
 def _checked_centers(centers, grid) -> list:
-    """Centers as float arrays, each of the grid's dimension and inside its
-    frequency box."""
+    """Centers as float arrays, each inside the grid's frequency box."""
     half = grid.frequency_halfwidth
     out = []
     for c in centers:
         c = np.asarray(c, dtype=float)
-        if c.size != grid.d:
-            raise PolyError("center dimension mismatch")
         if np.any(np.abs(c) > half):
             raise PolyError(f"center {c} outside the frequency box [-{half:.6g}, {half:.6g})")
         out.append(c)

@@ -27,28 +27,20 @@ ZERO_FLOOR = 1e-300
 OVERFLOW_GUARD = 700.0
 
 
-def _fftshift_all(a, d):
-    return np.fft.fftshift(a, axes=tuple(range(d)))
-
-
-def _ifftshift_all(a, d):
-    return np.fft.ifftshift(a, axes=tuple(range(d)))
-
-
 def _inverse_scale(grid: Grid) -> float:
     return (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
 
 
 def forward_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     v = values.reshape(grid.shape)
-    out = _fftshift_all(np.fft.fftn(_ifftshift_all(v, grid.d)), grid.d)
+    out = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(v)))
     scale = grid.h ** grid.d / (2.0 * np.pi) ** (grid.d / 2.0)
     return (scale * out).ravel()
 
 
 def inverse_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     v = values.reshape(grid.shape)
-    out = _fftshift_all(np.fft.ifftn(_ifftshift_all(v, grid.d)), grid.d)
+    out = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(v)))
     return (_inverse_scale(grid) * out).ravel()
 
 
@@ -219,8 +211,7 @@ class SpatialStep:
 
     def fft_order(self, values: np.ndarray) -> np.ndarray:
         """A centered-order spatial array in the order of the step's output."""
-        return np.ascontiguousarray(
-            _ifftshift_all(values.reshape(self._out.shape), self._out.ndim).T)
+        return np.ascontiguousarray(np.fft.ifftshift(values.reshape(self._out.shape)).T)
 
     def norm(self, g: np.ndarray, p) -> float:
         """Riemann-sum Lp norm of a step output, or of one times a weight."""
@@ -238,12 +229,8 @@ def compute_R(P: MultiPoly, mask: SupportMask) -> RValue:
     resolved=False is inherited from the mask and flags the value as a lower
     bound only (the continuum R may be infinite).
     """
-    if P.d != mask.grid.d:
-        raise GridError("polynomial and mask dimension mismatch")
-    if mask.is_empty:
-        return RValue(0.0, mask.resolved)
     vals = np.abs(eval_symbol_many(P, mask.coords()))
-    return RValue(float(vals.max()), mask.resolved)
+    return RValue(float(vals.max(initial=0.0)), mask.resolved)
 
 
 def supporting_function(points, y) -> float:

@@ -370,6 +370,28 @@ PROBES = [
                                    "support": {"shape": "box", "lo": [-1, 0], "hi": [1, 1]}},
      EXIT_CONFIG, "'input.builtin'"),
     ("estimate", "input.builtin", [], EXIT_CONFIG, "'input.builtin'"),
+    # supports with no interior, and edge widths that are not positive and finite
+    ("estimate", "input.builtin", {"kind": "spectral_bump",
+                                   "support": {"shape": "box", "lo": [1], "hi": [-1]}},
+     EXIT_CONFIG, "'input.builtin'"),
+    ("estimate", "input.builtin", {"kind": "spectral_bump",
+                                   "support": {"shape": "ball", "radius": -2}},
+     EXIT_CONFIG, "'input.builtin'"),
+    ("estimate", "input.builtin", {"kind": "spectral_bump",
+                                   "support": {"shape": "annulus", "r_in": 2, "r_out": 1}},
+     EXIT_CONFIG, "'input.builtin'"),
+    ("estimate", "input.builtin", {"kind": "spatial_bump", "support": {"shape": "union", "parts": [
+        {"shape": "ball", "radius": 1}, {"shape": "ball", "radius": 0}]}},
+     EXIT_CONFIG, "'input.builtin'"),
+    ("estimate", "input.builtin", {"kind": "spectral_bump", "edge_width": 0,
+                                   "support": {"shape": "ball", "radius": 2}},
+     EXIT_CONFIG, "'input.builtin'"),
+    ("estimate", "input.builtin", {"kind": "spectral_bump", "edge_width": -0.3,
+                                   "support": {"shape": "ball", "radius": 2}},
+     EXIT_CONFIG, "'input.builtin'"),
+    ("estimate", "input.builtin", {"kind": "spatial_bump", "edge_width": float("inf"),
+                                   "support": {"shape": "ball", "radius": 1}},
+     EXIT_CONFIG, "'input.builtin'"),
     ("estimate", "out", 5, EXIT_CONFIG, "'out'"),
     ("estimate", "out", "report\0.json", EXIT_CONFIG, "'out'"),
     ("reconstruct", "family.per_axis", 0, EXIT_CONFIG, "'family.per_axis'"),
@@ -379,6 +401,10 @@ PROBES = [
     ("reconstruct", "family", "x", EXIT_CONFIG, "'family'"),
     ("reconstruct", "family", {"kind": "linear", "directions": [[1, "a"]]},
      EXIT_CONFIG, "'family.directions'"),
+    ("reconstruct", "family", {"kind": "linear", "directions": [[1, 0, 0]]},
+     EXIT_CONFIG, "'family.directions'"),
+    ("reconstruct", "family", {"kind": "quadratic", "centers": [[0.5], [0, 0]]},
+     EXIT_CONFIG, "'family.centers'"),
     ("reconstruct", "family", {"kind": "explicit", "polys": "x1^"},
      EXIT_CONFIG, "'family.polys'"),
     ("reconstruct", "family", {"kind": "explicit", "polys": ["x1", "2*x1^300"]},

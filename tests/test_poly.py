@@ -5,10 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realpw import (MultiPoly, parse_poly, eval_symbol, eval_symbol_many,
+from realpw import (MultiPoly, parse_poly, eval_symbol_many,
                     family_linear, family_quadratic, family_quadratic_real,
-                    make_grid, PolyError, ParseError, constant, variable)
+                    family_explicit, make_grid, sample_builtin, PolyError,
+                    ParseError, constant, variable, Spectrum, compute_R,
+                    growth_sequence, local_spectrum_raster, pde_support_probe,
+                    reconstruct_support, apply_op_spectral)
 from realpw.poly import MAX_COUNT
+
+
+def symbol_at(P, lam):
+    """Reference P(i lam) at one frequency vector, in plain Python: the sum
+    over P's terms of c * prod_j (i lam_j)^e_j."""
+    return sum(c * math.prod((1j * float(l)) ** e for l, e in zip(lam, alpha))
+               for alpha, c in P.coeffs.items())
 
 
 class TestParser:
@@ -57,11 +67,12 @@ class TestParser:
         # independent oracle: evaluate the expression with plain numpy ops
         rng = np.random.default_rng(11)
         P = parse_poly("0.5*x1^3 - 2*x1*x2 + i*x2^2 - 4", 2)
-        for _ in range(100):
-            lam = rng.uniform(-3, 3, size=2)
+        lams = rng.uniform(-3, 3, size=(100, 2))
+        got = eval_symbol_many(P, lams)
+        for lam, value in zip(lams, got):
             z1, z2 = 1j * lam[0], 1j * lam[1]
             want = 0.5 * z1 ** 3 - 2 * z1 * z2 + 1j * z2 ** 2 - 4
-            assert eval_symbol(P, lam) == pytest.approx(want, rel=1e-12)
+            assert value == pytest.approx(want, rel=1e-12)
 
 
 @st.composite
@@ -95,19 +106,20 @@ class TestTextRoundTrip:
 class TestSymbol:
     def test_first_derivative_symbol(self):
         P = parse_poly("x1", 1)
-        assert eval_symbol(P, [2.0]) == pytest.approx(2j)
+        assert eval_symbol_many(P, [[2.0]])[0] == pytest.approx(2j)
 
     def test_laplacian_symbol(self):
         P = parse_poly("x1^2 + x2^2", 2)
-        assert eval_symbol(P, [1.0, 1.0]) == pytest.approx(-2.0)
+        assert eval_symbol_many(P, [[1.0, 1.0]])[0] == pytest.approx(-2.0)
 
     def test_mixed_symbol(self):
         P = parse_poly("x1*x2", 2)
-        assert eval_symbol(P, [3.0, 0.5]) == pytest.approx(-1.5)
+        assert eval_symbol_many(P, [[3.0, 0.5]])[0] == pytest.approx(-1.5)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(PolyError):
-            eval_symbol(parse_poly("x1", 1), [1.0, 2.0])
+        with pytest.raises(PolyError,
+                           match=r"^1\.0\*x1: d = 1, but the points have shape \(1, 2\)"):
+            eval_symbol_many(parse_poly("x1", 1), [[1.0, 2.0]])
 
     @settings(max_examples=30, deadline=None)
     @given(random_polys(),
@@ -116,8 +128,8 @@ class TestSymbol:
         # scaling coefficients before summation re-associates the sum, so
         # agreement is to rounding, not bit-exact
         lam = np.linspace(-1, 1, P.d)
-        assert eval_symbol(c * P, lam) == pytest.approx(
-            eval_symbol(P, lam) * c, rel=1e-13, abs=1e-300)
+        assert eval_symbol_many(c * P, lam) == pytest.approx(
+            eval_symbol_many(P, lam) * c, rel=1e-13, abs=1e-300)
 
     def test_many_matches_single(self):
         rng = np.random.default_rng(0)
@@ -125,14 +137,98 @@ class TestSymbol:
         lams = rng.uniform(-2, 2, size=(40, 2))
         many = eval_symbol_many(P, lams)
         for k in range(40):
-            assert many[k] == pytest.approx(eval_symbol(P, lams[k]))
+            assert many[k] == pytest.approx(symbol_at(P, lams[k]))
+
+
+def symbol_with_full_terms(P, lams):
+    """The evaluator as it was before each term started from its scalar
+    coefficient: every term is first a full array of c."""
+    lams = np.asarray(lams, dtype=float)
+    z = 1j * lams
+    out = np.zeros(lams.shape[:-1], dtype=complex)
+    for alpha, c in P.coeffs.items():
+        term = np.full(lams.shape[:-1], c, dtype=complex)
+        for j, e in enumerate(alpha):
+            if e:
+                term = term * z[..., j] ** e
+        out += term
+    return out
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polys_and_points(draw):
+    d = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 6)] * d),
+                                 st.complex_numbers(max_magnitude=1e3, **FINITE),
+                                 max_size=6))
+    lead = draw(st.lists(st.integers(0, 3), max_size=2))      # a 0 gives no points
+    n = int(np.prod(lead + [d]))
+    points = draw(st.lists(st.floats(-40, 40, **FINITE), min_size=n, max_size=n))
+    return MultiPoly(d, terms), np.array(points, dtype=float).reshape(lead + [d])
+
+
+class TestSymbolDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(polys_and_points())
+    def test_scalar_start_is_bit_identical(self, case):
+        P, lams = case
+        got, want = eval_symbol_many(P, lams), symbol_with_full_terms(P, lams)
+        assert got.shape == want.shape == lams.shape[:-1]
+        assert got.tobytes() == want.tobytes()
+
+
+class TestExponents:
+    @pytest.mark.parametrize("alpha", [(2,), (2.0,), (np.int64(2),), (np.float64(2.0),)])
+    def test_integral_exponent_is_accepted(self, alpha):
+        P = MultiPoly(1, {alpha: 3})
+        assert P.coeffs == {(int(alpha[0]),): 3 + 0j}
+        assert all(type(e) is int for e in next(iter(P.coeffs)))
+
+    @pytest.mark.parametrize("coeffs", [{(1.5,): 1}, {("2",): 1}, {(1.7,): 1, (1,): 2},
+                                        {(-1,): 1}, {(1, 0): 1}])
+    def test_other_exponent_is_refused(self, coeffs):
+        with pytest.raises(PolyError, match="bad exponent multi-index"):
+            MultiPoly(1, coeffs)
+
+
+def _two_d_case():
+    grid = make_grid(2, 32, 0.5)
+    f = sample_builtin({"kind": "spectral_bump",
+                        "support": {"shape": "ball", "radius": 1.5}}, grid)
+    return grid, f, Spectrum.of(f).mask
+
+
+P1, Q2 = parse_poly("x1", 1), parse_poly("x1^2 + x2^2", 2)
+MISMATCHED = {
+    "eval_symbol_many": lambda grid, f, mask: eval_symbol_many(P1, grid.frequency_coords()),
+    "growth_sequence": lambda grid, f, mask: growth_sequence(f, P1, 2, 16),
+    "compute_R": lambda grid, f, mask: compute_R(P1, mask),
+    "local_spectrum_raster": lambda grid, f, mask: local_spectrum_raster(P1, mask),
+    "pde_support_probe P": lambda grid, f, mask: pde_support_probe(f, P1, Q2),
+    "pde_support_probe Q": lambda grid, f, mask: pde_support_probe(f, Q2 + constant(2, 1), P1),
+    "reconstruct_support": lambda grid, f, mask: reconstruct_support(f, family_explicit([P1]),
+                                                                     2, 16),
+    "apply_op_spectral": lambda grid, f, mask: apply_op_spectral(f, P1, 2),
+}
+
+
+class TestOneDimensionCheck:
+    @pytest.mark.parametrize("name", sorted(MISMATCHED))
+    def test_polynomial_of_another_dimension_is_refused(self, name):
+        # every public path from a polynomial to its symbol on a d = 2 grid
+        # or mask goes through eval_symbol_many's one check
+        with pytest.raises(PolyError, match=r"^1\.0\*x1: d = 1, but the points have shape"):
+            MISMATCHED[name](*_two_d_case())
 
 
 class TestFamilies:
     def test_linear_1d(self):
         fam = family_linear([[1.0]])
         assert len(fam) == 1
-        assert eval_symbol(fam.polys[0], [3.0]) == pytest.approx(3j)
+        assert symbol_at(fam.polys[0], [3.0]) == pytest.approx(3j)
 
     def test_linear_eight_directions(self):
         dirs = [[np.cos(a), np.sin(a)] for a in np.linspace(0, np.pi, 8, endpoint=False)]
@@ -149,17 +245,17 @@ class TestFamilies:
         rng = np.random.default_rng(5)
         for P in fam:
             for lam in rng.uniform(-10, 10, size=(20, 2)):
-                assert eval_symbol(P, lam).real == 0.0
+                assert symbol_at(P, lam).real == 0.0
 
     def test_quadratic_symbol_at_origin_center(self):
         grid = make_grid(2, 64, 0.5)
         fam = family_quadratic([[0.0, 0.0]], grid)
-        assert abs(eval_symbol(fam.polys[0], [3.0, 4.0])) == pytest.approx(25.0)
+        assert abs(symbol_at(fam.polys[0], [3.0, 4.0])) == pytest.approx(25.0)
 
     def test_quadratic_vanishes_at_center(self):
         grid = make_grid(2, 64, 0.5)
         fam = family_quadratic([[1.0, 0.0]], grid)
-        assert abs(eval_symbol(fam.polys[0], [1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
+        assert abs(symbol_at(fam.polys[0], [1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_lattice_cardinality(self):
         grid = make_grid(2, 64, 0.5)
@@ -176,7 +272,7 @@ class TestFamilies:
             lam = rng.uniform(-3, 3, size=2)
             fam = family_quadratic([c], grid)
             want = float(np.sum((lam - c) ** 2))
-            got = abs(eval_symbol(fam.polys[0], lam))
+            got = abs(symbol_at(fam.polys[0], lam))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_quadratic_center_outside_box(self):
@@ -191,7 +287,7 @@ class TestFamilies:
             c = rng.uniform(-2, 2, size=2)
             lam = rng.uniform(-3, 3, size=2)
             fam = family_quadratic_real([c], grid)
-            sig = eval_symbol(fam.polys[0], lam)
+            sig = symbol_at(fam.polys[0], lam)
             want = (np.dot(c, c) - np.dot(lam, lam)) - 2j * np.dot(c, lam)
             assert sig == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -143,6 +143,56 @@ class TestMaskMetrics:
         assert m.symmetric_difference == 6
 
 
+def pairwise_metrics(estimated, reference):
+    """mask_metrics as it was: all-pairs Chebyshev distances in chunks of 512
+    cells, kept as the reference for the dilation count."""
+    sym = int(np.logical_xor(estimated.field, reference.field).sum())
+    a = np.argwhere(estimated.field.reshape(estimated.grid.shape))
+    b = np.argwhere(reference.field.reshape(reference.grid.shape))
+    if len(a) == 0 and len(b) == 0:
+        return sym, 0
+    if len(a) == 0 or len(b) == 0:
+        return sym, int(estimated.grid.M)
+
+    def one_sided(src, dst):
+        worst = 0
+        for start in range(0, len(src), 512):
+            chunk = src[start:start + 512]
+            d = np.abs(chunk[:, None, :] - dst[None, :, :]).max(axis=-1).min(axis=1)
+            worst = max(worst, int(d.max()))
+        return worst
+    return sym, max(one_sided(a, b), one_sided(b, a))
+
+
+class TestMaskMetricsDifferential:
+    @pytest.mark.parametrize("d,M", [(1, 8), (1, 64), (2, 8), (2, 24), (3, 8), (3, 12)])
+    def test_dilations_match_pairwise_distances(self, d, M):
+        from realpw import SupportMask
+        grid = make_grid(d, M, 0.5)
+        rng = np.random.default_rng(100 * d + M)
+        for _ in range(100):
+            fields = []
+            for _ in range(2):
+                kind = rng.integers(4)
+                if kind == 0:           # empty
+                    fld = np.zeros(grid.n_points, dtype=bool)
+                elif kind == 1:         # a few scattered cells
+                    fld = rng.random(grid.n_points) < rng.uniform(0.001, 0.05)
+                elif kind == 2:         # dense
+                    fld = rng.random(grid.n_points) < rng.uniform(0.2, 0.9)
+                else:                   # one box
+                    fld = np.zeros(grid.shape, dtype=bool)
+                    lo, width = rng.integers(0, M, size=d), rng.integers(1, M, size=d)
+                    fld[tuple(slice(l, l + w) for l, w in zip(lo, width))] = True
+                    fld = fld.ravel()
+                fields.append(fld)
+            if rng.random() < 0.1:
+                fields[1] = fields[0].copy()
+            est, ref = (SupportMask(grid, fld, 1e-8, True) for fld in fields)
+            m = mask_metrics(est, ref)
+            assert (m.symmetric_difference, m.dilation_distance) == pairwise_metrics(est, ref)
+
+
 @pytest.fixture(scope="module")
 def probe_setup():
     """g = (d^2 + 1) f for a sharp-edged spatial bump on ~[-1, 1]."""
