@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
 import math
 import sys
@@ -158,13 +157,13 @@ def _spectrum(f, eps_rel):
         raise ConfigError("input", str(exc))
 
 
-def _bounded(name, polys, grid):
-    """polys, unless a symbol could overflow a double on the frequency box."""
-    for P in polys:
-        if not np.isfinite(symbol_bound(P, grid.frequency_halfwidth)):
-            raise ConfigError(name, f"{P.to_text():.60}: |P(i lam)| on the frequency box "
-                                    "exceeds the double range")
-    return polys
+def _bounded(name, family, grid):
+    """family, unless a member's symbol could overflow a double on the frequency box."""
+    bad = np.flatnonzero(~np.isfinite(symbol_bound(family, grid.frequency_halfwidth)))
+    if bad.size:
+        raise ConfigError(name, f"{family[bad[0]].to_text():.60}: |P(i lam)| on the "
+                                "frequency box exceeds the double range")
+    return family
 
 
 def _parse_polys(cfg, name, grid):
@@ -174,7 +173,7 @@ def _parse_polys(cfg, name, grid):
             out.append(parse_poly(t, grid.d))
         except PolyError as exc:
             raise ConfigError(name, f"{t!r}: {exc}")
-    return _bounded(name, out, grid)
+    return _bounded(name, family_explicit(out), grid)
 
 
 def _d_vectors(cfg, name, d):
@@ -193,7 +192,7 @@ def _build_family(cfg, grid):
         elif kind == "quadratic":
             family = family_quadratic(_d_vectors(cfg, "family.centers", grid.d), grid)
         elif kind == "explicit":
-            family = family_explicit(_parse_polys(cfg, "family.polys", grid))
+            family = _parse_polys(cfg, "family.polys", grid)
         else:
             per_axis = _field(cfg, "family.per_axis")
             if per_axis ** grid.d > MAX_COUNT:
@@ -202,7 +201,8 @@ def _build_family(cfg, grid):
             span = _field(cfg, "family.span_cells") or (grid.M // 2) * 0.98
             step = span * grid.dlam / (per_axis // 2)
             axis_vals = (np.arange(per_axis) - (per_axis // 2 - 1)) * step
-            centers = [np.array(t) for t in itertools.product(*([axis_vals] * grid.d))]
+            centers = np.stack(np.meshgrid(*[axis_vals] * grid.d, indexing="ij"),
+                               axis=-1).reshape(-1, grid.d)
             builder = family_quadratic if kind == "quadratic_lattice" else family_quadratic_real
             family = builder(centers, grid)
     except PolyError as exc:

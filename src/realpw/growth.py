@@ -48,7 +48,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .grid import SampledFunction, SPATIAL, GridError
-from .poly import MultiPoly, eval_symbol_many
+from .poly import MultiPoly, PolyFamily, eval_symbol_many, family_explicit
 from .transform import Spectrum, SpatialStep, inverse_values
 
 
@@ -149,28 +149,26 @@ def estimate_limit(log_norms) -> LimitEstimate:
 
 def iterates(spec: Spectrum, polys, n_max: int):
     """(R, steps) of P(d)^n f = exp(S_n) * g_n, n = 1..n_max, for a stack of
-    members P of polys.
+    members P of polys (a PolyFamily or MultiPolys).
 
-    R is the vector of max |P(i lam)| over the mask cells, the one place a
-    ledger's symbol is evaluated.  steps yields (n, S_n, G_n): G_n is a
-    (members x mask cells) block whose row F (P(i lam)/R)^n is the spectrum
-    of g_n on the mask cells (in the order of spec.F[spec.mask.field]),
-    updated in place, and S_n the vector of n log R; one multiply per n
-    advances the whole stack.  A member with R = 0 keeps a zero row and
-    log R = 0.  A symbol that overflows a double on the mask raises
-    GrowthError.
+    R is the vector of max |P(i lam)| over the mask cells, from one symbol
+    block of the stack, the one place a ledger's symbol is evaluated.  steps
+    yields (n, S_n, G_n): G_n is a (members x mask cells) block whose row
+    F (P(i lam)/R)^n is the spectrum of g_n on the mask cells (in the order
+    of spec.F[spec.mask.field]), updated in place, and S_n the vector of
+    n log R; one multiply per n advances the whole stack.  A member with
+    R = 0 keeps a zero row and log R = 0.  A symbol that overflows a double
+    on the mask raises GrowthError.
     """
-    R = np.zeros(len(polys))
-    ratio = np.zeros((len(polys), spec.coords.shape[0]), dtype=complex)
+    family = _family(polys)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, member in enumerate(polys):
-            sym = eval_symbol_many(member, spec.coords)
-            R[k] = np.abs(sym).max(initial=0.0)
-            if not np.isfinite(R[k]):
-                raise GrowthError(f"{member.to_text():.60}: |P(i lam)| on the mask "
-                                  "exceeds the double range")
-            if R[k] > 0.0:
-                ratio[k] = sym / float(R[k])
+        ratio = eval_symbol_many(family, spec.coords)
+        R = np.abs(ratio).max(axis=1, initial=0.0)
+        bad = np.flatnonzero(~np.isfinite(R))
+        if bad.size:
+            raise GrowthError(f"{family[bad[0]].to_text():.60}: |P(i lam)| on the mask "
+                              "exceeds the double range")
+        np.divide(ratio, R[:, None], out=ratio, where=R[:, None] > 0.0)   # R = 0: a zero row
     logR = np.log(R, out=np.zeros_like(R), where=R > 0.0)
     G = np.tile(spec.F[spec.mask.field], (len(R), 1))
 
@@ -279,7 +277,7 @@ def spatial_norms(f, polys, n_max: int, norms):
     part), each with its own cut and overflow check, and an odd n_max steps
     its last n alone.  Paired rows match the unpaired ones to rounding.
     """
-    spec, polys = Spectrum.of(f), tuple(polys)
+    spec, polys = Spectrum.of(f), _family(polys)
     cells = spec.coords.shape[0]
     real = False
     if norms:
@@ -297,12 +295,11 @@ def spatial_norms(f, polys, n_max: int, norms):
         # sums the other way round cost each later reconstruct-twobox job
         # ~1 500 page faults (6 MB)
         sums = np.empty((len(stack), n_max))
-        paired = [m for m, P in enumerate(stack)
-                  if real and all(c.imag == 0.0 for c in P.coeffs.values())]
+        paired = np.flatnonzero(~stack.coeffs.imag.any(axis=1)).tolist() if real else []
         held = dict(zip(paired, np.empty((len(paired), cells), dtype=complex)))
         R, steps = iterates(spec, stack, n_max)
         logR = R    # until S_1 = log R replaces it (with n_max = 0 every S is empty)
-        rows = [[[] for _ in norms] for _ in stack]
+        rows = [[[] for _ in norms] for _ in range(len(stack))]
         live = {m: range(len(norms)) for m in range(len(stack)) if R[m] > 0.0} if norms else {}
 
         def read(m, ks, n, g):
@@ -310,7 +307,7 @@ def spatial_norms(f, polys, n_max: int, norms):
             for k in ks:
                 w = weights[k]
                 rows[m][k].append(step.norm(g if w is None else g * w, norms[k][0]))
-            return [k for k in ks if _goes_on(stack[m], norms[k], n, rows[m][k][-1])]
+            return [k for k in ks if _goes_on(stack, m, norms[k], n, rows[m][k][-1])]
 
         with np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
             for n, s, G in steps:
@@ -343,6 +340,14 @@ def spatial_norms(f, polys, n_max: int, norms):
                                               for r in rows[m]]
 
 
+def _family(polys):
+    """polys as a PolyFamily; an empty sequence stays empty."""
+    if isinstance(polys, PolyFamily):
+        return polys
+    polys = tuple(polys)
+    return family_explicit(polys) if polys else polys
+
+
 def _stack_size(spec: Spectrum) -> int:
     """Members per stack of spatial_norms: a (members x mask cells) block
     holds at most n_points values."""
@@ -362,11 +367,11 @@ def _real_iterates(spec: Spectrum) -> bool:
     return bool(np.abs(F[::-1] - F.conj()).max() <= HERMITIAN_TOL * np.abs(F).max())
 
 
-def _goes_on(P, norm, n, value) -> bool:
-    """Whether a row of spatial_norms goes on after its n-th value: not after
-    a value that is not > 0, and a value that is not finite raises."""
+def _goes_on(stack, m, norm, n, value) -> bool:
+    """Whether member m's row of spatial_norms goes on after its n-th value:
+    not after a value that is not > 0, and a value that is not finite raises."""
     if not math.isfinite(value):
-        raise _overflow(P, *norm, n)
+        raise _overflow(stack[m], *norm, n)
     return value > 0.0
 
 
@@ -414,9 +419,10 @@ def _estimates(ledgers) -> list:
 class GrowthSequence:
     """Per-n log-norm ledger of ||P(d)^n f||_p, its limit estimate and the
     R = max |P(i lam)| over the mask that normalised it.  norms holds the
-    ||g_n||_p of the ledger's terms L_n = n log R + log ||g_n||_p."""
+    ||g_n||_p of the ledger's terms L_n = n log R + log ||g_n||_p.  member is
+    the one-member PolyFamily of P, which is built when P is read."""
 
-    P: MultiPoly
+    member: PolyFamily
     p: float
     n_max: int
     L: np.ndarray
@@ -435,8 +441,8 @@ class GrowthSequence:
         """The ledger of terms S_n and ||g_n||_p, n = 1, 2, ..., (a row of
         `spatial_norms` or its Parseval row): L_n = S_n + log ||g_n||_p up
         to the first norm that is not > 0, where the ledger is truncated.  A
-        norm that is not finite raises GrowthError.  This is from_rows for
-        one row."""
+        norm that is not finite raises GrowthError.  P is a MultiPoly or a
+        one-member PolyFamily.  This is from_rows for one row."""
         return next(cls.from_rows([(P, p, R, S, norms)], n_max, resolved))
 
     @classmethod
@@ -445,15 +451,21 @@ class GrowthSequence:
         limits of all of them from one `_estimates` call."""
         heads, ledgers = [], []
         for P, p, R, S, norms in rows:
+            member = family_explicit([P]) if isinstance(P, MultiPoly) else P
             L = _logs(S, norms)
             k = L.size
             if k < norms.size and not np.isfinite(norms[k]):
-                raise _overflow(P, p, 0, k + 1)
-            heads.append((P, p, R, norms[:k], None if 0 < k == norms.size else k + 1))
+                raise _overflow(member[0], p, 0, k + 1)
+            heads.append((member, p, R, norms[:k], None if 0 < k == norms.size else k + 1))
             ledgers.append(L)
-        for (P, p, R, norms, truncated_at), L, est in zip(heads, ledgers, _estimates(ledgers)):
-            yield cls(P, p, n_max, L, norms, est.limit, est.secondary, est.regime,
+        for (member, p, R, norms, truncated_at), L, est in zip(heads, ledgers,
+                                                               _estimates(ledgers)):
+            yield cls(member, p, n_max, L, norms, est.limit, est.secondary, est.regime,
                       est.tail_window, est.spread, R, resolved, truncated_at)
+
+    @property
+    def P(self) -> MultiPoly:
+        return self.member[0]
 
     @property
     def roots(self) -> np.ndarray:
@@ -508,12 +520,12 @@ def growth_sequences(f, polys, p, n_max: int):
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
     if not np.isinf(p) and not p >= 1:
         raise GrowthError(f"p must be in [1, inf], got {p}")
-    spec, polys = Spectrum.of(f), tuple(polys)
+    spec, polys = Spectrum.of(f), _family(polys)
     norms = [] if p == 2 else [(p, 0)]
     passes, size = spatial_norms(spec, polys, n_max, norms), _stack_size(spec)
     for start in range(0, len(polys), size):
-        rows = ((P, p, R, *(spatial[0] if norms else two))
-                for P, (R, two, spatial) in zip(polys[start:start + size], passes))
+        rows = ((polys[k:k + 1], p, R, *(spatial[0] if norms else two))
+                for k, (R, two, spatial) in zip(range(len(polys))[start:start + size], passes))
         yield from GrowthSequence.from_rows(rows, n_max, spec.mask.resolved)
 
 

@@ -7,6 +7,7 @@ P(i*lam).  Coefficients are complex throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -32,11 +33,15 @@ class MultiPoly:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # An exponent must equal its int (2.0 and numpy ints do, 1.5 and '2'
-        # do not), so distinct keys stay distinct and no terms merge.
+        # An exponent must equal its int (2.0 and numpy ints do; 1.5, '2',
+        # nan, inf and None do not), so distinct keys stay distinct and no
+        # terms merge.  A boolean is left out of exps, so it never equals.
         clean = {}
         for alpha, c in self.coeffs.items():
-            exps = tuple(map(int, alpha))
+            try:
+                exps = tuple(int(a) for a in alpha if not isinstance(a, (bool, np.bool_)))
+            except (TypeError, ValueError, OverflowError):
+                exps = None
             if exps != alpha or len(exps) != self.d or any(a < 0 for a in exps):
                 raise PolyError(f"bad exponent multi-index {alpha!r} for d={self.d}")
             c = complex(c)
@@ -253,61 +258,148 @@ def _product_terms(a: MultiPoly, b: MultiPoly, d: int) -> int:
 # symbols
 # ---------------------------------------------------------------------------
 
-def eval_symbol_many(P: MultiPoly, lams: np.ndarray) -> np.ndarray:
-    """P(i*lam) over an array of frequency vectors, shape (..., d).  The one
-    path from a polynomial to its symbol's values; points whose last axis is
-    not P.d long raise PolyError."""
-    lams = np.asarray(lams, dtype=float)
-    if lams.shape[-1:] != (P.d,):
-        raise PolyError(f"{P.to_text():.60}: d = {P.d}, but the points have shape {lams.shape}")
-    z = 1j * lams
-    out = np.zeros(lams.shape[:-1], dtype=complex)
-    for alpha, c in P.coeffs.items():
-        term = c
+class SymbolPoints:
+    """Frequency vectors lam, shape (..., d), with the powers (i lam_j)^e
+    that symbols evaluated on them have needed, each computed once.
+    take(keep) keeps the points at keep, an index or mask into the first
+    axis, with every power computed so far."""
+
+    def __init__(self, lams, powers=None):
+        self.lams = np.asarray(lams, dtype=float)
+        self.shape = self.lams.shape
+        self._powers = {} if powers is None else powers
+
+    def power(self, j: int, e: int) -> np.ndarray:
+        out = self._powers.get((j, e))
+        if out is None:
+            out = self._powers[j, e] = (1j * self.lams[..., j]) ** e
+        return out
+
+    def take(self, keep) -> "SymbolPoints":
+        return SymbolPoints(self.lams[keep], {k: v[keep] for k, v in self._powers.items()})
+
+
+def _coefficient_rows(P):
+    """(monomials, coefficient rows) of a PolyFamily, or of a MultiPoly as
+    one row over its own terms."""
+    if isinstance(P, PolyFamily):
+        return P.monomials, P.coeffs
+    return tuple(P.coeffs), np.array([list(P.coeffs.values())], dtype=complex)
+
+
+def eval_symbol_many(P, lams) -> np.ndarray:
+    """P(i*lam) over frequency vectors lams, shape (..., d), or over
+    SymbolPoints.  The one path from a polynomial to its symbol's values: a
+    MultiPoly gives shape (...), a PolyFamily a (members, ...) block of its
+    members' values.  Points whose last axis is not P.d long raise PolyError.
+
+    Each value is summed as its member alone would be: a term starts from
+    its coefficient and is multiplied by (i lam_j)^e axis by axis, left to
+    right, terms are added in monomial order, and a coefficient of 0 adds
+    nothing (never 0 * inf).
+    """
+    pts = lams if isinstance(lams, SymbolPoints) else SymbolPoints(lams)
+    if pts.shape[-1:] != (P.d,):
+        name = P if isinstance(P, MultiPoly) else P[0]
+        raise PolyError(f"{name.to_text():.60}: d = {P.d}, but the points have shape {pts.shape}")
+    monomials, C = _coefficient_rows(P)
+    out = np.zeros(C.shape[:1] + pts.shape[:-1], dtype=complex)
+    column = (-1,) + (1,) * (out.ndim - 1)
+    for alpha, c, members in zip(monomials, C.T, np.count_nonzero(C, axis=0).tolist()):
+        if not members:
+            continue
+        has = True if members == len(C) else (c != 0).reshape(column)
+        term = c.reshape(column)
         for j, e in enumerate(alpha):
             if e:
-                term = term * z[..., j] ** e
-        out += term
-    return out
+                term = np.multiply(term, pts.power(j, e), out=None, where=has)
+        np.add(out, term, out=out, where=has)
+    return out if isinstance(P, PolyFamily) else out[0]
 
 
-def symbol_bound(P: MultiPoly, halfwidth: float) -> float:
+def symbol_bound(P, halfwidth):
     """sum |c_alpha| halfwidth^|alpha|, a bound on |P(i lam)| over the box
     max_j |lam_j| <= halfwidth; inf when a power halfwidth^|alpha| or the
-    sum overflows a double."""
-    halfwidth = float(halfwidth)
-    try:
-        return float(sum(abs(c) * halfwidth ** sum(a) for a, c in P.coeffs.items()))
-    except OverflowError:                   # float ** int raises it, float * float gives inf
-        return float("inf")
+    sum overflows a double.  A PolyFamily gives the array of its members'
+    bounds."""
+    monomials, C = _coefficient_rows(P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = float(halfwidth) ** np.array([sum(a) for a in monomials], dtype=float)
+        bounds = np.sum(np.abs(C) * powers, axis=1, where=C != 0)
+    return bounds if isinstance(P, PolyFamily) else float(bounds[0])
 
 
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyFamily:
-    polys: tuple
+    """Polynomials in d variables over one monomial list: row k of the
+    read-only (members x monomials) array coeffs holds member k's
+    coefficients, 0 for a monomial it lacks.  polys, the members as
+    MultiPolys, is built the first time something reads it; family[k] is
+    polys[k], and family[a:b] the family of those rows."""
+
+    d: int
+    monomials: tuple
+    coeffs: np.ndarray
     scheme: str
 
     def __post_init__(self):
-        if not self.polys:
+        coeffs = np.asarray(self.coeffs, dtype=complex).view()
+        if coeffs.shape[1:] != (len(self.monomials),) or coeffs.ndim != 2:
+            raise PolyError(f"coefficients of shape {coeffs.shape} for "
+                            f"{len(self.monomials)} monomials")
+        if not len(coeffs):
             raise PolyError("a polynomial family must be non-empty")
-        d = self.polys[0].d
-        if any(p.d != d for p in self.polys):
-            raise PolyError("family members must share the dimension")
-        object.__setattr__(self, "polys", tuple(self.polys))
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def d(self):
-        return self.polys[0].d
+    @functools.cached_property
+    def polys(self) -> tuple:
+        return tuple(MultiPoly(self.d, {a: c for a, c in zip(self.monomials, row) if c})
+                     for row in self.coeffs.tolist())
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.coeffs)
 
     def __iter__(self):
         return iter(self.polys)
+
+    def __getitem__(self, k):
+        if not isinstance(k, slice):
+            return self.polys[k]
+        out = PolyFamily(self.d, self.monomials, self.coeffs[k], self.scheme)
+        if "polys" in self.__dict__:
+            out.__dict__["polys"] = self.polys[k]
+        return out
+
+
+def _vector_rows(vectors, what: str) -> np.ndarray:
+    """vectors as a (members, d) float array; the first vector that is not
+    finite or not as long as the first one raises PolyError naming its
+    index."""
+    try:
+        X = np.array(vectors, dtype=float)
+    except (TypeError, ValueError):     # ragged or not numbers: named below
+        X = None
+    if X is not None and X.ndim == 2 and X.size and np.isfinite(X).all():
+        return X
+    for k, v in enumerate(vectors):
+        try:
+            ok = np.isfinite(v).all() and np.ndim(v) == 1 and 0 < len(v) == len(vectors[0])
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise PolyError(f"{what} {k} ({v!r:.60}) is not a finite vector "
+                            f"as long as {what} 0")
+    raise PolyError("a polynomial family must be non-empty")
+
+
+def _unit(d: int, j: int, e: int) -> tuple:
+    """The multi-index of x_(j+1)^e in d variables."""
+    return tuple(e if k == j else 0 for k in range(d))
 
 
 def family_linear(directions) -> PolyFamily:
@@ -316,42 +408,33 @@ def family_linear(directions) -> PolyFamily:
     The symbol is i*(xi . lam), purely imaginary with modulus |xi . lam|;
     the sublevel sets are slabs, so intersections recover convex hulls.
     """
-    polys = []
-    for xi in directions:
-        xi = np.asarray(xi, dtype=float)
-        nrm = np.linalg.norm(xi)
-        if nrm == 0:
-            raise PolyError("zero direction vector")
-        xi = xi / nrm
-        d = xi.size
-        polys.append(MultiPoly(d, {
-            tuple(1 if k == j else 0 for k in range(d)): xi[j]
-            for j in range(d) if xi[j] != 0
-        }))
-    return PolyFamily(tuple(polys), "linear-directions")
+    X = _vector_rows(directions, "direction")
+    nrm = np.sqrt(np.vecdot(X, X))          # per row as np.linalg.norm takes it
+    if not nrm.all():
+        raise PolyError(f"zero direction vector (direction {int(np.argmin(nrm))})")
+    d = X.shape[1]
+    return PolyFamily(d, tuple(_unit(d, j, 1) for j in range(d)),
+                      (X / nrm[:, None]).astype(complex), "linear-directions")
 
 
-def _squared_distance(c, a, sign) -> MultiPoly:
-    """sign * sum_j (x_j - a c_j)^2, for sign * a^2 = 1."""
-    d = c.size
-    coeffs = {(0,) * d: float(np.sum(c ** 2))}
-    for j in range(d):
-        coeffs[tuple(2 if k == j else 0 for k in range(d))] = sign
-        if c[j] != 0:
-            coeffs[tuple(1 if k == j else 0 for k in range(d))] = -2.0 * sign * a * c[j]
-    return MultiPoly(d, coeffs)
-
-
-def _checked_centers(centers, grid) -> list:
-    """Centers as float arrays, each inside the grid's frequency box."""
+def _squared_distances(centers, grid, a, sign, scheme) -> PolyFamily:
+    """sign * sum_j (x_j - a c_j)^2 per center c, for sign * a^2 = 1, over
+    the monomials 1, x_1^2, x_1, ..., x_d^2, x_d.  Centers must lie inside
+    the grid's frequency box."""
+    X = _vector_rows(centers, "center")
     half = grid.frequency_halfwidth
-    out = []
-    for c in centers:
-        c = np.asarray(c, dtype=float)
-        if np.any(np.abs(c) > half):
-            raise PolyError(f"center {c} outside the frequency box [-{half:.6g}, {half:.6g})")
-        out.append(c)
-    return out
+    outside = np.flatnonzero((np.abs(X) > half).any(axis=1))
+    if outside.size:
+        k = outside[0]
+        raise PolyError(f"center {k} {X[k]} outside the frequency box "
+                        f"[-{half:.6g}, {half:.6g})")
+    d = X.shape[1]
+    C = np.empty((len(X), 1 + 2 * d), dtype=complex)
+    C[:, 0] = np.sum(X ** 2, axis=1)
+    C[:, 1::2] = sign
+    C[:, 2::2] = -2.0 * sign * a * X
+    monomials = ((0,) * d,) + tuple(_unit(d, j, e) for j in range(d) for e in (2, 1))
+    return PolyFamily(d, monomials, C, scheme)
 
 
 def family_quadratic(centers, grid) -> PolyFamily:
@@ -364,8 +447,7 @@ def family_quadratic(centers, grid) -> PolyFamily:
     Euclidean disks; a single member centered in a ball recovers that ball.
     Centers must lie inside the frequency box.
     """
-    polys = [_squared_distance(c, 1j, -1.0) for c in _checked_centers(centers, grid)]
-    return PolyFamily(tuple(polys), "quadratic-centers")
+    return _squared_distances(centers, grid, 1j, -1.0, "quadratic-centers")
 
 
 def family_quadratic_real(centers, grid) -> PolyFamily:
@@ -375,9 +457,24 @@ def family_quadratic_real(centers, grid) -> PolyFamily:
     in the hyperplane lam . c = 0; the sublevel sets are quartic ovals, which
     unlike disks can separate disconnected spectral supports.
     """
-    polys = [_squared_distance(c, 1.0, 1.0) for c in _checked_centers(centers, grid)]
-    return PolyFamily(tuple(polys), "quadratic-centers-real")
+    return _squared_distances(centers, grid, 1.0, 1.0, "quadratic-centers-real")
 
 
 def family_explicit(polys) -> PolyFamily:
-    return PolyFamily(tuple(polys), "explicit")
+    """The family of the given MultiPolys, in order, over their monomials in
+    the order they first appear; its polys are the given ones."""
+    polys = tuple(polys)
+    for k, P in enumerate(polys):
+        if P.d != polys[0].d:
+            raise PolyError(f"family members must share the dimension: member {k} has "
+                            f"d = {P.d}, member 0 d = {polys[0].d}")
+    column = {}
+    for P in polys:
+        for alpha in P.coeffs:
+            column.setdefault(alpha, len(column))
+    C = np.zeros((len(polys), len(column)), dtype=complex)
+    for k, P in enumerate(polys):
+        C[k, [column[a] for a in P.coeffs]] = list(P.coeffs.values())
+    family = PolyFamily(polys[0].d if polys else 0, tuple(column), C, "explicit")
+    family.__dict__["polys"] = polys
+    return family

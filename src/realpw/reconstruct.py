@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .grid import SampledFunction, SPATIAL, GridError, make_grid
-from .poly import MultiPoly, PolyFamily, eval_symbol_many
+from .poly import MultiPoly, PolyFamily, SymbolPoints, eval_symbol_many
 from .transform import DEFAULT_EPS_REL, SupportMask, Spectrum
 from .growth import growth_sequence, growth_sequences
 
@@ -96,43 +96,47 @@ def reconstruct_support(f, family: PolyFamily, p, n_max: int,
 
     Members whose sequence truncates are excluded and reported.  Family order
     cannot matter: the estimate is an intersection.  It is carved
-    progressively: each member's symbol is evaluated only on the cells that
-    the members before it kept.
+    progressively from the rows of the family's coefficients: the first
+    member over the whole grid, in slices of _SLICE cells (on a d = 2,
+    M = 256 grid a slice holds under 1 MB of symbol temporaries, the grid
+    5 MB), then blocks of the next members of at most _SLICE values on the
+    cells that the members before the block kept, whose powers (i lam_j)^e
+    are computed once and kept alongside them.
     """
     grid = f.grid
     spec = Spectrum.of(f)
-    lams = grid.frequency_coords()
-    cand = None                     # flat indices of the cells kept so far; None: all
-    limits, excluded, carved = [], [], []
-    resolved = True
-    for i, seq in enumerate(growth_sequences(spec, family, p, n_max)):
-        if seq.truncated_at is not None and seq.regime != "zero":
-            excluded.append(i)
-            limits.append(float("nan"))
-            carved.append(0)
-            continue
-        limits.append(seq.limit)
-        resolved = resolved and seq.resolved
-        ok = _sublevel(seq.P, lams if cand is None else lams[cand], seq.limit, tau)
-        carved.append(ok.size - int(np.count_nonzero(ok)))
-        cand = np.flatnonzero(ok) if cand is None else cand[ok]
+    seqs = list(growth_sequences(spec, family, p, n_max))
+    out = np.array([s.truncated_at is not None and s.regime != "zero" for s in seqs])
+    limits = [float("nan") if x else s.limit for s, x in zip(seqs, out)]
+    resolved = all(s.resolved for s, x in zip(seqs, out) if not x)
+    bounds = np.array(limits)[:, None] * (1.0 + tau)
+    carved = np.zeros(len(seqs), dtype=int)
+    lams, live = grid.frequency_coords(), np.flatnonzero(~out)
+    cand = np.arange(grid.n_points)         # flat indices of the cells kept so far
+    if live.size:
+        first = live[0]
+        row = family[first:first + 1]
+        ok = np.concatenate([np.abs(eval_symbol_many(row, lams[k:k + _SLICE])[0]) <= bounds[first]
+                             for k in range(0, len(lams), _SLICE)])
+        cand = np.flatnonzero(ok)
+        carved[first] = ok.size - cand.size
+        pts, start = SymbolPoints(lams[cand]), first + 1
+        while start < len(seqs):
+            stop = start + max(1, _SLICE // max(1, cand.size))
+            ok = np.abs(eval_symbol_many(family[start:stop], pts)) <= bounds[start:stop]
+            alive = np.logical_and.accumulate(ok | out[start:stop, None], axis=0)
+            kept = np.count_nonzero(alive, axis=1)
+            carved[start:stop] = -np.diff(kept, prepend=cand.size)
+            if kept[-1] < cand.size:
+                cand, pts = cand[alive[-1]], pts.take(alive[-1])
+            start = stop
     keep = np.zeros(grid.n_points, dtype=bool)
-    keep[slice(None) if cand is None else cand] = True
+    keep[cand] = True
     est = SupportMask(grid, keep, spec.mask.eps_rel, resolved)
     metrics = mask_metrics(est, reference) if reference is not None else None
     return ReconstructionResult(est, family, tuple(limits), tau,
-                                tuple(excluded), metrics, tuple(carved))
-
-
-def _sublevel(P: MultiPoly, lams: np.ndarray, limit: float, tau: float) -> np.ndarray:
-    """|P(i lam)| <= limit * (1 + tau) at each frequency vector.
-
-    Evaluated in slices of _SLICE vectors: on a d = 2, M = 256 grid a
-    full-grid call then holds under 1 MB of symbol temporaries, not 5 MB.
-    """
-    bound = limit * (1.0 + tau)
-    return np.concatenate([np.abs(eval_symbol_many(P, lams[i:i + _SLICE])) <= bound
-                           for i in range(0, max(len(lams), 1), _SLICE)])
+                                tuple(np.flatnonzero(out).tolist()), metrics,
+                                tuple(carved.tolist()))
 
 
 # ---------------------------------------------------------------------------

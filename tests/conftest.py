@@ -25,3 +25,25 @@ def pairs_iterates(spec, P):
 @pytest.fixture(scope="session")
 def pairs():
     return pairs_iterates
+
+
+def symbol_per_member(P, lams):
+    """eval_symbol_many as it was for one MultiPoly, before a family was one
+    coefficient array: each term starts from its scalar coefficient, is
+    multiplied by (i lam_j)^e axis by axis, and the terms are added in P's
+    order."""
+    lams = np.asarray(lams, dtype=float)
+    z = 1j * lams
+    out = np.zeros(lams.shape[:-1], dtype=complex)
+    for alpha, c in P.coeffs.items():
+        term = c
+        for j, e in enumerate(alpha):
+            if e:
+                term = term * z[..., j] ** e
+        out += term
+    return out
+
+
+@pytest.fixture(scope="session")
+def per_member():
+    return symbol_per_member

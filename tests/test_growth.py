@@ -9,7 +9,8 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     schwartz_decay_check, GrowthError, GridError, Spectrum,
                     iterates, eval_symbol_many, family_quadratic_real,
                     reconstruct_support, growth_sequences, spatial_norms,
-                    GrowthSequence, PointwiseGrowthReport, MultiPoly)
+                    GrowthSequence, PointwiseGrowthReport, MultiPoly,
+                    family_explicit)
 from realpw import growth
 from realpw.growth import HERMITIAN_TOL
 from realpw.transform import SpatialStep, SupportMask, forward_values, inverse_values
@@ -641,6 +642,56 @@ class TestLedgerCarriesR:
         rep = liminf_check(seq, tol=0.02)
         assert (rep.R, rep.resolved) == (seq.R, seq.resolved)
         assert rep.step_median == float(np.median(seq.step_factors[-seq.tail_window:]))
+
+
+def iterates_per_member(spec, polys, per_member):
+    """iterates' R and first step as they were before a stack was one symbol
+    block: each member's symbol by itself, R its max modulus, G_1 the
+    spectrum times the symbol over R, and a zero row for R = 0."""
+    F = spec.F[spec.mask.field]
+    R, G = np.zeros(len(polys)), np.zeros((len(polys), F.size), dtype=complex)
+    for k, P in enumerate(polys):
+        sym = per_member(P, spec.coords)
+        R[k] = np.abs(sym).max(initial=0.0)
+        if R[k] > 0.0:
+            G[k] = F * (sym / float(R[k]))
+    return R, G
+
+
+class TestStackIsOneSymbolBlock:
+    def families(self):
+        """(input, family): a d = 2 ball with 49 real quadratics, a d = 1 box
+        with explicit members (one of them 0, so R = 0), an empty mask."""
+        ball = make_grid(2, 64, 0.5)
+        centers = np.stack(np.meshgrid(*[np.linspace(-3, 3, 7)] * 2, indexing="ij"), -1)
+        yield (sample_builtin({"kind": "spectral_bump", "support": {
+            "shape": "ball", "radius": 4.5 * ball.dlam}}, ball),
+               family_quadratic_real(centers.reshape(-1, 2), ball))
+        line = make_grid(1, 64, 0.5)
+        bump = sample_builtin({"kind": "spectral_bump",
+                               "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, line)
+        texts = ("x1", "0", "0.5+2*i*x1", "x1^3 - x1 + 2")
+        yield bump, family_explicit([parse_poly(t, 1) for t in texts])
+        yield (SampledFunction(line, "spatial", np.zeros(64)),
+               family_explicit([parse_poly("x1", 1)]))
+
+    def test_R_and_first_step_are_bit_equal(self, per_member):
+        for f, family in self.families():
+            spec = Spectrum.of(f)
+            R, steps = iterates(spec, family, 1)
+            (_, S, G), = steps
+            want_R, want_G = iterates_per_member(spec, family.polys, per_member)
+            assert R.tobytes() == want_R.tobytes() and G.tobytes() == want_G.tobytes()
+            assert np.array_equal(S, np.log(R, out=np.zeros_like(R), where=R > 0))
+
+    def test_overflowing_member_is_named(self):
+        # |lam| reaches 1000 on the mask, so x1^200 overflows a double there
+        f = sample_builtin({"kind": "spectral_bump",
+                            "support": {"shape": "box", "lo": [-1e3], "hi": [1e3]}},
+                           make_grid(1, 64, 1e-3))
+        family = family_explicit([parse_poly("x1", 1), parse_poly("x1^200 + 1", 1)])
+        with pytest.raises(GrowthError, match=r"^1\.0 \+ 1\.0\*x1\^200: \|P\(i lam\)\| on"):
+            iterates(Spectrum.of(f), family, 4)
 
 
 # ---------------------------------------------------------------------------

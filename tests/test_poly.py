@@ -1,16 +1,17 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realpw import (MultiPoly, parse_poly, eval_symbol_many,
+from realpw import (MultiPoly, PolyFamily, SymbolPoints, parse_poly, eval_symbol_many,
                     family_linear, family_quadratic, family_quadratic_real,
                     family_explicit, make_grid, sample_builtin, PolyError,
                     ParseError, constant, variable, Spectrum, compute_R,
                     growth_sequence, local_spectrum_raster, pde_support_probe,
-                    reconstruct_support, apply_op_spectral)
+                    reconstruct_support, apply_op_spectral, symbol_bound)
 from realpw.poly import MAX_COUNT
 
 
@@ -193,6 +194,14 @@ class TestExponents:
         with pytest.raises(PolyError, match="bad exponent multi-index"):
             MultiPoly(1, coeffs)
 
+    @pytest.mark.parametrize("alpha", [(float("nan"),), (float("inf"),), (None,), (True,),
+                                       (np.True_,), (False,), 1])
+    def test_non_number_exponent_is_refused_naming_it(self, alpha):
+        # int() raised ValueError, OverflowError and TypeError of its own on
+        # the first three, and True was taken as x1
+        with pytest.raises(PolyError, match="^bad exponent multi-index " + re.escape(repr(alpha))):
+            MultiPoly(1, {alpha: 1})
+
 
 def _two_d_case():
     grid = make_grid(2, 32, 0.5)
@@ -290,6 +299,159 @@ class TestFamilies:
             sig = symbol_at(fam.polys[0], lam)
             want = (np.dot(c, c) - np.dot(lam, lam)) - 2j * np.dot(c, lam)
             assert sig == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def old_squared_distance(c, a, sign):
+    """The builders' member before families were one coefficient array:
+    sign * sum_j (x_j - a c_j)^2 as a MultiPoly, one per center."""
+    d = c.size
+    coeffs = {(0,) * d: float(np.sum(c ** 2))}
+    for j in range(d):
+        coeffs[tuple(2 if k == j else 0 for k in range(d))] = sign
+        if c[j] != 0:
+            coeffs[tuple(1 if k == j else 0 for k in range(d))] = -2.0 * sign * a * c[j]
+    return MultiPoly(d, coeffs)
+
+
+def old_linear(xi):
+    xi = np.asarray(xi, dtype=float)
+    xi = xi / np.linalg.norm(xi)
+    d = xi.size
+    return MultiPoly(d, {tuple(1 if k == j else 0 for k in range(d)): xi[j]
+                         for j in range(d) if xi[j] != 0})
+
+
+def same_members(family, polys):
+    """family's members equal polys bit for bit and term for term, in order."""
+    return ([(P.d, list(P.coeffs), bits(P)) for P in family.polys]
+            == [(P.d, list(P.coeffs), bits(P)) for P in polys])
+
+
+class TestFamilyMatrix:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_builders_match_the_member_by_member_builders(self, d):
+        grid = make_grid(d, 16, 0.5)
+        rng = np.random.default_rng(d)
+        centers = rng.uniform(-3, 3, size=(40, d))
+        centers[::3, 0] = 0.0                  # members without x1, or without a constant
+        centers[::6] = 0.0
+        for build, a, sign in ((family_quadratic_real, 1.0, 1.0), (family_quadratic, 1j, -1.0)):
+            assert same_members(build(centers, grid),
+                                [old_squared_distance(c, a, sign) for c in centers])
+            assert same_members(build(centers.tolist(), grid),
+                                [old_squared_distance(c, a, sign) for c in centers])
+        dirs = centers[centers.any(axis=1)]
+        assert same_members(family_linear(dirs), [old_linear(c) for c in dirs])
+
+    def test_members_are_built_when_first_read(self):
+        fam = family_quadratic_real([[0.5, 1.0], [0.0, -1.0]], make_grid(2, 16, 0.5))
+        assert "polys" not in vars(fam)
+        assert fam.coeffs.shape == (2, 5) and not fam.coeffs.flags.writeable
+        assert len(fam) == 2 and fam.d == 2
+        rows = fam[1:]
+        assert isinstance(rows, PolyFamily) and len(rows) == 1 and "polys" not in vars(fam)
+        assert rows.polys[0].to_text() == "1.0 + 2.0*x2 + 1.0*x2^2 + 1.0*x1^2"
+        assert fam[0] is fam.polys[0] and list(fam) == list(fam.polys)
+
+    def test_constructor_takes_a_read_only_copy_of_its_rows(self):
+        C = np.array([[1.0, 0.0], [0.0, 2j]])
+        fam = PolyFamily(1, ((1,), (2,)), C, "explicit")
+        assert C.flags.writeable and not fam.coeffs.flags.writeable
+        assert [P.to_text() for P in fam] == ["1.0*x1", "2.0*i*x1^2"]
+        for bad in (C[:, :1], C[0], np.zeros((0, 2))):
+            with pytest.raises(PolyError):
+                PolyFamily(1, ((1,), (2,)), bad, "explicit")
+
+    def test_explicit_family_keeps_its_polys(self):
+        polys = [parse_poly("x1 + 2", 2), parse_poly("i*x2^2 - x1", 2), parse_poly("0", 2)]
+        fam = family_explicit(polys)
+        assert fam.monomials == ((1, 0), (0, 0), (0, 2))
+        assert fam.coeffs.tolist() == [[1, 2, 0], [-1, 0, 1j], [0, 0, 0]]
+        assert all(a is b for a, b in zip(fam.polys, polys))
+        assert fam[1:].polys == tuple(polys[1:])
+        with pytest.raises(PolyError, match="member 1 has d = 1, member 0 d = 2"):
+            family_explicit([polys[0], parse_poly("x1", 1)])
+        with pytest.raises(PolyError, match="non-empty"):
+            family_explicit([])
+
+    def test_symbol_bound_of_a_family(self):
+        fam = family_explicit([parse_poly("x1^400", 1), parse_poly("2*x1 - i", 1)])
+        assert symbol_bound(fam, 1e3).tolist() == [math.inf, 2001.0]
+        assert symbol_bound(fam[1:], 1e3).tolist() == [symbol_bound(fam.polys[1], 1e3)]
+        assert symbol_bound(fam.polys[0], 1e3) == math.inf
+
+
+NOT_VECTORS = [([[float("nan"), 0.0]], 0), ([[0.0, 1.0], [1.0, float("inf")]], 1),
+               ([[0.0, 1.0], [1.0]], 1), ([[0.0, 1.0], [1.0, 2.0, 3.0]], 1),
+               ([[0.0, 1.0], [None, 1.0]], 1), ([[1.0, 0.0], ["a", 1.0]], 1),
+               ([[1.0, 0.0], 2.0], 1), ([[]], 0), ([1.0, 2.0], 0)]
+
+
+class TestFamilyVectors:
+    # at the parent the first two built members with nan coefficients and a
+    # ragged list ended in "family members must share the dimension"
+    @pytest.mark.parametrize("vectors,bad", NOT_VECTORS)
+    @pytest.mark.parametrize("build,what", [
+        (lambda v: family_quadratic_real(v, make_grid(2, 16, 0.5)), "center"),
+        (lambda v: family_quadratic(v, make_grid(2, 16, 0.5)), "center"),
+        (family_linear, "direction")])
+    def test_bad_vector_is_named(self, build, what, vectors, bad):
+        with pytest.raises(PolyError, match=rf"^{what} {bad} .* is not a finite vector"):
+            build(vectors)
+
+    def test_empty_and_zero_vectors(self):
+        with pytest.raises(PolyError, match="non-empty"):
+            family_linear([])
+        with pytest.raises(PolyError, match=r"zero direction vector \(direction 1\)"):
+            family_linear([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(PolyError, match=r"^center 1 \[10\.  0\.\] outside"):
+            family_quadratic([[0.0, 0.0], [10.0, 0.0]], make_grid(2, 64, 0.5))
+
+
+@st.composite
+def families_and_points(draw):
+    """A PolyFamily over a drawn monomial list, rows with zero and nonzero
+    coefficients, and points of 0-2 leading axes (a 0 gives none)."""
+    d = draw(st.integers(1, 3))
+    monomials = draw(st.lists(st.tuples(*[st.integers(0, 6)] * d), unique=True, max_size=6))
+    members = draw(st.integers(1, 4))
+    coeff = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e3, **FINITE))
+    C = np.array(draw(st.lists(st.lists(coeff, min_size=len(monomials), max_size=len(monomials)),
+                               min_size=members, max_size=members)), dtype=complex)
+    lead = draw(st.lists(st.integers(0, 3), max_size=2))
+    n = int(np.prod(lead + [d]))
+    points = draw(st.lists(st.floats(-40, 40, **FINITE), min_size=n, max_size=n))
+    family = PolyFamily(d, tuple(monomials), C.reshape(members, len(monomials)), "explicit")
+    return family, np.array(points, dtype=float).reshape(lead + [d])
+
+
+class TestFamilyEvaluatorDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(families_and_points())
+    def test_block_rows_are_the_members_alone(self, per_member, case):
+        family, lams = case
+        block = eval_symbol_many(family, lams)
+        assert block.shape == (len(family),) + lams.shape[:-1]
+        pts = SymbolPoints(lams)
+        for k, P in enumerate(family.polys):
+            want = per_member(P, lams).tobytes()
+            assert block[k].tobytes() == want
+            assert eval_symbol_many(P, lams).tobytes() == want
+            assert eval_symbol_many(family[k:k + 1], pts)[0].tobytes() == want
+        if lams.ndim > 1 and len(lams):
+            keep = np.arange(len(lams)) % 2 == 0
+            assert (eval_symbol_many(family, pts.take(keep)).tobytes()
+                    == eval_symbol_many(family, lams[keep]).tobytes())
+
+    def test_an_overflowing_monomial_stays_in_its_row(self, per_member):
+        # x1^400 overflows at lam = 1e3; the member without it must not see
+        # 0 * inf = nan
+        fam = PolyFamily(1, ((400,), (1,)), np.array([[1, 1], [0, 2]], dtype=complex), "explicit")
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = eval_symbol_many(fam, [[1e3], [1.0]])
+            want = per_member(fam.polys[0], [[1e3], [1.0]])
+        assert not np.isfinite(block[0, 0]) and block[0].tobytes() == want.tobytes()
+        assert block[1].tolist() == [2e3j, 2j]
 
 
 class TestAlgebraHelpers:

@@ -1,11 +1,17 @@
+import dataclasses
+import itertools
+import json
+import random
+
 import numpy as np
 import pytest
 
 from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     support_mask, compute_R, parse_poly, family_linear,
                     family_quadratic, family_quadratic_real, family_explicit,
-                    reconstruct_support, local_spectrum_raster,
-                    pde_support_probe, mask_metrics, apply_op_spectral, Spectrum)
+                    reconstruct_support, local_spectrum_raster, growth_sequences,
+                    pde_support_probe, mask_metrics, apply_op_spectral, Spectrum,
+                    MultiPoly, cli, growth, reconstruct)
 from realpw.verify import aligned_h
 
 
@@ -262,3 +268,145 @@ class TestQuadraticReconstruction:
         fam = family_quadratic([[0.0, 0.0]], grid)
         res = reconstruct_support(f, fam, 2, 200, reference=reference)
         assert res.metrics.dilation_distance <= 2
+
+
+# ---------------------------------------------------------------------------
+# the carve from coefficient rows against the member-by-member carve
+# ---------------------------------------------------------------------------
+
+def two_box(seed):
+    """The bench's reconstruct-twobox input at one seed's box shifts:
+    M = 256, h = 0.05, edge 0.45 cells."""
+    rng = random.Random(f"reconstruct-twobox:{seed}")
+    (ax, ay), (bx, by) = ((0, 0), (0, 0)) if seed == 0 else tuple(
+        (rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2))
+    grid = make_grid(2, 256, 0.05)
+    dlam = grid.dlam
+
+    def box(lo, hi):
+        return {"shape": "box", "lo": [c * dlam for c in lo], "hi": [c * dlam for c in hi]}
+    support = {"shape": "union", "parts": [box([15.5 + ax, -1.5 + ay], [26.5 + ax, 1.5 + ay]),
+                                           box([-26.5 + bx, -1.5 + by], [-15.5 + bx, 1.5 + by])]}
+    return {"kind": "spectral_bump", "support": support, "edge_width": 0.45 * dlam}, grid
+
+
+def lattice(grid, per_axis, span_cells):
+    """The CLI's quadratic_real_lattice centers, one array per center."""
+    step = span_cells * grid.dlam / (per_axis // 2)
+    axis = (np.arange(per_axis) - (per_axis // 2 - 1)) * step
+    return [np.array(t) for t in itertools.product(*[axis] * grid.d)]
+
+
+def carve_per_member(grid, polys, seqs, tau, per_member):
+    """reconstruct_support's carve before a family was one coefficient
+    array: member i's symbol by itself, over the grid in slices of 8192
+    cells for the first member kept, on the cells kept so far after it."""
+    lams = grid.frequency_coords()
+    cand = None
+    limits, excluded, carved = [], [], []
+    for i, (P, seq) in enumerate(zip(polys, seqs)):
+        if seq.truncated_at is not None and seq.regime != "zero":
+            excluded.append(i)
+            limits.append(float("nan"))
+            carved.append(0)
+            continue
+        limits.append(seq.limit)
+        points = lams if cand is None else lams[cand]
+        bound = seq.limit * (1.0 + tau)
+        ok = np.concatenate([np.abs(per_member(P, points[k:k + 8192])) <= bound
+                             for k in range(0, max(len(points), 1), 8192)])
+        carved.append(ok.size - int(np.count_nonzero(ok)))
+        cand = np.flatnonzero(ok) if cand is None else cand[ok]
+    field = np.zeros(grid.n_points, dtype=bool)
+    field[slice(None) if cand is None else cand] = True
+    return field, limits, tuple(excluded), tuple(carved)
+
+
+def assert_carves_as_members_alone(f, family, p, n_max, tau, per_member):
+    seqs = list(growth_sequences(Spectrum.of(f), family, p, n_max))
+    want = carve_per_member(f.grid, family.polys, seqs, tau, per_member)
+    res = reconstruct_support(f, family, p, n_max, tau=tau)
+    assert np.array_equal(res.estimated.field, want[0])
+    assert np.array_equal(res.limits, want[1], equal_nan=True)
+    assert (res.excluded_members, res.carved) == want[2:]
+    return res
+
+
+class TestCarveDifferential:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_box_at_the_bench_seeds(self, seed, per_member):
+        builtin, grid = two_box(seed)
+        f = sample_builtin(builtin, grid)
+        family = family_quadratic_real(lattice(grid, 16, 63), grid)
+        res = assert_carves_as_members_alone(f, family, 2, 200, 0.01, per_member)
+        assert len(res.carved) == 256 and sum(res.carved) == grid.n_points - res.estimated.n_cells
+
+    def test_linear_family_in_d1(self, interval_setup, per_member):
+        grid, f, reference = interval_setup
+        family = family_linear([[1.0], [-2.0], [0.5]])
+        assert_carves_as_members_alone(f, family, 2, 64, 0.01, per_member)
+
+    def test_small_lattice_in_d3(self, per_member):
+        grid = make_grid(3, 32, 0.5)
+        f = sample_builtin({"kind": "spectral_bump",
+                            "support": {"shape": "ball", "radius": 2.5 * grid.dlam},
+                            "edge_width": 0.5 * grid.dlam}, grid)
+        family = family_quadratic_real(lattice(grid, 4, 6), grid)
+        res = assert_carves_as_members_alone(f, family, 2, 32, 0.01, per_member)
+        assert len(res.carved) == 64 and any(res.carved[1:])
+
+    @pytest.mark.parametrize("out", [(0, 3, 4, 255), (0,), tuple(range(256))])
+    def test_excluded_members_carve_nothing(self, out, monkeypatch, per_member):
+        # members whose ledger truncates: the first member kept carves the
+        # grid, and an excluded one inside a block removes no cell
+        builtin, grid = two_box(0)
+        f = sample_builtin(builtin, grid)
+        family = family_quadratic_real(lattice(grid, 16, 63), grid)
+        seqs = [dataclasses.replace(s, truncated_at=5) if i in out else s
+                for i, s in enumerate(growth_sequences(Spectrum.of(f), family, 2, 200))]
+        monkeypatch.setattr(reconstruct, "growth_sequences", lambda *args: iter(seqs))
+        want = carve_per_member(grid, family.polys, seqs, 0.01, per_member)
+        res = reconstruct_support(f, family, 2, 200)
+        assert np.array_equal(res.estimated.field, want[0])
+        assert (res.excluded_members, res.carved) == want[2:] and res.excluded_members == out
+
+
+def test_two_box_builds_no_member_and_evaluates_by_the_block(tmp_path, monkeypatch):
+    # the 256-member reconstruct-twobox job through the CLI: the family is
+    # one coefficient array from building to report, and the evaluator runs
+    # once per iterates stack, then once per slice of the first member's
+    # grid and at most once per later member
+    built, calls = [], {"growth": 0, "reconstruct": 0}
+    post_init = MultiPoly.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.d)
+        post_init(self)
+
+    def counting(module):
+        original = module.eval_symbol_many
+
+        def wrapper(P, lams):
+            calls[module.__name__.rpartition(".")[2]] += 1
+            return original(P, lams)
+        monkeypatch.setattr(module, "eval_symbol_many", wrapper)
+
+    builtin, grid = two_box(0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": {"d": 2, "M": 256, "h": 0.05}, "input": {"builtin": builtin},
+        "family": {"kind": "quadratic_real_lattice", "per_axis": 16, "span_cells": 63},
+        "p": 2, "n_max": 200, "tau": 0.01, "out": str(tmp_path / "report.json"),
+        "mask_out": str(tmp_path / "mask.json")}))
+    monkeypatch.setattr(MultiPoly, "__post_init__", counting_post_init)
+    counting(growth)
+    counting(reconstruct)
+    assert cli.main(["reconstruct", "--config", str(cfg)]) == 0
+    spec = Spectrum.of(sample_builtin(builtin, grid))
+    stacks = -(-256 // (grid.n_points // spec.coords.shape[0]))
+    slices = -(-grid.n_points // reconstruct._SLICE)
+    assert built == []
+    assert calls["growth"] == stacks == 1
+    assert slices < calls["reconstruct"] <= slices + 255
+    rec = json.loads((tmp_path / "report.json").read_text())["reconstruction"]
+    assert len(rec["carved"]) == 256 and rec["estimated_cells"] == 66

@@ -3,8 +3,9 @@ leading-underscore name, no library module but the CLI prints, only the
 transform and growth modules name SpatialStep, one ledger pass runs the
 iterates, the library starts no threads, every verify row reads its
 member's one Ledgers build, every JSON read catches RecursionError, one
-helper estimates every limit, by the stack, and every library name the
-bench looks up exists."""
+helper estimates every limit, by the stack, every library name the bench
+looks up exists, and the ledgers and the carve never build a family's
+members."""
 
 import ast
 import importlib
@@ -173,3 +174,13 @@ def test_bench_names_resolve():
     missing = [t for t in targets if not resolves(f"realpw.{t.split('.')[0]}", t.split(".")[1:])]
     missing += [f"{m}.{n}" for m, n in imported if not resolves(m, [n])]
     assert missing == []
+
+
+def test_ledgers_and_carve_read_no_members():
+    # a family is one coefficient array: reading its .polys builds every
+    # member as a MultiPoly, about 3 ms for the 256 members of
+    # reconstruct-twobox, which the ledgers and the carve never need
+    reads = [f"{name}:{node.lineno}" for name in ("growth.py", "reconstruct.py")
+             for node in nodes(ROOT / "src" / "realpw" / name)
+             if isinstance(node, ast.Attribute) and node.attr == "polys"]
+    assert reads == []

@@ -139,9 +139,9 @@ def test_under_resolved_member_steps_polys0_only(monkeypatch):
 def test_each_symbol_evaluated_once_per_ledger_build(monkeypatch):
     evaluated, eval_symbol_many = [], growth.eval_symbol_many
 
-    def counting_eval(P, lams):
-        evaluated.append(P.to_text())
-        return eval_symbol_many(P, lams)
+    def counting_eval(family, lams):      # one block per stack, a row per member
+        evaluated.extend(P.to_text() for P in family)
+        return eval_symbol_many(family, lams)
 
     monkeypatch.setattr(growth, "eval_symbol_many", counting_eval)
     members = verify_corpus()
