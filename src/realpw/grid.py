@@ -189,50 +189,37 @@ def smooth_step(s) -> np.ndarray:
     return out
 
 
-def _support_distance(support: dict, coords: np.ndarray) -> np.ndarray:
-    """Signed distance INTO the support set (positive inside) at each point."""
-    kind = support["shape"]
-    if kind == "box":
-        lo = np.asarray(support["lo"], dtype=float)
-        hi = np.asarray(support["hi"], dtype=float)
-        return np.min(np.minimum(coords - lo, hi - coords), axis=-1)
-    if kind == "ball":
-        c = np.asarray(support.get("center", np.zeros(coords.shape[-1])), dtype=float)
-        r = float(support["radius"])
-        return r - np.linalg.norm(coords - c, axis=-1)
-    if kind == "annulus":
-        c = np.asarray(support.get("center", np.zeros(coords.shape[-1])), dtype=float)
-        rad = np.linalg.norm(coords - c, axis=-1)
-        return np.minimum(float(support["r_out"]) - rad, rad - float(support["r_in"]))
-    if kind == "union":
-        parts = [_support_distance(s, coords) for s in support["parts"]]
-        return np.max(parts, axis=0)
-    raise GridError(f"unknown support shape {kind!r}")
-
-
-def _support_extent(support: dict, d: int):
-    """Axis-aligned bounding box (lo, hi) of the support; GridError if it has no interior."""
+def _support(support: dict, d: int):
+    """(lo, hi, distance) of a support descriptor, parsed once: its
+    axis-aligned bounding box and the signed distance INTO the set (positive
+    inside) as a function of points of shape (..., d).  GridError if the set
+    has no interior or its shape is unknown."""
     kind = support["shape"]
     if kind == "box":
         lo, hi = np.asarray(support["lo"], float), np.asarray(support["hi"], float)
         if not np.all(lo < hi):
             raise GridError(f"box needs lo < hi on every axis, got lo {lo}, hi {hi}")
-        return (lo, hi)
+        return lo, hi, lambda x: np.min(np.minimum(x - lo, hi - x), axis=-1)
     if kind == "ball":
         c = np.asarray(support.get("center", np.zeros(d)), float)
         r = float(support["radius"])
         if not r > 0.0:
             raise GridError(f"ball radius must be positive, got {r!r}")
-        return (c - r, c + r)
+        return c - r, c + r, lambda x: r - np.linalg.norm(x - c, axis=-1)
     if kind == "annulus":
         c = np.asarray(support.get("center", np.zeros(d)), float)
         r, r_in = float(support["r_out"]), float(support["r_in"])
         if not r > max(r_in, 0.0):
             raise GridError(f"annulus needs r_out > max(r_in, 0), got {r_in!r}, {r!r}")
-        return (c - r, c + r)
+
+        def annulus(x):
+            rad = np.linalg.norm(x - c, axis=-1)
+            return np.minimum(r - rad, rad - r_in)
+        return c - r, c + r, annulus
     if kind == "union":
-        los, his = zip(*(_support_extent(s, d) for s in support["parts"]))
-        return (np.min(los, axis=0), np.max(his, axis=0))
+        los, his, parts = zip(*(_support(s, d) for s in support["parts"]))
+        return (np.min(los, axis=0), np.max(his, axis=0),
+                lambda x: np.max([part(x) for part in parts], axis=0))
     raise GridError(f"unknown support shape {kind!r}")
 
 
@@ -276,7 +263,7 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
     kind = spec.get("kind")
     if kind == "spectral_bump":
         support = spec["support"]
-        lo, hi = _support_extent(support, grid.d)
+        lo, hi, distance = _support(support, grid.d)
         _check_margin(lo, hi, grid.frequency_halfwidth, grid.dlam, "spectral support")
         w = _edge_width(spec, 1.5 * grid.dlam)
         # the bump is exactly 0 outside the support, so sample its bounding box only
@@ -284,7 +271,7 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         cells = [np.flatnonzero((axis >= l) & (axis <= u)) for l, u in zip(lo, hi)]
         box = np.stack(np.meshgrid(*(axis[c] for c in cells), indexing="ij"), axis=-1)
         F = np.zeros(grid.n_points)
-        F.reshape(grid.shape)[np.ix_(*cells)] = smooth_step(_support_distance(support, box) / w)
+        F.reshape(grid.shape)[np.ix_(*cells)] = smooth_step(distance(box) / w)
         from .transform import inverse_dft  # cycle-free: transform imports nothing here at runtime
 
         fun = SampledFunction(grid, FREQUENCY, F, label=spec.get("label", "spectral bump"))
@@ -303,11 +290,11 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
 
     if kind == "spatial_bump":
         support = spec["support"]
-        lo, hi = _support_extent(support, grid.d)
+        lo, hi, distance = _support(support, grid.d)
         _check_margin(lo, hi, grid.spatial_halfwidth, grid.h, "spatial support")
         half = np.min((np.asarray(hi) - np.asarray(lo)) / 2.0)
         w = _edge_width(spec, 0.2 * half)
-        f = smooth_step(_support_distance(support, grid.spatial_coords()) / w)
+        f = smooth_step(distance(grid.spatial_coords()) / w)
         meta = {"kind": kind, "support": support, "edge_width": w}
         return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "spatial bump"), meta=meta)
 

@@ -147,20 +147,18 @@ def estimate_limit(log_norms) -> LimitEstimate:
 # spectral application of P(d)
 # ---------------------------------------------------------------------------
 
-def iterates(spec: Spectrum, polys, n_max: int):
-    """(R, steps) of P(d)^n f = exp(S_n) * g_n, n = 1..n_max, for a stack of
-    members P of polys (a PolyFamily or MultiPolys).
+def iterates(spec: Spectrum, family: PolyFamily, n_max: int):
+    """(R, steps) of P(d)^n f = exp(n log R) * g_n, n = 1..n_max, for the
+    stack of members P of family.
 
     R is the vector of max |P(i lam)| over the mask cells, from one symbol
     block of the stack, the one place a ledger's symbol is evaluated.  steps
-    yields (n, S_n, G_n): G_n is a (members x mask cells) block whose row
+    yields (n, G_n): G_n is a (members x mask cells) block whose row
     F (P(i lam)/R)^n is the spectrum of g_n on the mask cells (in the order
-    of spec.F[spec.mask.field]), updated in place, and S_n the vector of
-    n log R; one multiply per n advances the whole stack.  A member with
-    R = 0 keeps a zero row and log R = 0.  A symbol that overflows a double
-    on the mask raises GrowthError.
+    of spec.F[spec.mask.field]), updated in place; one multiply per n
+    advances the whole stack.  A member with R = 0 keeps a zero row.  A
+    symbol that overflows a double on the mask raises GrowthError.
     """
-    family = _family(polys)
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = eval_symbol_many(family, spec.coords)
         R = np.abs(ratio).max(axis=1, initial=0.0)
@@ -169,13 +167,12 @@ def iterates(spec: Spectrum, polys, n_max: int):
             raise GrowthError(f"{family[bad[0]].to_text():.60}: |P(i lam)| on the mask "
                               "exceeds the double range")
         np.divide(ratio, R[:, None], out=ratio, where=R[:, None] > 0.0)   # R = 0: a zero row
-    logR = np.log(R, out=np.zeros_like(R), where=R > 0.0)
     G = np.tile(spec.F[spec.mask.field], (len(R), 1))
 
     def steps():
         for n in range(1, n_max + 1):
             np.multiply(G, ratio, out=G)
-            yield n, n * logR, G
+            yield n, G
     return R, steps()
 
 
@@ -190,15 +187,15 @@ def apply_op_spectral(f, P: MultiPoly, n: int):
     if n < 1:
         raise GrowthError(f"iteration count must be >= 1, got {n}")
     spec = Spectrum.of(f)
-    _, steps = iterates(spec, [P], n)
-    for _, S, rows in steps:
+    (R,), steps = iterates(spec, family_explicit([P]), n)
+    for _, rows in steps:
         pass
     G = np.zeros(spec.grid.n_points, dtype=complex)
     G[spec.mask.field] = rows[0]
     return (SampledFunction(spec.grid, SPATIAL, inverse_values(G, spec.grid),
                             label=spec.f.label,
                             meta={"op": str(P), "n": n, "resolved": spec.mask.resolved}),
-            float(S[0]))
+            float(n * np.log(R)) if R > 0.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +248,23 @@ def apply_op_fd(f: SampledFunction, P: MultiPoly,
 # spatial norms of the iterates
 # ---------------------------------------------------------------------------
 
-def spatial_norms(f, polys, n_max: int, norms):
-    """(R, two, rows) for each P of polys, in order: the one ledger pass.
+def spatial_norms(f, family: PolyFamily, n_max: int, norms):
+    """The one ledger pass: for each stack of members of family, in order,
+    the list of each member's (R, two, rows).
 
     Members go through `iterates` in stacks of at most n_points // (mask
-    cells), each run when its first member is consumed.  two is the member's
-    Parseval row: the (S, values) arrays, n = 1..n_max, of S_n = n log R and
-    ||g_n||_2 summed on the mask cells.  rows[k] is the (S, values) pair of
-    norms[k], a list of (p, e): the Riemann-sum Lp norm ||(1+|x|)^e g_n||_p,
-    p in [1, inf], of one `SpatialStep` output per n, cut at (and ending
-    with) the row's first value that is not > 0, so the weighted norm of
-    P(d)^n f is exp(S_n) times the row's value.  Only members with R > 0 and
-    a row not yet cut are stepped; with no norms no step is built.  A
-    spatial value that is not finite raises GrowthError naming P, p and n;
-    two is checked by its reader.  f is a SampledFunction or its Spectrum.
+    cells), so a (members x mask cells) block holds at most n_points values;
+    each stack runs when the pass reaches it.  R is the member's
+    max |P(i lam)| over the mask, and every row holds the norms of g_n,
+    n = 1, 2, ..., whose ledger is L_n = n log R + log of the row's value.
+    two is the member's Parseval row: ||g_n||_2, n = 1..n_max, summed on
+    the mask cells.  rows[k] is the row of norms[k], a list of (p, e): the
+    Riemann-sum Lp norm ||(1+|x|)^e g_n||_p, p in [1, inf], of one
+    `SpatialStep` output per n, cut at (and ending with) the row's first
+    value that is not > 0.  Only members with R > 0 and a row not yet cut
+    are stepped; with no norms no step is built.  A spatial value that is
+    not finite raises GrowthError naming P, p and n; two is checked by its
+    reader.  f is a SampledFunction or its Spectrum.
 
     A member pairs, taking one step per (n - 1, n) in place of two, when
     its iterates are all real: (1) the mask is resolved, as a cell on a
@@ -277,7 +277,7 @@ def spatial_norms(f, polys, n_max: int, norms):
     part), each with its own cut and overflow check, and an odd n_max steps
     its last n alone.  Paired rows match the unpaired ones to rounding.
     """
-    spec, polys = Spectrum.of(f), _family(polys)
+    spec = Spectrum.of(f)
     cells = spec.coords.shape[0]
     real = False
     if norms:
@@ -286,10 +286,9 @@ def spatial_norms(f, polys, n_max: int, norms):
             absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
         weights = [step.fft_order((1.0 + absx) ** e) if e else None for _, e in norms]
         real, pair = _real_iterates(spec), np.empty(cells, dtype=complex)
-    size = _stack_size(spec)
-    ns = np.arange(1, n_max + 1)
-    for start in range(0, len(polys), size):
-        stack = polys[start:start + size]
+    size = max(1, spec.grid.n_points // max(1, cells))
+    for start in range(0, len(family), size):
+        stack = family[start:start + size]
         # sums, which the yielded rows keep alive, and held come before the
         # stack's blocks, and all but sums are freed before the first yield:
         # sums the other way round cost each later reconstruct-twobox job
@@ -298,7 +297,6 @@ def spatial_norms(f, polys, n_max: int, norms):
         paired = np.flatnonzero(~stack.coeffs.imag.any(axis=1)).tolist() if real else []
         held = dict(zip(paired, np.empty((len(paired), cells), dtype=complex)))
         R, steps = iterates(spec, stack, n_max)
-        logR = R    # until S_1 = log R replaces it (with n_max = 0 every S is empty)
         rows = [[[] for _ in norms] for _ in range(len(stack))]
         live = {m: range(len(norms)) for m in range(len(stack)) if R[m] > 0.0} if norms else {}
 
@@ -310,9 +308,7 @@ def spatial_norms(f, polys, n_max: int, norms):
             return [k for k in ks if _goes_on(stack, m, norms[k], n, rows[m][k][-1])]
 
         with np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
-            for n, s, G in steps:
-                if n == 1:
-                    logR = s
+            for n, G in steps:
                 sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
                 for m, ks in list(live.items()):
                     if m not in held:
@@ -334,24 +330,8 @@ def spatial_norms(f, polys, n_max: int, norms):
         steps = G = held = None
         sums *= spec.grid.dlam ** spec.grid.d
         np.sqrt(sums, out=sums)
-        for m in range(len(stack)):
-            S = ns * logR[m]
-            yield float(R[m]), (S, sums[m]), [(S[:len(r)], np.array(r, dtype=float))
-                                              for r in rows[m]]
-
-
-def _family(polys):
-    """polys as a PolyFamily; an empty sequence stays empty."""
-    if isinstance(polys, PolyFamily):
-        return polys
-    polys = tuple(polys)
-    return family_explicit(polys) if polys else polys
-
-
-def _stack_size(spec: Spectrum) -> int:
-    """Members per stack of spatial_norms: a (members x mask cells) block
-    holds at most n_points values."""
-    return max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
+        yield [(float(R[m]), sums[m], [np.array(r, dtype=float) for r in rows[m]])
+               for m in range(len(stack))]
 
 
 def _real_iterates(spec: Spectrum) -> bool:
@@ -391,10 +371,13 @@ def _leading(values) -> int:
 # growth sequences
 # ---------------------------------------------------------------------------
 
-def _logs(S, values):
-    """S_n + log of a row's values, up to its first that is not > 0."""
-    k = _leading(values)
-    return S[:k] + np.log(values[:k])
+def _ledger(R, norms):
+    """L_n = n log R + log ||g_n||, n = 1, 2, ..., of a row of norms of the
+    member with that R, up to the row's first value that is not > 0.  log R
+    is numpy's: for one R it equals numpy's vector lanes bit for bit, which
+    math.log does not always."""
+    k = _leading(norms)
+    return np.arange(1, k + 1) * np.log(R) + np.log(norms[:k]) if k else np.zeros(0)
 
 
 def _estimates(ledgers) -> list:
@@ -437,22 +420,16 @@ class GrowthSequence:
     truncated_at: int | None = None
 
     @classmethod
-    def from_row(cls, P, p, n_max, R, S, norms, resolved) -> "GrowthSequence":
-        """The ledger of terms S_n and ||g_n||_p, n = 1, 2, ..., (a row of
-        `spatial_norms` or its Parseval row): L_n = S_n + log ||g_n||_p up
-        to the first norm that is not > 0, where the ledger is truncated.  A
-        norm that is not finite raises GrowthError.  P is a MultiPoly or a
-        one-member PolyFamily.  This is from_rows for one row."""
-        return next(cls.from_rows([(P, p, R, S, norms)], n_max, resolved))
-
-    @classmethod
     def from_rows(cls, rows, n_max, resolved):
-        """from_row of each (P, p, R, S, norms) of rows, in order, with the
-        limits of all of them from one `_estimates` call."""
+        """The ledger of each (member, p, R, norms) of rows, in order, with
+        the limits of all of them from one `_estimates` call.  member is a
+        one-member PolyFamily, and norms a row of `spatial_norms` (or its
+        Parseval row) of ||g_n||_p, n = 1, 2, ...: the ledger is
+        L_n = n log R + log ||g_n||_p up to the first norm that is not > 0,
+        where it is truncated.  A norm that is not finite raises GrowthError."""
         heads, ledgers = [], []
-        for P, p, R, S, norms in rows:
-            member = family_explicit([P]) if isinstance(P, MultiPoly) else P
-            L = _logs(S, norms)
+        for member, p, R, norms in rows:
+            L = _ledger(R, norms)
             k = L.size
             if k < norms.size and not np.isfinite(norms[k]):
                 raise _overflow(member[0], p, 0, k + 1)
@@ -508,11 +485,11 @@ def growth_sequence(f, P: MultiPoly, p, n_max: int) -> GrowthSequence:
     2-norm under the grid measures (discrete Parseval), so the ledger is
     summed directly on the mask cells.  This is growth_sequences for one P.
     """
-    return next(growth_sequences(f, [P], p, n_max))
+    return next(growth_sequences(f, family_explicit([P]), p, n_max))
 
 
-def growth_sequences(f, polys, p, n_max: int):
-    """growth_sequence(f, P, p, n_max) for each P of polys, in order, each
+def growth_sequences(f, family: PolyFamily, p, n_max: int):
+    """growth_sequence(f, P, p, n_max) for each P of family, in order, each
     stack of `spatial_norms` built through one GrowthSequence.from_rows when
     its first member is consumed: p = 2 reads the pass's Parseval row, any
     other p its one spatial row."""
@@ -520,13 +497,13 @@ def growth_sequences(f, polys, p, n_max: int):
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
     if not np.isinf(p) and not p >= 1:
         raise GrowthError(f"p must be in [1, inf], got {p}")
-    spec, polys = Spectrum.of(f), _family(polys)
+    spec = Spectrum.of(f)
     norms = [] if p == 2 else [(p, 0)]
-    passes, size = spatial_norms(spec, polys, n_max, norms), _stack_size(spec)
-    for start in range(0, len(polys), size):
-        rows = ((polys[k:k + 1], p, R, *(spatial[0] if norms else two))
-                for k, (R, two, spatial) in zip(range(len(polys))[start:start + size], passes))
-        yield from GrowthSequence.from_rows(rows, n_max, spec.mask.resolved)
+    members = (family[k:k + 1] for k in range(len(family)))
+    for stack in spatial_norms(spec, family, n_max, norms):
+        yield from GrowthSequence.from_rows(
+            [(P, p, R, rows[0] if norms else two) for (R, two, rows), P in zip(stack, members)],
+            n_max, spec.mask.resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +568,11 @@ class PointwiseGrowthReport:
     regime: str
 
     @classmethod
-    def from_row(cls, N, mode, R, S, norms) -> "PointwiseGrowthReport":
+    def from_row(cls, N, mode, R, norms) -> "PointwiseGrowthReport":
         """The report of a spatial_norms row of (inf, +N) (decay) or (inf, -N)
-        (growth) norms: log W_n = S_n + log of the row's value."""
-        log_W = _logs(S, norms)
+        (growth) norms of the member with that R: log W_n = n log R + log of
+        the row's value."""
+        log_W = _ledger(R, norms)
         (est,) = _estimates([log_W])
         rtilde = est.limit
         # bounded iff log(W_n / (n^N rtilde^n)) shows no upward trend at the end
@@ -615,8 +593,8 @@ def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
     if mode not in ("decay", "growth"):
         raise GrowthError("mode must be 'decay' or 'growth'")
     norm = (np.inf, N if mode == "decay" else -N)
-    R, _, (row,) = next(spatial_norms(f, [P], n_max, [norm]))
-    return PointwiseGrowthReport.from_row(N, mode, R, *row)
+    ((R, _, (row,)),) = next(spatial_norms(f, family_explicit([P]), n_max, [norm]))
+    return PointwiseGrowthReport.from_row(N, mode, R, row)
 
 
 @dataclass(frozen=True)
@@ -645,8 +623,9 @@ def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
         raise GrowthError("claimed bound R must be positive")
     d = f.grid.d
     # both weights are >= 1, so the two rows vanish at the same n
-    _, _, (W_N, W_phi) = next(spatial_norms(f, [P], n_max, [(np.inf, N), (np.inf, d + 1)]))
-    W_N, W_phi = _logs(*W_N), _logs(*W_phi)
+    ((R_mask, _, rows),) = next(spatial_norms(f, family_explicit([P]), n_max,
+                                              [(np.inf, N), (np.inf, d + 1)]))
+    W_N, W_phi = (_ledger(R_mask, row) for row in rows)
     if not W_N.size:
         return SchwartzDecayReport(R, N, W_N, 0.0, 1.0, True, -np.inf)
     n = np.arange(1, W_N.size + 1)

@@ -97,8 +97,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:                   # a square past the last bit is never used
+                base = base * base
         return out
 
     # -- text form ----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Layout: a single JSON document with keys d, M, h, side, label, payload
 ("complex" for sampled functions, "boolean" for support masks), encoding
-("base64" for little-endian float64 bytes, "array" for a plain list), and
-values (interleaved re0, im0, re1, im1, ... in row-major index order).
+("base64" for little-endian float64 bytes, which save_signal writes; "array"
+for a plain list, which is read too), and values (interleaved re0, im0, re1,
+im1, ... in row-major index order).
 CSV is accepted for d = 1 with rows "index,re,im" and a header line; the
 grid step and side must then be supplied by the caller.
 """
@@ -57,11 +58,9 @@ def _atomic_write(path: str, mode: str, *chunks):
         raise
 
 
-def _document(obj, encoding: str):
-    """(header, payload) of a signal document: every key but "values", and
-    the interleaved float64 values."""
-    if encoding not in ("base64", "array"):
-        raise SignalIOError(f"encoding must be 'base64' or 'array', got {encoding!r}")
+def _document(obj):
+    """(header, payload) of a base64 signal document: every key but
+    "values", and the interleaved float64 values."""
     if isinstance(obj, SupportMask):
         grid, side, label = obj.grid, "frequency", f"mask eps_rel={obj.eps_rel:g}"
         flat = np.zeros(2 * grid.n_points, dtype="<f8")
@@ -76,19 +75,9 @@ def _document(obj, encoding: str):
     else:
         raise SignalIOError(f"cannot serialize {type(obj).__name__}")
     head = {"d": grid.d, "M": grid.M, "h": grid.h, "side": side, "label": label,
-            "payload": payload, "encoding": encoding}
+            "payload": payload, "encoding": "base64"}
     head.update(extra)
     return head, flat
-
-
-def signal_to_dict(obj, encoding: str = "base64") -> dict:
-    """Serializable dict for a SampledFunction or SupportMask."""
-    doc, flat = _document(obj, encoding)
-    if encoding == "base64":
-        doc["values"] = base64.b64encode(flat).decode("ascii")
-    else:
-        doc["values"] = [float(v) for v in flat]
-    return doc
 
 
 def signal_from_dict(doc: dict):
@@ -117,14 +106,12 @@ def signal_from_dict(doc: dict):
         raise SignalIOError(f"bad signal: {exc}") from exc
 
 
-def save_signal(obj, path: str, encoding: str = "base64"):
-    if encoding != "base64":
-        atomic_write_text(path, json.dumps(signal_to_dict(obj, encoding), sort_keys=True))
-        return
+def save_signal(obj, path: str):
+    """Write a SampledFunction or SupportMask as a base64 signal document."""
     # "values" sorts last and base64 needs no JSON escaping: the header (ASCII,
     # as json.dumps escapes the rest) and the payload's bytes go to the file as
     # they are, with no text copy of the payload
-    head, flat = _document(obj, encoding)
+    head, flat = _document(obj)
     _atomic_write(path, "wb", json.dumps(head, sort_keys=True)[:-1].encode("ascii"),
                   b', "values": "', base64.b64encode(flat), b'"}')
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SampledFunction, FREQUENCY, make_grid, sample_builtin
-from .poly import parse_poly
+from .poly import PolyFamily, family_explicit, parse_poly
 from .transform import Spectrum, eval_entire, supporting_function
 from .growth import (GrowthSequence, PointwiseGrowthReport, spatial_norms,
                      liminf_check, apply_op_spectral, apply_op_fd)
@@ -50,7 +50,7 @@ class Ledgers:
     the p = 2 ledger keeps it.  One `spatial_norms` pass per stack of polys
     gives them all: the p = 2 ledgers and the frequency side read its
     Parseval rows, and one GrowthSequence.from_rows builds the ledgers of
-    each P.  A member whose mask is not resolved gets no sequences
+    each stack.  A member whose mask is not resolved gets no sequences
     or rtilde (every row that reads them skips it), so its pass steps only
     polys[0], for the spatial 2-norms.
     """
@@ -66,22 +66,24 @@ class Ledgers:
         resolved = spec.mask.resolved
         spatial_p = [p for p in member.p_values if p != 2]
         norms = [(p, 0) for p in spatial_p] + [(np.inf, -RTILDE_N)] if resolved else []
-        passes = itertools.chain(spatial_norms(spec, polys[:1], n_max, norms + [(2, 0)]),
-                                 spatial_norms(spec, polys[1:], n_max, norms))
-        out = cls([], [], [], [])
-        for P, (R, two, rows) in zip(polys, passes):
-            out.R.append(R)
-            seqs = {}
+        first = next(spatial_norms(spec, polys[:1], n_max, norms + [(2, 0)]))
+        rest = spatial_norms(spec, polys[1:], n_max, norms) if len(polys) > 1 else ()
+        out, members = cls([], [], [], []), (polys[k:k + 1] for k in range(len(polys)))
+        for stack in itertools.chain([first], rest):
+            out.R.extend(R for R, _, _ in stack)
             if resolved:
-                by_p = {2: two, **dict(zip(spatial_p, rows))}
-                seqs = dict(zip(member.p_values, GrowthSequence.from_rows(
-                    [(P, p, R, *by_p[p]) for p in member.p_values], n_max, resolved)))
-                out.sequences.extend(seqs.values())
-                out.rtilde.append(PointwiseGrowthReport.from_row(
-                    RTILDE_N, "growth", R, *rows[len(spatial_p)]))
-            if len(rows) > len(norms):          # polys[0]'s pass adds (2, 0)
-                seq2 = seqs.get(2) or GrowthSequence.from_row(P, 2, n_max, R, *two, resolved)
-                out.plancherel.append((rows[-1][1], seq2.norms))
+                out.sequences.extend(GrowthSequence.from_rows(
+                    [(P, p, R, two if p == 2 else rows[spatial_p.index(p)])
+                     for (R, two, rows), P in zip(stack, members) for p in member.p_values],
+                    n_max, resolved))
+                out.rtilde.extend(PointwiseGrowthReport.from_row(
+                    RTILDE_N, "growth", R, rows[len(spatial_p)]) for R, _, rows in stack)
+        ((R, two, rows),) = first               # polys[0]'s pass adds (2, 0)
+        if resolved and 2 in member.p_values:
+            seq2 = out.sequences[member.p_values.index(2)]
+        else:
+            seq2 = next(GrowthSequence.from_rows([(polys[:1], 2, R, two)], n_max, resolved))
+        out.plancherel.append((rows[-1], seq2.norms))
         return out
 
 
@@ -89,7 +91,7 @@ class Ledgers:
 class CorpusMember:
     name: str
     f: SampledFunction
-    polys: tuple
+    polys: PolyFamily
     p_values: tuple
     _ledgers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -113,7 +115,7 @@ def _interval_member(name, M=1024, lo_cells=-8.5, hi_cells=8.5):
             "support": {"shape": "box", "lo": [lo_cells * dlam], "hi": [hi_cells * dlam]},
             "label": name}
     f = sample_builtin(spec, grid)
-    polys = (parse_poly("x1", 1), parse_poly("x1^2", 1), parse_poly("0.5+2*i*x1", 1))
+    polys = family_explicit([parse_poly(t, 1) for t in ("x1", "x1^2", "0.5+2*i*x1")])
     return CorpusMember(name, f, polys, (1, 2, np.inf))
 
 
@@ -122,8 +124,7 @@ def _d2_member(name, support, M=256, h=0.05, edge_width_cells=1.5):
     spec = {"kind": "spectral_bump", "support": support,
             "edge_width": edge_width_cells * grid.dlam, "label": name}
     f = sample_builtin(spec, grid)
-    polys = (parse_poly("x1", 2), parse_poly("x1^2", 2),
-             parse_poly("x1*x2", 2), parse_poly("0.5+2*i*x1", 2))
+    polys = family_explicit([parse_poly(t, 2) for t in ("x1", "x1^2", "x1*x2", "0.5+2*i*x1")])
     return CorpusMember(name, f, polys, (1, 2, np.inf))
 
 
@@ -164,7 +165,8 @@ def verify_corpus() -> list:
     spec = {"kind": "spectral_bump", "support": {"shape": "ball", "radius": r},
             "edge_width": 1.5 * dlam, "label": "ball"}
     f = sample_builtin(spec, grid2)
-    members.append(CorpusMember("ball", f, (parse_poly("x1", 2), parse_poly("x1*x2", 2)),
+    members.append(CorpusMember("ball", f, family_explicit([parse_poly("x1", 2),
+                                                           parse_poly("x1*x2", 2)]),
                                 (1, 2, np.inf)))
     return members
 

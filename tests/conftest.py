@@ -1,6 +1,10 @@
+import base64
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from realpw import SupportMask
 
 # Fixed examples on every run: a fuzz test cannot pass once and fail the next time.
 settings.register_profile("realpw", derandomize=True, deadline=None, print_blob=True)
@@ -47,3 +51,27 @@ def symbol_per_member(P, lams):
 @pytest.fixture(scope="session")
 def per_member():
     return symbol_per_member
+
+
+def document_of(obj, encoding="base64"):
+    """The signal document of a SampledFunction or SupportMask, built here:
+    the header save_signal writes and the interleaved values, base64 or (as
+    outside writers may send them) a plain "array" list."""
+    mask = isinstance(obj, SupportMask)
+    values = obj.field.astype(complex) if mask else obj.values
+    flat = np.empty(2 * values.size, dtype="<f8")
+    flat[0::2], flat[1::2] = values.real, values.imag
+    doc = {"d": obj.grid.d, "M": obj.grid.M, "h": obj.grid.h, "encoding": encoding,
+           "side": "frequency" if mask else obj.side,
+           "label": f"mask eps_rel={obj.eps_rel:g}" if mask else obj.label,
+           "payload": "boolean" if mask else "complex",
+           "values": (base64.b64encode(flat.tobytes()).decode("ascii")
+                      if encoding == "base64" else flat.tolist())}
+    if mask:
+        doc.update(eps_rel=obj.eps_rel, resolved=obj.resolved)
+    return doc
+
+
+@pytest.fixture(scope="session")
+def signal_document():
+    return document_of

@@ -79,11 +79,10 @@ def test_criterion_3_plancherel(corpus):
     """Spatial vs frequency 2-norms of P(d)^n f, rel 1e-10, n <= 64."""
     worst = 0.0
     for member in (corpus[0], corpus[2], corpus[4]):
-        P = member.polys[0]
         grid = member.f.grid
         spec = Spectrum.of(member.f, 1e-8)
         dmeas = grid.dlam ** grid.d
-        for n, S, Gm in iterates(spec, [P], 64)[1]:
+        for n, Gm in iterates(spec, member.polys[:1], 64)[1]:
             G = np.zeros(grid.n_points, dtype=complex)
             G[spec.mask.field] = Gm[0]
             freq = float(np.sqrt(dmeas * np.sum(np.abs(G) ** 2)))

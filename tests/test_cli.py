@@ -15,7 +15,7 @@ from realpw import cli
 from realpw.cli import main, FIELDS, EXIT_OK, EXIT_CONFIG, EXIT_IO
 from realpw import (make_grid, sample_builtin, save_signal, forward_dft, support_mask,
                     SignalIOError)
-from realpw.signal_io import signal_to_dict, signal_from_dict
+from realpw.signal_io import signal_from_dict
 from realpw.verify import aligned_h
 
 
@@ -297,7 +297,7 @@ def with_field(cfg, name, value):
 
 
 @pytest.fixture
-def signal_files(tmp_path):
+def signal_files(tmp_path, signal_document):
     """Bad and misplaced signal files; "@name" in a probe value is one of them."""
     grid = make_grid(1, 64, 0.25)
     f = sample_builtin({"kind": "gaussian", "sigma": 0.7}, grid)
@@ -305,7 +305,7 @@ def signal_files(tmp_path):
     save_signal(support_mask(forward_dft(f)), str(tmp_path / "mask.json"))
     other = sample_builtin({"kind": "gaussian", "sigma": 0.7}, make_grid(1, 128, 0.25))
     save_signal(support_mask(forward_dft(other)), str(tmp_path / "mask_other_grid.json"))
-    doc = signal_to_dict(f)
+    doc = signal_document(f)
     doc["values"] = "abc"
     (tmp_path / "bad_base64.json").write_text(json.dumps(doc))
     (tmp_path / "bad_json.json").write_text("{not json")
@@ -582,7 +582,7 @@ class TestDeepInputs:
             assert field in capsys.readouterr().err
 
     def test_union_past_the_frame_limit_names_builtin(self, monkeypatch, capsys):
-        # grid._support_extent takes two frames per union level, so 600
+        # grid._support takes two frames per union level, so 600
         # levels exhaust the frame limit.  json.load refuses such a file
         # first where its decoder shares that limit, so the config is handed
         # to main as parsed, as a decoder with a limit of its own reads it
@@ -665,10 +665,11 @@ class TestFuzz:
            key=st.sampled_from([None, "d", "M", "h", "side", "label", "payload",
                                 "encoding", "values", "eps_rel", "resolved"]),
            value=HOSTILE)
-    def test_signal_document_raises_only_signal_io_error(self, kind, key, value):
+    def test_signal_document_raises_only_signal_io_error(self, signal_document, kind, key,
+                                                         value):
         f = sample_builtin({"kind": "gaussian", "sigma": 0.7}, make_grid(1, 64, 0.25))
         obj = support_mask(forward_dft(f)) if kind == "mask" else f
-        doc = signal_to_dict(obj, "base64" if kind == "base64" else "array")
+        doc = signal_document(obj, "base64" if kind == "base64" else "array")
         if key is None:
             doc = value
         else:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realpw import (estimate_limits, estimate_limit, GrowthSequence, GrowthError,
-                    LimitEstimate, PointwiseGrowthReport, Spectrum, family_quadratic_real,
+                    LimitEstimate, PointwiseGrowthReport, Spectrum, family_explicit,
+                    family_quadratic_real,
                     growth_sequences, make_grid, parse_poly, reconstruct_support,
                     sample_builtin)
 from realpw import growth
@@ -57,8 +58,8 @@ def reference_estimate(L) -> LimitEstimate:
 
 def reference_sequence(S, norms):
     """(L, roots, steps, limit, secondary, regime, tail_window, spread,
-    truncated_at) of a row as GrowthSequence.from_row built it before
-    from_rows."""
+    truncated_at) of a row of terms S_n and norms as one ledger was built
+    before GrowthSequence.from_rows."""
     bad = ~((norms > 0.0) & np.isfinite(norms))
     k = int(bad.argmax()) if bad.any() else norms.size
     L = S[:k] + np.log(norms[:k])
@@ -76,8 +77,8 @@ def reference_sequence(S, norms):
 
 
 def reference_pointwise(N, S, norms):
-    """(log_W, rtilde, regime, admissible) of a row as
-    PointwiseGrowthReport.from_row built them with its own estimator call
+    """(log_W, rtilde, regime, admissible) of a row of terms S_n and norms
+    as PointwiseGrowthReport.from_row built them with its own estimator call
     and its own short-row fallback."""
     bad = ~((norms > 0.0) & np.isfinite(norms))
     k = int(bad.argmax()) if bad.any() else norms.size
@@ -139,19 +140,20 @@ class TestMatchesScalarEstimator:
         # too short to estimate and some empty; three more rows of the first
         # ledger are cut to 0, 1 and 2 terms
         rng = np.random.default_rng(seed)
-        P, n = parse_poly("x1", 1), np.arange(1, n_max + 1)
-        stack = []
+        member, n = family_explicit([parse_poly("x1", 1)]), np.arange(1, n_max + 1)
+        stack, terms = [], []
         cuts = [(params, int(cut * n_max), bad) for params, cut, bad in rows]
         for params, at, bad in cuts + [(rows[0][0], k, 0.0) for k in (0, 1, 2)]:
-            logR = params[0]
-            S = n * logR
+            R = math.exp(params[0])
+            S = n * np.log(R)
             norms = np.exp(synthetic(params, n_max, rng) - S)
             norms[at:at + 1] = bad
-            stack.append((P, 2, math.exp(logR), S, norms))
+            stack.append((member, 2, R, norms))
+            terms.append(S)
         seqs = list(GrowthSequence.from_rows(stack, n_max, True))
         assert len(seqs) == len(stack)
         assert [seq.L.size for seq in seqs[-3:]] == [0, 1, 2]
-        for (_, _, R, S, norms), seq in zip(stack, seqs):
+        for (_, _, R, norms), S, seq in zip(stack, terms, seqs):
             L, roots, steps, limit, secondary, regime, tail_w, spread, truncated_at = \
                 reference_sequence(S, norms)
             assert seq.L.tobytes() == L.tobytes() and seq.roots.tobytes() == roots.tobytes()
@@ -172,11 +174,11 @@ class TestMatchesScalarEstimator:
         # rows of 0 to 40 terms, some cut by a 0 or a negative value: the
         # weighted sup-norm report reads its limit through the ledgers' path
         rng = np.random.default_rng(seed)
-        S = np.arange(1, size + 1) * params[0]
+        S = np.arange(1, size + 1) * np.log(1.5)
         norms = np.exp(synthetic(params, size, rng) - S)
         if cut is not None:
             norms[int(cut * size):int(cut * size) + 1] = bad
-        rep = PointwiseGrowthReport.from_row(N, mode, 1.5, S, norms)
+        rep = PointwiseGrowthReport.from_row(N, mode, 1.5, norms)
         log_W, rtilde, regime, admissible = reference_pointwise(N, S, norms)
         assert rep.log_W.tobytes() == log_W.tobytes() and rep.log_W.size == log_W.size
         assert (rep.rtilde.hex(), rep.regime, rep.admissible) == (rtilde.hex(), regime, admissible)
@@ -265,7 +267,7 @@ class TestOneCallPerStackAndLength:
                             "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
         spec = Spectrum.of(f)
         size = grid.n_points // spec.coords.shape[0]
-        family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], grid).polys
+        family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], grid)
         assert size == 5
         for p in (2, 1):
             calls.clear()
@@ -277,12 +279,12 @@ class TestOneCallPerStackAndLength:
         # rows cut by a zero norm at 20 and 5, and an empty one: one call for
         # the two ledgers of 64 terms, one for the ledger of 20, none for the
         # rest
-        P, n = parse_poly("x1", 1), np.arange(1, 65)
+        member, n = family_explicit([parse_poly("x1", 1)]), np.arange(1, 65)
         rows = []
         for cut in (64, 20, 64, 0, 5):
             norms = np.exp(-np.sqrt(n))
             norms[cut:] = 0.0
-            rows.append((P, 2, 1.5, n * math.log(1.5), norms))
+            rows.append((member, 2, 1.5, norms))
         seqs = list(GrowthSequence.from_rows(rows, 64, True))
         assert [s.L.size for s in seqs] == [64, 20, 64, 0, 5]
         assert [s.regime for s in seqs][3:] == ["zero", "truncated"]

@@ -465,6 +465,25 @@ class TestAlgebraHelpers:
         assert P.coeffs[(2,)] == pytest.approx(3.0)
         assert P.coeffs[(0,)] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 27, 40])
+    def test_power_squares_only_while_bits_remain(self, monkeypatch, k):
+        # one product per set bit of k and one square per bit after the
+        # first: a square past the last bit would be the largest product
+        P, calls, mul = parse_poly("x1 + x2 + 1", 2), [], MultiPoly.__mul__
+
+        def counting_mul(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        want = P
+        for _ in range(k - 1):
+            want = want * P
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        got = P ** k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1")
+        assert got.coeffs.keys() == want.coeffs.keys()
+        assert all(got.coeffs[a] == pytest.approx(c, rel=1e-14) for a, c in want.coeffs.items())
+
     def test_variable_out_of_range(self):
         with pytest.raises(PolyError):
             variable(2, 3)

@@ -4,8 +4,8 @@ transform and growth modules name SpatialStep, one ledger pass runs the
 iterates, the library starts no threads, every verify row reads its
 member's one Ledgers build, every JSON read catches RecursionError, one
 helper estimates every limit, by the stack, every library name the bench
-looks up exists, and the ledgers and the carve never build a family's
-members."""
+looks up exists, the ledgers and the carve never build a family's members,
+and the ledger layer takes a family only."""
 
 import ast
 import importlib
@@ -184,3 +184,21 @@ def test_ledgers_and_carve_read_no_members():
              for node in nodes(ROOT / "src" / "realpw" / name)
              if isinstance(node, ast.Attribute) and node.attr == "polys"]
     assert reads == []
+
+
+def test_ledger_layer_takes_a_family_only():
+    # iterates, spatial_norms, growth_sequences and GrowthSequence.from_rows
+    # take a PolyFamily, and verify's members hold one: a one-P entry point
+    # builds its one-row family once, and nothing branches on the type or
+    # converts per call or per row
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+    tests = [f"{name}:{node.lineno}" for name in ("growth.py", "verify.py")
+             for node in nodes(ROOT / "src" / "realpw" / name)
+             if isinstance(node, ast.Call) and called(node) == "isinstance"
+             and len(node.args) == 2 and names(node.args[1]) & {"MultiPoly", "PolyFamily"}]
+    assert tests == []
+    converts = [c for c in callers_of("family_explicit") if c.startswith("growth.py")]
+    assert converts == [f"growth.py:{name}" for name in sorted(
+        ("apply_op_spectral", "growth_sequence", "pointwise_growth", "schwartz_decay_check"))]

@@ -4,7 +4,8 @@ import pytest
 from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     inverse_dft, support_mask, compute_R, supporting_function,
                     eval_entire, complex_growth_rate, parse_poly, lp_norm,
-                    GridError, Spectrum, iterates, growth_sequence, estimate_limit)
+                    GridError, Spectrum, iterates, growth_sequence, estimate_limit,
+                    family_explicit)
 from realpw.grid import lp_norm_values
 from realpw.transform import SpatialStep, inverse_values
 from realpw.verify import acceptance_corpus
@@ -413,10 +414,11 @@ def ifftn_ledger(spec, P, n_max):
     scale = (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
     buf = np.zeros(grid.shape, dtype=complex)
     S, norms = [], {1: [], np.inf: []}
-    for n, S_n, G in iterates(spec, [P], n_max)[1]:
+    (R,), steps = iterates(spec, family_explicit([P]), n_max)
+    for n, G in steps:
         buf.reshape(-1)[spec.fft_index] = G[0]
         g = np.fft.ifftn(buf)
-        S.append(S_n[0])
+        S.append(n * np.log(R))
         for p in norms:
             norms[p].append(scale * lp_norm_values(g, grid.h ** grid.d, p))
     return {p: np.array(S) + np.log(np.array(nrm)) for p, nrm in norms.items()}

@@ -8,7 +8,7 @@ from realpw.verify import (verify_corpus, acceptance_corpus, run_matrix, matrix_
                            CorpusMember, check_limit_vs_R, check_liminf, check_raster,
                            check_cauchy_bound, aligned_h, PROPERTIES)
 from realpw.grid import SampledFunction, FREQUENCY
-from realpw.poly import parse_poly
+from realpw.poly import family_explicit, parse_poly
 from realpw.reconstruct import local_spectrum_raster
 from realpw.transform import (Spectrum, SpatialStep, compute_R, eval_entire,
                               supporting_function)
@@ -27,7 +27,7 @@ def under_resolved_member():
     f = sample_builtin({"kind": "spatial_bump",
                         "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]},
                         "edge_width": 0.15}, grid)
-    return CorpusMember("under-resolved", f, (parse_poly("x1", 1),), (2,))
+    return CorpusMember("under-resolved", f, family_explicit([parse_poly("x1", 1)]), (2,))
 
 
 def test_under_resolved_rows_are_skipped():
@@ -51,7 +51,7 @@ def test_badly_aligned_member_fails_matrix():
     grid = make_grid(1, 1024, 0.05)
     f = sample_builtin({"kind": "spectral_bump",
                         "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
-    member = CorpusMember("unaligned", f, (parse_poly("x1", 1),), (2,))
+    member = CorpusMember("unaligned", f, family_explicit([parse_poly("x1", 1)]), (2,))
     matrix = run_matrix(members=[member], properties={"limit_vs_R": check_limit_vs_R})
     assert matrix["limit_vs_R"]["unaligned"][0] == "fail"
     assert matrix_failed(matrix)
@@ -78,9 +78,10 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
     spatial_norms, iterates, step = verify.spatial_norms, growth.iterates, SpatialStep.__call__
 
     def counting_norms(spec, polys, n_max, norms):
-        for P, out in zip(polys, spatial_norms(spec, polys, n_max, norms)):
-            passes.append(P.to_text())
-            yield out
+        members = iter(polys)
+        for stack in spatial_norms(spec, polys, n_max, norms):
+            passes.extend(next(members).to_text() for _ in stack)
+            yield stack
 
     def counting_iterates(*args):
         calls.append(args[1])
@@ -119,7 +120,7 @@ def test_under_resolved_member_steps_polys0_only(monkeypatch):
 
     monkeypatch.setattr(SpatialStep, "__call__", counting_step)
     member = CorpusMember("under-resolved", under_resolved_member().f,
-                          (parse_poly("x1", 1), parse_poly("x1^2", 1)), (2,))
+                          family_explicit([parse_poly("x1", 1), parse_poly("x1^2", 1)]), (2,))
     matrix = run_matrix(members=[member], n_max=16)
     assert len(steps) == 16
     assert {name: row[member.name] for name, row in matrix.items()} == {
@@ -152,15 +153,15 @@ def test_each_symbol_evaluated_once_per_ledger_build(monkeypatch):
 
 def test_cauchy_without_an_x1_inf_ledger_skips():
     f = verify_corpus()[0].f
-    member = CorpusMember("no x1 at p = inf", f, (parse_poly("x1", 1),), (1, 2))
+    member = CorpusMember("no x1 at p = inf", f, family_explicit([parse_poly("x1", 1)]), (1, 2))
     assert check_cauchy_bound(member, 16) == ("skip", "needs an (x1, p = inf) ledger")
 
 
 def reference_cauchy_lhs(member, n_top=20):
     """log ||d^n f||_inf, n <= n_top, from a spatial pass of x1 of its own."""
-    _, _, ((S, top),) = next(growth.spatial_norms(member.spec, [parse_poly("x1", 1)], n_top,
-                                               [(np.inf, 0)]))
-    return [S_n + math.log(top_n) for S_n, top_n in zip(S, top)]
+    ((R, _, (top,)),) = next(growth.spatial_norms(
+        member.spec, family_explicit([parse_poly("x1", 1)]), n_top, [(np.inf, 0)]))
+    return [n * np.log(R) + math.log(top_n) for n, top_n in enumerate(top, start=1)]
 
 
 def reference_cauchy_bound(member, n_top=20):
