@@ -217,6 +217,8 @@ def _support(support: dict, d: int):
             return np.minimum(r - rad, rad - r_in)
         return c - r, c + r, annulus
     if kind == "union":
+        if not support["parts"]:
+            raise GridError("a union needs at least one part")
         los, his, parts = zip(*(_support(s, d) for s in support["parts"]))
         return (np.min(los, axis=0), np.max(his, axis=0),
                 lambda x: np.max([part(x) for part in parts], axis=0))

@@ -7,6 +7,7 @@ P(i*lam).  Coefficients are complex throughout.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import re
@@ -27,7 +28,9 @@ class ParseError(PolyError):
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse multivariate polynomial: exponent multi-index -> complex coeff."""
+    """Sparse multivariate polynomial: exponent multi-index -> complex coeff.
+    A coefficient that is not finite raises PolyError, so a power or product
+    stops at the first one that overflows."""
 
     d: int
     coeffs: dict = field(default_factory=dict)
@@ -45,6 +48,8 @@ class MultiPoly:
             if exps != alpha or len(exps) != self.d or any(a < 0 for a in exps):
                 raise PolyError(f"bad exponent multi-index {alpha!r} for d={self.d}")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise PolyError(f"coefficient {c!r} of {alpha!r} is not finite")
             if c != 0:
                 clean[exps] = c
         object.__setattr__(self, "coeffs", clean)
@@ -190,7 +195,7 @@ def parse_poly(text: str, d: int) -> MultiPoly:
             (op, at), right = ops.pop(), values.pop()
             if op == "*" and _product_terms(values[-1], right, d) > MAX_COUNT:
                 raise ParseError(f"a product may exceed {MAX_COUNT} terms", at)
-            values[-1] = _APPLY[op](values[-1], right)
+            values[-1] = _at(at, _APPLY[op], values[-1], right)
 
     def opened():           # whether a "(" waits for its ")"
         return any(op == "(" for op, _ in ops)
@@ -207,7 +212,7 @@ def parse_poly(text: str, d: int) -> MultiPoly:
                 raise ParseError("exponent too long", at) from None
             if t >= 2 and (k > MAX_COUNT or math.comb(k + t - 1, t - 1) > MAX_COUNT):
                 raise ParseError(f"a power of {t} terms may exceed {MAX_COUNT} terms", caret)
-            values[-1], state = values[-1] ** k, "powered"
+            values[-1], state = _at(caret, pow, values[-1], k), "powered"
         elif state == "sign" and token in ("+", "-"):
             if token == "-":
                 values.append(None)
@@ -248,6 +253,15 @@ def parse_poly(text: str, d: int) -> MultiPoly:
                              f"unexpected character {text[at]!r}", at)
 
 
+def _at(position: int, op, *operands) -> MultiPoly:
+    """op(*operands); a coefficient past the double range raises a
+    ParseError at the operator's position."""
+    try:
+        return op(*operands)
+    except PolyError as exc:
+        raise ParseError(str(exc), position) from None
+
+
 def _product_terms(a: MultiPoly, b: MultiPoly, d: int) -> int:
     """A bound on the terms of a * b: the product of their term counts, or
     the count of monomials of degree at most deg a + deg b if that is less."""
@@ -259,27 +273,6 @@ def _product_terms(a: MultiPoly, b: MultiPoly, d: int) -> int:
 # symbols
 # ---------------------------------------------------------------------------
 
-class SymbolPoints:
-    """Frequency vectors lam, shape (..., d), with the powers (i lam_j)^e
-    that symbols evaluated on them have needed, each computed once.
-    take(keep) keeps the points at keep, an index or mask into the first
-    axis, with every power computed so far."""
-
-    def __init__(self, lams, powers=None):
-        self.lams = np.asarray(lams, dtype=float)
-        self.shape = self.lams.shape
-        self._powers = {} if powers is None else powers
-
-    def power(self, j: int, e: int) -> np.ndarray:
-        out = self._powers.get((j, e))
-        if out is None:
-            out = self._powers[j, e] = (1j * self.lams[..., j]) ** e
-        return out
-
-    def take(self, keep) -> "SymbolPoints":
-        return SymbolPoints(self.lams[keep], {k: v[keep] for k, v in self._powers.items()})
-
-
 def _coefficient_rows(P):
     """(monomials, coefficient rows) of a PolyFamily, or of a MultiPoly as
     one row over its own terms."""
@@ -289,22 +282,23 @@ def _coefficient_rows(P):
 
 
 def eval_symbol_many(P, lams) -> np.ndarray:
-    """P(i*lam) over frequency vectors lams, shape (..., d), or over
-    SymbolPoints.  The one path from a polynomial to its symbol's values: a
-    MultiPoly gives shape (...), a PolyFamily a (members, ...) block of its
-    members' values.  Points whose last axis is not P.d long raise PolyError.
+    """P(i*lam) over frequency vectors lams, shape (..., d).  The one path
+    from a polynomial to its symbol's values: a MultiPoly gives shape (...),
+    a PolyFamily a (members, ...) block of its members' values.  Points
+    whose last axis is not P.d long raise PolyError.
 
     Each value is summed as its member alone would be: a term starts from
     its coefficient and is multiplied by (i lam_j)^e axis by axis, left to
     right, terms are added in monomial order, and a coefficient of 0 adds
-    nothing (never 0 * inf).
+    nothing (never 0 * inf).  i lam is formed once per call, and each power
+    where it is used.
     """
-    pts = lams if isinstance(lams, SymbolPoints) else SymbolPoints(lams)
-    if pts.shape[-1:] != (P.d,):
+    z = 1j * np.asarray(lams, dtype=float)
+    if z.shape[-1:] != (P.d,):
         name = P if isinstance(P, MultiPoly) else P[0]
-        raise PolyError(f"{name.to_text():.60}: d = {P.d}, but the points have shape {pts.shape}")
+        raise PolyError(f"{name.to_text():.60}: d = {P.d}, but the points have shape {z.shape}")
     monomials, C = _coefficient_rows(P)
-    out = np.zeros(C.shape[:1] + pts.shape[:-1], dtype=complex)
+    out = np.zeros(C.shape[:1] + z.shape[:-1], dtype=complex)
     column = (-1,) + (1,) * (out.ndim - 1)
     for alpha, c, members in zip(monomials, C.T, np.count_nonzero(C, axis=0).tolist()):
         if not members:
@@ -313,7 +307,7 @@ def eval_symbol_many(P, lams) -> np.ndarray:
         term = c.reshape(column)
         for j, e in enumerate(alpha):
             if e:
-                term = np.multiply(term, pts.power(j, e), out=None, where=has)
+                term = np.multiply(term, z[..., j] ** e, out=None, where=has)
         np.add(out, term, out=out, where=has)
     return out if isinstance(P, PolyFamily) else out[0]
 
@@ -354,6 +348,10 @@ class PolyFamily:
                             f"{len(self.monomials)} monomials")
         if not len(coeffs):
             raise PolyError("a polynomial family must be non-empty")
+        if np.count_nonzero(np.isfinite(coeffs)) < coeffs.size:
+            k = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))[0]
+            raise PolyError(f"member {k} has a coefficient that is not finite: "
+                            f"{coeffs[k].tolist()!r:.60}")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -431,7 +429,8 @@ def _squared_distances(centers, grid, a, sign, scheme) -> PolyFamily:
                         f"[-{half:.6g}, {half:.6g})")
     d = X.shape[1]
     C = np.empty((len(X), 1 + 2 * d), dtype=complex)
-    C[:, 0] = np.sum(X ** 2, axis=1)
+    with np.errstate(over="ignore"):        # a square past the double range: refused below
+        C[:, 0] = np.sum(X ** 2, axis=1)
     C[:, 1::2] = sign
     C[:, 2::2] = -2.0 * sign * a * X
     monomials = ((0,) * d,) + tuple(_unit(d, j, e) for j in range(d) for e in (2, 1))

@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .grid import SampledFunction, SPATIAL, GridError, make_grid
-from .poly import MultiPoly, PolyFamily, SymbolPoints, eval_symbol_many
+from .poly import MultiPoly, PolyFamily, eval_symbol_many
 from .transform import DEFAULT_EPS_REL, SupportMask, Spectrum
 from .growth import growth_sequence, growth_sequences
 
@@ -96,12 +96,11 @@ def reconstruct_support(f, family: PolyFamily, p, n_max: int,
 
     Members whose sequence truncates are excluded and reported.  Family order
     cannot matter: the estimate is an intersection.  It is carved
-    progressively from the rows of the family's coefficients: the first
-    member over the whole grid, in slices of _SLICE cells (on a d = 2,
-    M = 256 grid a slice holds under 1 MB of symbol temporaries, the grid
-    5 MB), then blocks of the next members of at most _SLICE values on the
-    cells that the members before the block kept, whose powers (i lam_j)^e
-    are computed once and kept alongside them.
+    progressively from the rows of the family's coefficients, in blocks of
+    the next members on the cells that the members before the block kept,
+    at most _SLICE values a block (one member while more than _SLICE cells
+    are kept), evaluated in slices of _SLICE cells: on a d = 2, M = 256 grid
+    a slice holds under 1 MB of symbol temporaries, the grid 5 MB.
     """
     grid = f.grid
     spec = Spectrum.of(f)
@@ -111,25 +110,19 @@ def reconstruct_support(f, family: PolyFamily, p, n_max: int,
     resolved = all(s.resolved for s, x in zip(seqs, out) if not x)
     bounds = np.array(limits)[:, None] * (1.0 + tau)
     carved = np.zeros(len(seqs), dtype=int)
-    lams, live = grid.frequency_coords(), np.flatnonzero(~out)
-    cand = np.arange(grid.n_points)         # flat indices of the cells kept so far
-    if live.size:
-        first = live[0]
-        row = family[first:first + 1]
-        ok = np.concatenate([np.abs(eval_symbol_many(row, lams[k:k + _SLICE])[0]) <= bounds[first]
-                             for k in range(0, len(lams), _SLICE)])
-        cand = np.flatnonzero(ok)
-        carved[first] = ok.size - cand.size
-        pts, start = SymbolPoints(lams[cand]), first + 1
-        while start < len(seqs):
-            stop = start + max(1, _SLICE // max(1, cand.size))
-            ok = np.abs(eval_symbol_many(family[start:stop], pts)) <= bounds[start:stop]
-            alive = np.logical_and.accumulate(ok | out[start:stop, None], axis=0)
-            kept = np.count_nonzero(alive, axis=1)
-            carved[start:stop] = -np.diff(kept, prepend=cand.size)
-            if kept[-1] < cand.size:
-                cand, pts = cand[alive[-1]], pts.take(alive[-1])
-            start = stop
+    # the cells kept so far, as flat indices and as points: a slice of the
+    # points is a view, where gathering lams[cand[k:k + _SLICE]] cost about a
+    # third of the first member's pass over the grid (2-vCPU VM)
+    cand, lams, start = np.arange(grid.n_points), grid.frequency_coords(), 0
+    while start < len(seqs) and cand.size:
+        stop = start + max(1, _SLICE // cand.size)
+        block = family[start:stop]
+        ok = np.concatenate([np.abs(eval_symbol_many(block, lams[k:k + _SLICE]))
+                             for k in range(0, cand.size, _SLICE)], axis=1) <= bounds[start:stop]
+        alive = np.logical_and.accumulate(ok | out[start:stop, None], axis=0)
+        kept = np.count_nonzero(alive, axis=1)
+        carved[start:stop] = -np.diff(kept, prepend=cand.size)
+        cand, lams, start = cand[alive[-1]], lams[alive[-1]], stop
     keep = np.zeros(grid.n_points, dtype=bool)
     keep[cand] = True
     est = SupportMask(grid, keep, spec.mask.eps_rel, resolved)

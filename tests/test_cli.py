@@ -383,6 +383,9 @@ PROBES = [
     ("estimate", "input.builtin", {"kind": "spatial_bump", "support": {"shape": "union", "parts": [
         {"shape": "ball", "radius": 1}, {"shape": "ball", "radius": 0}]}},
      EXIT_CONFIG, "'input.builtin'"),
+    ("estimate", "input.builtin", {"kind": "spectral_bump",
+                                   "support": {"shape": "union", "parts": []}},
+     EXIT_CONFIG, "'input.builtin'"),
     ("estimate", "input.builtin", {"kind": "spectral_bump", "edge_width": 0,
                                    "support": {"shape": "ball", "radius": 2}},
      EXIT_CONFIG, "'input.builtin'"),
@@ -634,6 +637,30 @@ class TestPolyTexts:
             == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "'poly'" in err and "product" in err and "(at position 10)" in err
+
+    def test_overflowing_power_stops_at_the_first_overflow(self, tmp_path, capsys):
+        # (x1+1)^4095 is within the term cap, but C(2047, 1023) is past the
+        # double range: the power stops at the product that reaches it, where
+        # it used to build all 4096 coefficients and refuse the member's
+        # symbol bound afterwards
+        c = with_field(small_cfg(), "poly", "(x1+1)^4095")
+        assert main(["estimate", "--config", write_config(tmp_path, "cfg.json", c)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'poly'" in err and "is not finite" in err and "Warning" not in err
+
+    def test_overflowing_center_names_family(self, tmp_path, capsys):
+        # a center inside the frequency box whose square is past the double
+        # range: the square used to print numpy's overflow warning first
+        c = with_field(small_cfg(), "grid", {"d": 1, "M": 64, "h": 1e-160})
+        c["input"]["builtin"] = {"kind": "spectral_bump",
+                                 "support": {"shape": "box", "lo": [-1e158], "hi": [1e158]}}
+        c["family"] = {"kind": "quadratic", "centers": [[0.0], [1e160]]}
+        assert main(["reconstruct", "--config", write_config(tmp_path, "cfg.json", c)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'family'" in err and "member 1 has a coefficient that is not finite" in err
+        assert "Warning" not in err
 
 
 HOSTILE_SCALARS = st.one_of(

@@ -212,3 +212,10 @@ class TestSampleBuiltin:
         g = make_grid(1, 64, 1.0)
         with pytest.raises(GridError):
             sample_builtin({"kind": "other"}, g)
+
+    @pytest.mark.parametrize("kind", ["spatial_bump", "spectral_bump"])
+    def test_empty_union_names_its_cause(self, kind):
+        # the refusal used to be the tuple unpack's "not enough values to unpack"
+        with pytest.raises(GridError, match="^a union needs at least one part$"):
+            sample_builtin({"kind": kind, "support": {"shape": "union", "parts": []}},
+                           make_grid(1, 64, 1.0))

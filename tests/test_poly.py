@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realpw import (MultiPoly, PolyFamily, SymbolPoints, parse_poly, eval_symbol_many,
+from realpw import (MultiPoly, PolyFamily, parse_poly, eval_symbol_many,
                     family_linear, family_quadratic, family_quadratic_real,
                     family_explicit, make_grid, sample_builtin, PolyError,
                     ParseError, constant, variable, Spectrum, compute_R,
@@ -201,6 +201,55 @@ class TestExponents:
         # the first three, and True was taken as x1
         with pytest.raises(PolyError, match="^bad exponent multi-index " + re.escape(repr(alpha))):
             MultiPoly(1, {alpha: 1})
+
+
+class TestFiniteCoefficients:
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, complex(1, math.inf),
+                                   complex(math.nan, 0)])
+    def test_non_finite_coefficient_is_refused(self, c):
+        with pytest.raises(PolyError, match=r"^coefficient .* of \(2,\) is not finite$"):
+            MultiPoly(1, {(0,): 1, (2,): c})
+
+    def test_overflowing_product_is_refused(self):
+        big = parse_poly("1e300*x1 + 1", 1)
+        with pytest.raises(PolyError, match="not finite"):
+            big * big
+        with pytest.raises(PolyError, match="not finite"):
+            big * 1e10
+
+    def test_power_stops_at_its_first_overflowing_product(self, monkeypatch):
+        # P^7 by squaring is 1 * P, P * P, P * P^2 and then P^2 * P^2, whose
+        # 1e400 is past the double range: refused there, so P^3 * P^4 is
+        # never formed
+        products, mul = [], MultiPoly.__mul__
+
+        def counting(a, b):
+            products.append(b)
+            return mul(a, b)
+        P = parse_poly("1e100*x1 + 1", 1)
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        with pytest.raises(PolyError, match=r"coefficient \(inf\+0j\) of \(4,\) is not finite"):
+            P ** 7
+        assert len(products) == 4
+
+    @pytest.mark.parametrize("text,position", [("(1e200*x1+1)^2", 12), ("1e300*1e300", 5),
+                                               ("x1 + 1e308*x1 + 1e308*x1", 14)])
+    def test_parser_names_the_operator_that_overflows(self, text, position):
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse_poly(text, 1)
+        assert err.value.position == position
+
+    def test_family_names_its_first_non_finite_row(self):
+        C = np.array([[1, 2], [3, np.inf], [np.nan, 0]], dtype=complex)
+        with pytest.raises(PolyError, match=r"^member 1 has a coefficient that is not finite"):
+            PolyFamily(1, ((0,), (1,)), C, "explicit")
+
+    @pytest.mark.parametrize("build", [family_quadratic, family_quadratic_real])
+    def test_overflowing_center_is_refused_without_a_warning(self, build):
+        # the center lies inside the frequency box, but |c|^2 overflows
+        grid = make_grid(1, 64, 1e-160)
+        with pytest.raises(PolyError, match="^member 1 has a coefficient that is not finite"):
+            build([[0.0], [1e160]], grid)
 
 
 def _two_d_case():
@@ -432,16 +481,15 @@ class TestFamilyEvaluatorDifferential:
         family, lams = case
         block = eval_symbol_many(family, lams)
         assert block.shape == (len(family),) + lams.shape[:-1]
-        pts = SymbolPoints(lams)
         for k, P in enumerate(family.polys):
             want = per_member(P, lams).tobytes()
             assert block[k].tobytes() == want
             assert eval_symbol_many(P, lams).tobytes() == want
-            assert eval_symbol_many(family[k:k + 1], pts)[0].tobytes() == want
+            assert eval_symbol_many(family[k:k + 1], lams)[0].tobytes() == want
         if lams.ndim > 1 and len(lams):
             keep = np.arange(len(lams)) % 2 == 0
-            assert (eval_symbol_many(family, pts.take(keep)).tobytes()
-                    == eval_symbol_many(family, lams[keep]).tobytes())
+            assert (eval_symbol_many(family, lams[keep]).tobytes()
+                    == block[:, keep].tobytes())
 
     def test_an_overflowing_monomial_stays_in_its_row(self, per_member):
         # x1^400 overflows at lam = 1e3; the member without it must not see
@@ -740,5 +788,7 @@ class TestPowerCap:
 
     def test_monomial_and_zero_powers_are_not_capped(self):
         assert parse_poly("x1^100000", 1).coeffs == {(100000,): 1.0 + 0j}
-        assert parse_poly("(2*i*x1*x2)^5000", 2).degree == 10000
+        assert parse_poly("(i*x1*x2)^5000", 2).coeffs == {(5000, 5000): 1.0 + 0j}
+        with pytest.raises(ParseError, match="not finite"):   # 2^5000 is past the double range
+            parse_poly("(2*i*x1*x2)^5000", 2)
         assert parse_poly("(0*x1)^99999", 1).is_zero

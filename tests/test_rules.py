@@ -5,7 +5,8 @@ iterates, the library starts no threads, every verify row reads its
 member's one Ledgers build, every JSON read catches RecursionError, one
 helper estimates every limit, by the stack, every library name the bench
 looks up exists, the ledgers and the carve never build a family's members,
-and the ledger layer takes a family only."""
+the ledger layer takes a family only, and the carve is one block loop with
+one symbol call and no point cache."""
 
 import ast
 import importlib
@@ -202,3 +203,25 @@ def test_ledger_layer_takes_a_family_only():
     converts = [c for c in callers_of("family_explicit") if c.startswith("growth.py")]
     assert converts == [f"growth.py:{name}" for name in sorted(
         ("apply_op_spectral", "growth_sequence", "pointwise_growth", "schwartz_decay_check"))]
+
+
+def test_one_carve_loop():
+    # reconstruct_support carves in one block loop: the first member is the
+    # loop's first block, sliced like every block over more than _SLICE
+    # cells, and the powers (i lam_j)^e are computed per call, since keeping
+    # them across blocks (a SymbolPoints cache) saved about 1% of
+    # reconstruct-twobox, under the bench's spread
+    path = ROOT / "src" / "realpw" / "reconstruct.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    carve = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "reconstruct_support"]
+    loops = [loop for loop in ast.walk(carve[0]) if isinstance(loop, (ast.While, ast.For))]
+    in_loop = {id(node) for loop in loops for node in ast.walk(loop)}
+    calls = [node for node in ast.walk(carve[0])
+             if isinstance(node, ast.Call) and called(node) == "eval_symbol_many"]
+    assert len(calls) == 1 and id(calls[0]) in in_loop
+    named = [f"{module.name}:{getattr(node, 'lineno', '')}" for module in LIBRARY
+             for node in nodes(module)
+             if "SymbolPoints" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None))]
+    assert named == []
