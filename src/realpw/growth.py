@@ -9,7 +9,8 @@ Every function here takes an input's `Spectrum` (transform and mask, built
 once) in place of the spatial input, and iterates through one primitive,
 `iterates`, which evaluates the symbol on the mask cells only.  Every
 ledger comes from one pass, `spatial_norms`, run per stack of members: each
-pass sums every member's Parseval 2-norm row (the p = 2 ledgers) on the mask
+pass forms every member's Parseval 2-norm row (the p = 2 ledgers) from the
+moments m_n = sum_j |F_j|^2 t_j^n, t_j = |P(i lam_j)/R|^2, on the mask
 cells, and reads every spatial norm a caller asks for (the p != 2 ledgers,
 the weighted sup norms) from one `SpatialStep` output per member and n, or
 per pair (n - 1, n) when the member's iterates are all real: the mask is
@@ -42,6 +43,7 @@ locates the spectral support in the ball of radius sqrt(R) around the origin.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -148,16 +150,17 @@ def estimate_limit(log_norms) -> LimitEstimate:
 # ---------------------------------------------------------------------------
 
 def iterates(spec: Spectrum, family: PolyFamily, n_max: int):
-    """(R, steps) of P(d)^n f = exp(n log R) * g_n, n = 1..n_max, for the
-    stack of members P of family.
+    """(R, ratio, steps) of P(d)^n f = exp(n log R) * g_n, n = 1..n_max, for
+    the stack of members P of family.
 
     R is the vector of max |P(i lam)| over the mask cells, from one symbol
-    block of the stack, the one place a ledger's symbol is evaluated.  steps
-    yields (n, G_n): G_n is a (members x mask cells) block whose row
-    F (P(i lam)/R)^n is the spectrum of g_n on the mask cells (in the order
-    of spec.F[spec.mask.field]), updated in place; one multiply per n
-    advances the whole stack.  A member with R = 0 keeps a zero row.  A
-    symbol that overflows a double on the mask raises GrowthError.
+    block of the stack, the one place a ledger's symbol is evaluated; ratio
+    is that block over R, a row P(i lam)/R per member (a zero row for R = 0)
+    on the mask cells in the order of spec.F[spec.mask.field].  steps yields
+    (n, G_n): G_n is a (members x mask cells) block whose row F (P(i lam)/R)^n
+    is the spectrum of g_n, updated in place; one multiply per n advances the
+    stack, and G is built at the first step.  A symbol that overflows a
+    double on the mask raises GrowthError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = eval_symbol_many(family, spec.coords)
@@ -167,13 +170,13 @@ def iterates(spec: Spectrum, family: PolyFamily, n_max: int):
             raise GrowthError(f"{family[bad[0]].to_text():.60}: |P(i lam)| on the mask "
                               "exceeds the double range")
         np.divide(ratio, R[:, None], out=ratio, where=R[:, None] > 0.0)   # R = 0: a zero row
-    G = np.tile(spec.F[spec.mask.field], (len(R), 1))
 
     def steps():
+        G = np.tile(spec.F[spec.mask.field], (len(R), 1))
         for n in range(1, n_max + 1):
             np.multiply(G, ratio, out=G)
             yield n, G
-    return R, steps()
+    return R, ratio, steps()
 
 
 def apply_op_spectral(f, P: MultiPoly, n: int):
@@ -187,7 +190,7 @@ def apply_op_spectral(f, P: MultiPoly, n: int):
     if n < 1:
         raise GrowthError(f"iteration count must be >= 1, got {n}")
     spec = Spectrum.of(f)
-    (R,), steps = iterates(spec, family_explicit([P]), n)
+    (R,), _, steps = iterates(spec, family_explicit([P]), n)
     for _, rows in steps:
         pass
     G = np.zeros(spec.grid.n_points, dtype=complex)
@@ -257,14 +260,16 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     each stack runs when the pass reaches it.  R is the member's
     max |P(i lam)| over the mask, and every row holds the norms of g_n,
     n = 1, 2, ..., whose ledger is L_n = n log R + log of the row's value.
-    two is the member's Parseval row: ||g_n||_2, n = 1..n_max, summed on
-    the mask cells.  rows[k] is the row of norms[k], a list of (p, e): the
-    Riemann-sum Lp norm ||(1+|x|)^e g_n||_p, p in [1, inf], of one
-    `SpatialStep` output per n, cut at (and ending with) the row's first
+    two is the member's Parseval row ||g_n||_2 = sqrt(dlam^d m_n),
+    n = 1..n_max, of the moments m_n = sum_j w_j t_j^n, w_j = |F_j|^2 and
+    t_j = |P(i lam_j)/R|^2 on the mask cells: a real block multiplied by t
+    in place, one row sum per n.  rows[k] is the row of norms[k], a list of
+    (p, e): the Riemann-sum Lp norm ||(1+|x|)^e g_n||_p, p in [1, inf], of
+    one `SpatialStep` output per n, cut at (and ending with) the row's first
     value that is not > 0.  Only members with R > 0 and a row not yet cut
-    are stepped; with no norms no step is built.  A spatial value that is
-    not finite raises GrowthError naming P, p and n; two is checked by its
-    reader.  f is a SampledFunction or its Spectrum.
+    are stepped; with no norms no step and no G block is built.  A spatial
+    value that is not finite raises GrowthError naming P, p and n; two is
+    checked by its reader.  f is a SampledFunction or its Spectrum.
 
     A member pairs, taking one step per (n - 1, n) in place of two, when
     its iterates are all real: (1) the mask is resolved, as a cell on a
@@ -296,7 +301,7 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
         sums = np.empty((len(stack), n_max))
         paired = np.flatnonzero(~stack.coeffs.imag.any(axis=1)).tolist() if real else []
         held = dict(zip(paired, np.empty((len(paired), cells), dtype=complex)))
-        R, steps = iterates(spec, stack, n_max)
+        R, ratio, steps = iterates(spec, stack, n_max)
         rows = [[[] for _ in norms] for _ in range(len(stack))]
         live = {m: range(len(norms)) for m in range(len(stack)) if R[m] > 0.0} if norms else {}
 
@@ -308,8 +313,13 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
             return [k for k in ks if _goes_on(stack, m, norms[k], n, rows[m][k][-1])]
 
         with np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
-            for n, G in steps:
-                sums[:, n - 1] = np.sum(np.abs(G) ** 2, axis=1)
+            t = ratio.real ** 2 + ratio.imag ** 2           # t_j = |P(i lam_j)/R|^2
+            W = np.square(np.abs(ratio) * np.abs(spec.F[spec.mask.field]))   # w_j t_j
+            for n in range(1, n_max + 1):
+                if n > 1:
+                    W *= t
+                np.sum(W, axis=1, out=sums[:, n - 1])   # the moment sum_j w_j t_j^n
+                G = next(steps)[1] if live else None
                 for m, ks in list(live.items()):
                     if m not in held:
                         ks = read(m, ks, n, step(G[m]))
@@ -327,7 +337,7 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
                         live[m] = ks
                     else:
                         del live[m]
-        steps = G = held = None
+        ratio = steps = G = held = W = t = None
         sums *= spec.grid.dlam ** spec.grid.d
         np.sqrt(sums, out=sums)
         yield [(float(R[m]), sums[m], [np.array(r, dtype=float) for r in rows[m]])
@@ -361,12 +371,6 @@ def _overflow(P, p, e, n) -> GrowthError:
                        "exceeds the double range; the input's values are too large")
 
 
-def _leading(values) -> int:
-    """Length of the row before its first value that is not > 0 or not finite."""
-    bad = ~((values > 0.0) & np.isfinite(values))
-    return int(bad.argmax()) if bad.any() else values.size
-
-
 # ---------------------------------------------------------------------------
 # growth sequences
 # ---------------------------------------------------------------------------
@@ -376,7 +380,8 @@ def _ledger(R, norms):
     member with that R, up to the row's first value that is not > 0.  log R
     is numpy's: for one R it equals numpy's vector lanes bit for bit, which
     math.log does not always."""
-    k = _leading(norms)
+    bad = ~((norms > 0.0) & np.isfinite(norms))
+    k = int(bad.argmax()) if bad.any() else norms.size
     return np.arange(1, k + 1) * np.log(R) + np.log(norms[:k]) if k else np.zeros(0)
 
 
@@ -402,10 +407,11 @@ def _estimates(ledgers) -> list:
 class GrowthSequence:
     """Per-n log-norm ledger of ||P(d)^n f||_p, its limit estimate and the
     R = max |P(i lam)| over the mask that normalised it.  norms holds the
-    ||g_n||_p of the ledger's terms L_n = n log R + log ||g_n||_p.  member is
-    the one-member PolyFamily of P, which is built when P is read."""
+    ||g_n||_p of the ledger's terms L_n = n log R + log ||g_n||_p.  P is row
+    `row` of family, built (from a one-member PolyFamily) when it is read."""
 
-    member: PolyFamily
+    family: PolyFamily
+    row: int
     p: float
     n_max: int
     L: np.ndarray
@@ -421,28 +427,35 @@ class GrowthSequence:
 
     @classmethod
     def from_rows(cls, rows, n_max, resolved):
-        """The ledger of each (member, p, R, norms) of rows, in order, with
-        the limits of all of them from one `_estimates` call.  member is a
-        one-member PolyFamily, and norms a row of `spatial_norms` (or its
-        Parseval row) of ||g_n||_p, n = 1, 2, ...: the ledger is
-        L_n = n log R + log ||g_n||_p up to the first norm that is not > 0,
-        where it is truncated.  A norm that is not finite raises GrowthError."""
-        heads, ledgers = [], []
-        for member, p, R, norms in rows:
-            L = _ledger(R, norms)
-            k = L.size
-            if k < norms.size and not np.isfinite(norms[k]):
-                raise _overflow(member[0], p, 0, k + 1)
-            heads.append((member, p, R, norms[:k], None if 0 < k == norms.size else k + 1))
-            ledgers.append(L)
-        for (member, p, R, norms, truncated_at), L, est in zip(heads, ledgers,
-                                                               _estimates(ledgers)):
-            yield cls(member, p, n_max, L, norms, est.limit, est.secondary, est.regime,
-                      est.tail_window, est.spread, R, resolved, truncated_at)
+        """The ledger of each (family, p, R, norms[, k]) of rows, member row k
+        (default 0) of family, in order, and all their limits from one
+        `_estimates` call.  norms is a row of `spatial_norms` (or its Parseval
+        row) of ||g_n||_p, n = 1, 2, ...: L_n = n log R + log ||g_n||_p up to
+        the first norm not > 0, where it is truncated, in one array operation
+        for all rows of n_max norms > 0.  A norm not finite raises GrowthError."""
+        rows = [(family, k[0] if k else 0, p, R, norms) for family, p, R, norms, *k in rows]
+        at = [i for i, row in enumerate(rows) if row[4].size == n_max]
+        block = np.array([rows[i][4] for i in at]).reshape(len(at), n_max)
+        whole = ((block > 0.0) & np.isfinite(block)).all(axis=1)
+        at = [i for i, ok in zip(at, whole) if ok]
+        logR = np.log([rows[i][3] for i in at]).reshape(-1, 1)
+        # a ledger of its own, not a view: a stack's block kept alive by its
+        # sequences left later set-ups of reconstruct-twobox ~1 300 page faults
+        full = dict(zip(at, map(np.copy, np.arange(1, n_max + 1) * logR
+                                + np.log(block[whole]))))
+        ledgers = [full[i] if i in full else _ledger(R, norms)
+                   for i, (_, _, _, R, norms) in enumerate(rows)]
+        for (family, k, p, _, norms), L in zip(rows, ledgers):
+            if L.size < norms.size and not np.isfinite(norms[L.size]):
+                raise _overflow(family[k:k + 1][0], p, 0, L.size + 1)
+        for (family, k, p, R, norms), L, est in zip(rows, ledgers, _estimates(ledgers)):
+            yield cls(family, k, p, n_max, L, norms[:L.size], est.limit, est.secondary,
+                      est.regime, est.tail_window, est.spread, R, resolved,
+                      None if 0 < L.size == norms.size else L.size + 1)
 
     @property
     def P(self) -> MultiPoly:
-        return self.member[0]
+        return self.family[self.row:self.row + 1][0]
 
     @property
     def roots(self) -> np.ndarray:
@@ -499,10 +512,10 @@ def growth_sequences(f, family: PolyFamily, p, n_max: int):
         raise GrowthError(f"p must be in [1, inf], got {p}")
     spec = Spectrum.of(f)
     norms = [] if p == 2 else [(p, 0)]
-    members = (family[k:k + 1] for k in range(len(family)))
+    at = itertools.count()
     for stack in spatial_norms(spec, family, n_max, norms):
         yield from GrowthSequence.from_rows(
-            [(P, p, R, rows[0] if norms else two) for (R, two, rows), P in zip(stack, members)],
+            [(family, p, R, rows[0] if norms else two, next(at)) for R, two, rows in stack],
             n_max, spec.mask.resolved)
 
 

@@ -408,6 +408,9 @@ def family_linear(directions) -> PolyFamily:
     the sublevel sets are slabs, so intersections recover convex hulls.
     """
     X = _vector_rows(directions, "direction")
+    # each row scaled by a power of two to a largest entry in [0.5, 1), which
+    # is exact: the norm neither overflows nor underflows to 0
+    X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=1))[1][:, None])
     nrm = np.sqrt(np.vecdot(X, X))          # per row as np.linalg.norm takes it
     if not nrm.all():
         raise PolyError(f"zero direction vector (direction {int(np.argmin(nrm))})")

@@ -68,13 +68,13 @@ class Ledgers:
         norms = [(p, 0) for p in spatial_p] + [(np.inf, -RTILDE_N)] if resolved else []
         first = next(spatial_norms(spec, polys[:1], n_max, norms + [(2, 0)]))
         rest = spatial_norms(spec, polys[1:], n_max, norms) if len(polys) > 1 else ()
-        out, members = cls([], [], [], []), (polys[k:k + 1] for k in range(len(polys)))
+        out, at = cls([], [], [], []), itertools.count()
         for stack in itertools.chain([first], rest):
             out.R.extend(R for R, _, _ in stack)
             if resolved:
                 out.sequences.extend(GrowthSequence.from_rows(
-                    [(P, p, R, two if p == 2 else rows[spatial_p.index(p)])
-                     for (R, two, rows), P in zip(stack, members) for p in member.p_values],
+                    [(polys, p, R, two if p == 2 else rows[spatial_p.index(p)], k)
+                     for (R, two, rows), k in zip(stack, at) for p in member.p_values],
                     n_max, resolved))
                 out.rtilde.extend(PointwiseGrowthReport.from_row(
                     RTILDE_N, "growth", R, rows[len(spatial_p)]) for R, _, rows in stack)
@@ -82,7 +82,7 @@ class Ledgers:
         if resolved and 2 in member.p_values:
             seq2 = out.sequences[member.p_values.index(2)]
         else:
-            seq2 = next(GrowthSequence.from_rows([(polys[:1], 2, R, two)], n_max, resolved))
+            seq2 = next(GrowthSequence.from_rows([(polys, 2, R, two)], n_max, resolved))
         out.plancherel.append((rows[-1], seq2.norms))
         return out
 

@@ -82,7 +82,7 @@ def test_criterion_3_plancherel(corpus):
         grid = member.f.grid
         spec = Spectrum.of(member.f, 1e-8)
         dmeas = grid.dlam ** grid.d
-        for n, Gm in iterates(spec, member.polys[:1], 64)[1]:
+        for n, Gm in iterates(spec, member.polys[:1], 64)[2]:
             G = np.zeros(grid.n_points, dtype=complex)
             G[spec.mask.field] = Gm[0]
             freq = float(np.sqrt(dmeas * np.sum(np.abs(G) ** 2)))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,7 +205,7 @@ class TestGrowthSequence:
         grid, f = interval_bump
         P = parse_poly("x1", 1)
         spec = Spectrum.of(f, 1e-8)
-        for n, Gm in iterates(spec, family_explicit([P]), 64)[1]:
+        for n, Gm in iterates(spec, family_explicit([P]), 64)[2]:
             G = np.zeros(grid.n_points, dtype=complex)
             G[spec.mask.field] = Gm[0]
             freq = np.sqrt(grid.dlam * np.sum(np.abs(G) ** 2))
@@ -488,7 +489,9 @@ class TestEngineMatchesFullGridLoop:
             limits.append(estimate_limit(L).limit)
             keep &= np.abs(eval_symbol_many(P, lams)) <= limits[-1] * 1.01
         assert np.array_equal(res.estimated.field, keep)
-        assert np.array_equal(np.array(res.limits), np.array(limits))
+        # the Parseval row is a moment sum, not the loop's |G_n|^2: the limits
+        # agree to the refactor contract, 1e-12 relative (masks bit for bit)
+        assert np.all(np.abs(np.array(res.limits) - limits) <= 1e-12 * np.abs(limits))
         assert sum(res.carved) == grid.n_points - res.estimated.n_cells
 
     def test_spectrum_carries_its_threshold(self, interval_bump):
@@ -588,13 +591,15 @@ class TestBatchedLedgers:
 def parent_parseval_sequences(spec, family, n_max):
     """The p = 2 branch of growth_sequences before spatial_norms summed the
     2-norms: stacks of at most n_points // (mask cells) members, each stack's
-    2-norms summed on the mask cells by its own iterates run."""
+    2-norms summed on the mask cells by its own iterates run, as |G_n|^2 of
+    the complex iterate block (one hypot per cell and n) before the row was
+    the moment sum sum_j |F_j|^2 t_j^n."""
     size = max(1, spec.grid.n_points // max(1, spec.coords.shape[0]))
     n = np.arange(1, n_max + 1)
     for start in range(0, len(family), size):
         stack = family[start:start + size]
         sums = np.empty((len(stack), n_max))
-        R, steps = iterates(spec, stack, n_max)
+        R, _, steps = iterates(spec, stack, n_max)
         logR = parent_log_R(R)
         with np.errstate(over="ignore"):
             for k, G in steps:
@@ -636,12 +641,109 @@ class TestParsevalRowsMatchParentBatch:
             ref = list(parent_parseval_sequences(spec, polys, 64))
             assert len(new) == len(ref) == len(polys)
             for a, b in zip(new, ref):
-                assert a.L.tobytes() == b.L.tobytes() and a.norms.tobytes() == b.norms.tobytes()
-                assert ((a.P, a.limit, a.regime, a.truncated_at, a.R)
-                        == (b.P, b.limit, b.regime, b.truncated_at, b.R))
+                # the moment sum rounds unlike |G_n|^2: rows and limits agree
+                # to the refactor contract, 1e-12 relative
+                assert a.norms == pytest.approx(b.norms, rel=1e-12, abs=0.0)
+                assert a.L == pytest.approx(b.L, rel=1e-12, abs=1e-12)
+                assert a.limit == pytest.approx(b.limit, rel=1e-12, abs=0.0)
+                assert (a.P, a.regime, a.truncated_at, a.R) == (b.P, b.regime, b.truncated_at, b.R)
                 assert type(a.R) is float
                 checked += 1
         assert checked == 8 + 22 + 12 + 3 + 2
+
+
+# ---------------------------------------------------------------------------
+# the Parseval row as a moment sum, against the complex-block loop and a
+# long double recomputation
+# ---------------------------------------------------------------------------
+
+def two_box_lattice(seed):
+    """The two-box input of the reconstruct-twobox benchmark at a seed's box
+    shifts, with its 16 x 16 quadratic_real_lattice family (span 63 cells)."""
+    rng = random.Random(f"reconstruct-twobox:{seed}")
+    (ax, ay), (bx, by) = ((0, 0), (0, 0)) if seed == 0 else tuple(
+        (rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2))
+    grid = make_grid(2, 256, 0.05)
+    dlam = grid.dlam
+
+    def box(lo, hi):
+        return {"shape": "box", "lo": [c * dlam for c in lo], "hi": [c * dlam for c in hi]}
+
+    support = {"shape": "union", "parts": [
+        box([15.5 + ax, -1.5 + ay], [26.5 + ax, 1.5 + ay]),
+        box([-26.5 + bx, -1.5 + by], [-15.5 + bx, 1.5 + by])]}
+    f = sample_builtin({"kind": "spectral_bump", "support": support,
+                        "edge_width": 0.45 * dlam}, grid)
+    cvals = (np.arange(16) - 7) * (63 * dlam / 8)
+    return f, family_quadratic_real([np.array([a, b]) for a in cvals for b in cvals], grid)
+
+
+def long_double_rows(spec, family, n_max):
+    """Each member's Parseval row sqrt(dlam^d sum_j |F_j|^2 t_j^n), t_j =
+    |P(i lam_j)/R|^2, in np.longdouble from the same F and symbol block."""
+    _, ratio, _ = iterates(spec, family, n_max)
+    F, ld = spec.F[spec.mask.field], np.longdouble
+    w = F.real.astype(ld) ** 2 + F.imag.astype(ld) ** 2
+    t = ratio.real.astype(ld) ** 2 + ratio.imag.astype(ld) ** 2
+    W, sums = np.tile(w, (len(family), 1)), np.empty((len(family), n_max), dtype=ld)
+    for n in range(n_max):
+        W *= t
+        sums[:, n] = W.sum(axis=1)
+    return np.sqrt(sums * ld(spec.grid.dlam) ** spec.grid.d)
+
+
+class TestMomentRowsMatchComplexBlock:
+    def test_two_box_masks_at_the_bench_shifts(self):
+        # reconstruct-twobox's input at seeds 0-8: the masks carved with the
+        # moment-sum limits are the masks carved with the complex-block ones
+        for seed in range(9):
+            f, family = two_box_lattice(seed)
+            spec, grid = Spectrum.of(f), f.grid
+            res = reconstruct_support(spec, family, 2, 200, tau=0.01)
+            ref = list(parent_parseval_sequences(spec, family, 200))
+            new = list(growth_sequences(spec, family, 2, 200))
+            assert all(b.truncated_at is None for b in ref)
+            limits = np.array([b.limit for b in ref])
+            keep, lams = np.ones(grid.n_points, dtype=bool), grid.frequency_coords()
+            for k in range(0, len(family), 16):
+                block = np.abs(eval_symbol_many(family[k:k + 16], lams))
+                keep &= (block <= limits[k:k + 16, None] * 1.01).all(axis=0)
+            assert res.estimated.field.tobytes() == keep.tobytes()
+            assert np.all(np.abs(np.array(res.limits) - limits) <= 1e-12 * limits)
+            for a, b in zip(new, ref, strict=True):
+                assert (a.regime, a.truncated_at, a.R) == (b.regime, b.truncated_at, b.R)
+
+    def test_rows_within_the_rounding_bound(self):
+        """Every Parseval row of the TestParsevalRowsMatchParentBatch cases
+        and the two-box family, n <= 200, against long_double_rows.  With u =
+        2^-53 and C's hypot within 1 ulp (2u): |F_j| and |r_j| = |P/R| carry
+        2u each, so the first term (|F_j| |r_j|)^2 carries 2(2u + 2u + u) +
+        u = 11u; t_j = re^2 + im^2 carries 2u, and each W *= t adds 3u, so
+        |F_j|^2 t_j^n carries (3n + 8)u.  A row sum of N positive terms adds
+        at most (N - 1)u in any order, and dlam^d 3u, so the sum carries
+        (3n + N + 10)u, and its square root (3n + N + 12)u/2.  2u more covers
+        the long double rows' own rounding (2^-64 a step).  The rows stay
+        far above the subnormal range, so the bound is relative.  Measured
+        worst at n = 200 on the two-box family: 1.65e-14 for the moment sum
+        (its bound there is 3.8e-14), 1.44e-15 for the complex-block loop it
+        replaced: t_j's one rounding is raised to the n-th power, where the
+        loop's roundings fall in random directions."""
+        u = np.finfo(float).eps / 2
+        cases = list(TestParsevalRowsMatchParentBatch().cases())
+        cases.append(tuple(two_box_lattice(0)))
+        checked = 0
+        for spec, family in cases:
+            spec = Spectrum.of(spec)
+            ref = long_double_rows(spec, family, 200)
+            rows = np.array([two for stack in spatial_norms(spec, family, 200, [])
+                             for _, two, _ in stack]).reshape(ref.shape)
+            n, N = np.arange(1, 201), spec.coords.shape[0]
+            live = ref[:, 0] > 0.0
+            assert np.all(ref[live] > 1e-150) and not rows[~live].any()
+            err = np.abs(rows[live].astype(np.longdouble) - ref[live])
+            assert np.all(err <= (3 * n + N + 16) * u / 2 * ref[live])
+            checked += len(family)
+        assert checked == 8 + 22 + 12 + 3 + 2 + 256
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +833,7 @@ class TestStackIsOneSymbolBlock:
     def test_R_and_first_step_are_bit_equal(self, per_member):
         for f, family in self.families():
             spec = Spectrum.of(f)
-            R, steps = iterates(spec, family, 1)
+            R, _, steps = iterates(spec, family, 1)
             (_, G), = steps
             want_R, want_G = iterates_per_member(spec, family.polys, per_member)
             assert R.tobytes() == want_R.tobytes() and G.tobytes() == want_G.tobytes()
@@ -756,7 +858,7 @@ def parent_ledger(spec, P, p, n_max):
     or not finite."""
     step = SpatialStep(spec)
     S, nrm = [], []
-    R, steps = iterates(spec, family_explicit([P]), n_max)
+    R, _, steps = iterates(spec, family_explicit([P]), n_max)
     logR = parent_log_R(R)
     for n, G in steps if R[0] > 0.0 else ():
         S.append((n * logR)[0])
@@ -777,7 +879,7 @@ def parent_weighted_sup_logs(spec, P, n_max, exponents):
     absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
     weights = [step.fft_order((1.0 + absx) ** e) for e in exponents]
     rows = []
-    R, steps = iterates(spec, family_explicit([P]), n_max)
+    R, _, steps = iterates(spec, family_explicit([P]), n_max)
     logR = parent_log_R(R)
     for n, G in steps:
         g = step(G[0])
@@ -1003,7 +1105,7 @@ def unpaired_rows(spec, P, n_max, norms):
     step = SpatialStep(spec)
     absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
     weights = [step.fft_order((1.0 + absx) ** e) for _, e in norms]
-    R, steps = iterates(spec, family_explicit([P]), n_max)
+    R, _, steps = iterates(spec, family_explicit([P]), n_max)
     rows = [[] for _ in norms]
     for _, G in steps if R[0] > 0.0 else ():
         going = [k for k, row in enumerate(rows) if not row or 0.0 < row[-1] < np.inf]

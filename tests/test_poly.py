@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,25 @@ class TestFamilies:
     def test_linear_rejects_zero_vector(self):
         with pytest.raises(PolyError):
             family_linear([[0.0, 0.0]])
+
+    @pytest.mark.parametrize("direction,unit", [([1e200], [1.0]), ([1e-200, 0.0], [1.0, 0.0]),
+                                                ([0.0, -1e300, 0.0], [0.0, -1.0, 0.0])])
+    def test_linear_direction_at_the_double_range(self, direction, unit):
+        # the norm used to overflow to inf (the zero polynomial, with a
+        # RuntimeWarning) or underflow to 0 (refused as a zero direction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = family_linear([direction])
+        assert fam.coeffs[0].tobytes() == np.array(unit, dtype=complex).tobytes()
+        with pytest.raises(PolyError, match=r"^zero direction vector \(direction 1\)$"):
+            family_linear([direction, [0.0] * len(direction)])
+
+    def test_linear_scaling_is_exact(self):
+        # a power-of-two scaling changes no in-range member by a bit
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-100, 100, size=(200, 1))
+        for row, got in zip(X, family_linear(X).coeffs):
+            assert got.tobytes() == (row / np.sqrt(np.vecdot(row, row))).astype(complex).tobytes()
 
     def test_linear_symbols_purely_imaginary(self):
         fam = family_linear([[0.3, -0.9], [1.0, 2.0]])

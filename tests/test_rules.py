@@ -5,11 +5,13 @@ iterates, the library starts no threads, every verify row reads its
 member's one Ledgers build, every JSON read catches RecursionError, one
 helper estimates every limit, by the stack, every library name the bench
 looks up exists, the ledgers and the carve never build a family's members,
-the ledger layer takes a family only, and the carve is one block loop with
-one symbol call and no point cache."""
+the ledger layer takes a family only, the carve is one block loop with
+one symbol call and no point cache, and the Parseval row is one moment sum
+of a real block, which a p = 2 pass forms without stepping the iterates."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -225,3 +227,53 @@ def test_one_carve_loop():
              if "SymbolPoints" in (getattr(node, "id", None), getattr(node, "attr", None),
                                    getattr(node, "name", None))]
     assert named == []
+
+
+def test_one_parseval_site():
+    # the Parseval row is the moment sum sum_j |F_j|^2 t_j^n: spatial_norms
+    # multiplies one real block by t in place and sums its rows once per n.
+    # |G_n|^2 of the complex iterate block took a hypot per cell and n, 33 of
+    # 61 us a step on the 256-member two-box stack
+    path = ROOT / "src" / "realpw" / "growth.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {id(node): top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+             for node in ast.walk(top)}
+    in_loop = {id(node) for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+               for node in ast.walk(loop)}
+    sums = [(owner.get(id(node)), id(node) in in_loop) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and called(node) == "sum"]
+    assert sums == [("spatial_norms", True)]
+    squares = [f"{lib.name}:{node.lineno}" for lib in LIBRARY for node in nodes(lib)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+               and isinstance(node.left, ast.Call) and called(node.left) == "abs"
+               and getattr(node.right, "value", None) == 2]
+    assert squares == []
+
+
+def test_p2_pass_steps_no_iterates(monkeypatch):
+    # a p = 2 growth_sequences call reads only the moment sums: it builds no
+    # SpatialStep and never starts iterates' steps, where the complex
+    # (members x mask cells) block G is built; a p = 1 call starts every one
+    import numpy as np
+    from realpw import growth, make_grid, sample_builtin, family_quadratic_real
+    grid = make_grid(1, 64, 0.5)
+    f = sample_builtin({"kind": "spectral_bump",
+                        "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
+    family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], grid)
+    steps, iterates = [], growth.iterates
+
+    def watched(*args):
+        R, ratio, gen = iterates(*args)
+        steps.append(gen)
+        return R, ratio, gen
+
+    def no_step(spec):
+        raise AssertionError("a p = 2 pass built a SpatialStep")
+
+    monkeypatch.setattr(growth, "iterates", watched)
+    assert len(list(growth.growth_sequences(f, family, 1, 16))) == 12
+    assert {inspect.getgeneratorstate(g) for g in steps} == {inspect.GEN_SUSPENDED}
+    steps.clear()
+    monkeypatch.setattr(growth, "SpatialStep", no_step)
+    assert len(list(growth.growth_sequences(f, family, 2, 16))) == 12
+    assert [inspect.getgeneratorstate(g) for g in steps] == [inspect.GEN_CREATED] * 3

@@ -414,7 +414,7 @@ def ifftn_ledger(spec, P, n_max):
     scale = (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
     buf = np.zeros(grid.shape, dtype=complex)
     S, norms = [], {1: [], np.inf: []}
-    (R,), steps = iterates(spec, family_explicit([P]), n_max)
+    (R,), _, steps = iterates(spec, family_explicit([P]), n_max)
     for n, G in steps:
         buf.reshape(-1)[spec.fft_index] = G[0]
         g = np.fft.ifftn(buf)
