@@ -375,14 +375,23 @@ def _overflow(P, p, e, n) -> GrowthError:
 # growth sequences
 # ---------------------------------------------------------------------------
 
-def _ledger(R, norms):
-    """L_n = n log R + log ||g_n||, n = 1, 2, ..., of a row of norms of the
-    member with that R, up to the row's first value that is not > 0.  log R
-    is numpy's: for one R it equals numpy's vector lanes bit for bit, which
-    math.log does not always."""
-    bad = ~((norms > 0.0) & np.isfinite(norms))
-    k = int(bad.argmax()) if bad.any() else norms.size
-    return np.arange(1, k + 1) * np.log(R) + np.log(norms[:k]) if k else np.zeros(0)
+def _ledgers(rows) -> list:
+    """The ledger L_n = n log R + log ||g_n||, n = 1, 2, ..., of each (R,
+    norms) of rows, up to the row's first value not > 0: one array operation
+    per row length, each ledger copied out, since a block kept alive by its
+    ledgers left later reconstruct-twobox set-ups ~1 300 page faults."""
+    out = [np.zeros(0)] * len(rows)
+    for size in {norms.size for _, norms in rows} - {0}:
+        at = [i for i, (_, norms) in enumerate(rows) if norms.size == size]
+        block = np.array([rows[i][1] for i in at])
+        bad = ~((block > 0.0) & np.isfinite(block))
+        k = np.where(bad.any(axis=1), bad.argmax(axis=1), size)
+        # 1 in place of the values past k and of an empty ledger's R: no log of 0
+        logR = np.log(np.where(k > 0, [rows[i][0] for i in at], 1.0))[:, None]
+        L = np.arange(1, size + 1) * logR + np.log(np.where(bad, 1.0, block))
+        for i, row, k_i in zip(at, L, k.tolist()):
+            out[i] = row[:k_i].copy()
+    return out
 
 
 def _estimates(ledgers) -> list:
@@ -427,28 +436,16 @@ class GrowthSequence:
 
     @classmethod
     def from_rows(cls, rows, n_max, resolved):
-        """The ledger of each (family, p, R, norms[, k]) of rows, member row k
-        (default 0) of family, in order, and all their limits from one
-        `_estimates` call.  norms is a row of `spatial_norms` (or its Parseval
-        row) of ||g_n||_p, n = 1, 2, ...: L_n = n log R + log ||g_n||_p up to
-        the first norm not > 0, where it is truncated, in one array operation
-        for all rows of n_max norms > 0.  A norm not finite raises GrowthError."""
-        rows = [(family, k[0] if k else 0, p, R, norms) for family, p, R, norms, *k in rows]
-        at = [i for i, row in enumerate(rows) if row[4].size == n_max]
-        block = np.array([rows[i][4] for i in at]).reshape(len(at), n_max)
-        whole = ((block > 0.0) & np.isfinite(block)).all(axis=1)
-        at = [i for i, ok in zip(at, whole) if ok]
-        logR = np.log([rows[i][3] for i in at]).reshape(-1, 1)
-        # a ledger of its own, not a view: a stack's block kept alive by its
-        # sequences left later set-ups of reconstruct-twobox ~1 300 page faults
-        full = dict(zip(at, map(np.copy, np.arange(1, n_max + 1) * logR
-                                + np.log(block[whole]))))
-        ledgers = [full[i] if i in full else _ledger(R, norms)
-                   for i, (_, _, _, R, norms) in enumerate(rows)]
-        for (family, k, p, _, norms), L in zip(rows, ledgers):
+        """The ledger of each (family, p, R, norms, k) of rows, member row k of
+        family, in order, and all their limits from one `_estimates` call.
+        norms is a row of `spatial_norms` (or its Parseval row) of ||g_n||_p,
+        n = 1, 2, ...: L_n = n log R + log ||g_n||_p up to the first norm not
+        > 0, where it is truncated.  A norm not finite raises GrowthError."""
+        ledgers = _ledgers([(R, norms) for _, _, R, norms, _ in rows])
+        for (family, p, _, norms, k), L in zip(rows, ledgers):
             if L.size < norms.size and not np.isfinite(norms[L.size]):
                 raise _overflow(family[k:k + 1][0], p, 0, L.size + 1)
-        for (family, k, p, R, norms), L, est in zip(rows, ledgers, _estimates(ledgers)):
+        for (family, p, R, norms, k), L, est in zip(rows, ledgers, _estimates(ledgers)):
             yield cls(family, k, p, n_max, L, norms[:L.size], est.limit, est.secondary,
                       est.regime, est.tail_window, est.spread, R, resolved,
                       None if 0 < L.size == norms.size else L.size + 1)
@@ -585,7 +582,7 @@ class PointwiseGrowthReport:
         """The report of a spatial_norms row of (inf, +N) (decay) or (inf, -N)
         (growth) norms of the member with that R: log W_n = n log R + log of
         the row's value."""
-        log_W = _ledger(R, norms)
+        (log_W,) = _ledgers([(R, norms)])
         (est,) = _estimates([log_W])
         rtilde = est.limit
         # bounded iff log(W_n / (n^N rtilde^n)) shows no upward trend at the end
@@ -638,7 +635,7 @@ def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
     # both weights are >= 1, so the two rows vanish at the same n
     ((R_mask, _, rows),) = next(spatial_norms(f, family_explicit([P]), n_max,
                                               [(np.inf, N), (np.inf, d + 1)]))
-    W_N, W_phi = (_ledger(R_mask, row) for row in rows)
+    W_N, W_phi = _ledgers([(R_mask, row) for row in rows])
     if not W_N.size:
         return SchwartzDecayReport(R, N, W_N, 0.0, 1.0, True, -np.inf)
     n = np.arange(1, W_N.size + 1)

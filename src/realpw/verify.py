@@ -82,7 +82,7 @@ class Ledgers:
         if resolved and 2 in member.p_values:
             seq2 = out.sequences[member.p_values.index(2)]
         else:
-            seq2 = next(GrowthSequence.from_rows([(polys, 2, R, two)], n_max, resolved))
+            seq2 = next(GrowthSequence.from_rows([(polys, 2, R, two, 0)], n_max, resolved))
         out.plancherel.append((rows[-1], seq2.norms))
         return out
 

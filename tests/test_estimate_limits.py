@@ -148,12 +148,12 @@ class TestMatchesScalarEstimator:
             S = n * np.log(R)
             norms = np.exp(synthetic(params, n_max, rng) - S)
             norms[at:at + 1] = bad
-            stack.append((member, 2, R, norms))
+            stack.append((member, 2, R, norms, 0))
             terms.append(S)
         seqs = list(GrowthSequence.from_rows(stack, n_max, True))
         assert len(seqs) == len(stack)
         assert [seq.L.size for seq in seqs[-3:]] == [0, 1, 2]
-        for (_, _, R, norms), S, seq in zip(stack, terms, seqs):
+        for (_, _, R, norms, _), S, seq in zip(stack, terms, seqs):
             L, roots, steps, limit, secondary, regime, tail_w, spread, truncated_at = \
                 reference_sequence(S, norms)
             assert seq.L.tobytes() == L.tobytes() and seq.roots.tobytes() == roots.tobytes()
@@ -284,7 +284,7 @@ class TestOneCallPerStackAndLength:
         for cut in (64, 20, 64, 0, 5):
             norms = np.exp(-np.sqrt(n))
             norms[cut:] = 0.0
-            rows.append((member, 2, 1.5, norms))
+            rows.append((member, 2, 1.5, norms, 0))
         seqs = list(GrowthSequence.from_rows(rows, 64, True))
         assert [s.L.size for s in seqs] == [64, 20, 64, 0, 5]
         assert [s.regime for s in seqs][3:] == ["zero", "truncated"]

@@ -41,7 +41,7 @@ def member_rows(spec, P, n_max, norms):
 
 def ledger(P, p, n_max, R, norms, resolved):
     """The GrowthSequence of the one row (P, p, R, norms)."""
-    (seq,) = GrowthSequence.from_rows([(family_explicit([P]), p, R, norms)], n_max, resolved)
+    (seq,) = GrowthSequence.from_rows([(family_explicit([P]), p, R, norms, 0)], n_max, resolved)
     return seq
 
 
@@ -292,7 +292,7 @@ class TestLiminfCheck:
         # a ledger cut at n = 2 has one term and no step factor, as an empty
         # one has none
         (seq,) = GrowthSequence.from_rows([(family_explicit([parse_poly("x1", 1)]), 2, 1.0,
-                                            np.array([1.0, 0.0]))], 64, True)
+                                            np.array([1.0, 0.0]), 0)], 64, True)
         assert (seq.L.size, seq.step_factors.size, seq.truncated_at) == (1, 0, 2)
         rep = liminf_check(seq)
         assert rep.passed and (rep.R, rep.step_median, rep.margin) == (1.0, 0.0, 0.0)
@@ -1082,10 +1082,27 @@ class TestLedgersMatchParentFormation:
         rng = np.random.default_rng(0)
         R = np.concatenate([rng.uniform(0.0, 1.0, 5000), rng.lognormal(0.0, 20.0, 5000)])
         norms, member = np.array([0.5, 0.25]), family_explicit([parse_poly("x1", 1)])
-        seqs = GrowthSequence.from_rows([(member, 2, R_m, norms) for R_m in R.tolist()], 8, True)
+        seqs = GrowthSequence.from_rows([(member, 2, R_m, norms, 0) for R_m in R.tolist()],
+                                        8, True)
         S = np.arange(1, 3) * parent_log_R(R)[:, None]
         got = np.array([seq.L for seq in seqs])
         assert got.tobytes() == (S + np.log(norms)).tobytes()
+
+    def test_rows_of_mixed_lengths_in_one_call(self):
+        # rows of several lengths, whole or cut, share one from_rows call:
+        # each ledger is the parent's formation and owns its memory
+        rng = np.random.default_rng(1)
+        rows = [rng.lognormal(0.0, 3.0, size) for size in (64, 9, 0, 64, 9, 2)]
+        rows[3][40], rows[4][0] = 0.0, -1.0
+        R = rng.uniform(0.5, 2.0, len(rows))
+        S = np.arange(1, 65) * parent_log_R(R)[:, None]
+        member = family_explicit([parse_poly("x1", 1)])
+        seqs = list(GrowthSequence.from_rows(
+            [(member, 2, R_m, v, 0) for R_m, v in zip(R.tolist(), rows)], 64, True))
+        assert [seq.L.size for seq in seqs] == [64, 9, 0, 40, 0, 2]
+        for seq, S_m, v in zip(seqs, S, rows):
+            assert seq.L.tobytes() == parent_logs(S_m[:v.size], v).tobytes()
+            assert seq.L.base is None
 
 
 def assert_same_formation(a, b):

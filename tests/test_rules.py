@@ -235,14 +235,13 @@ def test_one_parseval_site():
     # |G_n|^2 of the complex iterate block took a hypot per cell and n, 33 of
     # 61 us a step on the 256-member two-box stack
     path = ROOT / "src" / "realpw" / "growth.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    owner = {id(node): top.name for top in tree.body if isinstance(top, ast.FunctionDef)
-             for node in ast.walk(top)}
-    in_loop = {id(node) for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+    (fn,) = [node for node in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(node, ast.FunctionDef) and node.name == "spatial_norms"]
+    in_loop = {id(node) for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
                for node in ast.walk(loop)}
-    sums = [(owner.get(id(node)), id(node) in in_loop) for node in ast.walk(tree)
+    sums = [id(node) in in_loop for node in ast.walk(fn)
             if isinstance(node, ast.Call) and called(node) == "sum"]
-    assert sums == [("spatial_norms", True)]
+    assert sums == [True]
     squares = [f"{lib.name}:{node.lineno}" for lib in LIBRARY for node in nodes(lib)
                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
                and isinstance(node.left, ast.Call) and called(node.left) == "abs"
