@@ -13,9 +13,12 @@ pass forms every member's Parseval 2-norm row (the p = 2 ledgers) from the
 moments m_n = sum_j |F_j|^2 t_j^n, t_j = |P(i lam_j)/R|^2, on the mask
 cells, and reads every spatial norm a caller asks for (the p != 2 ledgers,
 the weighted sup norms) from one `SpatialStep` output per member and n, or
-per pair (n - 1, n) when the member's iterates are all real: the mask is
-resolved and closed under lam -> -lam, F is Hermitian on it to HERMITIAN_TOL
-of max |F|, and P has real coefficients.  Then one transform of
+per pair (n - 1, n) when the member's iterates are all real.  The step is
+the inverse DFT of the mask cells, by a pruned ifft along axes whose mask
+occupies many frequencies and by a matrix product along the others (every
+axis of the d = 2 acceptance inputs).  Real iterates need that the mask is
+resolved and closed under lam -> -lam, F is Hermitian on it to
+HERMITIAN_TOL of max |F|, and P has real coefficients.  Then one transform of
 G_(n-1) + i G_n gives g_(n-1) as its real part and g_n as its imaginary part.
 A spatial input is masked at DEFAULT_EPS_REL; a Spectrum carries its own
 threshold, so another one is chosen with Spectrum.of(f, eps_rel).
@@ -265,11 +268,12 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     t_j = |P(i lam_j)/R|^2 on the mask cells: a real block multiplied by t
     in place, one row sum per n.  rows[k] is the row of norms[k], a list of
     (p, e): the Riemann-sum Lp norm ||(1+|x|)^e g_n||_p, p in [1, inf], of
-    one `SpatialStep` output per n, cut at (and ending with) the row's first
-    value that is not > 0.  Only members with R > 0 and a row not yet cut
-    are stepped; with no norms no step and no G block is built.  A spatial
-    value that is not finite raises GrowthError naming P, p and n; two is
-    checked by its reader.  f is a SampledFunction or its Spectrum.
+    one `SpatialStep` output per n (within rounding of ifftn's, bit-equal to
+    it where every axis takes the ifft pass), cut at (and ending with) the
+    row's first value that is not > 0.  Only members with R > 0 and a row not
+    yet cut are stepped; with no norms no step and no G block is built.  A
+    spatial value that is not finite raises GrowthError naming P, p and n;
+    two is checked by its reader.  f is a SampledFunction or its Spectrum.
 
     A member pairs, taking one step per (n - 1, n) in place of two, when
     its iterates are all real: (1) the mask is resolved, as a cell on a

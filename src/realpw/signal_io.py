@@ -33,12 +33,6 @@ def _interleave(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _deinterleave(flat: np.ndarray) -> np.ndarray:
-    if flat.size % 2:
-        raise SignalIOError("interleaved payload must have even length")
-    return flat[0::2] + 1j * flat[1::2]
-
-
 def atomic_write_text(path: str, text: str):
     """Write via a temp file in the target directory, then rename."""
     _atomic_write(path, "w", text)
@@ -93,14 +87,16 @@ def signal_from_dict(doc: dict):
             flat = np.asarray(raw, dtype=float)
         else:
             raise SignalIOError(f"unknown encoding {encoding!r}")
-        values = _deinterleave(flat)
-        if values.size != grid.n_points:
+        if flat.size % 2:
+            raise SignalIOError("interleaved payload must have even length")
+        if flat.size // 2 != grid.n_points:
             raise SignalIOError(
-                f"payload holds {values.size} values, grid needs {grid.n_points}")
-        if doc.get("payload") == "boolean":
-            return SupportMask(grid, values.real >= 0.5, float(doc.get("eps_rel", 0.5)),
+                f"payload holds {flat.size // 2} values, grid needs {grid.n_points}")
+        if doc.get("payload") == "boolean":     # the real parts, with no complex copy
+            return SupportMask(grid, flat[0::2] >= 0.5, float(doc.get("eps_rel", 0.5)),
                                bool(doc.get("resolved", True)))
-        return SampledFunction(grid, side, values, label=doc.get("label", ""))
+        return SampledFunction(grid, side, flat[0::2] + 1j * flat[1::2],
+                               label=doc.get("label", ""))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # SignalIOError, GridError and binascii.Error (bad base64) are ValueErrors
         raise SignalIOError(f"bad signal: {exc}") from exc

@@ -1,10 +1,11 @@
 import base64
+import random
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from realpw import SupportMask
+from realpw import SupportMask, make_grid
 
 # Fixed examples on every run: a fuzz test cannot pass once and fail the next time.
 settings.register_profile("realpw", derandomize=True, deadline=None, print_blob=True)
@@ -75,3 +76,24 @@ def document_of(obj, encoding="base64"):
 @pytest.fixture(scope="session")
 def signal_document():
     return document_of
+
+
+def bench_two_box(seed):
+    """The bench's reconstruct-twobox input at one seed's box shifts:
+    M = 256, h = 0.05, edge 0.45 cells."""
+    rng = random.Random(f"reconstruct-twobox:{seed}")
+    (ax, ay), (bx, by) = ((0, 0), (0, 0)) if seed == 0 else tuple(
+        (rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2))
+    grid = make_grid(2, 256, 0.05)
+    dlam = grid.dlam
+
+    def box(lo, hi):
+        return {"shape": "box", "lo": [c * dlam for c in lo], "hi": [c * dlam for c in hi]}
+    support = {"shape": "union", "parts": [box([15.5 + ax, -1.5 + ay], [26.5 + ax, 1.5 + ay]),
+                                           box([-26.5 + bx, -1.5 + by], [-15.5 + bx, 1.5 + by])]}
+    return {"kind": "spectral_bump", "support": support, "edge_width": 0.45 * dlam}, grid
+
+
+@pytest.fixture(scope="session")
+def two_box():
+    return bench_two_box

@@ -1017,6 +1017,29 @@ class TestSpatialNormsMatchParentPaths:
             pointwise_growth(spike, P, 10, 16, mode="decay")
         assert pointwise_growth(spike, P, 10, 16, mode="growth").log_W.size == 16
 
+    def test_overflowing_norm_message_on_the_matrix_pass(self):
+        # six plane waves near the double range on a d = 2 grid: both axes
+        # take the matrix pass, and the p = 1 norm of g_1 overflows.  A pass
+        # cannot overflow on finite input (its block's entries are 1/M in
+        # modulus, and K_a <= M), so its inputs are already non-finite when
+        # its output is; it must pass them on, not warn
+        grid = make_grid(2, 16, 2.0)
+        x = grid.spatial_coords()
+        waves = sum(np.exp(1j * grid.dlam * (k0 * x[:, 0] + k1 * x[:, 1]))
+                    for k0 in (2, 3) for k1 in (1, 2, 3))
+        spec, P = Spectrum.of(SampledFunction(grid, "spatial", 6e305 * waves)), parse_poly("x1", 2)
+        step = SpatialStep(spec)
+        assert step.matrix_axes == {0, 1}
+        with pytest.raises(GrowthError, match=(
+                r"^1.0\*x1 at p = 1: \|\|P\(d\)\^1 f\|\| exceeds the double range; "
+                r"the input's values are too large$")):
+            growth_sequence(spec, P, 1, 16)
+        assert growth_sequence(spec, P, np.inf, 16).L.size == 16
+        G = spec.F[spec.mask.field].copy()
+        G[0] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(step(G)).any()
+
 
 class TestLedgersMatchParentFormation:
     """Every ledger formed from a plain norm row and R against the parent's

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -70,11 +71,29 @@ class TestJsonSignal:
         want = json.dumps(signal_document(obj), sort_keys=True).encode("ascii")
         assert path.read_bytes() == want
 
+    @pytest.mark.parametrize("seed", range(9))
+    def test_bench_reference_masks_read_as_before(self, tmp_path, two_box, seed):
+        # a boolean payload is read from its real parts alone, with no complex
+        # array: the field is the one the complex decoding gave
+        builtin, grid = two_box(seed)
+        mask = support_mask(forward_dft(sample_builtin(builtin, grid)))
+        path = tmp_path / "reference_mask.json"
+        save_signal(mask, str(path))
+        flat = np.frombuffer(base64.b64decode(json.loads(path.read_text())["values"]), "<f8")
+        back = load_signal(str(path))
+        assert np.array_equal(back.field, (flat[0::2] + 1j * flat[1::2]).real >= 0.5)
+        assert np.array_equal(back.field, mask.field)
+        assert (back.grid, back.eps_rel, back.resolved) == (grid, mask.eps_rel, mask.resolved)
+
     def test_bad_payload_length(self, signal_document):
-        doc = signal_document(random_sf(), "array")
-        doc["values"] = doc["values"][:-2]
-        with pytest.raises(SignalIOError):
-            signal_from_dict(doc)
+        f = random_sf()
+        for obj in (f, SupportMask(f.grid, f.values.real > 0, 1e-8, True)):
+            for cut, message in ((1, "even length"),
+                                 (2, "payload holds 31 values, grid needs 32")):
+                doc = signal_document(obj, "array")
+                doc["values"] = doc["values"][:-cut]
+                with pytest.raises(SignalIOError, match=message):
+                    signal_from_dict(doc)
 
     def test_bad_header(self, signal_document):
         doc = signal_document(random_sf(), "array")

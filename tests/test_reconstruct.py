@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import random
 
 import numpy as np
 import pytest
@@ -274,22 +273,6 @@ class TestQuadraticReconstruction:
 # the carve from coefficient rows against the member-by-member carve
 # ---------------------------------------------------------------------------
 
-def two_box(seed):
-    """The bench's reconstruct-twobox input at one seed's box shifts:
-    M = 256, h = 0.05, edge 0.45 cells."""
-    rng = random.Random(f"reconstruct-twobox:{seed}")
-    (ax, ay), (bx, by) = ((0, 0), (0, 0)) if seed == 0 else tuple(
-        (rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2))
-    grid = make_grid(2, 256, 0.05)
-    dlam = grid.dlam
-
-    def box(lo, hi):
-        return {"shape": "box", "lo": [c * dlam for c in lo], "hi": [c * dlam for c in hi]}
-    support = {"shape": "union", "parts": [box([15.5 + ax, -1.5 + ay], [26.5 + ax, 1.5 + ay]),
-                                           box([-26.5 + bx, -1.5 + by], [-15.5 + bx, 1.5 + by])]}
-    return {"kind": "spectral_bump", "support": support, "edge_width": 0.45 * dlam}, grid
-
-
 def lattice(grid, per_axis, span_cells):
     """The CLI's quadratic_real_lattice centers, one array per center."""
     step = span_cells * grid.dlam / (per_axis // 2)
@@ -334,7 +317,7 @@ def assert_carves_as_members_alone(f, family, p, n_max, tau, per_member):
 
 class TestCarveDifferential:
     @pytest.mark.parametrize("seed", range(5))
-    def test_two_box_at_the_bench_seeds(self, seed, per_member):
+    def test_two_box_at_the_bench_seeds(self, seed, per_member, two_box):
         builtin, grid = two_box(seed)
         f = sample_builtin(builtin, grid)
         family = family_quadratic_real(lattice(grid, 16, 63), grid)
@@ -356,7 +339,7 @@ class TestCarveDifferential:
         assert len(res.carved) == 64 and any(res.carved[1:])
 
     @pytest.mark.parametrize("out", [(0, 3, 4, 255), (0,), tuple(range(256))])
-    def test_excluded_members_carve_nothing(self, out, monkeypatch, per_member):
+    def test_excluded_members_carve_nothing(self, out, monkeypatch, per_member, two_box):
         # members whose ledger truncates: the first member kept carves the
         # grid, and an excluded one inside a block removes no cell
         builtin, grid = two_box(0)
@@ -371,7 +354,7 @@ class TestCarveDifferential:
         assert (res.excluded_members, res.carved) == want[2:] and res.excluded_members == out
 
 
-def test_two_box_builds_no_member_and_evaluates_by_the_block(tmp_path, monkeypatch):
+def test_two_box_builds_no_member_and_evaluates_by_the_block(tmp_path, monkeypatch, two_box):
     # the 256-member reconstruct-twobox job through the CLI: the family is
     # one coefficient array from building to report, and the evaluator runs
     # once per iterates stack, then once per slice of the first member's

@@ -7,7 +7,8 @@ helper estimates every limit, by the stack, every library name the bench
 looks up exists, the ledgers and the carve never build a family's members,
 the ledger layer takes a family only, the carve is one block loop with
 one symbol call and no point cache, and the Parseval row is one moment sum
-of a real block, which a p = 2 pass forms without stepping the iterates."""
+of a real block, which a p = 2 pass forms without stepping the iterates,
+and the spatial step's pass choice has no knob."""
 
 import ast
 import importlib
@@ -276,3 +277,27 @@ def test_p2_pass_steps_no_iterates(monkeypatch):
     monkeypatch.setattr(growth, "SpatialStep", no_step)
     assert len(list(growth.growth_sequences(f, family, 2, 16))) == 12
     assert [inspect.getgeneratorstate(g) for g in steps] == [inspect.GEN_CREATED] * 3
+
+
+def test_step_passes_have_no_knob():
+    # SpatialStep chooses each axis's pass from the mask alone (K_a, M and
+    # n_points): its constructor takes only the spectrum, and the transform
+    # module reads no environment and no config
+    path = ROOT / "src" / "realpw" / "transform.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (init,) = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and cls.name == "SpatialStep" for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    args = init.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["self", "spec"]
+    assert (args.vararg, args.kwonlyargs, args.kwarg, args.defaults) == (None, [], None, [])
+    imports = {alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names} | {
+        (node.module or "").split(".")[0] for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)}
+    assert not imports & {"os", "sys", "cli", "config", "configparser", "json"}
+    reads = [f"transform.py:{node.lineno}" for node in ast.walk(tree)
+             if {getattr(node, "id", None), getattr(node, "attr", None)}
+             & {"environ", "getenv", "environb", "config", "cfg", "argv"}]
+    assert reads == []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     GridError, Spectrum, iterates, growth_sequence, estimate_limit,
                     family_explicit)
 from realpw.grid import lp_norm_values
-from realpw.transform import SpatialStep, inverse_values
+from realpw.transform import MATRIX_PASS_MAX_K, SpatialStep, inverse_values
 from realpw.verify import acceptance_corpus
 
 
@@ -312,8 +314,17 @@ class TestSpectrumRange:
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the pruned spatial step against numpy's ifftn
+# differential tests: the spatial step against numpy's ifftn and against a
+# long-double direct DFT
 # ---------------------------------------------------------------------------
+
+U = 2.0 ** -53                                  # a double's unit roundoff
+EPS_LD = float(np.finfo(np.longdouble).eps)
+
+
+def gamma(n, u=U):
+    return n * u / (1.0 - n * u)
+
 
 def spectrum_on_cells(grid, cells, seed=0):
     """A Spectrum whose mask is exactly the given FFT-order cells."""
@@ -330,15 +341,66 @@ def spectrum_on_cells(grid, cells, seed=0):
 
 def ifftn_reference(spec, G):
     """numpy's ifftn of G scattered into a zeroed FFT-order buffer, with its
-    axes reversed: the step's declared output order."""
+    axes reversed: the output order of a step with no matrix pass."""
     buf = np.zeros(spec.grid.shape, dtype=complex)
     buf.reshape(-1)[spec.fft_index] = G
     return np.ascontiguousarray(np.fft.ifftn(buf).T)
 
 
+def dft_reference(spec, step, G):
+    """(exact, bound), in the step's output order: the step's output with
+    its matrix passes done exactly, and the rounding bound it must meet.
+
+    The axes not in step.matrix_axes go through numpy's ifft, last axis
+    first, as the step runs them before any matrix pass, so the matrix
+    passes see the same values h.  Each matrix axis is then summed directly
+    in long double.  The bound: a matrix pass forms each output as a complex
+    inner product of K_a values a_k with block entries E_km, |E_km| = 1/M.
+    In real arithmetic, in any summation order, with or without fused
+    multiply-adds, that errs by at most sqrt(2) gamma_(2 K_a) sum |a_k| / M
+    (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.6), and the block's one rounding adds u sum |a_k| / M.  An exact
+    later pass takes an error e to at most sum |e| / M, as it takes |h| to B,
+    the sum of |h| over the matrix axes' frequencies over M each.  So
+    |step - exact| <= e (1 + e) B, e = sum over the matrix axes of
+    sqrt(2) gamma_(2 K_a) + u, where 1 + e covers the error a pass's inputs
+    carry from the passes before.  The reference's own long-double sums and
+    roots add sqrt(2) gamma_(2 M) + 32 eps_ld per axis (eps_ld long double's
+    epsilon).  With no matrix axis the bound is 0."""
+    grid = spec.grid
+    M, d = grid.M, grid.d
+    h = np.zeros(grid.shape, dtype=complex)
+    h.reshape(-1)[spec.fft_index] = G
+    for a in range(d - 1, -1, -1):
+        if a not in step.matrix_axes:
+            h = np.fft.ifft(h, axis=a)
+    exact, B = h.astype(np.clongdouble), np.abs(h).astype(np.longdouble)
+    m = np.arange(M)
+    kernel = np.exp(8j * np.arctan(np.longdouble(1)) * (np.outer(m, m) % M) / M) / M
+    e = 0.0
+    for a in step.matrix_axes:
+        K = np.unique(np.unravel_index(spec.fft_index, grid.shape)[a]).size
+        exact = np.moveaxis(np.tensordot(exact, kernel, axes=([a], [0])), -1, a)
+        B = B.sum(axis=a, keepdims=True) / M
+        e += np.sqrt(2.0) * (gamma(2 * K) + gamma(2 * M, EPS_LD)) + U + 32 * EPS_LD
+    return exact.transpose(step.axes), np.broadcast_to(e * (1 + e) * B, grid.shape).transpose(
+        step.axes)
+
+
 def assert_bitwise(a, b):
     assert a.shape == b.shape
     assert np.array_equal(np.ascontiguousarray(a).view(np.int64), b.view(np.int64))
+
+
+def assert_step_exact(spec, step, G):
+    """The step's output: bit-equal to ifftn where every axis takes the ifft
+    pass, otherwise within dft_reference's bound of the exact DFT."""
+    if not step.matrix_axes:
+        assert step.axes == tuple(range(spec.grid.d - 1, -1, -1))
+        assert_bitwise(step(G), ifftn_reference(spec, G))
+        return
+    exact, bound = dft_reference(spec, step, G)
+    assert np.all(np.abs(step(G) - exact) <= bound)
 
 
 def mask_cells(name, d, M):
@@ -359,6 +421,30 @@ MASKS = ["one cell", "full last-axis line", "full axis-0 line", "wrapping past 0
          "empty lines"]
 
 
+def chosen_passes(name):
+    """(grid, FFT-order cells, matrix axes, output axes) of the named mask
+    that sits on one side of a choice between the two passes."""
+    K = MATRIX_PASS_MAX_K
+    if name == "two bands":             # the two-box shape: 2 x 6 frequencies, and 3
+        band = [*range(10, 16), *range(64 - 15, 64 - 9)]
+        return make_grid(2, 64, 0.5), list(itertools.product(band, (63, 0, 1))), {0, 1}, (0, 1)
+    if name == "K at the crossover":
+        return make_grid(2, 128, 0.5), list(itertools.product((0, 5), range(K))), {0, 1}, (1, 0)
+    if name == "K past the crossover":
+        return make_grid(2, 128, 0.5), list(itertools.product((0, 5), range(K + 1))), {0}, (1, 0)
+    if name == "mixed d = 3":           # K_a = 36, 2 and 5
+        cells = list(itertools.product(range(36), (0, 39), range(5)))
+        return make_grid(3, 40, 0.5), cells, {1, 2}, (0, 2, 1)
+    if name == "memory bound":      # K_a = 16, but a block's 4 K_a M doubles = 2 n_points
+        return make_grid(2, 16, 0.5), [(k, k) for k in range(16)], set(), (1, 0)
+    # "dense": K_a = 40 on both axes
+    return make_grid(2, 64, 0.5), [(k, 3 * k % 64) for k in range(40)], set(), (1, 0)
+
+
+CHOICES = ["two bands", "K at the crossover", "K past the crossover", "mixed d = 3",
+           "memory bound", "dense"]
+
+
 @pytest.fixture(scope="module")
 def corpus_specs():
     return [(m, Spectrum.of(m.f)) for m in acceptance_corpus()]
@@ -368,27 +454,46 @@ class TestPrunedStep:
     @pytest.mark.parametrize("d,M", [(1, 16), (2, 16), (3, 8)])
     @pytest.mark.parametrize("name", MASKS)
     def test_equals_ifftn(self, d, M, name):
+        # a d = 1 grid takes the ifft pass, bit-equal to ifftn; every d > 1
+        # mask here has an axis of K_a <= MATRIX_PASS_MAX_K, within the bound
         spec = spectrum_on_cells(make_grid(d, M, 0.5), mask_cells(name, d, M))
         step = SpatialStep(spec)
+        assert bool(step.matrix_axes) == (d > 1)
         rng = np.random.default_rng(7)
         for _ in range(3):              # a call must not leave data for the next
             k = spec.fft_index.size
-            G = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            assert_bitwise(step(G), ifftn_reference(spec, G))
+            assert_step_exact(spec, step, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+
+    @pytest.mark.parametrize("name", CHOICES)
+    def test_pass_choice(self, name):
+        grid, cells, matrix, axes = chosen_passes(name)
+        spec = spectrum_on_cells(grid, cells)
+        step = SpatialStep(spec)
+        assert (step.matrix_axes, step.axes) == (frozenset(matrix), axes)
+        K = [np.unique(c).size for c in np.unravel_index(spec.fft_index, grid.shape)]
+        assert sum(4 * K[a] * grid.M for a in matrix) < 2 * grid.n_points   # doubles
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            k = spec.fft_index.size
+            assert_step_exact(spec, step, rng.standard_normal(k) + 1j * rng.standard_normal(k))
 
     def test_equals_ifftn_on_the_acceptance_corpus(self, corpus_specs):
         rng = np.random.default_rng(3)
         for _, spec in corpus_specs:
             step = SpatialStep(spec)
+            # the d = 2 inputs occupy 3-22 frequencies per axis, the d = 1 ones
+            # take the ifft pass
+            assert step.matrix_axes == frozenset(range(spec.grid.d) if spec.grid.d > 1 else ())
             for G in (spec.F[spec.mask.field],
                       spec.F[spec.mask.field] * np.exp(2j * np.pi * rng.uniform(
                           size=spec.fft_index.size))):
-                assert_bitwise(step(G), ifftn_reference(spec, G))
+                assert_step_exact(spec, step, G)
 
     def test_asymmetric_weight_through_fft_order(self, corpus_specs):
         specs = [spectrum_on_cells(make_grid(2, 16, 0.5), mask_cells("empty lines", 2, 16)),
                  spectrum_on_cells(make_grid(3, 8, 0.5), mask_cells("wrapping past 0", 3, 8)),
-                 corpus_specs[2][1]]                   # the d = 2 acceptance ball
+                 corpus_specs[4][1],        # the acceptance two-boxes: axes (0, 1)
+                 corpus_specs[0][1]]        # the d = 1 interval
         for spec in specs:
             grid = spec.grid
             x = grid.spatial_coords()
@@ -401,10 +506,17 @@ class TestPrunedStep:
             scale = (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
             ref = scale * lp_norm_values(
                 np.fft.ifftn(buf) * np.fft.ifftshift(w.reshape(grid.shape)), 1.0, np.inf)
-            assert step.norm(step(G) * step.fft_order(w), np.inf) == ref
-            # the weight's reordering matters: without the axis reversal it misses
-            unreversed = np.fft.ifftshift(w.reshape(grid.shape))
-            assert step.norm(step(G) * unreversed, np.inf) != ref
+            norm = step.norm(step(G) * step.fft_order(w), np.inf)
+            if step.matrix_axes:
+                assert norm == pytest.approx(ref, rel=1e-12)
+            else:
+                assert norm == ref
+            # the weight's order matters: in any other axis order it misses by
+            # far more than the rounding
+            centered = np.fft.ifftshift(w.reshape(grid.shape))
+            for axes in set(itertools.permutations(range(grid.d))) - {step.axes}:
+                assert step.norm(step(G) * centered.transpose(axes), np.inf) != pytest.approx(
+                    ref, rel=1e-9)
 
 
 def ifftn_ledger(spec, P, n_max):
@@ -433,17 +545,14 @@ class TestStepLedgersMatchIfftn:
                 seq_inf, seq_1 = (growth_sequence(spec, P, p, 64) for p in (np.inf, 1))
                 assert seq_inf.L.shape == seq_1.L.shape == ref[1].shape
                 assert seq_inf.truncated_at is seq_1.truncated_at is None
-                if pairs(spec, P):
-                    # g_(n-1) and g_n from one transform: the refactor bound
-                    for seq, p in ((seq_inf, np.inf), (seq_1, 1)):
-                        assert seq.L == pytest.approx(ref[p], rel=1e-12, abs=1e-12)
-                        est = estimate_limit(ref[p])
-                        assert seq.limit == pytest.approx(est.limit, rel=1e-12)
-                        assert seq.regime == est.regime
-                    paired += 2
-                else:
-                    assert np.array_equal(seq_inf.L, ref[np.inf])
-                    assert np.all(np.abs(seq_1.L - ref[1]) <= 1e-12 * np.abs(ref[1]))
+                # g_(n-1) and g_n from one transform, or the matrix passes of a
+                # d = 2 step: the refactor bound
+                for seq, p in ((seq_inf, np.inf), (seq_1, 1)):
+                    assert seq.L == pytest.approx(ref[p], rel=1e-12, abs=1e-12)
+                    est = estimate_limit(ref[p])
+                    assert seq.limit == pytest.approx(est.limit, rel=1e-12)
+                    assert seq.regime == est.regime
+                paired += 2 * pairs(spec, P)
                 checked += 2
         assert checked == 44          # the 22 p = 2 rows never run the step
         assert paired == 28           # the real P on the real inputs
