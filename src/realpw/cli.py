@@ -9,7 +9,9 @@ wall-clock timestamp lives in a separate "meta" field outside that contract.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
+import io
 import json
 import math
 import sys
@@ -276,7 +278,9 @@ def cmd_complex_growth(cfg):
             > OVERFLOW_GUARD):
         raise ConfigError("complex_growth.t_max", "t window exceeds the exp overflow guard")
     t = np.linspace(t_min, t_max, t_count)
-    rows, csv_lines = [], ["x0,y,t,log_abs"]
+    rows, table = [], io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")      # quotes a vector's commas
+    writer.writerow(["x0", "y", "t", "log_abs"])
     for y in ys:
         for x0 in x0s:
             rep = complex_growth_rate(f, x0, y, t)
@@ -284,11 +288,11 @@ def cmd_complex_growth(cfg):
             if noted_default:
                 row["note"] = "y defaulted to the all-ones direction"
             rows.append(row)
-            for ti, li in zip(rep.t, rep.log_abs):
-                csv_lines.append(f"{x0},{y},{float(ti)!r},{float(li)!r}")
+            writer.writerows([str(x0), str(y), repr(float(ti)), repr(float(li))]
+                             for ti, li in zip(rep.t, rep.log_abs))
     _finish_report({"config": cfg, "complex_growth": rows}, out)
     if csv_out:
-        atomic_write_text(csv_out, "\n".join(csv_lines) + "\n")
+        atomic_write_text(csv_out, table.getvalue())
     return EXIT_OK
 
 
@@ -320,11 +324,29 @@ def _read_config(args):
                 raise ConfigError("--config", f"not readable JSON: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("--config", f"expected a JSON object, got {cfg!r:.60}")
-    for name in ("poly", "p", "n_max", "eps_rel", "input", "out"):
-        value = getattr(args, name)
+    for name in OVERRIDES:
+        value = getattr(args, name, None)
         if value is not None:
             cfg[name] = {"path": value} if name == "input" else value
     return cfg
+
+
+# Command-line overrides: config field -> (option, type, help); --input sets input.path.
+OVERRIDES = {"poly": ("--poly", str, "polynomial text override"),
+             "p": ("--p", str, "norm exponent override (number or 'inf')"),
+             "n_max": ("--nmax", int, "n_max override"),
+             "eps_rel": ("--eps-rel", float, "mask threshold override"),
+             "input": ("--input", str, "input signal path override"),
+             "out": ("--out", str, "report output path override")}
+
+# Each subcommand's handler and the overrides it reads: an override the
+# handler would ignore is a usage error, not a field embedded in the report.
+COMMANDS = {
+    "estimate": (cmd_estimate, ("poly", "p", "n_max", "eps_rel", "input", "out")),
+    "reconstruct": (cmd_reconstruct, ("p", "n_max", "eps_rel", "input", "out")),
+    "complex-growth": (cmd_complex_growth, ("input", "out")),
+    "verify": (cmd_verify, ("n_max", "out")),
+}
 
 
 def main(argv=None) -> int:
@@ -332,22 +354,16 @@ def main(argv=None) -> int:
         prog="realpw",
         description="Spectral support from growth of iterated differential operators")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("estimate", "reconstruct", "complex-growth", "verify"):
+    for name, (_, overrides) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON configuration file")
-        sp.add_argument("--poly", help="polynomial text override")
-        sp.add_argument("--p", help="norm exponent override (number or 'inf')")
-        sp.add_argument("--nmax", dest="n_max", type=int, help="n_max override")
-        sp.add_argument("--eps-rel", dest="eps_rel", type=float,
-                        help="mask threshold override")
-        sp.add_argument("--input", help="input signal path override")
-        sp.add_argument("--out", help="report output path override")
+        for field_name in overrides:
+            option, kind, text = OVERRIDES[field_name]
+            sp.add_argument(option, dest=field_name, type=kind, help=text)
     args = parser.parse_args(argv)
 
-    handlers = {"estimate": cmd_estimate, "reconstruct": cmd_reconstruct,
-                "complex-growth": cmd_complex_growth, "verify": cmd_verify}
     try:
-        return handlers[args.command](_read_config(args))
+        return COMMANDS[args.command][0](_read_config(args))
     except (ConfigError, GridError, GrowthError, PolyError) as exc:
         print(f"realpw: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

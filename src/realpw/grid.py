@@ -9,7 +9,7 @@ centered index, axis x1 first.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPATIAL = "spatial"
 FREQUENCY = "frequency"
@@ -96,15 +96,12 @@ class SampledFunction:
     side: str
     values: np.ndarray
     label: str = ""
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=complex)
         if vals.shape != (self.grid.n_points,):
-            raise GridError(
-                f"values must be flat with length M^d = {self.grid.n_points}, "
-                f"got shape {vals.shape}"
-            )
+            raise GridError(f"values must be flat with length M^d = {self.grid.n_points}, "
+                            f"got shape {vals.shape}")
         if not np.all(np.isfinite(vals.view(float))):
             raise GridError("values must be finite (no NaN/Inf)")
         if self.side not in (SPATIAL, FREQUENCY):
@@ -112,14 +109,8 @@ class SampledFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values, label=None, meta=None) -> "SampledFunction":
-        return SampledFunction(
-            self.grid,
-            self.side,
-            values,
-            self.label if label is None else label,
-            self.meta if meta is None else meta,
-        )
+    def with_values(self, values, label=None) -> "SampledFunction":
+        return SampledFunction(self.grid, self.side, values, self.label if label is None else label)
 
 
 def make_grid(d: int, M: int, h: float) -> Grid:
@@ -183,31 +174,39 @@ def smooth_step(s) -> np.ndarray:
     out[s >= 1.0] = 1.0
     mid = (s > 0.0) & (s < 1.0)
     sm = s[mid]
-    g = np.exp(-1.0 / sm)
-    g1 = np.exp(-1.0 / (1.0 - sm))
+    with np.errstate(over="ignore"):        # -1/sm = -inf for a tiny sm: exp gives 0
+        g = np.exp(-1.0 / sm)
+        g1 = np.exp(-1.0 / (1.0 - sm))
     out[mid] = g / (g + g1)
     return out
+
+
+def _vector(value, d: int, name: str) -> np.ndarray:
+    v = np.asarray(value, float)
+    if v.shape != (d,):
+        raise GridError(f"{name} needs d = {d} entries, got {value!r:.60}")
+    return v
 
 
 def _support(support: dict, d: int):
     """(lo, hi, distance) of a support descriptor, parsed once: its
     axis-aligned bounding box and the signed distance INTO the set (positive
     inside) as a function of points of shape (..., d).  GridError if the set
-    has no interior or its shape is unknown."""
+    has no interior, its shape is unknown or a vector has other than d entries."""
     kind = support["shape"]
     if kind == "box":
-        lo, hi = np.asarray(support["lo"], float), np.asarray(support["hi"], float)
+        lo, hi = (_vector(support[k], d, f"box {k}") for k in ("lo", "hi"))
         if not np.all(lo < hi):
             raise GridError(f"box needs lo < hi on every axis, got lo {lo}, hi {hi}")
         return lo, hi, lambda x: np.min(np.minimum(x - lo, hi - x), axis=-1)
     if kind == "ball":
-        c = np.asarray(support.get("center", np.zeros(d)), float)
+        c = _vector(support.get("center", np.zeros(d)), d, "ball center")
         r = float(support["radius"])
         if not r > 0.0:
             raise GridError(f"ball radius must be positive, got {r!r}")
         return c - r, c + r, lambda x: r - np.linalg.norm(x - c, axis=-1)
     if kind == "annulus":
-        c = np.asarray(support.get("center", np.zeros(d)), float)
+        c = _vector(support.get("center", np.zeros(d)), d, "annulus center")
         r, r_in = float(support["r_out"]), float(support["r_in"])
         if not r > max(r_in, 0.0):
             raise GridError(f"annulus needs r_out > max(r_in, 0), got {r_in!r}, {r!r}")
@@ -230,6 +229,11 @@ def _edge_width(spec: dict, default: float) -> float:
     if not 0.0 < w < np.inf:
         raise GridError(f"edge_width must be positive and finite, got {w!r}")
     return w
+
+
+def _plateau(distance, points, w) -> np.ndarray:
+    with np.errstate(over="ignore"):        # a tiny w: distance / w = +-inf steps to 1 or 0
+        return smooth_step(distance(points) / w)
 
 
 def _check_margin(lo, hi, halfwidth, step, what):
@@ -257,21 +261,20 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
     * "spectral_bump": smooth plateau bump prescribed on the frequency side
       (spec["support"]: box / ball / annulus / union of those, coordinates in
       frequency units), returned as the spatial-side function obtained by the
-      inverse transform.  The exact frequency-side samples and the support
-      descriptor are kept in meta.  spec["edge_width"] defaults to 1.5
-      frequency cells.
+      inverse transform of its samples on the frequency lattice.
+      spec["edge_width"] defaults to 1.5 frequency cells.
     * "spatial_bump": the same plateau construction directly in x;
       spec["support"] in spatial units, edge width default 0.2 * the smallest
       half-extent.
     * "gaussian": exp(-|x-center|^2/(2 sigma^2)) * exp(i mu.x).
 
     Every support (for the gaussian: center +- 7.5 sigma, and |mu| on the
-    frequency side) must stay inside its box with a 10-cell margin.
+    frequency side) must stay inside its box with a 10-cell margin, and every
+    vector (box lo and hi, a center, mu) needs d entries.
     """
     kind = spec.get("kind")
     if kind == "spectral_bump":
-        support = spec["support"]
-        lo, hi, distance = _support(support, grid.d)
+        lo, hi, distance = _support(spec["support"], grid.d)
         _check_margin(lo, hi, grid.frequency_halfwidth, grid.dlam, "spectral support")
         w = _edge_width(spec, 1.5 * grid.dlam)
         # the bump is exactly 0 outside the support, so sample its bounding box only
@@ -279,37 +282,24 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         cells = [np.flatnonzero((axis >= l) & (axis <= u)) for l, u in zip(lo, hi)]
         box = np.stack(np.meshgrid(*(axis[c] for c in cells), indexing="ij"), axis=-1)
         F = np.zeros(grid.n_points)
-        F.reshape(grid.shape)[np.ix_(*cells)] = smooth_step(distance(box) / w)
-        from .transform import inverse_dft  # cycle-free: transform imports nothing here at runtime
+        F.reshape(grid.shape)[np.ix_(*cells)] = _plateau(distance, box, w)
+        from .transform import inverse_values  # cycle-free: transform imports nothing here at runtime
 
-        fun = SampledFunction(grid, FREQUENCY, F, label=spec.get("label", "spectral bump"))
-        out = inverse_dft(fun)
-        meta = {
-            "kind": kind,
-            "support": support,
-            "edge_width": w,
-            "freq_values": F,
-            "boundary_max": float(
-                np.abs(out.values[grid.boundary_frame(1)]).max()
-                / max(np.abs(out.values).max(), 1e-300)
-            ),
-        }
-        return out.with_values(out.values, label=fun.label, meta=meta)
+        return SampledFunction(grid, SPATIAL, inverse_values(F, grid),
+                               label=spec.get("label", "spectral bump"))
 
     if kind == "spatial_bump":
-        support = spec["support"]
-        lo, hi, distance = _support(support, grid.d)
+        lo, hi, distance = _support(spec["support"], grid.d)
         _check_margin(lo, hi, grid.spatial_halfwidth, grid.h, "spatial support")
-        half = np.min((np.asarray(hi) - np.asarray(lo)) / 2.0)
+        half = np.min(hi - lo) / 2.0
         w = _edge_width(spec, 0.2 * half)
-        f = smooth_step(distance(grid.spatial_coords()) / w)
-        meta = {"kind": kind, "support": support, "edge_width": w}
-        return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "spatial bump"), meta=meta)
+        f = _plateau(distance, grid.spatial_coords(), w)
+        return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "spatial bump"))
 
     if kind == "gaussian":
         sigma = float(spec.get("sigma", 1.0))
-        center = np.asarray(spec.get("center", np.zeros(grid.d)), dtype=float)
-        mu = np.asarray(spec.get("mu", np.zeros(grid.d)), dtype=float)
+        center, mu = (_vector(spec.get(k, np.zeros(grid.d)), grid.d, f"gaussian {k}")
+                      for k in ("center", "mu"))
         if sigma <= 0:
             raise GridError("gaussian sigma must be positive")
         reach = 7.5 * sigma  # tail below 1e-12 of the peak beyond this radius
@@ -319,7 +309,6 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         x = grid.spatial_coords()
         f = np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * sigma ** 2))
         f = f * np.exp(1j * x @ mu)
-        meta = {"kind": kind, "sigma": sigma, "center": center, "mu": mu}
-        return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "gaussian"), meta=meta)
+        return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "gaussian"))
 
     raise GridError(f"unknown builtin kind {spec.get('kind')!r}")

@@ -114,8 +114,6 @@ def estimate_limits(log_norms) -> list:
     rw, nw = np.diff(L[:, first - 2:], axis=1), np.arange(first, n_max + 1)
     k = rw.shape[1] // 3
     k -= k % 2                      # even windows: alternating terms cancel in medians
-    if k < 2:
-        k = max(rw.shape[1] // 3, 1)
     wins = [slice(-3 * k, -2 * k), slice(-2 * k, -k), slice(-k, None)]
     invn = [float(np.mean(1.0 / nw[w])) for w in wins]
     # Even-window medians of the log steps cancel period-2 parity oscillation
@@ -191,9 +189,7 @@ def apply_op_spectral(f, P: MultiPoly, n: int):
         np.multiply(row, ratio, out=row)
     G = np.zeros(spec.grid.n_points, dtype=complex)
     G[spec.mask.field] = row
-    return (SampledFunction(spec.grid, SPATIAL, inverse_values(G, spec.grid),
-                            label=spec.f.label,
-                            meta={"op": str(P), "n": n, "resolved": spec.mask.resolved}),
+    return (SampledFunction(spec.grid, SPATIAL, inverse_values(G, spec.grid), label=spec.f.label),
             float(n * np.log(R)) if R > 0.0 else 0.0)
 
 

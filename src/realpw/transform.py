@@ -48,16 +48,14 @@ def forward_dft(f: SampledFunction) -> SampledFunction:
     """Spatial -> frequency side."""
     if f.side != SPATIAL:
         raise GridError("forward_dft expects a spatial-side function")
-    return SampledFunction(f.grid, FREQUENCY, forward_values(f.values, f.grid),
-                           label=f.label, meta=f.meta)
+    return SampledFunction(f.grid, FREQUENCY, forward_values(f.values, f.grid), label=f.label)
 
 
 def inverse_dft(F: SampledFunction) -> SampledFunction:
     """Frequency -> spatial side."""
     if F.side != FREQUENCY:
         raise GridError("inverse_dft expects a frequency-side function")
-    return SampledFunction(F.grid, SPATIAL, inverse_values(F.values, F.grid),
-                           label=F.label, meta=F.meta)
+    return SampledFunction(F.grid, SPATIAL, inverse_values(F.values, F.grid), label=F.label)
 
 
 # ---------------------------------------------------------------------------

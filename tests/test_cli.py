@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import pathlib
@@ -147,6 +148,27 @@ class TestComplexGrowth:
         lines = (tmp_path / "plot.csv").read_text().splitlines()
         assert lines[0] == "x0,y,t,log_abs"
         assert len(lines) == 32
+        # at d = 1 a vector has no comma, so nothing is quoted
+        assert all(line.startswith("[0.0],[1.0],") and '"' not in line for line in lines[1:])
+
+    def test_d2_csv_rows_have_four_fields(self, tmp_path):
+        # a d = 2 vector's text holds a comma: unquoted it split each row into
+        # 6 fields under the 4-field header
+        x0s, ys = [[0, 0], [0.5, -0.25]], [[1, 0]]
+        cfg = write_config(tmp_path, "cfg.json", {
+            "grid": {"d": 2, "M": 64, "h": 0.1},
+            "input": {"builtin": {"kind": "spatial_bump",
+                                  "support": {"shape": "ball", "radius": 1.0}}},
+            "complex_growth": {"x0": x0s, "y": ys, "t_min": 1, "t_max": 5, "t_count": 5},
+            "out": str(tmp_path / "report.json"), "csv_out": str(tmp_path / "plot.csv")})
+        assert main(["complex-growth", "--config", cfg]) == EXIT_OK
+        with open(tmp_path / "plot.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["x0", "y", "t", "log_abs"] and len(rows) == 2 * 5
+        assert all(len(row) == 4 for row in rows)
+        assert [json.loads(row[0]) for row in rows] == [x0 for x0 in x0s for _ in range(5)]
+        assert all(json.loads(row[1]) == ys[0] for row in rows)
+        assert [float(row[2]) for row in rows[:5]] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_default_direction_noted(self, tmp_path):
         cfg = self.spatial_cfg(tmp_path,
@@ -198,6 +220,19 @@ class TestOverrides:
                      "--out", out]) == EXIT_OK
         report = json.loads((tmp_path / "o.json").read_text())
         assert report["config"]["poly"] == "x1^2"
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("verify", "--poly", "x1"), ("verify", "--p", "1"), ("verify", "--eps-rel", "0.1"),
+        ("verify", "--input", "f.json"), ("complex-growth", "--poly", "x1"),
+        ("complex-growth", "--p", "1"), ("complex-growth", "--nmax", "16"),
+        ("complex-growth", "--eps-rel", "0.1"), ("reconstruct", "--poly", "x1")])
+    def test_unread_override_is_a_usage_error(self, capsys, command, option, value):
+        # the handler would ignore the field, and the report would embed it
+        # as if it had been used
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, value])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 class TestMoreInputPaths:
@@ -466,6 +501,20 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert "'input.builtin'" in err
         assert f"no room inside its 10-cell margin (M = {M}; a builtin input needs M > 20)" in err
+
+    @pytest.mark.parametrize("builtin,named", [
+        ({"kind": "spectral_bump", "support": {"shape": "box", "lo": [-1, -1], "hi": [1, 1]}},
+         "box lo"),
+        ({"kind": "spatial_bump", "support": {"shape": "ball", "radius": 1, "center": [0, 0]}},
+         "ball center"),
+        ({"kind": "gaussian", "sigma": 0.7, "mu": [0, 0]}, "gaussian mu")])
+    def test_vector_of_other_than_d_entries_names_builtin(self, tmp_path, capsys,
+                                                           builtin, named):
+        cfg = with_field(small_cfg(), "input.builtin", builtin)
+        assert main(["estimate", "--config", write_config(tmp_path, "cfg.json", cfg)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'input.builtin'" in err and f"{named} needs d = 1 entries, got [" in err
 
     def test_defaults_are_not_written_back(self, tmp_path):
         c = small_cfg()

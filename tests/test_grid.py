@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,27 +190,31 @@ class TestSampleBuiltin:
             sample_builtin({"kind": "spatial_bump",
                             "support": {"shape": "box", "lo": [-3.0], "hi": [3.0]}}, g)
 
-    def test_spectral_bump_is_spatial_side_with_provenance(self):
+    def test_spectral_bump_is_spatial_side(self):
         g = make_grid(1, 1024, 0.05)
         f = sample_builtin({"kind": "spectral_bump",
                             "support": {"shape": "box", "lo": [-1], "hi": [1]}}, g)
         assert f.side == "spatial"
-        assert f.meta["kind"] == "spectral_bump"
-        assert f.meta["freq_values"].shape == (1024,)
+        assert [fld.name for fld in dataclasses.fields(f)] == ["grid", "side", "values", "label"]
 
     def test_spectral_bump_boundary_decay_is_limited(self):
         # A width-2 spectrum cannot decay to 1e-12 within |x| <= 25.6 (no
-        # band-limited function can); the provenance records the measured
-        # boundary level.  The default cell-scale edge trades spatial decay
-        # for fast growth-limit convergence; widening the edge buys decay.
+        # band-limited function can): the boundary level, max |f| on the
+        # outermost cells over max |f|, stays above it.  The default
+        # cell-scale edge trades spatial decay for fast growth-limit
+        # convergence; widening the edge buys decay.
+        def boundary_level(f):
+            mag = np.abs(f.values)
+            return mag[f.grid.boundary_frame(1)].max() / mag.max()
+
         g = make_grid(1, 1024, 0.05)
         sharp = sample_builtin({"kind": "spectral_bump",
                                 "support": {"shape": "box", "lo": [-1], "hi": [1]}}, g)
-        assert 1e-9 <= sharp.meta["boundary_max"] <= 0.2
+        assert 1e-9 <= boundary_level(sharp) <= 0.2
         wide = sample_builtin({"kind": "spectral_bump",
                                "support": {"shape": "box", "lo": [-1], "hi": [1]},
                                "edge_width": 8 * g.dlam}, g)
-        assert wide.meta["boundary_max"] < sharp.meta["boundary_max"] / 10
+        assert boundary_level(wide) < boundary_level(sharp) / 10
 
     def test_spectral_bump_margin_violation_reports(self):
         g = make_grid(1, 64, 1.0)   # frequency box [-pi, pi), dlam ~ 0.098
@@ -239,3 +245,41 @@ class TestSampleBuiltin:
         with pytest.raises(GridError, match="^a union needs at least one part$"):
             sample_builtin({"kind": kind, "support": {"shape": "union", "parts": []}},
                            make_grid(1, 64, 1.0))
+
+    @pytest.mark.parametrize("builtin, name", [
+        ({"kind": "spatial_bump", "support": {"shape": "box", "lo": [-1, -1], "hi": [1, 1]}},
+         "box lo"),
+        ({"kind": "spatial_bump", "support": {"shape": "box", "lo": [-1], "hi": [1, 1]}},
+         "box hi"),
+        ({"kind": "spatial_bump", "support": {"shape": "ball", "radius": 1, "center": [0, 0]}},
+         "ball center"),
+        ({"kind": "spatial_bump", "support": {"shape": "annulus", "r_in": 0.5, "r_out": 1,
+                                              "center": [0, 0]}}, "annulus center"),
+        ({"kind": "spatial_bump", "support": {"shape": "union", "parts": [
+            {"shape": "ball", "radius": 1, "center": [0, 0]}]}}, "ball center"),
+        ({"kind": "spectral_bump", "support": {"shape": "box", "lo": [-1, -1], "hi": [1, 1]}},
+         "box lo"),
+        ({"kind": "spectral_bump", "support": {"shape": "ball", "radius": 1,
+                                               "center": [0, 0]}}, "ball center"),
+        ({"kind": "gaussian", "center": [0, 0]}, "gaussian center"),
+        ({"kind": "gaussian", "mu": [0, 0]}, "gaussian mu"),
+        ({"kind": "gaussian", "mu": 0.5}, "gaussian mu"),
+    ])
+    def test_vector_of_other_than_d_entries_is_named(self, builtin, name):
+        # on d = 1 a 2-vector once sampled another function (a spatial box
+        # took its first lo, a ball its distance from a 2-point center) or
+        # failed with numpy's indexing or broadcast text
+        with pytest.raises(GridError, match=rf"^{name} needs d = 1 entries, got "):
+            sample_builtin(builtin, make_grid(1, 256, 0.05))
+
+    @pytest.mark.parametrize("w", [1e308, 1e-308, 5e-324])
+    @pytest.mark.parametrize("kind", ["spatial_bump", "spectral_bump"])
+    def test_extreme_edge_width_warns_nothing(self, kind, w):
+        # 1e308: s = distance / w is so small that -1/s overflows to -inf, and
+        # exp(-inf) = 0 is the right value, so the bump is 0.  A tiny w
+        # overflows s itself to +-inf, which steps to 1 or 0.  Neither raises
+        # a RuntimeWarning
+        support = {"shape": "box", "lo": [-1.0], "hi": [1.0]}
+        f = sample_builtin({"kind": kind, "support": support, "edge_width": w},
+                           make_grid(1, 256, 0.05))
+        assert np.all(f.values == 0) == (w == 1e308)

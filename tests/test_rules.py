@@ -8,7 +8,9 @@ looks up exists, the ledgers and the carve never build a family's members,
 the ledger layer takes a family only, the carve is one block loop with
 one symbol call and no point cache, the Parseval row is one moment sum
 of a real block in a loop that makes no spatial step, a p = 2 pass builds
-no step, and the spatial step's pass choice has no knob."""
+no step, the spatial step's pass choice has no knob, a subcommand
+registers only the overrides its handler reads, and a builtin input is
+one SampledFunction."""
 
 import ast
 import importlib
@@ -322,3 +324,65 @@ def test_step_passes_have_no_knob():
              if {getattr(node, "id", None), getattr(node, "attr", None)}
              & {"environ", "getenv", "environb", "config", "cfg", "argv"}]
     assert reads == []
+
+
+def test_every_override_is_read():
+    # a subcommand registers exactly the overrides its COMMANDS entry lists,
+    # and its handler reads each: an override set on the command line and
+    # then ignored would be embedded in the report as if it had been used.
+    # A handler reads a field when the field's text is a constant in it or
+    # in a cli function it calls, transitively; --input sets input.path
+    import contextlib
+    import io
+    import re
+    from realpw import cli
+    path = ROOT / "src" / "realpw" / "cli.py"
+    functions = {node.name: node for node in ast.parse(path.read_text(), filename=str(path)).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def texts(name):
+        out, todo, seen = set(), [name], {name}
+        while todo:
+            for node in ast.walk(functions[todo.pop()]):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    out.add(node.value)
+                if isinstance(node, ast.Call) and called(node) in set(functions) - seen:
+                    seen.add(called(node))
+                    todo.append(called(node))
+        return out
+
+    unread, registered, listed = [], {}, {}
+    for command, (handler, overrides) in cli.COMMANDS.items():
+        read = texts(handler.__name__)
+        unread += [f"{command} {name}" for name in overrides
+                   if ("input.path" if name == "input" else name) not in read]
+        usage = io.StringIO()
+        with contextlib.redirect_stdout(usage), contextlib.suppress(SystemExit):
+            cli.main([command, "--help"])
+        registered[command] = set(re.findall(r"--[a-z-]+", usage.getvalue())) - {
+            "--help", "--config"}
+        listed[command] = {cli.OVERRIDES[name][0] for name in overrides}
+    assert unread == []
+    assert registered == listed
+
+
+def test_builtin_is_one_sampled_function(monkeypatch):
+    # each kind of builtin input is constructed once, on the spatial side: a
+    # spectral bump built on the frequency side, transformed and then copied
+    # was three SampledFunctions, each a finiteness scan of the whole grid
+    from realpw import grid, make_grid, sample_builtin
+    built, post_init = [], grid.SampledFunction.__post_init__
+
+    def counting(self):
+        built.append(self.side)
+        post_init(self)
+
+    monkeypatch.setattr(grid.SampledFunction, "__post_init__", counting)
+    counts = {}
+    for builtin in ({"kind": "spectral_bump", "support": {"shape": "ball", "radius": 1.0}},
+                    {"kind": "spatial_bump", "support": {"shape": "ball", "radius": 1.0}},
+                    {"kind": "gaussian", "sigma": 0.25}):
+        built.clear()
+        assert sample_builtin(builtin, make_grid(2, 64, 0.1)).side == "spatial"
+        counts[builtin["kind"]] = list(built)
+    assert counts == dict.fromkeys(("spectral_bump", "spatial_bump", "gaussian"), ["spatial"])
