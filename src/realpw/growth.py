@@ -21,8 +21,13 @@ axis of the d = 2 acceptance inputs).  Real iterates need that the mask is
 resolved and closed under lam -> -lam, F is Hermitian on it to
 HERMITIAN_TOL of max |F|, and P has real coefficients.  Then one transform of
 G_n + i G_(n+1) gives g_n as its real part and g_(n+1) as its imaginary part.
-A spatial input is masked at DEFAULT_EPS_REL; a Spectrum carries its own
-threshold, so another one is chosen with Spectrum.of(f, eps_rel).
+On a grid of SPLIT_MIN_POINTS or more, in a process that may run on two or
+more CPUs, the spatial loop splits each member's n-range in two: the caller
+steps n = 1..h, h = n_max // 2 rounded down to even, and one helper thread,
+with its own step, steps n = h + 1..n_max from G_h.  Its rows are bit-equal
+to the serial loop's.  A spatial input is masked at DEFAULT_EPS_REL; a
+Spectrum carries its own threshold, so another one is chosen with
+Spectrum.of(f, eps_rel).
 
 Every ledger kind, the p-norm and Parseval rows of a GrowthSequence and the
 weighted sup rows of a PointwiseGrowthReport, becomes a limit through one
@@ -47,8 +52,12 @@ locates the spectral support in the ball of radius sqrt(R) around the origin.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from dataclasses import dataclass
@@ -64,6 +73,14 @@ class GrowthError(ValueError):
 
 # spatial_norms pairs real iterates only on spectra Hermitian to this share of max |F|
 HERMITIAN_TOL = 1e-12
+
+# spatial_norms splits a member's n-range across a helper thread on grids of at
+# least this many points.  Split over serial time per member (x1, p = 1,
+# n_max = 64, one BLAS thread, 2-vCPU VM, medians of 25 alternating runs, two
+# rounds): 1.18 and 1.18 on the 128^2 ball (3.7-4.0 ms serial), 1.12 and 0.95
+# on the 256^2 ball (11.5-12.7 ms), 0.85 and 0.57 on a 2^16-point interval
+# (60 ms); a thread's start and its handoffs of the GIL outweigh a small step
+SPLIT_MIN_POINTS = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +223,16 @@ _FD_WEIGHTS = {
 
 
 def _fd_axis_derivative(u: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    w = _FD_WEIGHTS[order]
+    # accumulated in place: the float operations of out += wk * (roll(-k) -
+    # roll(k)), with two grid-sized temporaries per term where that made four
     out = np.zeros_like(u)
-    for k, wk in enumerate(w, start=1):
-        out += wk * (np.roll(u, -k, axis=axis) - np.roll(u, k, axis=axis))
-    return out / h
+    for k, wk in enumerate(_FD_WEIGHTS[order], start=1):
+        step = np.roll(u, -k, axis=axis)
+        step -= np.roll(u, k, axis=axis)
+        step *= wk
+        out += step
+    out /= h
+    return out
 
 
 def apply_op_fd(f: SampledFunction, P: MultiPoly,
@@ -235,7 +257,7 @@ def apply_op_fd(f: SampledFunction, P: MultiPoly,
         for axis, power in enumerate(alpha):
             for _ in range(power):
                 term = _fd_axis_derivative(term, axis, f.grid.h, stencil_order)
-        out = out + c * term
+        out += c * term
     return f.with_values(out.ravel(), label=f"{P} (fd{stencil_order}) {f.label}")
 
 
@@ -281,16 +303,32 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     real part), then of n + 1 (its imaginary part), each with its own cut
     and overflow check; with one n left it steps alone.  Paired rows match
     the unpaired ones to rounding.
+
+    On a grid of at least SPLIT_MIN_POINTS points, when the process may run
+    on two or more CPUs (its affinity, or os.cpu_count()), each member with
+    R > 0 is split in two.  The caller steps n = 1..h, h = n_max // 2
+    rounded down to even, while one helper thread steps n = h + 1..n_max on
+    its own SpatialStep and buffers, from G_h built by h in-place multiplies
+    of F: the float operations of the serial loop, and, h being even, its
+    pairs (n, n + 1).  The helper reads every norm; its values are appended after
+    the caller's in n order, through the same cut and overflow check, so the
+    rows, their ends and a GrowthError are those of the serial loop.  The
+    helper stops at its next step once the caller's rows are all cut or
+    raise, and it is joined within its stack, before the stack is yielded.
     """
     spec = Spectrum.of(f)
     F = spec.F[spec.mask.field]
-    real = False
+    real, split = False, 0
     if norms:
         step = SpatialStep(spec)
         if any(e for _, e in norms):
             absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
         weights = [step.fft_order((1.0 + absx) ** e) if e else None for _, e in norms]
-        real, (G, B, pair) = _real_iterates(spec), np.empty((3, F.size), dtype=complex)
+        real, bufs = _real_iterates(spec), np.empty((3, F.size), dtype=complex)
+        if spec.grid.n_points >= SPLIT_MIN_POINTS and _cpus() >= 2:
+            split = n_max // 2 - n_max // 2 % 2     # h: the caller steps n = 1..h
+        if split:
+            helper = SpatialStep(spec), np.empty((3, F.size), dtype=complex)
     size = max(1, spec.grid.n_points // max(1, F.size))
     for start in range(0, len(family), size):
         stack = family[start:start + size]
@@ -301,7 +339,9 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
         sums = np.empty((len(stack), n_max))
         R, ratio = symbol_ratios(spec, stack)
         rows = [[[] for _ in norms] for _ in range(len(stack))]
-        with np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
+        # the helper thread lives within the stack: the pool's exit joins it
+        with (ThreadPoolExecutor(1) if split else contextlib.nullcontext()) as pool, \
+                np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
             t = ratio.real ** 2 + ratio.imag ** 2           # t_j = |P(i lam_j)/R|^2
             W = np.square(np.abs(ratio) * np.abs(F))       # w_j t_j
             for n in range(1, n_max + 1):
@@ -309,33 +349,83 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
                     W *= t
                 np.sum(W, axis=1, out=sums[:, n - 1])   # the moment sum_j w_j t_j^n
             for m in np.flatnonzero(R > 0.0).tolist() if norms else ():
-                r, ks, n, out = ratio[m], range(len(norms)), 0, rows[m]
+                r, ks, out = ratio[m], range(len(norms)), rows[m]
                 paired = real and not stack.coeffs[m].imag.any()
-                G[:] = F
-                while ks and n < n_max:
-                    np.multiply(G, r, out=G)            # G_(n+1)
-                    if paired and n + 1 < n_max:        # g_(n+1) + i g_(n+2), one transform
-                        np.multiply(G, r, out=B)
-                        np.multiply(B, 1j, out=pair)
-                        pair += G
-                        g = step(pair)
-                        gs, G, B = (g.real, g.imag), B, G
-                    else:
-                        g = step(G)
-                        gs = (g.real if paired else g,)
-                    for g in gs:                        # g_(n+1), then g_(n+2)
-                        n += 1
+                unread = threading.Event()
+                tail = pool.submit(_tail, *helper, F, r, split, n_max, paired, norms, weights,
+                                   unread) if split else None
+                try:
+                    for n, g in _iterates(step, bufs, F, r, 0, split or n_max, paired):
                         for k in ks:
                             w = weights[k]
                             out[k].append(step.norm(g if w is None else g * w, norms[k][0]))
                         ks = [k for k in ks if _goes_on(stack, m, norms[k], n, out[k][-1])]
                         if not ks:
+                            unread.set()
                             break
+                    # read even when unread is set, so that an error in the helper raises
+                    for n, values in enumerate(tail.result() if tail else (), split + 1):
+                        for k in ks:
+                            out[k].append(values[k])
+                        ks = [k for k in ks if _goes_on(stack, m, norms[k], n, out[k][-1])]
+                        if not ks:
+                            break
+                except BaseException:               # a GrowthError: the rest goes unread
+                    unread.set()
+                    raise
         ratio = W = t = None
         sums *= spec.grid.dlam ** spec.grid.d
         np.sqrt(sums, out=sums)
         yield [(float(R[m]), sums[m], [np.array(r, dtype=float) for r in rows[m]])
                for m in range(len(stack))]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity, or os.cpu_count() where
+    the platform has no sched_getaffinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _iterates(step, bufs, F, r, n, end, paired):
+    """(k, g_k), k = n + 1..end in order, of the member with ratio row r:
+    G_n = F r^n comes from n in-place multiplies of F, the float operations
+    of stepping there from G_0.  Each step output gives g_k, or, when the
+    member pairs and two or more k are left, its real part gives g_k and its
+    imaginary part g_(k+1).  bufs is three mask-cell rows, overwritten."""
+    G, B, pair = bufs
+    G[:] = F
+    for _ in range(n):
+        np.multiply(G, r, out=G)
+    while n < end:
+        np.multiply(G, r, out=G)                # G_(n+1)
+        if paired and n + 1 < end:              # g_(n+1) + i g_(n+2), one transform
+            np.multiply(G, r, out=B)
+            np.multiply(B, 1j, out=pair)
+            pair += G
+            g = step(pair)
+            gs, G, B = (g.real, g.imag), B, G
+        else:
+            g = step(G)
+            gs = (g.real if paired else g,)
+        for g in gs:                            # g_(n+1), then g_(n+2)
+            n += 1
+            yield n, g
+
+
+def _tail(step, bufs, F, r, h, n_max, paired, norms, weights, unread) -> list:
+    """The helper's half of a split member: the value of every norm of g_n, n
+    = h + 1..n_max, a list per n in order, on its own step and bufs, until
+    the event unread is set."""
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):      # errstate is per thread
+        for _, g in _iterates(step, bufs, F, r, h, n_max, paired):
+            if unread.is_set():
+                break
+            values.append([step.norm(g if w is None else g * w, p)
+                           for (p, _), w in zip(norms, weights)])
+    return values
 
 
 def _real_iterates(spec: Spectrum) -> bool:

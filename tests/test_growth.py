@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -161,6 +162,38 @@ class TestApplyOpFd:
         grid, f = interval_bump
         with pytest.raises(GrowthError):
             apply_op_fd(f, parse_poly("x1", 1), 3)
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_in_place_stencil_matches_parent(self, order):
+        # each verify input, complex as sampled and its real part
+        cases = 0
+        for member in verify_corpus():
+            for f in (member.f, member.f.with_values(member.f.values.real)):
+                for P in member.polys:
+                    new = apply_op_fd(f, P, order).values
+                    assert new.tobytes() == parent_apply_op_fd(f, P, order).tobytes()
+                    cases += 1
+        assert cases == 2 * (3 + 3 + 2)
+
+
+def parent_apply_op_fd(f, P, order):
+    """apply_op_fd's values before its stencil accumulated in place: four
+    grid-sized temporaries per stencil term and a new sum per term of P."""
+    def derivative(u, axis):
+        out = np.zeros_like(u)
+        for k, wk in enumerate(growth._FD_WEIGHTS[order], start=1):
+            out += wk * (np.roll(u, -k, axis=axis) - np.roll(u, k, axis=axis))
+        return out / f.grid.h
+
+    base = f.values.reshape(f.grid.shape)
+    out = np.zeros(f.grid.shape, dtype=complex)
+    for alpha, c in P.coeffs.items():
+        term = base
+        for axis, power in enumerate(alpha):
+            for _ in range(power):
+                term = derivative(term, axis)
+        out = out + c * term
+    return out.ravel()
 
 
 class TestGrowthSequence:
@@ -1331,26 +1364,43 @@ def parent_spatial_norms(spec, family, n_max, norms):
 DIFF_NORMS = [(1, 0), (3.5, 0), (np.inf, 0), (np.inf, RTILDE_N), (np.inf, -RTILDE_N)]
 
 
-class TestTwoLoopPassMatchesParentLoop:
-    def cases(self, interval_bump):
-        """(spectrum, family, norms): both corpora with every norm kind; the
-        interval scaled to 1e-159, where the 2-norm rows are cut at n = 7
-        (x1, the first of a pair), n = 4 (x1^2, the second of a pair) and
-        n = 5 (0.5+2*i*x1, unpaired), and a zero member has R = 0; an empty
-        mask."""
-        for member in verify_corpus() + acceptance_corpus():
-            yield member.spec, member.polys, DIFF_NORMS
-        _, f = interval_bump
-        tiny = Spectrum.of(f.with_values(f.values * 1e-159))
-        texts = ("x1", "0", "x1^2", "0.5+2*i*x1")
-        yield tiny, family_explicit([parse_poly(t, 1) for t in texts]), [(2, 0), (1, 0)]
-        empty = Spectrum.of(SampledFunction(make_grid(1, 64, 0.5), "spatial", np.zeros(64)))
-        yield empty, family_explicit([parse_poly("x1", 1)]), DIFF_NORMS
+def two_loop_cases(interval_bump):
+    """(spectrum, family, norms): both corpora with every norm kind; the
+    interval scaled to 1e-159, where the 2-norm rows are cut at n = 7 (x1,
+    the first of a pair), n = 4 (x1^2, the second of a pair) and n = 5
+    (0.5+2*i*x1, unpaired), and a zero member has R = 0; an empty mask."""
+    for member in verify_corpus() + acceptance_corpus():
+        yield member.spec, member.polys, DIFF_NORMS
+    _, f = interval_bump
+    tiny = Spectrum.of(f.with_values(f.values * 1e-159))
+    texts = ("x1", "0", "x1^2", "0.5+2*i*x1")
+    yield tiny, family_explicit([parse_poly(t, 1) for t in texts]), [(2, 0), (1, 0)]
+    empty = Spectrum.of(SampledFunction(make_grid(1, 64, 0.5), "spatial", np.zeros(64)))
+    yield empty, family_explicit([parse_poly("x1", 1)]), DIFF_NORMS
 
+
+def overflow_case(interval_bump):
+    """(spec, family, norms) where (1+|x|)^8 max |g_n| of x1^3 sets a new high
+    at n = 16 and x1 + 2 starts above it: scaled so that the double range
+    ends just below x1^3's high, x1 + 2 overflows at n = 1 and x1^3 at
+    n = 16."""
+    _, f = interval_bump
+    family = family_explicit([parse_poly(t, 1) for t in ("x1^3", "x1 + 2")])
+    norms = [(np.inf, 8)]
+    ((_, _, (v0,)), (_, _, (v1,))), = spatial_norms(Spectrum.of(f), family, 16, norms)
+    cut = np.sqrt(v0[-1] * v0[:-1].max())
+    assert v0[-1] > 1.01 * v0[:-1].max() and v1[0] > 1.5 * cut
+    return Spectrum.of(f.with_values(f.values * (np.finfo(float).max / cut))), family, norms
+
+
+OVERFLOW = r"^{} at p = inf: \|\|\(1\+\|x\|\)\^8 P\(d\)\^{} f\|\| exceeds the double range"
+
+
+class TestTwoLoopPassMatchesParentLoop:
     @pytest.mark.parametrize("n_max", [15, 16, 64])
     def test_rows_are_bit_equal(self, n_max, interval_bump, pairs):
         seen = {"paired": 0, "unpaired": 0, "cut": 0, "R = 0": 0}
-        for spec, family, norms in self.cases(interval_bump):
+        for spec, family, norms in two_loop_cases(interval_bump):
             new = [row for stack in spatial_norms(spec, family, n_max, norms) for row in stack]
             ref = [row for stack in parent_spatial_norms(spec, family, n_max, norms)
                    for row in stack]
@@ -1368,23 +1418,140 @@ class TestTwoLoopPassMatchesParentLoop:
         assert seen == {"paired": 4 + 14 + 2, "unpaired": 4 + 8 + 1, "cut": 3, "R = 0": 2}
 
     def test_overflow_names_the_first_member_in_family_order(self, interval_bump):
-        # (1+|x|)^8 max |g_n| of x1^3 sets a new high at n = 16, and x1 + 2
-        # starts above it: scaled so that the double range ends just below
-        # x1^3's high, x1 + 2 overflows at n = 1 and x1^3 at n = 16.  The
-        # pass runs member by member, so the error names x1^3, the first
+        # the pass runs member by member, so the error names x1^3, the first
         # member in family order, not the member that overflows first in n
-        _, f = interval_bump
-        family = family_explicit([parse_poly(t, 1) for t in ("x1^3", "x1 + 2")])
-        norms = [(np.inf, 8)]
-        ((_, _, (v0,)), (_, _, (v1,))), = spatial_norms(Spectrum.of(f), family, 16, norms)
-        cut = np.sqrt(v0[-1] * v0[:-1].max())
-        assert v0[-1] > 1.01 * v0[:-1].max() and v1[0] > 1.5 * cut
-        spec = Spectrum.of(f.with_values(f.values * (np.finfo(float).max / cut)))
-        message = r"^{} at p = inf: \|\|\(1\+\|x\|\)\^8 P\(d\)\^{} f\|\| exceeds the double range"
-        with pytest.raises(GrowthError, match=message.format(r"1\.0\*x1\^3", 16)):
+        spec, family, norms = overflow_case(interval_bump)
+        with pytest.raises(GrowthError, match=OVERFLOW.format(r"1\.0\*x1\^3", 16)):
             list(spatial_norms(spec, family, 16, norms))
-        with pytest.raises(GrowthError, match=message.format(r"2\.0 \+ 1\.0\*x1", 1)):
+        with pytest.raises(GrowthError, match=OVERFLOW.format(r"2\.0 \+ 1\.0\*x1", 1)):
             list(spatial_norms(spec, family[1:], 16, norms))
+
+
+@pytest.fixture
+def helper_halves(monkeypatch):
+    """spatial_norms on a host of two CPUs, whatever this one has: each
+    entry of the returned list is the thread that ran one helper half."""
+    monkeypatch.setattr(growth.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    halves, tail = [], growth._tail
+
+    def counting(*args):
+        halves.append(threading.get_ident())
+        return tail(*args)
+
+    monkeypatch.setattr(growth, "_tail", counting)
+    return halves
+
+
+class TestSplitMatchesParentLoop:
+    """spatial_norms with each member's n-range split across a helper thread,
+    against the serial parent loop: bit-equal rows, the same cuts and the
+    same overflow error."""
+
+    @pytest.mark.parametrize("n_max", [8, 15, 64])
+    def test_rows_are_bit_equal(self, n_max, interval_bump, pairs, helper_halves,
+                                monkeypatch):
+        # every grid splits, the d = 2 acceptance inputs as they do at the
+        # module's threshold; the tiny interval's rows are cut at n = 7, 4
+        # and 5, after h = 4 (n_max 8) and h = 6 (n_max 15) for some
+        monkeypatch.setattr(growth, "SPLIT_MIN_POINTS", 1)
+        h = n_max // 2 - n_max // 2 % 2     # the caller steps n = 1..h
+        seen = {"paired": 0, "unpaired": 0, "cut by h": 0, "cut after h": 0, "R = 0": 0}
+        for spec, family, norms in two_loop_cases(interval_bump):
+            new = [row for stack in spatial_norms(spec, family, n_max, norms) for row in stack]
+            ref = [row for stack in parent_spatial_norms(spec, family, n_max, norms)
+                   for row in stack]
+            for P, (R, two, rows), (R_ref, two_ref, rows_ref) in zip(family, new, ref,
+                                                                    strict=True):
+                assert R.hex() == R_ref.hex() and two.tobytes() == two_ref.tobytes()
+                assert [r.tobytes() for r in rows] == [r.tobytes() for r in rows_ref]
+                if R == 0.0:
+                    seen["R = 0"] += 1
+                    continue
+                seen["paired" if pairs(spec, P) else "unpaired"] += 1
+                for r in rows:
+                    if r.size < n_max:
+                        seen["cut by h" if r.size <= h else "cut after h"] += 1
+        cut_at = (7, 4, 5)
+        assert seen == {"paired": 4 + 14 + 2, "unpaired": 4 + 8 + 1, "R = 0": 2,
+                        "cut by h": sum(n <= h for n in cut_at),
+                        "cut after h": sum(n > h for n in cut_at)}
+        assert len(helper_halves) == seen["paired"] + seen["unpaired"]
+        assert threading.get_ident() not in helper_halves
+
+    def test_overflow_in_the_helpers_half(self, interval_bump, helper_halves, monkeypatch):
+        # h = 8 at n_max = 16: x1^3 overflows at n = 16, in the helper's
+        # half, and x1 + 2 at n = 1, in the caller's, both as the step's
+        # scale multiplies a finite value.  The (2, 2) row of x1 + 2 sets a
+        # new high at n = 16; scaled so that its sum of squares passes the
+        # double range there, the overflow is np.sum's, in the helper, which
+        # warns (an error in this suite) unless the helper silences it.  The
+        # reference is the serial pass, which names the first member in
+        # family order (the parent loop names the first to overflow in n)
+        spec, family, norms = overflow_case(interval_bump)
+        _, f = interval_bump
+        ((_, _, (v,)),), = spatial_norms(Spectrum.of(f), family[1:], 16, [(2, 2)])
+        assert v[-1] > 1.01 * v[:-1].max()
+        top = (SpatialStep(Spectrum.of(f)).norm(np.ones(1), np.inf)
+               * np.sqrt(f.grid.h * np.finfo(float).max))   # the largest summable 2-norm
+        summed = Spectrum.of(f.with_values(f.values * (top / np.sqrt(v[-1] * v[:-1].max()))))
+        monkeypatch.setattr(growth, "SPLIT_MIN_POINTS", 1)
+        threads = threading.active_count()
+        for spec, family, norms, n in [(spec, family, norms, 16), (spec, family[1:], norms, 1),
+                                       (summed, family[1:], [(2, 2)], 16)]:
+            with monkeypatch.context() as serial, pytest.raises(GrowthError) as ref:
+                serial.setattr(growth.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+                list(spatial_norms(spec, family, 16, norms))
+            with pytest.raises(GrowthError) as new:
+                list(spatial_norms(spec, family, 16, norms))
+            assert str(new.value) == str(ref.value) and f"P(d)^{n} f" in str(new.value)
+            assert threading.active_count() == threads
+        assert len(helper_halves) == 3
+
+    def test_no_thread_outlives_a_stack(self, helper_halves, monkeypatch):
+        # the pool is joined before each yield: after each stack, after the
+        # pass is closed early and after a GrowthError, the thread count is
+        # back where it started
+        monkeypatch.setattr(growth, "SPLIT_MIN_POINTS", 1)
+        grid = make_grid(1, 64, 0.5)
+        f = sample_builtin({"kind": "spectral_bump",
+                            "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
+        family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], grid)
+        threads = threading.active_count()
+        sizes = []
+        for stack in spatial_norms(f, family, 16, [(1, 0)]):
+            assert threading.active_count() == threads
+            sizes.append(len(stack))
+        assert sizes == [5, 5, 2] and len(helper_halves) == 12
+        rows = spatial_norms(f, family, 16, [(1, 0)])
+        next(rows)
+        rows.close()
+        assert threading.active_count() == threads and len(helper_halves) == 17
+        with pytest.raises(GrowthError):
+            list(spatial_norms(f.with_values(f.values * 1e307), family, 16, [(np.inf, 8)]))
+        assert threading.active_count() == threads and len(helper_halves) == 18
+
+    @pytest.mark.parametrize("cpus, split", [({0}, False), ({0, 1}, True), (None, False),
+                                             (1, False), (2, True)])
+    def test_cpu_affinity_decides(self, cpus, split, monkeypatch):
+        # the affinity, or os.cpu_count() (None when unknown) where there is
+        # no sched_getaffinity; one CPU starts no thread
+        if isinstance(cpus, set):
+            monkeypatch.setattr(growth.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        else:
+            monkeypatch.delattr(growth.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(growth.os, "cpu_count", lambda: cpus)
+        pools, pool = [], growth.ThreadPoolExecutor
+
+        def counting(*args):
+            pools.append(args)
+            return pool(*args)
+
+        monkeypatch.setattr(growth, "ThreadPoolExecutor", counting)
+        member = acceptance_corpus()[4]        # two boxes: 256^2 points, at the module's threshold
+        threads = threading.active_count()
+        for _ in spatial_norms(member.spec, member.polys[:1], 8, [(1, 0)]):
+            assert threading.active_count() == threads
+        assert pools == ([(1,)] if split else [])
 
 
 def hermitian_input(d, M, cells, rng):

@@ -1,19 +1,20 @@
 """Code rules checked on the syntax tree: no module imports another module's
 leading-underscore name, no library module but the CLI prints, only the
 transform and growth modules name SpatialStep, one ledger pass evaluates
-the symbols, the library starts no threads, every verify row reads its
-member's one Ledgers build, every JSON read catches RecursionError, one
+the symbols, only the ledger pass starts threads, every verify row reads
+its member's one Ledgers build, every JSON read catches RecursionError, one
 helper estimates every limit, by the stack, every library name the bench
 looks up exists, the ledgers and the carve never build a family's members,
 the ledger layer takes a family only, the carve is one block loop with
 one symbol call and no point cache, the Parseval row is one moment sum
 of a real block in a loop that makes no spatial step, a p = 2 pass builds
-no step, the spatial step's pass choice has no knob, a subcommand
-registers only the overrides its handler reads, and a builtin input is
-one SampledFunction."""
+no step, neither the spatial step's pass choice nor the ledger pass's
+split has a knob, a subcommand registers only the overrides its handler
+reads, and a builtin input is one SampledFunction."""
 
 import ast
 import importlib
+import itertools
 import pathlib
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -72,20 +73,36 @@ def test_one_ledger_pass():
     assert sorted(callers) == ["growth.py apply_op_spectral", "growth.py spatial_norms"]
 
 
-def test_library_starts_no_threads():
+def test_only_the_ledger_pass_starts_threads():
     # verify's 2-thread fan-out lost to one thread on a 2-vCPU VM (BLAS at
     # one thread, `realpw verify` in-process, 20 alternating pairs): 0.0655 s
     # against 0.0620 s median, 2 threads faster in 4 of 20, the same matrix.
-    # Bring threads back only with a workload that shows a gain.
+    # Threads came back where a workload showed a gain: spatial_norms splits
+    # each member's n-range across one helper thread on large grids, and
+    # estimate-corpus `wall_s` fell 10-14% at seed 0 and 13-20% at seed 6,
+    # 9 or 10 of 10 alternating pairs won in each of three rounds
+    # (BENCH_27.json).  No other module imports threading or concurrent, and
+    # in growth.py only spatial_norms names what they bind
+    # (tests/test_growth.py checks that no thread outlives a stack)
     def modules(node):
         if isinstance(node, ast.Import):
             return [alias.name for alias in node.names]
         return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
 
-    imports = [f"{path.name}:{node.lineno} {name}"
-               for path in LIBRARY for node in nodes(path) for name in modules(node)
-               if name.split(".")[0] in ("threading", "concurrent")]
-    assert imports == []
+    imports = {path.name for path in LIBRARY for node in nodes(path) for name in modules(node)
+               if name.split(".")[0] in ("threading", "concurrent")}
+    assert imports == {"growth.py"}
+    path = ROOT / "src" / "realpw" / "growth.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {alias.asname or alias.name.split(".")[0] if isinstance(node, ast.Import)
+             else alias.asname or alias.name
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and any(name.split(".")[0] in ("threading", "concurrent") for name in modules(node))
+             for alias in node.names}
+    owner = {id(node): getattr(top, "name", None) for top in tree.body for node in ast.walk(top)}
+    users = {owner[id(node)] for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in bound}
+    assert bound and users == {"spatial_norms"}
 
 
 def test_verify_rows_read_the_ledgers():
@@ -260,7 +277,8 @@ def test_one_parseval_site():
 def test_moment_loop_makes_no_step():
     # the moment loop and the spatial loop are two loops: the loop that holds
     # the one moment sum runs over n on the real block alone, and every
-    # spatial step runs in the member-by-member loop beside it
+    # spatial step runs in the member-by-member loop beside it, through
+    # _iterates, which the caller's half and the helper's half both walk
     fn = spatial_norms_tree()
     loops = [loop for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))]
     holds = [loop for loop in loops if any(
@@ -268,8 +286,10 @@ def test_moment_loop_makes_no_step():
     (moment,) = [loop for loop in holds
                  if not any(inner is not loop and inner in holds for inner in ast.walk(loop))]
     calls = [called(node) for node in ast.walk(moment) if isinstance(node, ast.Call)]
-    steps = [node for node in ast.walk(fn) if isinstance(node, ast.Call) and called(node) == "step"]
-    assert steps and "sum" in calls and "step" not in calls
+    steps = [node for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and called(node) == "_iterates"]
+    assert set(callers_of("step")) == {"growth.py:_iterates"}
+    assert steps and "sum" in calls and not {"step", "_iterates", "_tail"} & set(calls)
 
 
 def test_p2_pass_steps_no_iterates(monkeypatch):
@@ -324,6 +344,37 @@ def test_step_passes_have_no_knob():
              if {getattr(node, "id", None), getattr(node, "attr", None)}
              & {"environ", "getenv", "environb", "config", "cfg", "argv"}]
     assert reads == []
+
+
+def test_split_has_no_knob():
+    # spatial_norms decides whether to split a member from the grid and the
+    # CPUs alone: its signature is the pass's four arguments, growth.py
+    # reads no environment and no argv, os is read for the CPU affinity only
+    # (os.cpu_count() where sched_getaffinity is missing), and the grid size
+    # is compared with a module constant whose measurement is its comment
+    import re
+    path = ROOT / "src" / "realpw" / "growth.py"
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    args = spatial_norms_tree().args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["f", "family", "n_max", "norms"]
+    assert (args.vararg, args.kwonlyargs, args.kwarg, args.defaults) == (None, [], None, [])
+    reads = [f"growth.py:{node.lineno}" for node in ast.walk(tree)
+             if {getattr(node, "id", None), getattr(node, "attr", None)}
+             & {"environ", "getenv", "environb", "argv"}]
+    assert reads == []
+    os_reads = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os"}
+    assert os_reads == {"sched_getaffinity", "cpu_count"}
+    (constant,) = [node for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["SPLIT_MIN_POINTS"]]
+    assert all(isinstance(node, (ast.Constant, ast.BinOp, ast.operator))
+               for node in ast.walk(constant.value))
+    lines = source.splitlines()[:constant.lineno - 1]
+    comment = " ".join(itertools.takewhile(lambda line: line.startswith("#"), reversed(lines)))
+    assert re.search(r"\d (ms|us)\b", comment)
+    names = {getattr(node, "id", None) for node in ast.walk(spatial_norms_tree())}
+    assert "SPLIT_MIN_POINTS" in names
 
 
 def test_every_override_is_read():
