@@ -135,27 +135,38 @@ def lp_norm(f: SampledFunction, p) -> float:
 
 
 def lp_norm_values(values: np.ndarray, cell_measure: float, p) -> float:
-    """(cell_measure * sum |values|^p)^(1/p); max |values| for p = inf.
+    """(cell_measure * sum |values|^p)^(1/p); max |values| for p = inf: the
+    lp_norm_moduli of |values| taken as one row."""
+    return float(lp_norm_moduli(np.abs(values).ravel(order="K"), cell_measure, p))
 
-    For p other than 1 and 2 the moduli are divided by their maximum before
-    the power, so a large finite p neither under- nor overflows (p = 1e7
-    agrees with p = inf).  p = 2 is summed unscaled, bit for bit as before:
-    its range is that of the p = 2 ledgers summed by Parseval.
+
+def lp_norm_moduli(mag: np.ndarray, cell_measure: float, p) -> np.ndarray:
+    """(cell_measure * sum mag^p)^(1/p) along the last axis of an array of
+    moduli, max for p = inf: a float per row, shape mag.shape[:-1].
+
+    For p other than 1 and 2 each row is divided by its maximum before the
+    power, so a large finite p neither under- nor overflows (p = 1e7 agrees
+    with p = inf), and a zero row gives 0.0.  p = 2 is summed unscaled: its
+    range is that of the p = 2 ledgers summed by Parseval.  Every row is the
+    one-row value bit for bit: the row sums are numpy's, and the root of each
+    row is a scalar power, as numpy's vector ** differs from it in the last
+    bit.
     """
-    mag = np.abs(values)
     if np.isinf(p):
-        return float(mag.max(initial=0.0))
+        return mag.max(axis=-1, initial=0.0)
     p = float(p)
     if p < 1:
         raise GridError(f"norm exponent p must be >= 1, got {p}")
     if p == 1.0:
-        return float(cell_measure * np.sum(mag))
+        return cell_measure * np.sum(mag, axis=-1)
     if p == 2.0:
-        return float((cell_measure * np.sum(mag ** p)) ** 0.5)
-    top = mag.max(initial=0.0)
-    if top == 0.0:
-        return 0.0
-    return float(top * (cell_measure * np.sum((mag / top) ** p)) ** (1.0 / p))
+        sums = cell_measure * np.sum(mag ** p, axis=-1)
+        return np.array([s ** 0.5 for s in sums.ravel().tolist()]).reshape(sums.shape)
+    top = mag.max(axis=-1, initial=0.0, keepdims=True)
+    sums = cell_measure * np.sum((mag / np.where(top == 0.0, 1.0, top)) ** p, axis=-1)
+    roots = [t * s ** (1.0 / p) if t else 0.0
+             for t, s in zip(top.ravel().tolist(), sums.ravel().tolist())]
+    return np.array(roots).reshape(sums.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +313,18 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
                       for k in ("center", "mu"))
         if sigma <= 0:
             raise GridError("gaussian sigma must be positive")
+        # 2 sigma^2 that underflows to 0 gives 0/0 at the center, a subnormal
+        # one overflows |x|^2 / (2 sigma^2) far from it
+        if not np.finfo(float).tiny <= 2.0 * sigma * sigma < np.inf:
+            raise GridError(f"gaussian sigma = {sigma!r}: 2 sigma^2 must be a positive "
+                            "normal double")
         reach = 7.5 * sigma  # tail below 1e-12 of the peak beyond this radius
         _check_margin(center - reach, center + reach, grid.spatial_halfwidth, grid.h,
                       "gaussian effective support (center +- 7.5 sigma)")
         _check_margin(mu, mu, grid.frequency_halfwidth, grid.dlam, "modulation frequency")
         x = grid.spatial_coords()
-        f = np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * sigma ** 2))
+        with np.errstate(over="ignore"):    # |x|^2 / (2 sigma^2) = inf: exp gives 0
+            f = np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * sigma ** 2))
         f = f * np.exp(1j * x @ mu)
         return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "gaussian"))
 

@@ -14,13 +14,17 @@ loops.  The moment loop runs over n and forms every member's Parseval
 t_j = |P(i lam_j)/R|^2, on the mask cells.  The spatial loop runs member by
 member and reads every spatial norm a caller asks for (the p != 2 ledgers,
 the weighted sup norms) from one `SpatialStep` output per n, or per pair
-(n, n + 1) when the member's iterates are all real.  The step is the
-inverse DFT of the mask cells, by a pruned ifft along axes whose mask
-occupies many frequencies and by a matrix product along the others (every
-axis of the d = 2 acceptance inputs).  Real iterates need that the mask is
-resolved and closed under lam -> -lam, F is Hermitian on it to
-HERMITIAN_TOL of max |F|, and P has real coefficients.  Then one transform of
-G_n + i G_(n+1) gives g_n as its real part and g_(n+1) as its imaginary part.
+(n, n + 1) when the member's iterates are all real, taking each output's
+moduli once for all its norms.  The step is the inverse DFT of the mask
+cells, by a pruned ifft along axes whose mask occupies many frequencies and
+by a matrix product along the others (every axis of the d = 2 acceptance
+inputs).  On a d = 1 grid, where the step is one ifft pass, a chunk of up
+to CHUNK_MAX_POINTS // M consecutive transforms goes through one ifft call,
+and each norm of the chunk is one row-wise reduction.  Real iterates need
+that the mask is resolved and closed under lam -> -lam, F is Hermitian on it
+to HERMITIAN_TOL of max |F|, and P has real coefficients.  Then one
+transform of G_n + i G_(n+1) gives g_n as its real part and g_(n+1) as its
+imaginary part.
 On a grid of SPLIT_MIN_POINTS or more, in a process that may run on two or
 more CPUs, the spatial loop splits each member's n-range in two: the caller
 steps n = 1..h, h = n_max // 2 rounded down to even, and one helper thread,
@@ -81,6 +85,18 @@ HERMITIAN_TOL = 1e-12
 # on the 256^2 ball (11.5-12.7 ms), 0.85 and 0.57 on a 2^16-point interval
 # (60 ms); a thread's start and its handoffs of the GIL outweigh a small step
 SPLIT_MIN_POINTS = 2 ** 15
+
+# spatial_norms steps a d = 1 member up to CHUNK_MAX_POINTS // M transforms per
+# ifft call (at least one, at most n_max), which bounds its chunk: the step's
+# stack and its output take 64 KiB each, the moduli of the chunk 32 KiB, and a
+# weighted norm at most 96 KiB more.  Median in-process `realpw verify` time
+# (four processes of 24 calls each, one BLAS thread, 2-vCPU VM): 44.2 ms with
+# one transform per call and a modulus per norm, 38.3 ms at 2^11 points,
+# 36.9 ms at 2^12, 39.1 ms at 2^13 and 39.2 ms at 2^14.  From 2^13 the two
+# buffers reach glibc's 128 KiB mmap threshold, so each pass's fresh buffers
+# fault in (137 minor faults per d = 1 p = 1 estimate-corpus job at 2^14,
+# none at 2^12), though in a warm loop of one pass 2^14 was the fastest
+CHUNK_MAX_POINTS = 2 ** 12
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +307,21 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     (within rounding of ifftn's, bit-equal to it where every axis takes the
     ifft pass), cut at (and ending with) its first value that is not > 0.
     A spatial value that is not finite raises GrowthError naming P, p and
-    n, for the first member in family order that overflows.
+    n, for the first member in family order that overflows.  The moduli of
+    an output are taken once for all its norms: a weighted norm reads |g| w
+    of a real iterate (bit-equal to |g w|, w being positive) and |g w| of a
+    complex one.
+
+    On a d = 1 grid the member's transforms go in chunks of k = min(n_max,
+    max(1, CHUNK_MAX_POINTS // M)) rows, fewer where fewer are left: the
+    chunk's mask-cell rows are built by the in-place multiplies of the
+    serial loop, and one `SpatialStep` call transforms them, each row
+    bit-equal to its one-row transform; each norm of the chunk's iterates
+    is one reduction along its rows.  The values enter the rows in n order
+    through the same cut and overflow check, so the rows, their ends and a
+    GrowthError are those of one transform per call; no chunk is stepped
+    once the member's rows are all cut.  A grid of d >= 2 steps one output
+    per call.
 
     A member pairs when its iterates are all real: (1) the mask is
     resolved, as a cell on a Nyquist plane is its own mirror and there
@@ -310,11 +340,11 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     rounded down to even, while one helper thread steps n = h + 1..n_max on
     its own SpatialStep and buffers, from G_h built by h in-place multiplies
     of F: the float operations of the serial loop, and, h being even, its
-    pairs (n, n + 1).  The helper reads every norm; its values are appended after
-    the caller's in n order, through the same cut and overflow check, so the
-    rows, their ends and a GrowthError are those of the serial loop.  The
-    helper stops at its next step once the caller's rows are all cut or
-    raise, and it is joined within its stack, before the stack is yielded.
+    pairs (n, n + 1).  The helper reads every norm; its values follow the
+    caller's in n order through the one cut and overflow check, so the rows,
+    their ends and a GrowthError are those of the serial loop.  The helper
+    stops at its next step once the caller's rows are all cut or raise, and
+    it is joined within its stack, before the stack is yielded.
     """
     spec = Spectrum.of(f)
     F = spec.F[spec.mask.field]
@@ -323,12 +353,16 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
         step = SpatialStep(spec)
         if any(e for _, e in norms):
             absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
-        weights = [step.fft_order((1.0 + absx) ** e) if e else None for _, e in norms]
-        real, bufs = _real_iterates(spec), np.empty((3, F.size), dtype=complex)
+        weights = [step.fft_order((1.0 + absx) ** e).ravel() if e else None for _, e in norms]
+        real = _real_iterates(spec)
+        chunk = min(n_max, max(1, CHUNK_MAX_POINTS // spec.grid.M)) if spec.grid.d == 1 else 1
+        # the mask-cell rows of a chunk, and the moduli of its outputs
+        bufs = np.empty((2 + chunk, F.size), dtype=complex)
+        mag = np.empty((chunk, spec.grid.n_points))
         if spec.grid.n_points >= SPLIT_MIN_POINTS and _cpus() >= 2:
             split = n_max // 2 - n_max // 2 % 2     # h: the caller steps n = 1..h
         if split:
-            helper = SpatialStep(spec), np.empty((3, F.size), dtype=complex)
+            helper = SpatialStep(spec), np.empty_like(bufs), np.empty_like(mag)
     size = max(1, spec.grid.n_points // max(1, F.size))
     for start in range(0, len(family), size):
         stack = family[start:start + size]
@@ -354,25 +388,20 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
                 unread = threading.Event()
                 tail = pool.submit(_tail, *helper, F, r, split, n_max, paired, norms, weights,
                                    unread) if split else None
+                caller = (values for g, count in _iterates(step, bufs, F, r, 0, split or n_max,
+                                                           paired)
+                          for values in _read(step, mag, g, count, paired, norms, weights))
                 try:
-                    for n, g in _iterates(step, bufs, F, r, 0, split or n_max, paired):
-                        for k in ks:
-                            w = weights[k]
-                            out[k].append(step.norm(g if w is None else g * w, norms[k][0]))
-                        ks = [k for k in ks if _goes_on(stack, m, norms[k], n, out[k][-1])]
-                        if not ks:
-                            unread.set()
-                            break
-                    # read even when unread is set, so that an error in the helper raises
-                    for n, values in enumerate(tail.result() if tail else (), split + 1):
+                    for n, values in enumerate(itertools.chain(caller, _read_by(tail)), 1):
                         for k in ks:
                             out[k].append(values[k])
                         ks = [k for k in ks if _goes_on(stack, m, norms[k], n, out[k][-1])]
                         if not ks:
                             break
-                except BaseException:               # a GrowthError: the rest goes unread
+                finally:                            # the rest goes unread
                     unread.set()
-                    raise
+                if tail:
+                    tail.result()                   # an error in the helper raises
         ratio = W = t = None
         sums *= spec.grid.dlam ** spec.grid.d
         np.sqrt(sums, out=sums)
@@ -389,42 +418,68 @@ def _cpus() -> int:
 
 
 def _iterates(step, bufs, F, r, n, end, paired):
-    """(k, g_k), k = n + 1..end in order, of the member with ratio row r:
+    """(g, count) per step of the member with ratio row r, in order of k =
+    n + 1..end: g stacks the outputs of up to len(bufs) - 2 transforms on its
+    first axis (one on a grid of d >= 2), which hold the next count iterates.
     G_n = F r^n comes from n in-place multiplies of F, the float operations
-    of stepping there from G_0.  Each step output gives g_k, or, when the
-    member pairs and two or more k are left, its real part gives g_k and its
-    imaginary part g_(k+1).  bufs is three mask-cell rows, overwritten."""
-    G, B, pair = bufs
+    of stepping there from G_0.  Each transform gives g_k, or, when the member
+    pairs and two or more k are left, its real part gives g_k and its
+    imaginary part g_(k+1).  bufs is two mask-cell rows, then the rows of a
+    stack, overwritten."""
+    G, B, C = bufs[0], bufs[1], bufs[2:]
     G[:] = F
     for _ in range(n):
         np.multiply(G, r, out=G)
     while n < end:
-        np.multiply(G, r, out=G)                # G_(n+1)
-        if paired and n + 1 < end:              # g_(n+1) + i g_(n+2), one transform
-            np.multiply(G, r, out=B)
-            np.multiply(B, 1j, out=pair)
-            pair += G
-            g = step(pair)
-            gs, G, B = (g.real, g.imag), B, G
-        else:
-            g = step(G)
-            gs = (g.real if paired else g,)
-        for g in gs:                            # g_(n+1), then g_(n+2)
-            n += 1
-            yield n, g
+        k = min(len(C), (end - n + 1) // 2 if paired else end - n)
+        for j in range(k):
+            if paired and n + 2 * j + 1 < end:  # g_(m+1) + i g_(m+2), one transform
+                np.multiply(G, r, out=G)
+                np.multiply(G, r, out=B)
+                np.multiply(B, 1j, out=C[j])
+                C[j] += G
+                G, B = B, G
+            else:                               # G_(m+1), its own transform
+                np.multiply(G, r, out=C[j])
+                G = C[j]
+        count = min(end - n, 2 * k) if paired else k
+        yield (step(C[:k]) if len(C) > 1 else step(C[0])[None]), count
+        n += count
 
 
-def _tail(step, bufs, F, r, h, n_max, paired, norms, weights, unread) -> list:
+def _read(step, mag, g, count, real, norms, weights) -> list:
+    """The value of every norm of each of the count iterates that the stack
+    g of step outputs holds, a list per iterate in order: the rows of g, or,
+    with real, the real and then the imaginary part of each row.  Their
+    moduli are taken once, into the rows of mag, overwritten: a weighted norm
+    reads |g| w of a real iterate, |g w| of a complex one."""
+    g = g.reshape(len(g), -1)
+    parts, mag = (g.real, g.imag) if real else (g,), mag[:len(g)]
+    values = np.empty((len(g), len(parts), len(norms)))
+    for i, part in enumerate(parts):
+        np.abs(part, out=mag)
+        for k, ((p, _), w) in enumerate(zip(norms, weights)):
+            values[:, i, k] = step.row_norms(
+                mag if w is None else mag * w if real else np.abs(part * w), p)
+    return values.reshape(-1, len(norms))[:count].tolist()
+
+
+def _read_by(tail):
+    """The values a helper's _tail read, once tail, its future, is done; none
+    without one."""
+    yield from tail.result() if tail else ()
+
+
+def _tail(step, bufs, mag, F, r, h, n_max, paired, norms, weights, unread) -> list:
     """The helper's half of a split member: the value of every norm of g_n, n
-    = h + 1..n_max, a list per n in order, on its own step and bufs, until
-    the event unread is set."""
+    = h + 1..n_max, a list per n in order, on its own step, bufs and mag,
+    until the event unread is set."""
     values = []
     with np.errstate(over="ignore", invalid="ignore"):      # errstate is per thread
-        for _, g in _iterates(step, bufs, F, r, h, n_max, paired):
+        for g, count in _iterates(step, bufs, F, r, h, n_max, paired):
             if unread.is_set():
                 break
-            values.append([step.norm(g if w is None else g * w, p)
-                           for (p, _), w in zip(norms, weights)])
+            values += _read(step, mag, g, count, paired, norms, weights)
     return values
 
 

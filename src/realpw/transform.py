@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .grid import (Grid, SampledFunction, SPATIAL, FREQUENCY, GridError, MARGIN_CELLS,
-                   lp_norm_values)
+                   lp_norm_moduli, lp_norm_values)
 from .poly import MultiPoly, eval_symbol_many
 
 DEFAULT_EPS_REL = 1e-8
@@ -201,16 +201,19 @@ class SpatialStep:
     stays on the ifft pass.  The other axes take numpy's ifft pass and run
     first, last axis first as in ifftn; then the matrix passes follow in
     order of decreasing K_a, so the last pass, the one over whole lines,
-    multiplies by the smallest block.
+    multiplies by the smallest block.  On a d = 1 grid the step also takes a
+    (k, cells) stack of rows and transforms it by one ifft call over k
+    lines: each output row equals that row's one-row output bit for bit.
 
     Output axis k is grid axis `axes[k]`.  With no matrix axis the output
     equals ifftn's bit for bit with its axes reversed, `ifftn(buf).T`, since
     every line goes through the same 1-D transform.  A matrix pass errs from
     the exact pass by at most sqrt(2) gamma_(2 K_a) + u (gamma_n = n u /
     (1 - n u), u = 2^-53) times the sum of its inputs' moduli over M.  The
-    buffers are allocated once, and the result, overwritten by the next call,
-    is unscaled: `norm` applies the scale and `fft_order` puts weight arrays
-    in the output's order.
+    buffers are allocated once, those of a stack at its first call that needs
+    them, and the result, overwritten by the next call, is unscaled: `norm`
+    and `row_norms` apply the scale and `fft_order` puts weight arrays in the
+    output's order.
     """
 
     def __init__(self, spec: Spectrum):
@@ -259,8 +262,13 @@ class SpatialStep:
         self._out = out.reshape(grid.shape)
         self._scale = _inverse_scale(grid)
         self._cell = grid.h ** grid.d
+        self._index, self._stack = spec.fft_index, None
 
     def __call__(self, G: np.ndarray) -> np.ndarray:
+        """The output of one row G of mask-cell values, or on a d = 1 grid
+        of each row of a (k, cells) stack G: a (k, M) array."""
+        if G.ndim == 2:
+            return self._rows(G)
         for flat, buf, out, index, block in self._passes:
             flat[index] = G.ravel()
             if block is None:
@@ -268,6 +276,17 @@ class SpatialStep:
             else:
                 G = np.matmul(buf, block, out=out).view(complex)
         return self._out
+
+    def _rows(self, G: np.ndarray) -> np.ndarray:
+        k, M = len(G), self._out.shape[-1]
+        if self._out.ndim != 1:
+            raise GridError("a stack of rows steps on a d = 1 grid only")
+        if self._stack is None or len(self._stack[0]) < k:
+            self._stack = (np.zeros((k, M), dtype=complex), np.empty((k, M), dtype=complex),
+                           (np.arange(k)[:, None] * M + self._index).ravel())
+        buf, out, index = self._stack
+        buf.reshape(-1)[index[:G.size]] = G.ravel()
+        return np.fft.ifft(buf[:k], axis=-1, out=out[:k])
 
     def fft_order(self, values: np.ndarray) -> np.ndarray:
         """A centered-order spatial array in the order of the step's output."""
@@ -277,6 +296,11 @@ class SpatialStep:
     def norm(self, g: np.ndarray, p) -> float:
         """Riemann-sum Lp norm of a step output, or of one times a weight."""
         return self._scale * lp_norm_values(g, self._cell, p)
+
+    def row_norms(self, mag: np.ndarray, p) -> np.ndarray:
+        """The Riemann-sum Lp norm of each row of moduli of step outputs
+        (times a weight), along the last axis: `norm` row by row."""
+        return self._scale * lp_norm_moduli(mag, self._cell, p)
 
 
 class RValue(NamedTuple):

@@ -399,6 +399,10 @@ PROBES = [
     ("estimate", "input.builtin", {"kind": "nope"}, EXIT_CONFIG, "'input.builtin'"),
     ("estimate", "input.builtin", {"kind": "gaussian", "sigma": "wide"},
      EXIT_CONFIG, "'input.builtin'"),
+    ("estimate", "input.builtin", {"kind": "gaussian", "sigma": 1e-300},     # 2 sigma^2 = 0
+     EXIT_CONFIG, "'input.builtin': gaussian sigma = 1e-300"),
+    ("estimate", "input.builtin", {"kind": "gaussian", "sigma": 1e-160},     # subnormal
+     EXIT_CONFIG, "'input.builtin': gaussian sigma = 1e-160"),
     ("estimate", "input.builtin", {"kind": "spectral_bump", "support": []},
      EXIT_CONFIG, "'input.builtin'"),
     ("estimate", "input.builtin", {"kind": "spectral_bump",   # a d=2 box on a d=1 grid

@@ -6,6 +6,24 @@ from hypothesis import given, settings, strategies as st
 
 from realpw import (make_grid, sample_builtin, lp_norm, smooth_step,
                     SampledFunction, GridError, MarginError)
+from realpw.grid import lp_norm_moduli, lp_norm_values
+
+
+def one_row_norm(values, cell_measure, p):
+    """lp_norm_values as it was before it read lp_norm_moduli: the norm of
+    all of values as one row, by numpy's whole-array reductions."""
+    mag = np.abs(values)
+    if np.isinf(p):
+        return float(mag.max(initial=0.0))
+    p = float(p)
+    if p == 1.0:
+        return float(cell_measure * np.sum(mag))
+    if p == 2.0:
+        return float((cell_measure * np.sum(mag ** p)) ** 0.5)
+    top = mag.max(initial=0.0)
+    if top == 0.0:
+        return 0.0
+    return float(top * (cell_measure * np.sum((mag / top) ** p)) ** (1.0 / p))
 
 
 class TestMakeGrid:
@@ -139,6 +157,41 @@ class TestLpNorm:
             assert lp_norm(shifted, p) == pytest.approx(lp_norm(f, p), rel=1e-12)
 
 
+NORM_P = [1, 2, 3.5, np.inf, 1e7]
+
+
+class TestLpNormModuli:
+    @pytest.mark.parametrize("p", NORM_P)
+    def test_each_row_is_the_one_row_norm_bit_for_bit(self, p):
+        # rows of moduli spread over 60 decades, and all-zero rows, which
+        # give 0.0 (not 0/0) at every p
+        rng = np.random.default_rng(11)
+        mag = np.abs(rng.standard_normal((3, 7, 300))) * 10.0 ** rng.uniform(-30, 30, (3, 7, 1))
+        mag[0, 2] = mag[2, 6] = 0.0
+        out = lp_norm_moduli(mag, 0.37, p)
+        assert out.shape == (3, 7) and out.dtype == float
+        for index in np.ndindex(3, 7):
+            assert out[index].hex() == float.hex(one_row_norm(mag[index], 0.37, p))
+        assert out[0, 2] == out[2, 6] == 0.0 and not np.signbit(out[0, 2])
+
+    @pytest.mark.parametrize("p", NORM_P)
+    def test_values_norm_is_the_one_row_norm(self, p):
+        # a complex array of any shape, and a transposed view, read as one row
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((16, 24)) + 1j * rng.standard_normal((16, 24))
+        for v in (values, values.T, values.real, np.zeros(5)):
+            assert float.hex(lp_norm_values(v, 0.25, p)) == float.hex(one_row_norm(v, 0.25, p))
+
+    def test_one_row_and_empty_rows(self):
+        rng = np.random.default_rng(13)
+        row = np.abs(rng.standard_normal(50))
+        for p in NORM_P:
+            assert lp_norm_moduli(row, 0.5, p).shape == ()
+            assert lp_norm_moduli(np.zeros((4, 0)), 0.5, p).tolist() == [0.0] * 4
+        with pytest.raises(GridError, match="p must be >= 1"):
+            lp_norm_moduli(row, 0.5, 0.5)
+
+
 class TestSmoothStep:
     def test_endpoints_and_midpoint(self):
         s = smooth_step(np.array([-1.0, 0.0, 0.5, 1.0, 2.0]))
@@ -168,6 +221,29 @@ class TestSampleBuiltin:
         # even: value at k equals value at -k (index M/2 is its own mirror-less end)
         v = f.values.real
         assert np.allclose(v[1:], v[1:][::-1])
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1.05e-154, 5e-324])
+    def test_gaussian_sigma_without_a_normal_variance_is_refused(self, sigma):
+        # 2 sigma^2 underflows to 0 (0/0 at the center) or to a subnormal
+        # (|x|^2 / (2 sigma^2) overflows): refused, naming sigma, before any
+        # numpy warning
+        with pytest.raises(GridError, match=rf"^gaussian sigma = {sigma!r}: 2 sigma\^2 must"):
+            sample_builtin({"kind": "gaussian", "sigma": sigma}, make_grid(1, 256, 0.1))
+
+    @pytest.mark.parametrize("sigma", [1.06e-154, 1e-100, 1e-3, 0.05, 0.3])
+    def test_gaussian_samples_are_unchanged(self, sigma):
+        # every other sigma samples the same formula bit for bit, a smallest
+        # normal variance too, without warning where |x|^2 / (2 sigma^2)
+        # overflows: exp(-inf) is the right 0
+        grid = make_grid(2, 128, 0.1)
+        center, mu = np.array([0.1, -0.2]), np.array([1.5, -2.0])
+        f = sample_builtin({"kind": "gaussian", "sigma": sigma, "center": center.tolist(),
+                            "mu": mu.tolist()}, grid)
+        x = grid.spatial_coords()
+        with np.errstate(over="ignore"):
+            ref = np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * sigma ** 2))
+        ref = ref * np.exp(1j * x @ mu)
+        assert f.values.tobytes() == ref.tobytes()
 
     def test_gaussian_boundary_decay(self):
         g = make_grid(1, 256, 0.1)

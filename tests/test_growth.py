@@ -1208,14 +1208,21 @@ def assert_rows_match_unpaired(spec, P, n_max, norms, paired):
 
 @pytest.fixture
 def count_steps(monkeypatch):
+    """The rows each SpatialStep call transforms, one entry per call: a
+    one-row call, or the stack of a d = 1 chunk."""
     calls, step = [], SpatialStep.__call__
 
     def counting_step(self, G):
-        calls.append(G.shape)
+        calls.append(len(G) if G.ndim == 2 else 1)
         return step(self, G)
 
     monkeypatch.setattr(SpatialStep, "__call__", counting_step)
     return calls
+
+
+def chunks(f, transforms):
+    """The SpatialStep calls of a d = 1 member's transforms on f's grid."""
+    return -(-transforms // (growth.CHUNK_MAX_POINTS // f.grid.M))
 
 
 def offset_interval():
@@ -1241,7 +1248,8 @@ class TestPairedRealIterates:
         spec, P = Spectrum.of(f.with_values(f.values * phase)), parse_poly("x1", 1)
         assert pairs(spec, P)
         assert_rows_match_unpaired(spec, P, 16, NORMS, True)
-        assert len(count_steps) == 8 + 16      # pairs, then the unpaired reference
+        # the pairs in chunks, then the unpaired reference row by row
+        assert (sum(count_steps), len(count_steps)) == (8 + 16, chunks(f, 8) + 16)
 
     @pytest.mark.parametrize("case", ["under-resolved", "complex P", "non-Hermitian",
                                       "complex input"])
@@ -1260,7 +1268,7 @@ class TestPairedRealIterates:
             field = spec.mask.field
             assert not spec.mask.resolved and field[0] and np.array_equal(field[1:], field[:0:-1])
         assert_rows_match_unpaired(spec, P, 16, NORMS, False)
-        assert len(count_steps) == 16 + 16
+        assert (sum(count_steps), len(count_steps)) == (16 + 16, chunks(f, 16) + 16)
 
     @pytest.mark.parametrize("n_max", [8, 9, 21])
     def test_odd_n_max_steps_its_last_n_alone(self, n_max, interval_bump, count_steps):
@@ -1268,7 +1276,9 @@ class TestPairedRealIterates:
         spec, P = Spectrum.of(f), parse_poly("x1^2", 1)
         rows = assert_rows_match_unpaired(spec, P, n_max, NORMS, True)
         assert [v.size for v in rows] == [n_max] * 3
-        assert len(count_steps) == (n_max + 1) // 2 + n_max
+        transforms = (n_max + 1) // 2
+        assert (sum(count_steps), len(count_steps)) == (transforms + n_max,
+                                                        chunks(f, transforms) + n_max)
 
     @pytest.mark.parametrize("norms", [[(2, 0)], [(1, 0), (2, 0), (np.inf, 0)]])
     def test_row_cut_at_the_first_of_a_pair(self, norms, interval_bump):
@@ -1552,6 +1562,140 @@ class TestSplitMatchesParentLoop:
         for _ in spatial_norms(member.spec, member.polys[:1], 8, [(1, 0)]):
             assert threading.active_count() == threads
         assert pools == ([(1,)] if split else [])
+
+
+def chunk_ends(rows, paired, n_end):
+    """The last n of each chunk spatial_norms steps a d = 1 member's n =
+    1..n_end in, with `rows` transforms per chunk."""
+    ends, n = [], 0
+    while n < n_end:
+        k = min(rows, (n_end - n + 1) // 2 if paired else n_end - n)
+        n = min(n_end, n + 2 * k) if paired else n + k
+        ends.append(n)
+    return ends
+
+
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    """Set growth.CHUNK_MAX_POINTS so that a d = 1 spectrum's chunks hold
+    `rows` transforms; returns the rows each SpatialStep call transformed."""
+    calls, step = [], SpatialStep.__call__
+
+    def counting_step(self, G):
+        calls.append(len(G) if G.ndim == 2 else 1)
+        return step(self, G)
+
+    def setting(spec, rows):
+        # M - 1 points more: the constant reads as a floor of points over M
+        monkeypatch.setattr(growth, "CHUNK_MAX_POINTS", rows * spec.grid.M + spec.grid.M - 1)
+        return calls
+
+    monkeypatch.setattr(SpatialStep, "__call__", counting_step)
+    return setting
+
+
+class TestChunksMatchParentLoop:
+    """spatial_norms stepping a d = 1 member's transforms in chunks of 1-3
+    rows per ifft call, against the parent loop's one transform per call:
+    bit-equal rows, the same cuts and the same overflow error."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("n_max", [15, 32])
+    def test_rows_are_bit_equal(self, rows, n_max, interval_bump, pairs, chunk_rows):
+        # the tiny interval's 2-norm rows are cut at n = 7 (x1), 4 (x1^2),
+        # both paired, and 5 (0.5+2*i*x1); at 1 row per chunk 4 and 5 end
+        # their chunk, at 2 rows 4 does, at 3 rows none does
+        seen = {"paired": 0, "unpaired": 0, "R = 0": 0, "cut at a chunk's end": 0,
+                "cut inside a chunk": 0}
+        for spec, family, norms in two_loop_cases(interval_bump):
+            calls = chunk_rows(spec, rows)
+            new = [row for stack in spatial_norms(spec, family, n_max, norms) for row in stack]
+            ref = [row for stack in parent_spatial_norms(spec, family, n_max, norms)
+                   for row in stack]
+            for P, (R, two, rows_new), (R_ref, two_ref, rows_ref) in zip(family, new, ref,
+                                                                        strict=True):
+                assert R.hex() == R_ref.hex() and two.tobytes() == two_ref.tobytes()
+                assert [r.tobytes() for r in rows_new] == [r.tobytes() for r in rows_ref]
+                if R == 0.0:
+                    seen["R = 0"] += 1
+                    continue
+                paired = pairs(spec, P)
+                seen["paired" if paired else "unpaired"] += 1
+                for r in rows_new:
+                    if r.size < n_max and spec.grid.d == 1:
+                        at_end = r.size in chunk_ends(rows, paired, n_max)
+                        seen["cut at a chunk's end" if at_end else "cut inside a chunk"] += 1
+            if spec.grid.d == 1:
+                assert max(calls, default=0) <= rows
+            else:
+                assert set(calls) <= {1}
+            calls.clear()
+        at_end = {1: 2, 2: 1, 3: 0}[rows]
+        assert seen == {"paired": 4 + 14 + 2, "unpaired": 4 + 8 + 1, "R = 0": 2,
+                        "cut at a chunk's end": at_end, "cut inside a chunk": 3 - at_end}
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_no_chunk_after_every_row_is_cut(self, rows, interval_bump, pairs, chunk_rows):
+        # only the 2-norm rows, cut at n = 7, 4 and 5: a member's last chunk
+        # is the one that holds its cut, and a zero member steps nothing
+        _, f = interval_bump
+        spec = Spectrum.of(f.with_values(f.values * 1e-159))
+        family = family_explicit([parse_poly(t, 1) for t in ("x1", "0", "x1^2", "0.5+2*i*x1")])
+        calls = chunk_rows(spec, rows)
+        ((_, _, r0), (_, _, r1), (_, _, r2), (_, _, r3)), = spatial_norms(spec, family, 64,
+                                                                          [(2, 0)])
+        assert [r.size for (r,) in (r0, r1, r2, r3)] == [7, 0, 4, 5]
+        expected = []
+        for P, cut in zip(family, (7, 0, 4, 5)):
+            ends = chunk_ends(rows, pairs(spec, P), 64)
+            ends = ends[:sum(end < cut for end in ends) + 1] if cut else []
+            expected += [(b - a + 1) // 2 if pairs(spec, P) else b - a
+                         for a, b in zip([0] + ends, ends)]
+        assert calls == expected
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16])
+    def test_overflow_in_a_later_chunk(self, rows, interval_bump, chunk_rows):
+        # x1^3 overflows at n = 16, in its 8th, 4th, 3rd or 1st chunk, and
+        # x1 + 2 at n = 1: the error names the first member in family order
+        # and its n, as the loop of one transform per call did
+        spec, family, norms = overflow_case(interval_bump)
+        chunk_rows(spec, rows)
+        with pytest.raises(GrowthError, match=OVERFLOW.format(r"1\.0\*x1\^3", 16)):
+            list(spatial_norms(spec, family, 16, norms))
+        with pytest.raises(GrowthError, match=OVERFLOW.format(r"2\.0 \+ 1\.0\*x1", 1)):
+            list(spatial_norms(spec, family[1:], 16, norms))
+
+    def test_a_pass_stays_within_the_chunk_bound(self, interval_bump):
+        # at M = 2^16 every call transforms one row; at M = 1024 and n_max =
+        # 4096 a call transforms at most CHUNK_MAX_POINTS // 1024 rows, and
+        # the pass never holds a (n_max x M) block (64 MiB)
+        import tracemalloc
+        calls, step = [], SpatialStep.__call__
+
+        def counting_step(self, G):
+            calls.append(len(G) if G.ndim == 2 else 1)
+            return step(self, G)
+
+        wide = sample_builtin({"kind": "spectral_bump",
+                               "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}},
+                              make_grid(1, 2 ** 16, 0.05))
+        _, f = interval_bump
+        x1 = family_explicit([parse_poly("x1", 1)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SpatialStep, "__call__", counting_step)
+            mp.setattr(growth, "SPLIT_MIN_POINTS", 2 ** 20)   # serial, not split
+            ((_, _, (row,)),), = spatial_norms(wide, x1, 32, [(1, 0)])
+            assert row.size == 32 and calls == [1] * 16
+            calls.clear()
+            tracemalloc.start()
+            try:
+                ((_, _, (row,)),), = spatial_norms(f, x1, 4096, [(1, 0)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        rows = growth.CHUNK_MAX_POINTS // 1024
+        assert row.size == 4096 and sum(calls) == 2048 and set(calls) == {rows} and rows > 1
+        assert peak < 4 * 2 ** 20
 
 
 def hermitian_input(d, M, cells, rng):

@@ -9,7 +9,7 @@ the ledger layer takes a family only, the carve is one block loop with
 one symbol call and no point cache, the Parseval row is one moment sum
 of a real block in a loop that makes no spatial step, a p = 2 pass builds
 no step, neither the spatial step's pass choice nor the ledger pass's
-split has a knob, a subcommand registers only the overrides its handler
+split or d = 1 chunk has a knob, a subcommand registers only the overrides its handler
 reads, and a builtin input is one SampledFunction."""
 
 import ast
@@ -346,13 +346,26 @@ def test_step_passes_have_no_knob():
     assert reads == []
 
 
+def measured_constant(tree, source, name):
+    """The module-level assignment of name: a constant expression, under a
+    comment that states a measurement."""
+    import re
+    (constant,) = [node for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == [name]]
+    assert all(isinstance(node, (ast.Constant, ast.BinOp, ast.operator))
+               for node in ast.walk(constant.value))
+    lines = source.splitlines()[:constant.lineno - 1]
+    comment = " ".join(itertools.takewhile(lambda line: line.startswith("#"), reversed(lines)))
+    assert re.search(r"\d (ms|us)\b", comment), name
+    return constant
+
+
 def test_split_has_no_knob():
     # spatial_norms decides whether to split a member from the grid and the
     # CPUs alone: its signature is the pass's four arguments, growth.py
     # reads no environment and no argv, os is read for the CPU affinity only
     # (os.cpu_count() where sched_getaffinity is missing), and the grid size
     # is compared with a module constant whose measurement is its comment
-    import re
     path = ROOT / "src" / "realpw" / "growth.py"
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
@@ -366,15 +379,29 @@ def test_split_has_no_knob():
     os_reads = {node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os"}
     assert os_reads == {"sched_getaffinity", "cpu_count"}
-    (constant,) = [node for node in tree.body if isinstance(node, ast.Assign)
-                   and [getattr(t, "id", None) for t in node.targets] == ["SPLIT_MIN_POINTS"]]
-    assert all(isinstance(node, (ast.Constant, ast.BinOp, ast.operator))
-               for node in ast.walk(constant.value))
-    lines = source.splitlines()[:constant.lineno - 1]
-    comment = " ".join(itertools.takewhile(lambda line: line.startswith("#"), reversed(lines)))
-    assert re.search(r"\d (ms|us)\b", comment)
+    measured_constant(tree, source, "SPLIT_MIN_POINTS")
     names = {getattr(node, "id", None) for node in ast.walk(spatial_norms_tree())}
     assert "SPLIT_MIN_POINTS" in names
+
+
+def test_chunk_has_no_knob():
+    # the rows of a d = 1 chunk come from M, n_max and one module constant
+    # whose measurement is its comment: spatial_norms reads it, the constant
+    # reads no name (no environment, config or argv), and no other function
+    # of growth.py names it
+    path = ROOT / "src" / "realpw" / "growth.py"
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    constant = measured_constant(tree, source, "CHUNK_MAX_POINTS")
+    assert not [node for node in ast.walk(constant.value) if isinstance(node, ast.Name)]
+    owner = {id(node): getattr(top, "name", None) for top in tree.body for node in ast.walk(top)}
+    users = {owner[id(node)] for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "CHUNK_MAX_POINTS"}
+    assert users == {"spatial_norms", None}       # None: the assignment itself
+    assignments = [node for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign))
+                   and "CHUNK_MAX_POINTS" in {getattr(t, "id", None) for t in (
+                       node.targets if isinstance(node, ast.Assign) else [node.target])}]
+    assert assignments == [constant]
 
 
 def test_every_override_is_read():

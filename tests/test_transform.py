@@ -465,6 +465,27 @@ class TestPrunedStep:
             k = spec.fft_index.size
             assert_step_exact(spec, step, rng.standard_normal(k) + 1j * rng.standard_normal(k))
 
+    @pytest.mark.parametrize("name", MASKS)
+    def test_d1_stack_is_each_row_bit_for_bit(self, name):
+        # a (k, cells) stack goes through one ifft call over k lines; each
+        # output row is that row's one-row output, for every k up to the
+        # largest yet, and a smaller stack leaves no data for the next
+        spec = spectrum_on_cells(make_grid(1, 64, 0.5), mask_cells(name, 1, 64))
+        step, rng = SpatialStep(spec), np.random.default_rng(9)
+        cells = spec.fft_index.size
+        for k in (3, 1, 5, 2, 5):
+            G = rng.standard_normal((k, cells)) + 1j * rng.standard_normal((k, cells))
+            out = step(G)
+            assert out.shape == (k, 64)
+            rows = [step(row).copy() for row in G]
+            assert [r.tobytes() for r in rows] == [r.tobytes() for r in out]
+            assert_step_exact(spec, step, G[-1])
+
+    def test_a_stack_steps_on_d1_only(self):
+        spec = spectrum_on_cells(make_grid(2, 16, 0.5), mask_cells("one cell", 2, 16))
+        with pytest.raises(GridError, match="d = 1 grid only"):
+            SpatialStep(spec)(spec.F[spec.mask.field][None])
+
     @pytest.mark.parametrize("name", CHOICES)
     def test_pass_choice(self, name):
         grid, cells, matrix, axes = chosen_passes(name)

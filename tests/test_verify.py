@@ -88,7 +88,7 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
         return ratios(*args)
 
     def counting_step(self, G):
-        steps.append(G.shape)
+        steps.append(len(G) if G.ndim == 2 else 1)     # a d = 1 chunk, or one row
         return step(self, G)
 
     monkeypatch.setattr(verify, "spatial_norms", counting_norms)
@@ -99,9 +99,12 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
     # every row, cauchy_bound and raster_radius too, reads the members' ledgers
     assert sorted(passes) == sorted(P.to_text() for m in members for P in m.polys)
     # each real P on a real input steps g_(n-1) and g_n in one transform: 8
-    # steps for those 4 (member, P), 16 for the other 4 (the offset interval's
-    # complex input, the interval's complex P)
-    assert len(steps) == 8 * 4 + 16 * 4 == 96
+    # rows for those 4 (member, P), 16 for the other 4 (the offset interval's
+    # complex input, the interval's complex P); the intervals (M = 512) step
+    # 8 rows per call, the ball row by row
+    assert sum(steps) == 8 * 4 + 16 * 4 == 96
+    assert growth.CHUNK_MAX_POINTS // 512 == 8
+    assert len(steps) == 2 * 1 + 4 * 2 + 2 * 8
     for log in (passes, calls, steps):
         log.clear()
     for member in members:
@@ -115,14 +118,14 @@ def test_under_resolved_member_steps_polys0_only(monkeypatch):
     steps, step = [], SpatialStep.__call__
 
     def counting_step(self, G):
-        steps.append(G.shape)
+        steps.append(len(G) if G.ndim == 2 else 1)     # a d = 1 chunk, or one row
         return step(self, G)
 
     monkeypatch.setattr(SpatialStep, "__call__", counting_step)
     member = CorpusMember("under-resolved", under_resolved_member().f,
                           family_explicit([parse_poly("x1", 1), parse_poly("x1^2", 1)]), (2,))
     matrix = run_matrix(members=[member], n_max=16)
-    assert len(steps) == 16
+    assert (sum(steps), len(steps)) == (16, 1)
     assert {name: row[member.name] for name, row in matrix.items()} == {
         "limit_vs_R": ("skip", "mask touches the frequency boundary"),
         "liminf": ("skip", "mask touches the frequency boundary"),
