@@ -272,11 +272,14 @@ def cmd_complex_growth(cfg):
     d = f.grid.d
     ys, x0s = (_d_vectors(cfg, f"complex_growth.{k}", d) for k in ("y", "x0"))
     noted_default, ys, x0s = ys is None, ys or [[1.0] * d], x0s or [[0.0] * d]
-    # overflow guard, checked before any quadrature
+    # overflow guards of the exponent's parts t y.x and x0.x, before any quadrature
     coords = f.grid.spatial_coords() if f.side == "spatial" else f.grid.frequency_coords()
-    if (t_max * max(abs(c) for y in ys for c in y) * float(np.abs(coords).max())
-            > OVERFLOW_GUARD):
+    reach = float(np.abs(coords).max())
+    if t_max * max(abs(c) for y in ys for c in y) * reach > OVERFLOW_GUARD:
         raise ConfigError("complex_growth.t_max", "t window exceeds the exp overflow guard")
+    if not math.isfinite(max(sum(abs(float(c)) for c in x0) for x0 in x0s) * reach):
+        raise ConfigError("complex_growth.x0", "sum |x0_j| * max |coordinate| exceeds "
+                                               "the double range")
     t = np.linspace(t_min, t_max, t_count)
     rows, table = [], io.StringIO()
     writer = csv.writer(table, lineterminator="\n")      # quotes a vector's commas

@@ -8,38 +8,38 @@ the ledger identity is  ||P(d)^n f||_p = exp(S) * ||g||_p  with S = n*log(s).
 Every function here takes an input's `Spectrum` (transform and mask, built
 once) in place of the spatial input, and reads each symbol through
 `symbol_ratios`, which evaluates it on the mask cells only.  Every ledger
-comes from one pass, `spatial_norms`, run per stack of members in two plain
-loops.  The moment loop runs over n and forms every member's Parseval
-2-norm row (the p = 2 ledgers) from the moments m_n = sum_j |F_j|^2 t_j^n,
-t_j = |P(i lam_j)/R|^2, on the mask cells.  The spatial loop runs member by
-member and reads every spatial norm a caller asks for (the p != 2 ledgers,
-the weighted sup norms) from one `SpatialStep` output per n, or per pair
-(n, n + 1) when the member's iterates are all real, taking each output's
-moduli once for all its norms.  The step is the inverse DFT of the mask
-cells, by a pruned ifft along axes whose mask occupies many frequencies and
-by a matrix product along the others (every axis of the d = 2 acceptance
-inputs).  On a d = 1 grid, where the step is one ifft pass, a chunk of up
-to CHUNK_MAX_POINTS // M consecutive transforms goes through one ifft call,
-and each norm of the chunk is one row-wise reduction.  Real iterates need
-that the mask is resolved and closed under lam -> -lam, F is Hermitian on it
-to HERMITIAN_TOL of max |F|, and P has real coefficients.  Then one
-transform of G_n + i G_(n+1) gives g_n as its real part and g_(n+1) as its
-imaginary part.
+comes from one pass, `spatial_norms`, one (R, two, rows) per member, which
+runs each stack of members in two plain loops.  The moment loop runs over n
+and forms every member's Parseval 2-norm row (the p = 2 ledgers) from the
+moments m_n = sum_j |F_j|^2 t_j^n, t_j = |P(i lam_j)/R|^2, on the mask cells.
+The spatial loop runs member by member and reads every spatial norm a caller
+asks for (the p != 2 ledgers, the weighted sup norms) from one `SpatialStep`
+output per n, or per pair (n, n + 1) when the member's iterates are all real,
+taking each output's moduli once for all its norms.  The step is the inverse
+DFT of the mask cells, by a pruned ifft along axes whose mask occupies many
+frequencies and by a matrix product along the others (every axis of the d = 2
+acceptance inputs).  On a d = 1 grid, where the step is one ifft pass, a
+chunk of up to CHUNK_MAX_POINTS // M consecutive transforms goes through one
+ifft call, and each norm of the chunk is one row-wise reduction.  Real
+iterates need that the mask is resolved and closed under lam -> -lam, F is
+Hermitian on it to HERMITIAN_TOL of max |F|, and P has real coefficients.
+Then one transform of G_n + i G_(n+1) gives g_n as its real part and g_(n+1)
+as its imaginary part.
 On a grid of SPLIT_MIN_POINTS or more, in a process that may run on two or
 more CPUs, the spatial loop splits each member's n-range in two: the caller
 steps n = 1..h, h = n_max // 2 rounded down to even, and one helper thread,
-with its own step, steps n = h + 1..n_max from G_h.  Its rows are bit-equal
-to the serial loop's.  A spatial input is masked at DEFAULT_EPS_REL; a
-Spectrum carries its own threshold, so another one is chosen with
-Spectrum.of(f, eps_rel).
+with its own step, steps n = h + 1..n_max from G_h; one helper pool serves
+the whole call.  Its rows are bit-equal to the serial loop's.  A spatial
+input is masked at DEFAULT_EPS_REL; a Spectrum carries its own threshold, so
+another one is chosen with Spectrum.of(f, eps_rel).
 
 Every ledger kind, the p-norm and Parseval rows of a GrowthSequence and the
 weighted sup rows of a PointwiseGrowthReport, becomes a limit through one
 path, `_estimates`: one `estimate_limits` call (which works along the rows of
 a stack of ledgers of one length) per length of 8 or more, the last root
 exp(L_n/n) for a shorter ledger ("truncated"), 0 for an empty one ("zero").
-GrowthSequence.from_rows runs it once per stack of rows, so growth_sequences
-pays one estimator call per stack of `spatial_norms` and length, not one per
+GrowthSequence.from_rows runs it once for all its rows, so growth_sequences
+pays one estimator call per ledger length of the family, not one per
 member.  A GrowthSequence stores its ledger L; its roots and step factors
 are derived from L when they are read.
 
@@ -57,6 +57,7 @@ locates the spectral support in the ball of radius sqrt(R) around the origin.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import itertools
 import math
 import os
@@ -282,13 +283,12 @@ def apply_op_fd(f: SampledFunction, P: MultiPoly,
 # ---------------------------------------------------------------------------
 
 def spatial_norms(f, family: PolyFamily, n_max: int, norms):
-    """The one ledger pass: for each stack of members of family, in order,
-    the list of each member's (R, two, rows).  f is a SampledFunction or its
-    Spectrum.
+    """The one ledger pass: the list of each member's (R, two, rows), in
+    family order.  f is a SampledFunction or its Spectrum.
 
     Members go through `symbol_ratios` in stacks of at most n_points //
     (mask cells), so a (members x mask cells) block holds at most n_points
-    values; each stack runs in two plain loops when the pass reaches it.  R
+    values; each stack runs in two plain loops, and no caller sees it.  R
     is the member's max |P(i lam)| over the mask, and every row holds the
     norms of g_n, n = 1, 2, ..., whose ledger is L_n = n log R + log of the
     row's value.
@@ -343,8 +343,9 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     pairs (n, n + 1).  The helper reads every norm; its values follow the
     caller's in n order through the one cut and overflow check, so the rows,
     their ends and a GrowthError are those of the serial loop.  The helper
-    stops at its next step once the caller's rows are all cut or raise, and
-    it is joined within its stack, before the stack is yielded.
+    stops at its next step once the caller's rows are all cut or raise.  One
+    pool of one thread serves every member of the call, and the call joins
+    it before it returns or raises.
     """
     spec = Spectrum.of(f)
     F = spec.F[spec.mask.field]
@@ -363,19 +364,19 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
             split = n_max // 2 - n_max // 2 % 2     # h: the caller steps n = 1..h
         if split:
             helper = SpatialStep(spec), np.empty_like(bufs), np.empty_like(mag)
-    size = max(1, spec.grid.n_points // max(1, F.size))
-    for start in range(0, len(family), size):
-        stack = family[start:start + size]
-        # sums, which the yielded rows keep alive, come before the stack's
-        # blocks, and the blocks are freed before the first yield: sums the
-        # other way round cost each later reconstruct-twobox job ~1 500 page
-        # faults (6 MB)
-        sums = np.empty((len(stack), n_max))
-        R, ratio = symbol_ratios(spec, stack)
-        rows = [[[] for _ in norms] for _ in range(len(stack))]
-        # the helper thread lives within the stack: the pool's exit joins it
-        with (ThreadPoolExecutor(1) if split else contextlib.nullcontext()) as pool, \
-                np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
+    out, size = [], max(1, spec.grid.n_points // max(1, F.size))
+    # the helper thread lives within the call: the pool's exit joins it
+    with (ThreadPoolExecutor(1) if split else contextlib.nullcontext()) as pool, \
+            np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
+        for start in range(0, len(family), size):
+            stack = family[start:start + size]
+            # sums, which the returned rows keep alive, come before the stack's
+            # blocks, and the blocks are freed before the next stack's: sums
+            # the other way round cost each later reconstruct-twobox job
+            # ~1 500 page faults (6 MB)
+            sums = np.empty((len(stack), n_max))
+            R, ratio = symbol_ratios(spec, stack)
+            rows = [[[] for _ in norms] for _ in range(len(stack))]
             t = ratio.real ** 2 + ratio.imag ** 2           # t_j = |P(i lam_j)/R|^2
             W = np.square(np.abs(ratio) * np.abs(F))       # w_j t_j
             for n in range(1, n_max + 1):
@@ -383,30 +384,31 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
                     W *= t
                 np.sum(W, axis=1, out=sums[:, n - 1])   # the moment sum_j w_j t_j^n
             for m in np.flatnonzero(R > 0.0).tolist() if norms else ():
-                r, ks, out = ratio[m], range(len(norms)), rows[m]
+                r, ks, got = ratio[m], range(len(norms)), rows[m]
                 paired = real and not stack.coeffs[m].imag.any()
                 unread = threading.Event()
-                tail = pool.submit(_tail, *helper, F, r, split, n_max, paired, norms, weights,
-                                   unread) if split else None
-                caller = (values for g, count in _iterates(step, bufs, F, r, 0, split or n_max,
-                                                           paired)
-                          for values in _read(step, mag, g, count, paired, norms, weights))
+                # the helper runs in a copy of this context, so under this errstate
+                tail = pool.submit(contextvars.copy_context().run, list, _values(
+                    *helper, F, r, split, n_max, paired, norms, weights,
+                    unread)) if split else None
+                caller = _values(step, bufs, mag, F, r, 0, split or n_max, paired, norms, weights)
                 try:
                     for n, values in enumerate(itertools.chain(caller, _read_by(tail)), 1):
                         for k in ks:
-                            out[k].append(values[k])
-                        ks = [k for k in ks if _goes_on(stack, m, norms[k], n, out[k][-1])]
+                            got[k].append(values[k])
+                        ks = [k for k in ks if _goes_on(stack, m, norms[k], n, got[k][-1])]
                         if not ks:
                             break
                 finally:                            # the rest goes unread
                     unread.set()
                 if tail:
                     tail.result()                   # an error in the helper raises
-        ratio = W = t = None
-        sums *= spec.grid.dlam ** spec.grid.d
-        np.sqrt(sums, out=sums)
-        yield [(float(R[m]), sums[m], [np.array(r, dtype=float) for r in rows[m]])
-               for m in range(len(stack))]
+            ratio = W = t = None
+            sums *= spec.grid.dlam ** spec.grid.d
+            np.sqrt(sums, out=sums)
+            out += [(float(R[m]), sums[m], [np.array(r, dtype=float) for r in rows[m]])
+                    for m in range(len(stack))]
+    return out
 
 
 def _cpus() -> int:
@@ -465,22 +467,19 @@ def _read(step, mag, g, count, real, norms, weights) -> list:
 
 
 def _read_by(tail):
-    """The values a helper's _tail read, once tail, its future, is done; none
-    without one."""
+    """The values of a helper's half, once tail, its future, is done; none without one."""
     yield from tail.result() if tail else ()
 
 
-def _tail(step, bufs, mag, F, r, h, n_max, paired, norms, weights, unread) -> list:
-    """The helper's half of a split member: the value of every norm of g_n, n
-    = h + 1..n_max, a list per n in order, on its own step, bufs and mag,
-    until the event unread is set."""
-    values = []
-    with np.errstate(over="ignore", invalid="ignore"):      # errstate is per thread
-        for g, count in _iterates(step, bufs, F, r, h, n_max, paired):
-            if unread.is_set():
-                break
-            values += _read(step, mag, g, count, paired, norms, weights)
-    return values
+def _values(step, bufs, mag, F, r, n, end, paired, norms, weights, unread=None):
+    """The value of every norm of g_k, k = n + 1..end, a list per k in order,
+    of the member with ratio row r, stepped on step, bufs and mag: the
+    caller's half of a member, or, with the event unread, the helper's half,
+    which stops at its next step once unread is set."""
+    for g, count in _iterates(step, bufs, F, r, n, end, paired):
+        if unread is not None and unread.is_set():
+            break
+        yield from _read(step, mag, g, count, paired, norms, weights)
 
 
 def _real_iterates(spec: Spectrum) -> bool:
@@ -584,10 +583,10 @@ class GrowthSequence:
         for (family, p, _, norms, k), L in zip(rows, ledgers):
             if L.size < norms.size and not np.isfinite(norms[L.size]):
                 raise _overflow(family[k:k + 1][0], p, 0, L.size + 1)
-        for (family, p, R, norms, k), L, est in zip(rows, ledgers, _estimates(ledgers)):
-            yield cls(family, k, p, n_max, L, norms[:L.size], est.limit, est.secondary,
-                      est.regime, est.tail_window, est.spread, R, resolved,
-                      None if 0 < L.size == norms.size else L.size + 1)
+        return [cls(family, k, p, n_max, L, norms[:L.size], est.limit, est.secondary,
+                    est.regime, est.tail_window, est.spread, R, resolved,
+                    None if 0 < L.size == norms.size else L.size + 1)
+                for (family, p, R, norms, k), L, est in zip(rows, ledgers, _estimates(ledgers))]
 
     @property
     def P(self) -> MultiPoly:
@@ -634,25 +633,23 @@ def growth_sequence(f, P: MultiPoly, p, n_max: int) -> GrowthSequence:
     2-norm under the grid measures (discrete Parseval), so the ledger is
     summed directly on the mask cells.  This is growth_sequences for one P.
     """
-    return next(growth_sequences(f, family_explicit([P]), p, n_max))
+    return growth_sequences(f, family_explicit([P]), p, n_max)[0]
 
 
 def growth_sequences(f, family: PolyFamily, p, n_max: int):
-    """growth_sequence(f, P, p, n_max) for each P of family, in order, each
-    stack of `spatial_norms` built through one GrowthSequence.from_rows when
-    its first member is consumed: p = 2 reads the pass's Parseval row, any
-    other p its one spatial row."""
+    """The list of growth_sequence(f, P, p, n_max) for each P of family, in
+    order, from one `spatial_norms` call and one GrowthSequence.from_rows:
+    p = 2 reads the pass's Parseval rows, any other p its one spatial row."""
     if n_max < 8:
         raise GrowthError(f"n_max must be >= 8, got {n_max}")
     if not np.isinf(p) and not p >= 1:
         raise GrowthError(f"p must be in [1, inf], got {p}")
     spec = Spectrum.of(f)
     norms = [] if p == 2 else [(p, 0)]
-    at = itertools.count()
-    for stack in spatial_norms(spec, family, n_max, norms):
-        yield from GrowthSequence.from_rows(
-            [(family, p, R, rows[0] if norms else two, next(at)) for R, two, rows in stack],
-            n_max, spec.mask.resolved)
+    return GrowthSequence.from_rows(
+        [(family, p, R, rows[0] if norms else two, k)
+         for k, (R, two, rows) in enumerate(spatial_norms(spec, family, n_max, norms))],
+        n_max, spec.mask.resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +739,7 @@ def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
     if mode not in ("decay", "growth"):
         raise GrowthError("mode must be 'decay' or 'growth'")
     norm = (np.inf, N if mode == "decay" else -N)
-    ((R, _, (row,)),) = next(spatial_norms(f, family_explicit([P]), n_max, [norm]))
+    ((R, _, (row,)),) = spatial_norms(f, family_explicit([P]), n_max, [norm])
     return PointwiseGrowthReport.from_row(N, mode, R, row)
 
 
@@ -772,8 +769,8 @@ def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
         raise GrowthError("claimed bound R must be positive")
     d = f.grid.d
     # both weights are >= 1, so the two rows vanish at the same n
-    ((R_mask, _, rows),) = next(spatial_norms(f, family_explicit([P]), n_max,
-                                              [(np.inf, N), (np.inf, d + 1)]))
+    ((R_mask, _, rows),) = spatial_norms(f, family_explicit([P]), n_max,
+                                         [(np.inf, N), (np.inf, d + 1)])
     W_N, W_phi = _ledgers([(R_mask, row) for row in rows])
     if not W_N.size:
         return SchwartzDecayReport(R, N, W_N, 0.0, 1.0, True, -np.inf)

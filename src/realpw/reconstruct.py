@@ -104,7 +104,7 @@ def reconstruct_support(f, family: PolyFamily, p, n_max: int,
     """
     grid = f.grid
     spec = Spectrum.of(f)
-    seqs = list(growth_sequences(spec, family, p, n_max))
+    seqs = growth_sequences(spec, family, p, n_max)
     out = np.array([s.truncated_at is not None and s.regime != "zero" for s in seqs])
     limits = [float("nan") if x else s.limit for s, x in zip(seqs, out)]
     resolved = all(s.resolved for s, x in zip(seqs, out) if not x)

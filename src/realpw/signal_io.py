@@ -77,7 +77,10 @@ def _document(obj):
 def signal_from_dict(doc: dict):
     """Decode a signal document; any defect raises SignalIOError."""
     try:
-        grid = make_grid(int(doc["d"]), int(doc["M"]), float(doc["h"]))
+        for key in ("d", "M"):      # 1.5, true or "8" is no grid size
+            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+                raise SignalIOError(f"header {key!r} must be an integer, got {doc[key]!r:.60}")
+        grid = make_grid(doc["d"], doc["M"], float(doc["h"]))
         side = doc["side"]
         encoding = doc.get("encoding", "array")
         raw = doc["values"]

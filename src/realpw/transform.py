@@ -10,6 +10,8 @@ h^d sum |f|^2 = dlam^d sum |F|^2 holds to machine precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -381,12 +383,15 @@ def eval_entire(f: SampledFunction, z, margin_tol: float = 1e-10):
     reach = float(np.abs(coords).max(initial=0.0))
     values = f.values[support]
     for k, zk in enumerate(stack):
-        if np.abs(zk.imag).max() * reach > OVERFLOW_GUARD:
+        if float(np.abs(zk.imag).max()) * reach > OVERFLOW_GUARD:
             raise GridError(
                 f"eval_entire: |Im z| * support radius = "
-                f"{np.abs(zk.imag).max() * reach:.3g} exceeds the overflow guard "
+                f"{float(np.abs(zk.imag).max()) * reach:.3g} exceeds the overflow guard "
                 f"{OVERFLOW_GUARD:g}"
             )
+        if not math.isfinite(sum(map(abs, zk.real.tolist())) * reach):  # floats: inf, no warning
+            raise GridError("eval_entire: sum |Re z_j| * support radius exceeds the "
+                            "double range")
         phase = coords @ (sign * 1j * zk)
         out[k] = scale * np.sum(values * np.exp(phase))
     return out if z.ndim == 2 else complex(out[0])

@@ -9,7 +9,6 @@ spectrum report "skip" when the member's mask touches the frequency boundary.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,12 +46,12 @@ class Ledgers:
     growth-mode PointwiseGrowthReport per P at N = RTILDE_N; plancherel: the
     one (spatial, frequency) pair of 2-norm rows of g_n for polys[0], the
     spatial row as spatial_norms gives it (ending at a value not > 0), the
-    frequency one as the p = 2 ledger keeps it.  One `spatial_norms` pass per stack of polys
-    gives them all: the p = 2 ledgers and the frequency side read its
-    Parseval rows, and one GrowthSequence.from_rows builds the ledgers of
-    each stack.  A member whose mask is not resolved gets no sequences
-    or rtilde (every row that reads them skips it), so its pass steps only
-    polys[0], for the spatial 2-norms.
+    frequency one as the p = 2 ledger keeps it.  One `spatial_norms` call
+    over polys gives them all, with a spatial 2-norm row per P of which
+    only polys[0]'s is read; the p = 2 ledgers and the frequency side read
+    its Parseval rows, and one GrowthSequence.from_rows builds every ledger.
+    A member whose mask is not resolved gets no sequences or rtilde (every
+    row that reads them skips it), so its pass reads the 2-norms alone.
     """
 
     R: list
@@ -62,28 +61,20 @@ class Ledgers:
 
     @classmethod
     def of(cls, member, n_max: int) -> "Ledgers":
-        spec, polys = member.spec, member.polys
-        resolved = spec.mask.resolved
-        spatial_p = [p for p in member.p_values if p != 2]
+        spec, polys, resolved = member.spec, member.polys, member.spec.mask.resolved
+        ps = member.p_values if resolved else ()
+        spatial_p = [p for p in ps if p != 2]
         norms = [(p, 0) for p in spatial_p] + [(np.inf, -RTILDE_N)] if resolved else []
-        first = next(spatial_norms(spec, polys[:1], n_max, norms + [(2, 0)]))
-        rest = spatial_norms(spec, polys[1:], n_max, norms) if len(polys) > 1 else ()
-        Rs, sequences, rtilde, at = [], [], [], itertools.count()
-        for stack in itertools.chain([first], rest):
-            Rs.extend(R for R, _, _ in stack)
-            if resolved:
-                sequences.extend(GrowthSequence.from_rows(
-                    [(polys, p, R, two if p == 2 else rows[spatial_p.index(p)], k)
-                     for (R, two, rows), k in zip(stack, at) for p in member.p_values],
-                    n_max, resolved))
-                rtilde.extend(PointwiseGrowthReport.from_row(
-                    RTILDE_N, "growth", R, rows[len(spatial_p)]) for R, _, rows in stack)
-        ((R, two, rows),) = first               # polys[0]'s pass adds (2, 0)
-        if resolved and 2 in member.p_values:
-            seq2 = sequences[member.p_values.index(2)]
-        else:
-            seq2 = next(GrowthSequence.from_rows([(polys, 2, R, two, 0)], n_max, resolved))
-        return cls(Rs, sequences, rtilde, (rows[-1], seq2.norms))
+        per_poly = spatial_norms(spec, polys, n_max, norms + [(2, 0)])
+        sequences = GrowthSequence.from_rows(
+            [(polys, p, R, two if p == 2 else rows[spatial_p.index(p)], k)
+             for k, (R, two, rows) in enumerate(per_poly) for p in ps], n_max, resolved)
+        rtilde = [PointwiseGrowthReport.from_row(RTILDE_N, "growth", R, rows[len(spatial_p)])
+                  for R, _, rows in per_poly if resolved]
+        R, two, rows = per_poly[0]
+        seq2 = (sequences[ps.index(2)] if 2 in ps
+                else GrowthSequence.from_rows([(polys, 2, R, two, 0)], n_max, resolved)[0])
+        return cls([R for R, _, _ in per_poly], sequences, rtilde, (rows[-1], seq2.norms))
 
 
 @dataclass

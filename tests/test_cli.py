@@ -185,6 +185,20 @@ class TestComplexGrowth:
                                                "t_count": 11})
         assert main(["complex-growth", "--config", cfg]) == EXIT_CONFIG
 
+    def test_x0_past_the_double_range_rejected(self, tmp_path, capsys):
+        # |x0| |x| is past the double range on this grid (|x| up to 12.8):
+        # the field is named before any quadrature, where the phase's
+        # overflow warned and the run then failed on "fewer than 3 samples
+        # above the underflow floor"
+        cfg = write_config(tmp_path, "cfg.json", {
+            "grid": {"d": 1, "M": 256, "h": 0.1},
+            "input": {"builtin": {"kind": "spatial_bump",
+                                  "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}},
+            "complex_growth": {"x0": [[1e308]]}})
+        assert main(["complex-growth", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'complex_growth.x0'" in err and "double range" in err
+
 
 class TestVerify:
     def test_small_n_max_rejected(self, tmp_path):
@@ -347,6 +361,11 @@ def signal_files(tmp_path, signal_document):
     (tmp_path / "bad_row.csv").write_text("index,re,im\n-4,0,0\n-3,abc,0\n")
     (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00\x81" * 8)
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00\x81" * 8)
+    for name, obj, key, value in (("float_d.json", f, "d", 1.0),
+                                  ("text_M_mask.json", support_mask(forward_dft(f)), "M", "64")):
+        doc = signal_document(obj)
+        doc[key] = value
+        (tmp_path / name).write_text(json.dumps(doc))
 
     def resolve(value):
         if isinstance(value, str) and value.startswith("@"):
@@ -396,6 +415,8 @@ PROBES = [
     ("estimate", "input", {"path": "@bad_row.csv", "h": 0.25, "side": "up"},
      EXIT_CONFIG, "'input.side'"),
     ("estimate", "input", {"path": "@mask.json"}, EXIT_CONFIG, "'input.path'"),
+    ("estimate", "input", {"path": "@float_d.json"}, EXIT_CONFIG,
+     "'input.path': bad signal: header 'd' must be an integer, got 1.0"),
     ("estimate", "input.builtin", {"kind": "nope"}, EXIT_CONFIG, "'input.builtin'"),
     ("estimate", "input.builtin", {"kind": "gaussian", "sigma": "wide"},
      EXIT_CONFIG, "'input.builtin'"),
@@ -458,6 +479,8 @@ PROBES = [
      "'reference_mask'"),
     ("reconstruct", "reference_mask", "@bad_base64.json", EXIT_CONFIG, "'reference_mask'"),
     ("reconstruct", "reference_mask", 5, EXIT_CONFIG, "'reference_mask'"),
+    ("reconstruct", "reference_mask", "@text_M_mask.json", EXIT_CONFIG,
+     "'reference_mask': bad signal: header 'M' must be an integer, got '64'"),
     ("reconstruct", "mask_out", "@absent_dir/mask.json", EXIT_IO, "absent_dir"),
     ("complex-growth", "complex_growth.t_min", "", EXIT_CONFIG, "'complex_growth.t_min'"),
     ("complex-growth", "complex_growth.t_count", 2, EXIT_CONFIG, "'complex_growth.t_count'"),
@@ -469,6 +492,7 @@ PROBES = [
     ("complex-growth", "complex_growth.y", [["a"]], EXIT_CONFIG, "'complex_growth.y'"),
     ("complex-growth", "complex_growth.y", [[1, 2]], EXIT_CONFIG, "'complex_growth.y'"),
     ("complex-growth", "complex_growth.x0", [], EXIT_CONFIG, "'complex_growth.x0'"),
+    ("complex-growth", "complex_growth.x0", [[1e308]], EXIT_CONFIG, "'complex_growth.x0'"),
     ("complex-growth", "complex_growth", 3, EXIT_CONFIG, "'complex_growth'"),
     ("complex-growth", "csv_out", "@absent_dir/plot.csv", EXIT_IO, "absent_dir"),
     ("verify", "n_max", 4, EXIT_CONFIG, "'n_max'"),

@@ -1,6 +1,7 @@
 import itertools
 import random
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +38,7 @@ def interval_bump():
 
 def member_rows(spec, P, n_max, norms):
     """spatial_norms' (R, two, rows) of the one member P."""
-    ((out,),) = spatial_norms(spec, family_explicit([P]), n_max, norms)
+    (out,) = spatial_norms(spec, family_explicit([P]), n_max, norms)
     return out
 
 
@@ -566,15 +567,14 @@ def parent_sequence(P, p, R, S, norms):
 
 
 def parent_pass(spec, family, n_max, norms):
-    """(P, R, two, rows) per member of family as spatial_norms yielded them
+    """(P, R, two, rows) per member of family as spatial_norms gave them
     before rows were plain norms: two and each row an (S, values) pair, S the
-    terms S_n = n log R from the stack's vector of log R, cut to the row."""
-    members, ns = iter(family), np.arange(1, n_max + 1)
-    for stack in spatial_norms(spec, family, n_max, norms):
-        logR = parent_log_R(np.array([R for R, _, _ in stack]))
-        for (R, two, rows), P, log_R in zip(stack, members, logR):
-            S = ns * log_R
-            yield P, R, (S, two), [(S[:r.size], r) for r in rows]
+    terms S_n = n log R from the family's vector of log R, cut to the row."""
+    out, ns = spatial_norms(spec, family, n_max, norms), np.arange(1, n_max + 1)
+    logR = parent_log_R(np.array([R for R, _, _ in out]))
+    for (R, two, rows), P, log_R in zip(out, family, logR):
+        S = ns * log_R
+        yield P, R, (S, two), [(S[:r.size], r) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +766,8 @@ class TestMomentRowsMatchComplexBlock:
         for spec, family in cases:
             spec = Spectrum.of(spec)
             ref = long_double_rows(spec, family, 200)
-            rows = np.array([two for stack in spatial_norms(spec, family, 200, [])
-                             for _, two, _ in stack]).reshape(ref.shape)
+            rows = np.array([two for _, two, _ in spatial_norms(spec, family, 200, [])]
+                            ).reshape(ref.shape)
             n, N = np.arange(1, 201), spec.coords.shape[0]
             live = ref[:, 0] > 0.0
             assert np.all(ref[live] > 1e-150) and not rows[~live].any()
@@ -981,8 +981,8 @@ class TestSpatialNormsMatchParentPaths:
         for member, _ in both_corpora:
             spec, d = member.spec, member.spec.grid.d
             norms = [(np.inf, N), (np.inf, -N), (np.inf, d + 1)]
-            for P, (R, two, rows) in zip(member.polys, itertools.chain.from_iterable(
-                    spatial_norms(spec, member.polys, n_max, norms))):
+            for P, (R, two, rows) in zip(member.polys,
+                                         spatial_norms(spec, member.polys, n_max, norms)):
                 ref = parent_weighted_sup_logs(spec, P, n_max, [N, -N, d + 1])
                 paired = pairs(spec, P)
                 for mode, row, log_W in (("decay", rows[0], ref[0]),
@@ -1397,7 +1397,7 @@ def overflow_case(interval_bump):
     _, f = interval_bump
     family = family_explicit([parse_poly(t, 1) for t in ("x1^3", "x1 + 2")])
     norms = [(np.inf, 8)]
-    ((_, _, (v0,)), (_, _, (v1,))), = spatial_norms(Spectrum.of(f), family, 16, norms)
+    (_, _, (v0,)), (_, _, (v1,)) = spatial_norms(Spectrum.of(f), family, 16, norms)
     cut = np.sqrt(v0[-1] * v0[:-1].max())
     assert v0[-1] > 1.01 * v0[:-1].max() and v1[0] > 1.5 * cut
     return Spectrum.of(f.with_values(f.values * (np.finfo(float).max / cut))), family, norms
@@ -1411,7 +1411,7 @@ class TestTwoLoopPassMatchesParentLoop:
     def test_rows_are_bit_equal(self, n_max, interval_bump, pairs):
         seen = {"paired": 0, "unpaired": 0, "cut": 0, "R = 0": 0}
         for spec, family, norms in two_loop_cases(interval_bump):
-            new = [row for stack in spatial_norms(spec, family, n_max, norms) for row in stack]
+            new = spatial_norms(spec, family, n_max, norms)
             ref = [row for stack in parent_spatial_norms(spec, family, n_max, norms)
                    for row in stack]
             assert len(new) == len(ref) == len(family)
@@ -1442,13 +1442,19 @@ def helper_halves(monkeypatch):
     """spatial_norms on a host of two CPUs, whatever this one has: each
     entry of the returned list is the thread that ran one helper half."""
     monkeypatch.setattr(growth.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    halves, tail = [], growth._tail
+    halves, values = [], growth._values
 
     def counting(*args):
-        halves.append(threading.get_ident())
-        return tail(*args)
+        inner = values(*args)
+        if len(args) < 11:              # the caller's half: no event unread
+            return inner
 
-    monkeypatch.setattr(growth, "_tail", counting)
+        def helper():
+            halves.append(threading.get_ident())
+            yield from inner
+        return helper()
+
+    monkeypatch.setattr(growth, "_values", counting)
     return halves
 
 
@@ -1467,7 +1473,7 @@ class TestSplitMatchesParentLoop:
         h = n_max // 2 - n_max // 2 % 2     # the caller steps n = 1..h
         seen = {"paired": 0, "unpaired": 0, "cut by h": 0, "cut after h": 0, "R = 0": 0}
         for spec, family, norms in two_loop_cases(interval_bump):
-            new = [row for stack in spatial_norms(spec, family, n_max, norms) for row in stack]
+            new = spatial_norms(spec, family, n_max, norms)
             ref = [row for stack in parent_spatial_norms(spec, family, n_max, norms)
                    for row in stack]
             for P, (R, two, rows), (R_ref, two_ref, rows_ref) in zip(family, new, ref,
@@ -1494,12 +1500,14 @@ class TestSplitMatchesParentLoop:
         # scale multiplies a finite value.  The (2, 2) row of x1 + 2 sets a
         # new high at n = 16; scaled so that its sum of squares passes the
         # double range there, the overflow is np.sum's, in the helper, which
-        # warns (an error in this suite) unless the helper silences it.  The
-        # reference is the serial pass, which names the first member in
-        # family order (the parent loop names the first to overflow in n)
+        # warns unless the helper runs under the call's errstate: the
+        # warnings are recorded, as one raised in the helper's thread would
+        # not reach this one.  The reference is the serial pass, which names
+        # the first member in family order (the parent loop names the first
+        # to overflow in n)
         spec, family, norms = overflow_case(interval_bump)
         _, f = interval_bump
-        ((_, _, (v,)),), = spatial_norms(Spectrum.of(f), family[1:], 16, [(2, 2)])
+        ((_, _, (v,)),) = spatial_norms(Spectrum.of(f), family[1:], 16, [(2, 2)])
         assert v[-1] > 1.01 * v[:-1].max()
         top = (SpatialStep(Spectrum.of(f)).norm(np.ones(1), np.inf)
                * np.sqrt(f.grid.h * np.finfo(float).max))   # the largest summable 2-norm
@@ -1510,35 +1518,39 @@ class TestSplitMatchesParentLoop:
                                        (summed, family[1:], [(2, 2)], 16)]:
             with monkeypatch.context() as serial, pytest.raises(GrowthError) as ref:
                 serial.setattr(growth.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-                list(spatial_norms(spec, family, 16, norms))
-            with pytest.raises(GrowthError) as new:
-                list(spatial_norms(spec, family, 16, norms))
+                spatial_norms(spec, family, 16, norms)
+            with warnings.catch_warnings(record=True) as caught, \
+                    pytest.raises(GrowthError) as new:
+                warnings.simplefilter("always")
+                spatial_norms(spec, family, 16, norms)
             assert str(new.value) == str(ref.value) and f"P(d)^{n} f" in str(new.value)
-            assert threading.active_count() == threads
+            assert threading.active_count() == threads and caught == []
         assert len(helper_halves) == 3
 
-    def test_no_thread_outlives_a_stack(self, helper_halves, monkeypatch):
-        # the pool is joined before each yield: after each stack, after the
-        # pass is closed early and after a GrowthError, the thread count is
-        # back where it started
+    def test_one_pool_per_call(self, interval_bump, helper_halves, monkeypatch):
+        # the 12 members of small_box's family go through the symbol in 3
+        # stacks and share one pool of one thread, which the call joins
+        # before it returns or raises: the thread count is back where it
+        # started after the pass, and after a GrowthError in the helper's
+        # half (x1^3 at n = 16, h = 8) and in the caller's (x1 + 2 at n = 1)
+        spec, two, norms = overflow_case(interval_bump)
         monkeypatch.setattr(growth, "SPLIT_MIN_POINTS", 1)
-        grid = make_grid(1, 64, 0.5)
-        f = sample_builtin({"kind": "spectral_bump",
-                            "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
-        family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], grid)
+        pools, pool = [], growth.ThreadPoolExecutor
+
+        def counting(*args):
+            pools.append(args)
+            return pool(*args)
+
+        monkeypatch.setattr(growth, "ThreadPoolExecutor", counting)
         threads = threading.active_count()
-        sizes = []
-        for stack in spatial_norms(f, family, 16, [(1, 0)]):
+        assert len(spatial_norms(*three_stacks(), 16, [(1, 0)])) == 12
+        assert (pools, len(helper_halves)) == ([(1,)], 12)
+        assert threading.active_count() == threads
+        for family, n in ((two, 16), (two[1:], 1)):
+            with pytest.raises(GrowthError, match=rf"P\(d\)\^{n} f\|\| exceeds"):
+                spatial_norms(spec, family, 16, norms)
             assert threading.active_count() == threads
-            sizes.append(len(stack))
-        assert sizes == [5, 5, 2] and len(helper_halves) == 12
-        rows = spatial_norms(f, family, 16, [(1, 0)])
-        next(rows)
-        rows.close()
-        assert threading.active_count() == threads and len(helper_halves) == 17
-        with pytest.raises(GrowthError):
-            list(spatial_norms(f.with_values(f.values * 1e307), family, 16, [(np.inf, 8)]))
-        assert threading.active_count() == threads and len(helper_halves) == 18
+        assert len(pools) == 3
 
     @pytest.mark.parametrize("cpus, split", [({0}, False), ({0, 1}, True), (None, False),
                                              (1, False), (2, True)])
@@ -1559,9 +1571,41 @@ class TestSplitMatchesParentLoop:
         monkeypatch.setattr(growth, "ThreadPoolExecutor", counting)
         member = acceptance_corpus()[4]        # two boxes: 256^2 points, at the module's threshold
         threads = threading.active_count()
-        for _ in spatial_norms(member.spec, member.polys[:1], 8, [(1, 0)]):
-            assert threading.active_count() == threads
+        assert len(spatial_norms(member.spec, member.polys[:1], 8, [(1, 0)])) == 1
+        assert threading.active_count() == threads
         assert pools == ([(1,)] if split else [])
+
+
+def three_stacks():
+    """small_box's spectrum and 12 quadratics: symbol stacks of 5, 5 and 2."""
+    spec = Spectrum.of(small_box())
+    family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], spec.grid)
+    assert len(family) > 2 * (spec.grid.n_points // spec.coords.shape[0])
+    return spec, family
+
+
+class TestFamiliesOfSeveralStacks:
+    """Every ledger pass of the bench jobs is one symbol stack, so these are
+    the check that a family of three gives each member what it gets alone."""
+
+    @pytest.mark.parametrize("norms", [[(1, 0)], [(3.5, 0)], [(np.inf, 0)],
+                                       [(np.inf, 2), (np.inf, -2)]])
+    def test_rows_match_the_flattened_parent_loop(self, norms):
+        spec, family = three_stacks()
+        new = spatial_norms(spec, family, 64, norms)
+        ref = [row for stack in parent_spatial_norms(spec, family, 64, norms) for row in stack]
+        assert isinstance(new, list)
+        for (R, two, rows), (R_ref, two_ref, rows_ref) in zip(new, ref, strict=True):
+            assert R.hex() == R_ref.hex() and two.tobytes() == two_ref.tobytes()
+            assert [r.tobytes() for r in rows] == [r.tobytes() for r in rows_ref]
+
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_sequences_match_each_member_alone(self, p):
+        spec, family = three_stacks()
+        seqs = growth_sequences(spec, family, p, 64)
+        assert isinstance(seqs, list)
+        for P, seq in zip(family, seqs, strict=True):
+            assert_same_formation(seq, growth_sequence(spec, P, p, 64))
 
 
 def chunk_ends(rows, paired, n_end):
@@ -1609,7 +1653,7 @@ class TestChunksMatchParentLoop:
                 "cut inside a chunk": 0}
         for spec, family, norms in two_loop_cases(interval_bump):
             calls = chunk_rows(spec, rows)
-            new = [row for stack in spatial_norms(spec, family, n_max, norms) for row in stack]
+            new = spatial_norms(spec, family, n_max, norms)
             ref = [row for stack in parent_spatial_norms(spec, family, n_max, norms)
                    for row in stack]
             for P, (R, two, rows_new), (R_ref, two_ref, rows_ref) in zip(family, new, ref,
@@ -1642,7 +1686,7 @@ class TestChunksMatchParentLoop:
         spec = Spectrum.of(f.with_values(f.values * 1e-159))
         family = family_explicit([parse_poly(t, 1) for t in ("x1", "0", "x1^2", "0.5+2*i*x1")])
         calls = chunk_rows(spec, rows)
-        ((_, _, r0), (_, _, r1), (_, _, r2), (_, _, r3)), = spatial_norms(spec, family, 64,
+        (_, _, r0), (_, _, r1), (_, _, r2), (_, _, r3) = spatial_norms(spec, family, 64,
                                                                           [(2, 0)])
         assert [r.size for (r,) in (r0, r1, r2, r3)] == [7, 0, 4, 5]
         expected = []
@@ -1684,12 +1728,12 @@ class TestChunksMatchParentLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SpatialStep, "__call__", counting_step)
             mp.setattr(growth, "SPLIT_MIN_POINTS", 2 ** 20)   # serial, not split
-            ((_, _, (row,)),), = spatial_norms(wide, x1, 32, [(1, 0)])
+            ((_, _, (row,)),) = spatial_norms(wide, x1, 32, [(1, 0)])
             assert row.size == 32 and calls == [1] * 16
             calls.clear()
             tracemalloc.start()
             try:
-                ((_, _, (row,)),), = spatial_norms(f, x1, 4096, [(1, 0)])
+                ((_, _, (row,)),) = spatial_norms(f, x1, 4096, [(1, 0)])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -101,6 +101,33 @@ class TestJsonSignal:
         with pytest.raises(SignalIOError):
             signal_from_dict(doc)
 
+    @pytest.mark.parametrize("key,value", [("d", 1.5), ("d", 1.0), ("d", True), ("d", "1"),
+                                           ("M", 8.9), ("M", 32.0), ("M", "32"),
+                                           ("M", False)])
+    def test_header_integers(self, tmp_path, signal_document, key, value):
+        # the grid's d and M are JSON integers, as save_signal writes them;
+        # int() read 1.5, true and "1" as 1 and loaded the wrong grid
+        f = random_sf()
+        for obj in (f, SupportMask(f.grid, f.values.real > 0, 1e-8, True)):
+            doc = signal_document(obj, "array")
+            doc[key] = value
+            with pytest.raises(SignalIOError, match=f"header '{key}' must be an integer"):
+                signal_from_dict(doc)
+            path = tmp_path / "header.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SignalIOError, match=f"header '{key}' must be an integer"):
+                load_signal(str(path))
+
+    def test_saved_header_integers(self, tmp_path):
+        # save_signal writes d and M as integers, so its files load bit-identically
+        f = random_sf(d=2, M=16, h=0.5, seed=3)
+        path = tmp_path / "sig.json"
+        save_signal(f, str(path))
+        doc = json.loads(path.read_text())
+        assert type(doc["d"]) is int and type(doc["M"]) is int
+        back = load_signal(str(path))
+        assert back.grid == f.grid and back.values.tobytes() == f.values.tobytes()
+
     def test_unknown_encoding(self, signal_document):
         doc = signal_document(random_sf(), "array")
         doc["encoding"] = "hex"

@@ -9,8 +9,8 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     support_mask, compute_R, parse_poly, family_linear,
                     family_quadratic, family_quadratic_real, family_explicit,
                     reconstruct_support, local_spectrum_raster, growth_sequences,
-                    pde_support_probe, mask_metrics, apply_op_spectral, Spectrum,
-                    MultiPoly, cli, growth, reconstruct)
+                    growth_sequence, pde_support_probe, mask_metrics, apply_op_spectral,
+                    Spectrum, MultiPoly, cli, growth, reconstruct)
 from realpw.verify import aligned_h
 
 
@@ -338,6 +338,24 @@ class TestCarveDifferential:
         res = assert_carves_as_members_alone(f, family, 2, 32, 0.01, per_member)
         assert len(res.carved) == 64 and any(res.carved[1:])
 
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_family_of_three_stacks(self, p, per_member):
+        # 12 quadratics on 11 mask cells of 64 points: the ledger pass takes
+        # them in symbol stacks of 5, 5 and 2, and the carve reads the
+        # limit each member's own growth_sequence gives
+        grid = make_grid(1, 64, 0.5)
+        f = sample_builtin({"kind": "spectral_bump",
+                            "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
+        spec = Spectrum.of(f)
+        family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], grid)
+        assert len(family) > 2 * (grid.n_points // spec.coords.shape[0])
+        seqs = [growth_sequence(spec, P, p, 64) for P in family]
+        want = carve_per_member(grid, family.polys, seqs, 0.01, per_member)
+        res = reconstruct_support(f, family, p, 64, tau=0.01)
+        assert res.estimated.field.tobytes() == want[0].tobytes()
+        assert np.array_equal(res.limits, want[1], equal_nan=True)
+        assert (res.excluded_members, res.carved) == want[2:] and any(res.carved)
+
     @pytest.mark.parametrize("out", [(0, 3, 4, 255), (0,), tuple(range(256))])
     def test_excluded_members_carve_nothing(self, out, monkeypatch, per_member, two_box):
         # members whose ledger truncates: the first member kept carves the
@@ -347,7 +365,7 @@ class TestCarveDifferential:
         family = family_quadratic_real(lattice(grid, 16, 63), grid)
         seqs = [dataclasses.replace(s, truncated_at=5) if i in out else s
                 for i, s in enumerate(growth_sequences(Spectrum.of(f), family, 2, 200))]
-        monkeypatch.setattr(reconstruct, "growth_sequences", lambda *args: iter(seqs))
+        monkeypatch.setattr(reconstruct, "growth_sequences", lambda *args: seqs)
         want = carve_per_member(grid, family.polys, seqs, 0.01, per_member)
         res = reconstruct_support(f, family, 2, 200)
         assert np.array_equal(res.estimated.field, want[0])

@@ -2,15 +2,16 @@
 leading-underscore name, no library module but the CLI prints, only the
 transform and growth modules name SpatialStep, one ledger pass evaluates
 the symbols, only the ledger pass starts threads, every verify row reads
-its member's one Ledgers build, every JSON read catches RecursionError, one
-helper estimates every limit, by the stack, every library name the bench
-looks up exists, the ledgers and the carve never build a family's members,
-the ledger layer takes a family only, the carve is one block loop with
-one symbol call and no point cache, the Parseval row is one moment sum
-of a real block in a loop that makes no spatial step, a p = 2 pass builds
-no step, neither the spatial step's pass choice nor the ledger pass's
-split or d = 1 chunk has a knob, a subcommand registers only the overrides its handler
-reads, and a builtin input is one SampledFunction."""
+its member's one Ledgers build, no caller sees the pass's stacks, every
+JSON read catches RecursionError, one helper estimates every limit, by the
+stack, every library name the bench looks up exists, the ledgers and the
+carve never build a family's members, the ledger layer takes a family only,
+the carve is one block loop with one symbol call and no point cache, the
+Parseval row is one moment sum of a real block in a loop that makes no
+spatial step, a p = 2 pass builds no step, neither the spatial step's pass
+choice nor the ledger pass's split or d = 1 chunk has a knob, a subcommand
+registers only the overrides its handler reads, and a builtin input is one
+SampledFunction."""
 
 import ast
 import importlib
@@ -83,7 +84,7 @@ def test_only_the_ledger_pass_starts_threads():
     # 9 or 10 of 10 alternating pairs won in each of three rounds
     # (BENCH_27.json).  No other module imports threading or concurrent, and
     # in growth.py only spatial_norms names what they bind
-    # (tests/test_growth.py checks that no thread outlives a stack)
+    # (tests/test_growth.py checks that no thread outlives a call)
     def modules(node):
         if isinstance(node, ast.Import):
             return [alias.name for alias in node.names]
@@ -121,6 +122,50 @@ def test_verify_rows_read_the_ledgers():
                                 getattr(node, "name", None))]
     assert len(of) == 1
     assert (passes, named) == ([], [])
+
+
+def test_no_caller_sees_a_stack():
+    # the ledger pass returns one (R, two, rows) per member, in family
+    # order: its symbol stacks are a memory bound inside growth.py.  The
+    # pass, growth_sequences and GrowthSequence.from_rows return lists, not
+    # generators; the pass starts its one helper pool outside its stack
+    # loop; no library function calls next() on a pass; and Ledgers.of
+    # runs one pass per verify member
+    def tree(name):
+        path = ROOT / "src" / "realpw" / name
+        return ast.parse(path.read_text(), filename=str(path))
+
+    def method(module, owner, name):
+        scope = module if owner is None else next(
+            node for node in module.body if isinstance(node, ast.ClassDef) and node.name == owner)
+        (fn,) = [node for node in scope.body
+                 if isinstance(node, ast.FunctionDef) and node.name == name]
+        return fn
+
+    def in_loop(fn, node):
+        return any(node in ast.walk(loop) for loop in ast.walk(fn) if isinstance(
+            loop, (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)))
+
+    growth, verify = tree("growth.py"), tree("verify.py")
+    passes = ("spatial_norms", "growth_sequences", "from_rows")
+    yields = [f"{name}:{node.lineno}" for owner, name in (
+        (None, "spatial_norms"), (None, "growth_sequences"), ("GrowthSequence", "from_rows"))
+        for node in ast.walk(method(growth, owner, name))
+        if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert yields == []
+    fn = method(growth, None, "spatial_norms")
+    pools = [node for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and called(node) == "ThreadPoolExecutor"]
+    assert pools and not any(in_loop(fn, node) for node in pools)
+    nexts = [f"{path.name}:{node.lineno}" for path in LIBRARY for node in nodes(path)
+             if isinstance(node, ast.Call) and called(node) == "next"
+             and any(isinstance(inner, ast.Call) and called(inner) in passes
+                     for arg in node.args for inner in ast.walk(arg))]
+    assert nexts == []
+    of = method(verify, "Ledgers", "of")
+    calls = [node for node in ast.walk(of)
+             if isinstance(node, ast.Call) and called(node) == "spatial_norms"]
+    assert len(calls) == 1 and not in_loop(of, calls[0])
 
 
 def test_every_json_read_catches_recursion():
@@ -167,7 +212,8 @@ def callers_of(name):
 
 def test_limits_are_estimated_by_the_stack():
     # every ledger kind becomes a limit through growth._estimates, which makes
-    # one estimate_limits call per stack and length; estimate_limit stays for
+    # one estimate_limits call per ledger length of its stack of ledgers
+    # (a whole family's, from growth_sequences); estimate_limit stays for
     # library users, and a ledger builder that called it once per ledger would
     # pay one pass of small-array calls per member, the cost estimate_limits
     # removed from reconstruct
@@ -278,7 +324,8 @@ def test_moment_loop_makes_no_step():
     # the moment loop and the spatial loop are two loops: the loop that holds
     # the one moment sum runs over n on the real block alone, and every
     # spatial step runs in the member-by-member loop beside it, through
-    # _iterates, which the caller's half and the helper's half both walk
+    # _values, the one generator of the caller's half and the helper's half,
+    # which walks _iterates
     fn = spatial_norms_tree()
     loops = [loop for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))]
     holds = [loop for loop in loops if any(
@@ -287,38 +334,39 @@ def test_moment_loop_makes_no_step():
                  if not any(inner is not loop and inner in holds for inner in ast.walk(loop))]
     calls = [called(node) for node in ast.walk(moment) if isinstance(node, ast.Call)]
     steps = [node for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and called(node) == "_iterates"]
+             if isinstance(node, ast.Call) and called(node) == "_values"]
     assert set(callers_of("step")) == {"growth.py:_iterates"}
-    assert steps and "sum" in calls and not {"step", "_iterates", "_tail"} & set(calls)
+    assert callers_of("_iterates") == ["growth.py:_values"]
+    assert steps and "sum" in calls and not {"step", "_iterates", "_values"} & set(calls)
 
 
 def test_p2_pass_steps_no_iterates(monkeypatch):
     # a p = 2 growth_sequences call reads only the moment sums: it builds no
     # SpatialStep, so it steps no complex iterate row; a p = 1 call builds
     # one SpatialStep for its one spatial_norms call, shared by its stacks
+    # (one symbol_ratios call each)
     import numpy as np
     from realpw import growth, make_grid, sample_builtin, family_quadratic_real
     grid = make_grid(1, 64, 0.5)
     f = sample_builtin({"kind": "spectral_bump",
                         "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
     family = family_quadratic_real(np.linspace(-1.0, 1.0, 12)[:, None], grid)
-    stacks, built, step, spatial_norms = [], [], growth.SpatialStep, growth.spatial_norms
+    stacks, built, step, ratios = [], [], growth.SpatialStep, growth.symbol_ratios
 
     def counting_step(spec):
         built.append(spec)
         return step(spec)
 
-    def counting_norms(*args):
-        for stack in spatial_norms(*args):
-            stacks.append(len(stack))
-            yield stack
+    def counting_ratios(spec, stack):
+        stacks.append(len(stack))
+        return ratios(spec, stack)
 
     monkeypatch.setattr(growth, "SpatialStep", counting_step)
-    monkeypatch.setattr(growth, "spatial_norms", counting_norms)
-    assert len(list(growth.growth_sequences(f, family, 1, 16))) == 12
+    monkeypatch.setattr(growth, "symbol_ratios", counting_ratios)
+    assert len(growth.growth_sequences(f, family, 1, 16)) == 12
     assert (len(built), stacks) == (1, [5, 5, 2])
     built.clear()
-    assert len(list(growth.growth_sequences(f, family, 2, 16))) == 12
+    assert len(growth.growth_sequences(f, family, 2, 16)) == 12
     assert built == []
 
 

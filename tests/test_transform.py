@@ -229,6 +229,29 @@ class TestEvalEntire:
         with pytest.raises(GridError, match="overflow"):
             eval_entire(f, [0.0 + 800.0j])
 
+    def test_real_part_past_the_double_range(self):
+        # the phase's imaginary part Re z . x must be a double: on a support
+        # of radius about 2, Re z = 1e308 is refused and 1e307 is read, with
+        # no warning (an error in this suite); in d = 2 the axes' terms add,
+        # so two of 1e308 on a radius of 1.5 are refused.  An Im z whose
+        # product with the radius passes the double range meets the
+        # overflow guard, with no warning either
+        g = make_grid(1, 1024, 0.005)
+        f = sample_builtin({"kind": "spatial_bump",
+                            "support": {"shape": "box", "lo": [-2], "hi": [2]}}, g)
+        with pytest.raises(GridError, match="double range"):
+            eval_entire(f, [1e308])
+        with pytest.raises(GridError, match="double range"):
+            eval_entire(f, [[1.0], [1e308 + 1j]])
+        assert np.isfinite(eval_entire(f, [1e307 + 1j]))
+        with pytest.raises(GridError, match="overflow guard"):
+            eval_entire(f, [1e308j])
+        f2 = sample_builtin({"kind": "spatial_bump", "support": {"shape": "ball", "radius": 1.5}},
+                            make_grid(2, 64, 0.1))
+        assert np.isfinite(eval_entire(f2, [1e307, 1e307]))
+        with pytest.raises(GridError, match="double range"):
+            eval_entire(f2, [1e308, 1e308])
+
     def test_stack_equals_single_points(self):
         g, f = self.spatial_bump()
         F = forward_dft(sample_builtin({"kind": "spectral_bump",

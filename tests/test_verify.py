@@ -73,15 +73,13 @@ def test_spectrum_built_once_per_member(monkeypatch):
     assert len(matrix) == len(PROPERTIES) and all(len(row) == 3 for row in matrix.values())
 
 
-def test_one_spatial_pass_per_member_and_poly(monkeypatch):
+def test_one_spatial_pass_per_member(monkeypatch):
     passes, calls, steps = [], [], []
     spatial_norms, ratios, step = verify.spatial_norms, growth.symbol_ratios, SpatialStep.__call__
 
     def counting_norms(spec, polys, n_max, norms):
-        members = iter(polys)
-        for stack in spatial_norms(spec, polys, n_max, norms):
-            passes.extend(next(members).to_text() for _ in stack)
-            yield stack
+        passes.append([P.to_text() for P in polys])
+        return spatial_norms(spec, polys, n_max, norms)
 
     def counting_ratios(*args):
         calls.append(args[1])
@@ -96,8 +94,9 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
     monkeypatch.setattr(SpatialStep, "__call__", counting_step)
     members = verify_corpus()
     run_matrix(members=members, n_max=16)
-    # every row, cauchy_bound and raster_radius too, reads the members' ledgers
-    assert sorted(passes) == sorted(P.to_text() for m in members for P in m.polys)
+    # every row, cauchy_bound and raster_radius too, reads the members'
+    # ledgers, from one pass over all of a member's polys
+    assert passes == [[P.to_text() for P in m.polys] for m in members]
     # each real P on a real input steps g_(n-1) and g_n in one transform: 8
     # rows for those 4 (member, P), 16 for the other 4 (the offset interval's
     # complex input, the interval's complex P); the intervals (M = 512) step
@@ -112,9 +111,10 @@ def test_one_spatial_pass_per_member_and_poly(monkeypatch):
     assert passes == calls == steps == []
 
 
-def test_under_resolved_member_steps_polys0_only(monkeypatch):
-    # no row reads an unresolved member's sequences or rtilde rows: its pass
-    # steps polys[0] alone, for plancherel's spatial 2-norms
+def test_under_resolved_member_steps_for_the_2_norms_only(monkeypatch):
+    # no row reads an unresolved member's sequences or rtilde rows: its one
+    # pass reads only the spatial 2-norms, of every P, and plancherel reads
+    # polys[0]'s; each P steps 16 unpaired transforms in one d = 1 chunk
     steps, step = [], SpatialStep.__call__
 
     def counting_step(self, G):
@@ -125,7 +125,7 @@ def test_under_resolved_member_steps_polys0_only(monkeypatch):
     member = CorpusMember("under-resolved", under_resolved_member().f,
                           family_explicit([parse_poly("x1", 1), parse_poly("x1^2", 1)]), (2,))
     matrix = run_matrix(members=[member], n_max=16)
-    assert (sum(steps), len(steps)) == (16, 1)
+    assert (sum(steps), len(steps)) == (2 * 16, 2)
     assert {name: row[member.name] for name, row in matrix.items()} == {
         "limit_vs_R": ("skip", "mask touches the frequency boundary"),
         "liminf": ("skip", "mask touches the frequency boundary"),
@@ -163,8 +163,8 @@ def test_cauchy_without_an_x1_inf_ledger_skips():
 
 def reference_cauchy_lhs(member, n_top=20):
     """log ||d^n f||_inf, n <= n_top, from a spatial pass of x1 of its own."""
-    ((R, _, (top,)),) = next(growth.spatial_norms(
-        member.spec, family_explicit([parse_poly("x1", 1)]), n_top, [(np.inf, 0)]))
+    ((R, _, (top,)),) = growth.spatial_norms(
+        member.spec, family_explicit([parse_poly("x1", 1)]), n_top, [(np.inf, 0)])
     return [n * np.log(R) + math.log(top_n) for n, top_n in enumerate(top, start=1)]
 
 
