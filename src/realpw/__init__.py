@@ -16,6 +16,7 @@ from .poly import (MultiPoly, PolyFamily, parse_poly, eval_symbol_many,
                    PolyError, ParseError)
 from .transform import (forward_dft, inverse_dft, SupportMask, support_mask,
                         Spectrum, compute_R, RValue, supporting_function,
+                        box_supporting_function,
                         eval_entire, complex_growth_rate, ComplexGrowthReport)
 from .growth import (symbol_ratios, spatial_norms, apply_op_spectral, apply_op_fd,
                      growth_sequence, growth_sequences, GrowthSequence,

@@ -22,7 +22,7 @@ from .grid import make_grid, sample_builtin, SampledFunction, GridError
 from .poly import parse_poly, family_linear, family_quadratic, family_quadratic_real, \
     family_explicit, symbol_bound, PolyError, MAX_COUNT
 from .transform import (Spectrum, SupportMask, complex_growth_rate, OVERFLOW_GUARD,
-                        DEFAULT_EPS_REL)
+                        DEFAULT_EPS_REL, box_supporting_function)
 from .growth import growth_sequences, GrowthError
 from .reconstruct import reconstruct_support, DEFAULT_TAU
 from .signal_io import (save_signal, load_signal, load_signal_csv,
@@ -272,10 +272,10 @@ def cmd_complex_growth(cfg):
     d = f.grid.d
     ys, x0s = (_d_vectors(cfg, f"complex_growth.{k}", d) for k in ("y", "x0"))
     noted_default, ys, x0s = ys is None, ys or [[1.0] * d], x0s or [[0.0] * d]
-    # overflow guards of the exponent's parts t y.x and x0.x, before any quadrature
-    coords = f.grid.spatial_coords() if f.side == "spatial" else f.grid.frequency_coords()
-    reach = float(np.abs(coords).max())
-    if t_max * max(abs(c) for y in ys for c in y) * reach > OVERFLOW_GUARD:
+    # overflow guards of t y.x and x0.x on the box [-reach, reach]^d, before any quadrature
+    reach = (f.grid.M // 2) * (f.grid.h if f.side == "spatial" else f.grid.dlam)
+    if not all(t_max * box_supporting_function([-reach] * d, [reach] * d, y) <= OVERFLOW_GUARD
+               for y in ys):
         raise ConfigError("complex_growth.t_max", "t window exceeds the exp overflow guard")
     if not math.isfinite(max(sum(abs(float(c)) for c in x0) for x0 in x0s) * reach):
         raise ConfigError("complex_growth.x0", "sum |x0_j| * max |coordinate| exceeds "

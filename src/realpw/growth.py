@@ -195,14 +195,13 @@ def symbol_ratios(spec: Spectrum, family: PolyFamily):
     g_n, and F ratio^n is the spectrum of g_n on the mask cells.  A symbol
     that overflows a double on the mask raises GrowthError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = eval_symbol_many(family, spec.coords)
-        R = np.abs(ratio).max(axis=1, initial=0.0)
-        bad = np.flatnonzero(~np.isfinite(R))
-        if bad.size:
-            raise GrowthError(f"{family[bad[0]].to_text():.60}: |P(i lam)| on the mask "
-                              "exceeds the double range")
-        np.divide(ratio, R[:, None], out=ratio, where=R[:, None] > 0.0)   # R = 0: a zero row
+    ratio = eval_symbol_many(family, spec.coords)
+    R = np.abs(ratio).max(axis=1, initial=0.0)
+    bad = np.flatnonzero(~np.isfinite(R))
+    if bad.size:
+        raise GrowthError(f"{family[bad[0]].to_text():.60}: |P(i lam)| on the mask "
+                          "exceeds the double range")
+    np.divide(ratio, R[:, None], out=ratio, where=R[:, None] > 0.0)   # R = 0: a zero row
     return R, ratio
 
 

@@ -291,7 +291,8 @@ def eval_symbol_many(P, lams) -> np.ndarray:
     its coefficient and is multiplied by (i lam_j)^e axis by axis, left to
     right, terms are added in monomial order, and a coefficient of 0 adds
     nothing (never 0 * inf).  i lam is formed once per call, and each power
-    where it is used.
+    where it is used.  A value past the double range comes back as inf or
+    NaN, with no warning: each reader decides what a non-finite value means.
     """
     z = 1j * np.asarray(lams, dtype=float)
     if z.shape[-1:] != (P.d,):
@@ -300,15 +301,16 @@ def eval_symbol_many(P, lams) -> np.ndarray:
     monomials, C = _coefficient_rows(P)
     out = np.zeros(C.shape[:1] + z.shape[:-1], dtype=complex)
     column = (-1,) + (1,) * (out.ndim - 1)
-    for alpha, c, members in zip(monomials, C.T, np.count_nonzero(C, axis=0).tolist()):
-        if not members:
-            continue
-        has = True if members == len(C) else (c != 0).reshape(column)
-        term = c.reshape(column)
-        for j, e in enumerate(alpha):
-            if e:
-                term = np.multiply(term, z[..., j] ** e, out=None, where=has)
-        np.add(out, term, out=out, where=has)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha, c, members in zip(monomials, C.T, np.count_nonzero(C, axis=0).tolist()):
+            if not members:
+                continue
+            has = True if members == len(C) else (c != 0).reshape(column)
+            term = c.reshape(column)
+            for j, e in enumerate(alpha):
+                if e:
+                    term = np.multiply(term, z[..., j] ** e, out=None, where=has)
+            np.add(out, term, out=out, where=has)
     return out if isinstance(P, PolyFamily) else out[0]
 
 

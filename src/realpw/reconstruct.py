@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .grid import SampledFunction, SPATIAL, GridError, make_grid
-from .poly import MultiPoly, PolyFamily, eval_symbol_many
+from .poly import MultiPoly, PolyFamily, PolyError, eval_symbol_many
 from .transform import DEFAULT_EPS_REL, SupportMask, Spectrum
 from .growth import growth_sequence, growth_sequences
 
@@ -155,8 +155,11 @@ class LocalSpectrumRaster:
 
 
 def local_spectrum_raster(P: MultiPoly, mask: SupportMask) -> LocalSpectrumRaster:
+    """A max modulus past the double range raises PolyError naming P."""
     vals = eval_symbol_many(P, mask.coords())
     top = float(np.abs(vals).max(initial=0.0))
+    if not np.isfinite(top):
+        raise PolyError(f"{P.to_text():.60}: |P(i lam)| on the mask exceeds the double range")
     return LocalSpectrumRaster(np.unique(vals), top, mask.resolved)
 
 

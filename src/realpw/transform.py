@@ -18,14 +18,14 @@ from typing import NamedTuple
 
 from .grid import (Grid, SampledFunction, SPATIAL, FREQUENCY, GridError, MARGIN_CELLS,
                    lp_norm_moduli, lp_norm_values)
-from .poly import MultiPoly, eval_symbol_many
+from .poly import MultiPoly, PolyError, eval_symbol_many
 
 DEFAULT_EPS_REL = 1e-8
 
 # |F| below this absolute level counts as the zero function (empty mask).
 ZERO_FLOOR = 1e-300
 
-# eval_entire refuses |Im z| * support-radius beyond this (exp overflow).
+# eval_entire refuses a z whose exponent's real part can pass this (exp overflow).
 OVERFLOW_GUARD = 700.0
 
 
@@ -311,13 +311,15 @@ class RValue(NamedTuple):
 
 
 def compute_R(P: MultiPoly, mask: SupportMask) -> RValue:
-    """sup of |P(i lam)| over the mask; 0 on an empty mask.
+    """sup of |P(i lam)| over the mask; 0 on an empty mask; PolyError if not finite.
 
     resolved=False is inherited from the mask and flags the value as a lower
     bound only (the continuum R may be infinite).
     """
-    vals = np.abs(eval_symbol_many(P, mask.coords()))
-    return RValue(float(vals.max(initial=0.0)), mask.resolved)
+    top = float(np.abs(eval_symbol_many(P, mask.coords())).max(initial=0.0))
+    if not math.isfinite(top):
+        raise PolyError(f"{P.to_text():.60}: |P(i lam)| on the mask exceeds the double range")
+    return RValue(top, mask.resolved)
 
 
 def supporting_function(points, y) -> float:
@@ -333,18 +335,27 @@ def supporting_function(points, y) -> float:
     return float((pts @ y).max())
 
 
+def box_supporting_function(lo, hi, v) -> float:
+    """H_B(v) = sum_j max(v_j lo_j, v_j hi_j) on the box B = [lo, hi], in Python
+    floats: past the double range it is inf or NaN, with no warning."""
+    return sum(a * (u if a > 0 else l) for a, l, u in zip(*(map(float, w) for w in (v, lo, hi))))
+
+
 # ---------------------------------------------------------------------------
 # entire extension by quadrature
 # ---------------------------------------------------------------------------
 
-def eval_entire(f: SampledFunction, z, margin_tol: float = 1e-10):
+def eval_entire(f: SampledFunction, z):
     """Transform of f at a complex argument z, by direct quadrature.
 
     For spatial-side f this is Ff(z) = h^d (2 pi)^{-d/2} sum f(x) e^{-i z.x};
     for frequency-side input it is the entire extension of the spatial
     function, dlam^d (2 pi)^{-d/2} sum F(lam) e^{+i z.lam}.  The input must be
     effectively supported inside the box with a 10-cell margin, otherwise the
-    quadrature of the real exponential is meaningless.
+    quadrature of the real exponential is meaningless.  A z is refused where
+    H_B(v) is not <= OVERFLOW_GUARD, B the support's bounding box and v = Im z
+    (spatial side) or -Im z: the exponent of the classical Paley-Wiener bound
+    |Ff(z)| <= C e^{H_K(Im z)}, K = supp f (Hormander, ALPDO I, Thm 7.3.1).
 
     z is a d-vector, giving a complex, or a (k, d) stack, giving k values,
     each the value its row gives alone; the input is checked and its support
@@ -363,35 +374,30 @@ def eval_entire(f: SampledFunction, z, margin_tol: float = 1e-10):
         return out if z.ndim == 2 else complex(out[0])
     frame = grid.boundary_frame(MARGIN_CELLS)
     frame_top = mag[frame].max(initial=0.0)
-    if frame_top > margin_tol * top:
+    if frame_top > 1e-10 * top:
         raise GridError(
             f"eval_entire: values on the {MARGIN_CELLS}-cell boundary frame reach "
-            f"{frame_top / top:.3g} of the peak (tolerance {margin_tol:g}); the "
+            f"{frame_top / top:.3g} of the peak (tolerance 1e-10); the "
             "input is not compactly supported inside the box"
         )
     # cells at double-precision noise level are exact zeros of the underlying
     # function; keeping them would let e^{|Im z| |coord|} amplify pure noise
     support = mag > 1e-13 * top
-    if f.side == SPATIAL:
-        coords = grid.spatial_coords()[support]
-        sign = -1.0
-        scale = grid.h ** grid.d / (2.0 * np.pi) ** (grid.d / 2.0)
-    else:
-        coords = grid.frequency_coords()[support]
-        sign = +1.0
-        scale = grid.dlam ** grid.d / (2.0 * np.pi) ** (grid.d / 2.0)
-    reach = float(np.abs(coords).max(initial=0.0))
+    axis, sign, step = ((grid.spatial_axis(), -1.0, grid.h) if f.side == SPATIAL
+                        else (grid.frequency_axis(), 1.0, grid.dlam))
+    scale = step ** grid.d / (2.0 * np.pi) ** (grid.d / 2.0)
+    coords = np.stack([axis[k] for k in np.nonzero(support.reshape(grid.shape))], axis=-1)
+    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+    reach = max(map(abs, lo + hi))
     values = f.values[support]
     for k, zk in enumerate(stack):
-        if float(np.abs(zk.imag).max()) * reach > OVERFLOW_GUARD:
-            raise GridError(
-                f"eval_entire: |Im z| * support radius = "
-                f"{float(np.abs(zk.imag).max()) * reach:.3g} exceeds the overflow guard "
-                f"{OVERFLOW_GUARD:g}"
-            )
-        if not math.isfinite(sum(map(abs, zk.real.tolist())) * reach):  # floats: inf, no warning
-            raise GridError("eval_entire: sum |Re z_j| * support radius exceeds the "
-                            "double range")
+        growth = box_supporting_function(lo, hi, (-sign * zk.imag).tolist())
+        if not growth <= OVERFLOW_GUARD:        # NaN too
+            raise GridError(f"eval_entire: H_B(v) on the support's box is {growth:.3g}, past "
+                            f"the overflow guard {OVERFLOW_GUARD:g}")
+        if not math.isfinite(sum(map(abs, zk.real.tolist() + zk.imag.tolist())) * reach):
+            raise GridError("eval_entire: sum |Re z_j| + |Im z_j| * support radius exceeds "
+                            "the double range")
         phase = coords @ (sign * 1j * zk)
         out[k] = scale * np.sum(values * np.exp(phase))
     return out if z.ndim == 2 else complex(out[0])

@@ -185,6 +185,20 @@ class TestComplexGrowth:
                                                "t_count": 11})
         assert main(["complex-growth", "--config", cfg]) == EXIT_CONFIG
 
+    def test_window_guard_sums_over_the_axes(self, tmp_path, capsys):
+        # |x| reaches 12.8 on each axis: t_max * sum |y_j| * 12.8 = 1 024 is
+        # past the guard, where its largest |y_j| alone, 512, passed, and the
+        # run leaked exp overflow warnings (an error in this suite), exited
+        # 0 and counted the overflowed samples as dropped under the floor
+        cfg = write_config(tmp_path, "cfg.json", {
+            "grid": {"d": 2, "M": 256, "h": 0.1},
+            "input": {"builtin": {"kind": "spatial_bump", "support": {
+                "shape": "box", "lo": [-10, -10], "hi": [10, 10]}}},
+            "complex_growth": {"y": [[1, 1]]}})
+        assert main(["complex-growth", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'complex_growth.t_max'" in err and "overflow guard" in err
+
     def test_x0_past_the_double_range_rejected(self, tmp_path, capsys):
         # |x0| |x| is past the double range on this grid (|x| up to 12.8):
         # the field is named before any quadrature, where the phase's

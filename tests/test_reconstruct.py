@@ -10,7 +10,7 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     family_quadratic, family_quadratic_real, family_explicit,
                     reconstruct_support, local_spectrum_raster, growth_sequences,
                     growth_sequence, pde_support_probe, mask_metrics, apply_op_spectral,
-                    Spectrum, MultiPoly, cli, growth, reconstruct)
+                    Spectrum, MultiPoly, PolyError, cli, growth, reconstruct)
 from realpw.verify import aligned_h
 
 
@@ -102,6 +102,21 @@ class TestMembership:
         assert not res.estimated.field[cell(grid, [1.0])]
 
 
+def test_carve_reads_an_overflowing_symbol_as_outside():
+    # x1^120 is finite on the mask but passes the double range on the
+    # frequency box: its inf and NaN values fail <= bound with no warning
+    # (an error in this suite), and it carves nothing that x1 kept
+    grid = make_grid(1, 1024, 0.005)
+    f = sample_builtin({"kind": "spectral_bump", "support": {
+        "shape": "box", "lo": [-10 * grid.dlam], "hi": [10 * grid.dlam]}}, grid)
+    res = reconstruct_support(f, family_explicit([parse_poly("x1", 1),
+                                                  parse_poly("x1^120", 1)]), 2, 64)
+    alone = reconstruct_support(f, family_explicit([parse_poly("x1", 1)]), 2, 64)
+    assert np.isfinite(res.limits).all() and res.carved[1] == 0
+    assert np.array_equal(res.estimated.field, alone.estimated.field)
+    assert res.estimated.n_cells == 19
+
+
 class TestLocalSpectrumRaster:
     def test_first_derivative_segment(self, interval_setup):
         grid, f, reference = interval_setup
@@ -122,6 +137,15 @@ class TestLocalSpectrumRaster:
         ras = local_spectrum_raster(parse_poly("x1^2", 1), reference)
         assert np.all(ras.values.real <= 1e-15)
         assert np.abs(ras.values.imag).max() < 1e-14
+
+    def test_symbol_past_the_double_range_raises(self):
+        # |lam|^120 passes the double range on cells 100..400: the raster's
+        # max came back NaN, after "overflow encountered in power"
+        grid = make_grid(1, 1024, 0.005)
+        f = sample_builtin({"kind": "spectral_bump", "support": {
+            "shape": "box", "lo": [100 * grid.dlam], "hi": [400 * grid.dlam]}}, grid)
+        with pytest.raises(PolyError, match=r"^1.0\*x1\^120: .* double range"):
+            local_spectrum_raster(parse_poly("x1^120", 1), support_mask(forward_dft(f)))
 
     def test_csv_emission(self, interval_setup, tmp_path):
         grid, f, reference = interval_setup

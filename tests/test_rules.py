@@ -10,8 +10,9 @@ the carve is one block loop with one symbol call and no point cache, the
 Parseval row is one moment sum of a real block in a loop that makes no
 spatial step, a p = 2 pass builds no step, neither the spatial step's pass
 choice nor the ledger pass's split or d = 1 chunk has a knob, a subcommand
-registers only the overrides its handler reads, and a builtin input is one
-SampledFunction."""
+registers only the overrides its handler reads, a builtin input is one
+SampledFunction, and only the readers of every grid point build the grid's
+full coordinate array."""
 
 import ast
 import importlib
@@ -243,6 +244,17 @@ def test_bench_names_resolve():
     missing = [t for t in targets if not resolves(f"realpw.{t.split('.')[0]}", t.split(".")[1:])]
     missing += [f"{m}.{n}" for m, n in imported if not resolves(m, [n])]
     assert missing == []
+
+
+def test_only_whole_grid_readers_build_every_coordinate():
+    # spatial_coords() and frequency_coords() build an (M^d, d) array, 100 MB
+    # on a d = 3, M = 128 grid: only the functions that read every point call
+    # them.  A guard takes the largest |coordinate| from M and the step, and
+    # eval_entire reads its support's coordinates from the support's indices
+    readers = {"grid.py:sample_builtin", "growth.py:spatial_norms",
+               "reconstruct.py:reconstruct_support", "reconstruct.py:pde_support_probe"}
+    callers = set(callers_of("spatial_coords") + callers_of("frequency_coords"))
+    assert callers - readers == set()
 
 
 def test_ledgers_and_carve_read_no_members():

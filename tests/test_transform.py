@@ -1,13 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     inverse_dft, support_mask, compute_R, supporting_function,
-                    eval_entire, complex_growth_rate, parse_poly, lp_norm,
-                    GridError, Spectrum, growth_sequence, estimate_limit,
-                    family_explicit)
+                    box_supporting_function, eval_entire, complex_growth_rate,
+                    parse_poly, lp_norm, GridError, PolyError, Spectrum,
+                    growth_sequence, estimate_limit, family_explicit,
+                    eval_symbol_many)
 from conftest import block_iterates
 from realpw.grid import lp_norm_values
 from realpw.transform import MATRIX_PASS_MAX_K, SpatialStep, inverse_values
@@ -163,6 +165,21 @@ class TestComputeR:
         assert R == pytest.approx(brute, rel=1e-12)
         assert abs(R - 1.0) <= 3 * g.dlam
 
+    def test_symbol_past_the_double_range_raises(self):
+        # |lam|^120 passes the double range on cells 100..400 (lam up to 491):
+        # the symbol comes back inf with no warning (an error in this suite),
+        # where "overflow encountered in power" used to leak, and compute_R
+        # names P, as the ledgers' GrowthError does
+        g = make_grid(1, 1024, 0.005)
+        f = sample_builtin({"kind": "spectral_bump", "support": {
+            "shape": "box", "lo": [100 * g.dlam], "hi": [400 * g.dlam]}}, g)
+        mask = support_mask(forward_dft(f))
+        P = parse_poly("x1^120", 1)
+        assert not np.isfinite(eval_symbol_many(P, mask.coords())).all()
+        with pytest.raises(PolyError, match=r"^1.0\*x1\^120: .* double range"):
+            compute_R(P, mask)
+        assert compute_R(parse_poly("x1^100", 1), mask).value < np.inf
+
 
 class TestSupportingFunction:
     def test_two_points(self):
@@ -196,6 +213,26 @@ class TestSupportingFunction:
     def test_rejects_empty(self):
         with pytest.raises(GridError):
             supporting_function(np.empty((0, 2)), [1.0, 0.0])
+
+    def test_box_is_its_corners(self):
+        # H_B of a box is H of its 2^d corners, summed axis by axis
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3):
+            lo = rng.standard_normal(d)
+            hi = lo + rng.random(d)
+            corners = np.array(list(itertools.product(*zip(lo, hi))))
+            for v in rng.standard_normal((5, d)):
+                assert box_supporting_function(lo, hi, v) == pytest.approx(
+                    supporting_function(corners, v), rel=1e-12, abs=1e-15)
+        assert box_supporting_function([0.2], [2.0], [-500.0]) == -100.0
+
+    def test_box_past_the_double_range_never_warns(self):
+        # Python floats: inf, and inf - inf = NaN, with no warning, numpy
+        # scalars and arrays as given
+        assert box_supporting_function(np.array([5.0, 5.0]), np.array([9.0, 9.0]),
+                                       np.array([1e308, 1.0])) == np.inf
+        assert np.isnan(box_supporting_function([5.0, 5.0], [9.0, 9.0], [-1e308, 1e308]))
+        assert np.isnan(box_supporting_function([0.0], [1.0], [np.nan]))
 
 
 class TestEvalEntire:
@@ -285,6 +322,71 @@ class TestEvalEntire:
         for bad in ([1.0, 2.0], [[1.0, 2.0]], np.zeros((2, 1, 1))):
             with pytest.raises(GridError, match="length 1"):
                 eval_entire(f, bad)
+
+    def test_guard_sums_over_the_axes(self):
+        # the exponent's real part is x . Im z, summed over the axes: on
+        # [-10, 10]^2, Im z = (60, 60) reaches 1 200 at a corner.  The guard
+        # took the largest |Im z_j| alone, 600, and exp overflowed
+        f = sample_builtin({"kind": "spatial_bump", "support": {
+            "shape": "box", "lo": [-10, -10], "hi": [10, 10]}}, make_grid(2, 256, 0.1))
+        with pytest.raises(GridError, match="overflow guard"):
+            eval_entire(f, [60j, 60j])
+        with pytest.raises(GridError, match="overflow guard"):
+            eval_entire(f, [[1.0, 1.0], [60j, 60j]])
+        assert np.isfinite(eval_entire(f, [60j, 0.0]))
+
+    def test_nan_exponent_bound_is_refused(self):
+        # on [5, 9]^2, Im z = (-1e308, 1e308) takes the box's supporting
+        # function to -inf + inf = NaN, which compares false with the guard
+        f = sample_builtin({"kind": "spatial_bump", "support": {
+            "shape": "box", "lo": [5, 5], "hi": [9, 9]}}, make_grid(2, 256, 0.1))
+        with pytest.raises(GridError, match="overflow guard"):
+            eval_entire(f, [-1e308j, 1e308j])
+        # a bound of -inf, whose terms pass the double range: the phase's
+        # product x . Im z would overflow with a warning
+        with pytest.raises(GridError, match="double range"):
+            eval_entire(f, [-1e308j, -1e308j])
+
+    def test_one_sided_support_is_accepted(self):
+        # on [0.2, 2], Im z = -500 takes x . Im z to -100 at most: the value
+        # is e^-100-small, where the guard's |Im z| * max |x| read 1 000
+        f = sample_builtin({"kind": "spatial_bump", "support": {
+            "shape": "box", "lo": [0.2], "hi": [2.0]}}, make_grid(1, 1024, 0.005))
+        val = eval_entire(f, [-500j])
+        assert 0.0 < abs(val) < np.exp(-100.0)
+        with pytest.raises(GridError, match="double range"):
+            eval_entire(f, [-1e308j])
+
+    @pytest.mark.parametrize("d,M,h", [(1, 256, 0.05), (2, 64, 0.1), (3, 32, 0.2)])
+    def test_support_coordinates_are_the_grids(self, d, M, h):
+        # the quadrature over grid.*_coords()[support] that eval_entire ran
+        # before it read the support's own indices, bit for bit, both sides
+        rng = np.random.default_rng(d)
+        grid = make_grid(d, M, h)
+        box = {"shape": "box", "lo": [-1.0] * d, "hi": [0.5] + [1.0] * (d - 1)}
+        f = sample_builtin({"kind": "spatial_bump", "support": box}, grid)
+        F = forward_dft(sample_builtin({"kind": "spectral_bump", "support": box}, grid))
+        zs = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+        for g, coords, sign, step in ((f, grid.spatial_coords(), -1.0, grid.h),
+                                      (F, grid.frequency_coords(), 1.0, grid.dlam)):
+            mag = np.abs(g.values)
+            support = mag > 1e-13 * mag.max()
+            scale = step ** d / (2.0 * np.pi) ** (d / 2.0)
+            want = np.array([scale * np.sum(g.values[support] * np.exp(
+                coords[support] @ (sign * 1j * z))) for z in zs])
+            assert_bitwise(eval_entire(g, zs), want)
+
+    def test_peak_memory_is_the_support(self):
+        # no (M^d, d) coordinate array: on the d = 3, M = 64 gaussian the
+        # traced peak read 15.2 MB with one, 5.8 MB without, the input 4.2 MB
+        f = sample_builtin({"kind": "gaussian", "sigma": 0.25}, make_grid(3, 64, 0.1))
+        tracemalloc.start()
+        try:
+            eval_entire(f, [1j, 0.5, 2j])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * f.values.nbytes
 
 
 class TestComplexGrowthRate:
