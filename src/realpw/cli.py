@@ -281,12 +281,19 @@ def cmd_complex_growth(cfg):
         raise ConfigError("complex_growth.x0", "sum |x0_j| * max |coordinate| exceeds "
                                                "the double range")
     t = np.linspace(t_min, t_max, t_count)
+    if not np.all(np.diff(t) > 0.0):
+        raise ConfigError("complex_growth.t_max",
+                          f"[t_min, t_max] holds fewer than {t_count} distinct doubles")
     rows, table = [], io.StringIO()
     writer = csv.writer(table, lineterminator="\n")      # quotes a vector's commas
     writer.writerow(["x0", "y", "t", "log_abs"])
     for y in ys:
         for x0 in x0s:
-            rep = complex_growth_rate(f, x0, y, t)
+            try:
+                rep = complex_growth_rate(f, x0, y, t)
+            except GridError as exc:    # values on the boundary frame, or every sample underflows
+                raise ConfigError("input.path" if _field(cfg, "input.builtin") is None
+                                  else "input", str(exc))
             row = rep.to_json_dict()
             if noted_default:
                 row["note"] = "y defaulted to the all-ones direction"

@@ -15,23 +15,25 @@ moments m_n = sum_j |F_j|^2 t_j^n, t_j = |P(i lam_j)/R|^2, on the mask cells.
 The spatial loop runs member by member and reads every spatial norm a caller
 asks for (the p != 2 ledgers, the weighted sup norms) from one `SpatialStep`
 output per n, or per pair (n, n + 1) when the member's iterates are all real,
-taking each output's moduli once for all its norms.  The step is the inverse
-DFT of the mask cells, by a pruned ifft along axes whose mask occupies many
-frequencies and by a matrix product along the others (every axis of the d = 2
-acceptance inputs).  On a d = 1 grid, where the step is one ifft pass, a
-chunk of up to CHUNK_MAX_POINTS // M consecutive transforms goes through one
-ifft call, and each norm of the chunk is one row-wise reduction.  Real
-iterates need that the mask is resolved and closed under lam -> -lam, F is
-Hermitian on it to HERMITIAN_TOL of max |F|, and P has real coefficients.
-Then one transform of G_n + i G_(n+1) gives g_n as its real part and g_(n+1)
-as its imaginary part.
+taking each output's moduli once for all its norms, into one array of
+values per member that one vectorised rule cuts into rows.  The step is the
+inverse DFT of the mask cells, by a pruned ifft along axes whose mask
+occupies many frequencies and by a matrix product along the others (every
+axis of the d = 2 acceptance inputs).  On a d = 1 grid, where the step is
+one ifft pass, a chunk of up to CHUNK_MAX_POINTS // M consecutive transforms
+goes through one ifft call, and each norm of the chunk is one row-wise
+reduction.  Real iterates need that the mask is resolved and closed under
+lam -> -lam, F is Hermitian on it to HERMITIAN_TOL of max |F|, and P has
+real coefficients.  Then one transform of G_n + i G_(n+1) gives g_n as its
+real part and g_(n+1) as its imaginary part.
 On a grid of SPLIT_MIN_POINTS or more, in a process that may run on two or
 more CPUs, the spatial loop splits each member's n-range in two: the caller
 steps n = 1..h, h = n_max // 2 rounded down to even, and one helper thread,
-with its own step, steps n = h + 1..n_max from G_h; one helper pool serves
-the whole call.  Its rows are bit-equal to the serial loop's.  A spatial
-input is masked at DEFAULT_EPS_REL; a Spectrum carries its own threshold, so
-another one is chosen with Spectrum.of(f, eps_rel).
+with its own step, steps n = h + 1..n_max from G_h and returns its array of
+values, which follows the caller's; one helper pool serves the whole call.
+Its rows are bit-equal to the serial loop's.  A spatial input is masked at
+DEFAULT_EPS_REL; a Spectrum carries its own threshold, so another one is
+chosen with Spectrum.of(f, eps_rel).
 
 Every ledger kind, the p-norm and Parseval rows of a GrowthSequence and the
 weighted sup rows of a PointwiseGrowthReport, becomes a limit through one
@@ -58,10 +60,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import itertools
-import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -305,8 +304,11 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     ||(1+|x|)^e g_n||_p, p in [1, inf], of one `SpatialStep` output per n
     (within rounding of ifftn's, bit-equal to it where every axis takes the
     ifft pass), cut at (and ending with) its first value that is not > 0.
-    A spatial value that is not finite raises GrowthError naming P, p and
-    n, for the first member in family order that overflows.  The moduli of
+    A spatial value that is not finite before that point raises GrowthError
+    naming P, p and n: for the first member in family order that overflows,
+    at its least such n, and at that n for its first such norm.  A member's
+    values come as one (n, norms) array, which one vectorised rule cuts
+    into its rows.  The moduli of
     an output are taken once for all its norms: a weighted norm reads |g| w
     of a real iterate (bit-equal to |g w|, w being positive) and |g w| of a
     complex one.
@@ -316,11 +318,10 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     chunk's mask-cell rows are built by the in-place multiplies of the
     serial loop, and one `SpatialStep` call transforms them, each row
     bit-equal to its one-row transform; each norm of the chunk's iterates
-    is one reduction along its rows.  The values enter the rows in n order
-    through the same cut and overflow check, so the rows, their ends and a
+    is one reduction along its rows.  The rows, their ends and a
     GrowthError are those of one transform per call; no chunk is stepped
-    once the member's rows are all cut.  A grid of d >= 2 steps one output
-    per call.
+    once every norm has met a value that is not finite or not > 0.  A grid
+    of d >= 2 steps one output per call.
 
     A member pairs when its iterates are all real: (1) the mask is
     resolved, as a cell on a Nyquist plane is its own mirror and there
@@ -329,9 +330,9 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     coefficient of P is real.  The spectrum's half is decided once per call.
     With two or more unread n, a paired member computes G_(n+1) into a
     second row, and one step of G_n + i G_(n+1) gives the norms of n (its
-    real part), then of n + 1 (its imaginary part), each with its own cut
-    and overflow check; with one n left it steps alone.  Paired rows match
-    the unpaired ones to rounding.
+    real part), then of n + 1 (its imaginary part), each its own row of
+    values; with one n left it steps alone.  Paired rows match the unpaired
+    ones to rounding.
 
     On a grid of at least SPLIT_MIN_POINTS points, when the process may run
     on two or more CPUs (its affinity, or os.cpu_count()), each member with
@@ -339,12 +340,12 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     rounded down to even, while one helper thread steps n = h + 1..n_max on
     its own SpatialStep and buffers, from G_h built by h in-place multiplies
     of F: the float operations of the serial loop, and, h being even, its
-    pairs (n, n + 1).  The helper reads every norm; its values follow the
-    caller's in n order through the one cut and overflow check, so the rows,
-    their ends and a GrowthError are those of the serial loop.  The helper
-    stops at its next step once the caller's rows are all cut or raise.  One
-    pool of one thread serves every member of the call, and the call joins
-    it before it returns or raises.
+    pairs (n, n + 1).  The helper's array of every norm follows the
+    caller's, so the rows, their ends and a GrowthError are those of the
+    serial loop.  The helper is not told to stop: once the caller's half
+    cuts every row or overflows, it still steps its own half, whose values
+    the cut then discards.  One pool of one thread serves every member of
+    the call, and the call joins it before it returns or raises.
     """
     spec = Spectrum.of(f)
     F = spec.F[spec.mask.field]
@@ -366,7 +367,7 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     out, size = [], max(1, spec.grid.n_points // max(1, F.size))
     # the helper thread lives within the call: the pool's exit joins it
     with (ThreadPoolExecutor(1) if split else contextlib.nullcontext()) as pool, \
-            np.errstate(over="ignore", invalid="ignore"):   # reported by _goes_on
+            np.errstate(over="ignore", invalid="ignore"):   # reported by _cut
         for start in range(0, len(family), size):
             stack = family[start:start + size]
             # sums, which the returned rows keep alive, come before the stack's
@@ -375,7 +376,7 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
             # ~1 500 page faults (6 MB)
             sums = np.empty((len(stack), n_max))
             R, ratio = symbol_ratios(spec, stack)
-            rows = [[[] for _ in norms] for _ in range(len(stack))]
+            rows = [[np.zeros(0)] * len(norms)] * len(stack)
             t = ratio.real ** 2 + ratio.imag ** 2           # t_j = |P(i lam_j)/R|^2
             W = np.square(np.abs(ratio) * np.abs(F))       # w_j t_j
             for n in range(1, n_max + 1):
@@ -383,30 +384,18 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
                     W *= t
                 np.sum(W, axis=1, out=sums[:, n - 1])   # the moment sum_j w_j t_j^n
             for m in np.flatnonzero(R > 0.0).tolist() if norms else ():
-                r, ks, got = ratio[m], range(len(norms)), rows[m]
-                paired = real and not stack.coeffs[m].imag.any()
-                unread = threading.Event()
+                r, paired = ratio[m], real and not stack.coeffs[m].imag.any()
                 # the helper runs in a copy of this context, so under this errstate
-                tail = pool.submit(contextvars.copy_context().run, list, _values(
-                    *helper, F, r, split, n_max, paired, norms, weights,
-                    unread)) if split else None
-                caller = _values(step, bufs, mag, F, r, 0, split or n_max, paired, norms, weights)
-                try:
-                    for n, values in enumerate(itertools.chain(caller, _read_by(tail)), 1):
-                        for k in ks:
-                            got[k].append(values[k])
-                        ks = [k for k in ks if _goes_on(stack, m, norms[k], n, got[k][-1])]
-                        if not ks:
-                            break
-                finally:                            # the rest goes unread
-                    unread.set()
-                if tail:
-                    tail.result()                   # an error in the helper raises
+                tail = pool.submit(contextvars.copy_context().run, _values, *helper, F, r,
+                                   split, n_max, paired, norms, weights) if split else None
+                values = _values(step, bufs, mag, F, r, 0, split or n_max, paired, norms, weights)
+                if tail:                            # an error in the helper raises
+                    values = np.concatenate((values, tail.result()))
+                rows[m] = _cut(stack, m, norms, values)
             ratio = W = t = None
             sums *= spec.grid.dlam ** spec.grid.d
             np.sqrt(sums, out=sums)
-            out += [(float(R[m]), sums[m], [np.array(r, dtype=float) for r in rows[m]])
-                    for m in range(len(stack))]
+            out += [(float(R[m]), sums[m], rows[m]) for m in range(len(stack))]
     return out
 
 
@@ -448,12 +437,13 @@ def _iterates(step, bufs, F, r, n, end, paired):
         n += count
 
 
-def _read(step, mag, g, count, real, norms, weights) -> list:
-    """The value of every norm of each of the count iterates that the stack
-    g of step outputs holds, a list per iterate in order: the rows of g, or,
-    with real, the real and then the imaginary part of each row.  Their
-    moduli are taken once, into the rows of mag, overwritten: a weighted norm
-    reads |g| w of a real iterate, |g w| of a complex one."""
+def _read(step, mag, g, count, real, norms, weights) -> np.ndarray:
+    """The (count, len(norms)) array of every norm of each of the count
+    iterates that the stack g of step outputs holds, a row per iterate in
+    order: the rows of g, or, with real, the real and then the imaginary part
+    of each row.  Their moduli are taken once, into the rows of mag,
+    overwritten: a weighted norm reads |g| w of a real iterate, |g w| of a
+    complex one."""
     g = g.reshape(len(g), -1)
     parts, mag = (g.real, g.imag) if real else (g,), mag[:len(g)]
     values = np.empty((len(g), len(parts), len(norms)))
@@ -462,23 +452,22 @@ def _read(step, mag, g, count, real, norms, weights) -> list:
         for k, ((p, _), w) in enumerate(zip(norms, weights)):
             values[:, i, k] = step.row_norms(
                 mag if w is None else mag * w if real else np.abs(part * w), p)
-    return values.reshape(-1, len(norms))[:count].tolist()
+    return values.reshape(-1, len(norms))[:count]
 
 
-def _read_by(tail):
-    """The values of a helper's half, once tail, its future, is done; none without one."""
-    yield from tail.result() if tail else ()
-
-
-def _values(step, bufs, mag, F, r, n, end, paired, norms, weights, unread=None):
-    """The value of every norm of g_k, k = n + 1..end, a list per k in order,
-    of the member with ratio row r, stepped on step, bufs and mag: the
-    caller's half of a member, or, with the event unread, the helper's half,
-    which stops at its next step once unread is set."""
+def _values(step, bufs, mag, F, r, n, end, paired, norms, weights) -> np.ndarray:
+    """The (end - n, len(norms)) array of every norm of g_k, k = n + 1..end,
+    a row per k in order, of the member with ratio row r, stepped on step,
+    bufs and mag: either half of a member.  It stops after the step output
+    at which every norm has met a value that is not finite or not > 0, as
+    its row ends there, and then holds fewer rows."""
+    out, cut = [np.empty((0, len(norms)))], np.zeros(len(norms), dtype=bool)
     for g, count in _iterates(step, bufs, F, r, n, end, paired):
-        if unread is not None and unread.is_set():
+        out.append(_read(step, mag, g, count, paired, norms, weights))
+        cut |= ~((out[-1] > 0.0) & np.isfinite(out[-1])).all(axis=0)
+        if cut.all():
             break
-        yield from _read(step, mag, g, count, paired, norms, weights)
+    return np.concatenate(out)
 
 
 def _real_iterates(spec: Spectrum) -> bool:
@@ -494,12 +483,18 @@ def _real_iterates(spec: Spectrum) -> bool:
     return bool(np.abs(F[::-1] - F.conj()).max() <= HERMITIAN_TOL * np.abs(F).max())
 
 
-def _goes_on(stack, m, norm, n, value) -> bool:
-    """Whether member m's row of spatial_norms goes on after its n-th value:
-    not after a value that is not > 0, and a value that is not finite raises."""
-    if not math.isfinite(value):
-        raise _overflow(stack[m], *norm, n)
-    return value > 0.0
+def _cut(stack, m, norms, values) -> list:
+    """Member m's rows of spatial_norms from its (n, len(norms)) values: each
+    column up to and including its first value that is not > 0.  A value
+    that is not finite before that point raises GrowthError for the least n,
+    and at that n for the first norm; stack[m] is built only then."""
+    bad = np.vstack((~((values > 0.0) & np.isfinite(values)), np.ones(len(norms), dtype=bool)))
+    ends = bad.argmax(axis=0)           # each column's first bad value, len(values) if none
+    over = ~np.isfinite(values) & (np.arange(len(values))[:, None] == ends)
+    if over.any():
+        n, k = divmod(int(over.argmax()), len(norms))
+        raise _overflow(stack[m], *norms[k], n + 1)
+    return [values[:end + 1, k].copy() for k, end in enumerate(ends.tolist())]
 
 
 def _overflow(P, p, e, n) -> GrowthError:

@@ -108,7 +108,8 @@ def reconstruct_support(f, family: PolyFamily, p, n_max: int,
     out = np.array([s.truncated_at is not None and s.regime != "zero" for s in seqs])
     limits = [float("nan") if x else s.limit for s, x in zip(seqs, out)]
     resolved = all(s.resolved for s, x in zip(seqs, out) if not x)
-    bounds = np.array(limits)[:, None] * (1.0 + tau)
+    with np.errstate(over="ignore"):           # an infinite bound: the member carves nothing
+        bounds = np.array(limits)[:, None] * (1.0 + tau)
     carved = np.zeros(len(seqs), dtype=int)
     # the cells kept so far, as flat indices and as points: a slice of the
     # points is a view, where gathering lams[cand[k:k + _SLICE]] cost about a

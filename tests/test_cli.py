@@ -213,6 +213,30 @@ class TestComplexGrowth:
         err = capsys.readouterr().err
         assert "'complex_growth.x0'" in err and "double range" in err
 
+    @pytest.mark.parametrize("case, message", [
+        ("ones", "eval_entire: values on the 10-cell boundary frame"),
+        ("tiny", "fewer than 3 samples above the underflow floor")])
+    def test_quadrature_refusal_names_the_input(self, tmp_path, capsys, case, message):
+        # a signal file of 64 ones fills the boundary frame, and one of a
+        # bump at 1e-306 puts every sample under the floor: the quadrature's
+        # refusals exited 2 naming no field
+        grid = make_grid(1, 64, 0.1)
+        f = sample_builtin({"kind": "spatial_bump",
+                            "support": {"shape": "box", "lo": [-1.0], "hi": [1.0]}}, grid)
+        values = np.ones(64) if case == "ones" else f.values * 1e-306
+        save_signal(f.with_values(values), str(tmp_path / "f.json"))
+        cfg = write_config(tmp_path, "cfg.json", {"input": {"path": str(tmp_path / "f.json")}})
+        assert main(["complex-growth", "--config", cfg]) == EXIT_CONFIG
+        assert f"config field 'input.path': {message}" in capsys.readouterr().err
+
+    def test_window_of_too_few_doubles_names_t_max(self, tmp_path, capsys):
+        # 31 samples on [10, 10 + 1e-14] repeat values: the refusal of a
+        # t that does not strictly increase named no field
+        cfg = self.spatial_cfg(tmp_path, complex_growth={"t_min": 10, "t_max": 10 + 1e-14})
+        assert main(["complex-growth", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'complex_growth.t_max'" in err and "31 distinct" in err
+
 
 class TestVerify:
     def test_small_n_max_rejected(self, tmp_path):
@@ -614,6 +638,21 @@ class TestBadInputs:
             assert caught == []
             err = capsys.readouterr().err
             assert "'input'" in err and "double range" in err
+
+    def test_tau_past_the_double_range_keeps_every_cell(self, tmp_path):
+        # limit * (1 + tau) passes the double range: the run warned of an
+        # overflow in multiply, a traceback under -W error, and exited 0
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, "cfg.json", {
+            "grid": {"d": 1, "M": 64, "h": 0.25},
+            "input": {"builtin": {"kind": "gaussian", "sigma": 0.5}},
+            "family": {"kind": "linear", "directions": [[1]]}, "tau": 1e308, "out": str(out)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["reconstruct", "--config", cfg]) == EXIT_OK
+        assert caught == []
+        report = json.loads(out.read_text())["reconstruction"]
+        assert report["limits"][0] > 2.0 and report["estimated_cells"] == 64
 
     def test_nmax_override_is_checked(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", small_cfg())

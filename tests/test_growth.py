@@ -1334,11 +1334,17 @@ def parent_spatial_norms(spec, family, n_max, norms):
         rows = [[[] for _ in norms] for _ in range(len(stack))]
         live = {m: range(len(norms)) for m in range(len(stack)) if R[m] > 0.0} if norms else {}
 
+        def goes_on(m, k, n, value):
+            # a row ends with its first value not > 0; one not finite raises
+            if not np.isfinite(value):
+                raise growth._overflow(stack[m], *norms[k], n)
+            return value > 0.0
+
         def read(m, ks, n, g):
             for k in ks:
                 w = weights[k]
                 rows[m][k].append(step.norm(g if w is None else g * w, norms[k][0]))
-            return [k for k in ks if growth._goes_on(stack, m, norms[k], n, rows[m][k][-1])]
+            return [k for k in ks if goes_on(m, k, n, rows[m][k][-1])]
 
         with np.errstate(over="ignore", invalid="ignore"):
             t = ratio.real ** 2 + ratio.imag ** 2
@@ -1440,19 +1446,15 @@ class TestTwoLoopPassMatchesParentLoop:
 @pytest.fixture
 def helper_halves(monkeypatch):
     """spatial_norms on a host of two CPUs, whatever this one has: each
-    entry of the returned list is the thread that ran one helper half."""
+    entry of the returned list is the thread that ran one helper half, a
+    _values call made off the calling thread."""
     monkeypatch.setattr(growth.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    halves, values = [], growth._values
+    halves, values, caller = [], growth._values, threading.get_ident()
 
     def counting(*args):
-        inner = values(*args)
-        if len(args) < 11:              # the caller's half: no event unread
-            return inner
-
-        def helper():
+        if threading.get_ident() != caller:
             halves.append(threading.get_ident())
-            yield from inner
-        return helper()
+        return values(*args)
 
     monkeypatch.setattr(growth, "_values", counting)
     return halves
@@ -1740,6 +1742,81 @@ class TestChunksMatchParentLoop:
         rows = growth.CHUNK_MAX_POINTS // 1024
         assert row.size == 4096 and sum(calls) == 2048 and set(calls) == {rows} and rows > 1
         assert peak < 4 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the cut of a member's values, against the rule applied value by value
+# ---------------------------------------------------------------------------
+
+def per_value_cut(P, norms, values):
+    """The rows of one member's (n, norms) values as a loop over n and then
+    the norms cut them: a row ends with its first value not > 0, and a value
+    not finite before that raises."""
+    rows, ks = [[] for _ in norms], range(len(norms))
+    for n, got in enumerate(values.tolist(), 1):
+        for k in ks:
+            rows[k].append(got[k])
+            if not np.isfinite(got[k]):
+                raise growth._overflow(P, *norms[k], n)
+        ks = [k for k in ks if got[k] > 0.0]
+        if not ks:
+            break
+    return [np.array(r, dtype=float) for r in rows]
+
+
+CUT_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 5e-324, -1e-300, 1.0, 2.5e300]
+
+
+@st.composite
+def cut_cases(draw):
+    """(norms, values): 1-3 norms of p in {1, 3.5, inf} and weights in {0,
+    2, -2}, and 0-12 rows of their values, mostly positive, some of them 0,
+    -0.0, +-inf, NaN or tiny."""
+    norms = draw(st.lists(st.tuples(st.sampled_from([1, 3.5, np.inf]),
+                                     st.sampled_from([0, 2, -2])), min_size=1, max_size=3))
+    n = draw(st.integers(0, 12))
+    flat = draw(st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from(CUT_VALUES)),
+                         min_size=n * len(norms), max_size=n * len(norms)))
+    return norms, np.array(flat, dtype=float).reshape(n, len(norms))
+
+
+class TestCutMatchesPerValueRule:
+    @settings(max_examples=500)
+    @given(case=cut_cases())
+    def test_rows_and_errors_match(self, case):
+        norms, values = case
+        family = family_explicit([parse_poly("x1", 1)])
+        try:
+            ref = per_value_cut(family[0], norms, values)
+        except GrowthError as exc:
+            with pytest.raises(GrowthError) as new:
+                growth._cut(family, 0, norms, values)
+            assert str(new.value) == str(exc)
+        else:
+            rows = growth._cut(family, 0, norms, values)
+            assert [r.dtype for r in rows] == [np.dtype(float)] * len(norms)
+            assert [r.tobytes() for r in rows] == [r.tobytes() for r in ref]
+
+    def test_later_norm_overflowing_first_in_n_is_named(self, interval_bump):
+        # (1+|x|)^12 max |g_1| of x1 is past (1+|x|)^8 max |g_2|, which is
+        # past (1+|x|)^8 max |g_1|: scaled so that the double range ends
+        # between the last two, the earlier norm overflows at n = 2 and the
+        # later one at n = 1, which the error names, as the parent loop does
+        _, f = interval_bump
+        family, norms = family_explicit([parse_poly("x1", 1)]), [(np.inf, 8), (np.inf, 12)]
+        ((_, _, (v8, v12)),) = spatial_norms(Spectrum.of(f), family, 2, norms)
+        cut = np.sqrt(v8[0] * v8[1])
+        assert v12[0] > 1.2 * v8[1] and v8[1] > 1.2 * v8[0]
+        spec = Spectrum.of(f.with_values(f.values * (np.finfo(float).max / cut)))
+        message = r"^1\.0\*x1 at p = inf: \|\|\(1\+\|x\|\)\^12 P\(d\)\^1 f\|\| exceeds"
+        for n_max in (1, 2, 16):
+            with pytest.raises(GrowthError, match=message):
+                spatial_norms(spec, family, n_max, norms)
+            with pytest.raises(GrowthError, match=message):
+                list(parent_spatial_norms(spec, family, n_max, norms))
+        # alone, the earlier norm overflows at n = 2
+        with pytest.raises(GrowthError, match=OVERFLOW.format(r"1\.0\*x1", 2)):
+            spatial_norms(spec, family, 16, norms[:1])
 
 
 def hermitian_input(d, M, cells, rng):

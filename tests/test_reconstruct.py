@@ -117,6 +117,15 @@ def test_carve_reads_an_overflowing_symbol_as_outside():
     assert res.estimated.n_cells == 19
 
 
+def test_tau_past_the_double_range_keeps_every_cell():
+    # limit * (1 + 1e308) passes the double range: the bound is inf, with no
+    # overflow warning (an error in this suite), and the member carves nothing
+    f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
+    res = reconstruct_support(f, family_linear([[1.0]]), 2, 64, tau=1e308)
+    assert res.limits[0] > 2.0 and list(res.carved) == [0]
+    assert res.estimated.n_cells == 64
+
+
 class TestLocalSpectrumRaster:
     def test_first_derivative_segment(self, interval_setup):
         grid, f, reference = interval_setup

@@ -1,8 +1,9 @@
 """Code rules checked on the syntax tree: no module imports another module's
 leading-underscore name, no library module but the CLI prints, only the
 transform and growth modules name SpatialStep, one ledger pass evaluates
-the symbols, only the ledger pass starts threads, every verify row reads
-its member's one Ledgers build, no caller sees the pass's stacks, every
+the symbols, only the ledger pass starts threads, no generator or event
+crosses a thread of the ledger pass, every verify row reads its
+member's one Ledgers build, no caller sees the pass's stacks, every
 JSON read catches RecursionError, one helper estimates every limit, by the
 stack, every library name the bench looks up exists, the ledgers and the
 carve never build a family's members, the ledger layer takes a family only,
@@ -105,6 +106,26 @@ def test_only_the_ledger_pass_starts_threads():
     users = {owner[id(node)] for node in ast.walk(tree)
              if isinstance(node, ast.Name) and node.id in bound}
     assert bound and users == {"spatial_norms"}
+
+
+def test_no_generator_or_event_crosses_a_thread():
+    # each half of a member is one array of its values, which one rule
+    # cuts: growth.py imports neither threading nor itertools, _values
+    # holds no yield, and no function of growth.py names an Event, so no
+    # generator is built in one thread and drained or stopped from another
+    path = ROOT / "src" / "realpw" / "growth.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = {name.split(".")[0] for node in ast.walk(tree) for name in (
+        [alias.name for alias in node.names] if isinstance(node, ast.Import)
+        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])}
+    assert not imports & {"threading", "itertools"}
+    (values,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_values"]
+    assert not [node for node in ast.walk(values) if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    events = [f"growth.py:{node.lineno}" for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.Lambda)) for node in ast.walk(fn)
+              if "Event" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert events == []
 
 
 def test_verify_rows_read_the_ledgers():
