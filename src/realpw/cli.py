@@ -201,8 +201,10 @@ def _build_family(cfg, grid):
                 raise ConfigError("family.per_axis",
                                   f"per_axis^d = {per_axis}^{grid.d} exceeds {MAX_COUNT} members")
             span = _field(cfg, "family.span_cells") or (grid.M // 2) * 0.98
+            if span > grid.M // 2:          # the lattice spans [-span, span] cells
+                raise ConfigError("family.span_cells", f"must be at most M/2 = {grid.M // 2}")
             step = span * grid.dlam / (per_axis // 2)
-            axis_vals = (np.arange(per_axis) - (per_axis // 2 - 1)) * step
+            axis_vals = (np.arange(per_axis) - (per_axis - 1) // 2) * step
             centers = np.stack(np.meshgrid(*[axis_vals] * grid.d, indexing="ij"),
                                axis=-1).reshape(-1, grid.d)
             builder = family_quadratic if kind == "quadratic_lattice" else family_quadratic_real

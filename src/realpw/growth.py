@@ -19,10 +19,9 @@ taking each output's moduli once for all its norms, into one array of
 values per member that one vectorised rule cuts into rows.  The step is the
 inverse DFT of the mask cells, by a pruned ifft along axes whose mask
 occupies many frequencies and by a matrix product along the others (every
-axis of the d = 2 acceptance inputs).  On a d = 1 grid, where the step is
-one ifft pass, a chunk of up to CHUNK_MAX_POINTS // M consecutive transforms
-goes through one ifft call, and each norm of the chunk is one row-wise
-reduction.  Real iterates need that the mask is resolved and closed under
+axis of the d = 2 acceptance inputs).  A step call takes a chunk of up to
+`SpatialStep.rows` consecutive transforms, one on a grid of d >= 2, and
+each norm of the chunk is one row-wise reduction.  Real iterates need that the mask is resolved and closed under
 lam -> -lam, F is Hermitian on it to HERMITIAN_TOL of max |F|, and P has
 real coefficients.  Then one transform of G_n + i G_(n+1) gives g_n as its
 real part and g_(n+1) as its imaginary part.
@@ -85,18 +84,6 @@ HERMITIAN_TOL = 1e-12
 # on the 256^2 ball (11.5-12.7 ms), 0.85 and 0.57 on a 2^16-point interval
 # (60 ms); a thread's start and its handoffs of the GIL outweigh a small step
 SPLIT_MIN_POINTS = 2 ** 15
-
-# spatial_norms steps a d = 1 member up to CHUNK_MAX_POINTS // M transforms per
-# ifft call (at least one, at most n_max), which bounds its chunk: the step's
-# stack and its output take 64 KiB each, the moduli of the chunk 32 KiB, and a
-# weighted norm at most 96 KiB more.  Median in-process `realpw verify` time
-# (four processes of 24 calls each, one BLAS thread, 2-vCPU VM): 44.2 ms with
-# one transform per call and a modulus per norm, 38.3 ms at 2^11 points,
-# 36.9 ms at 2^12, 39.1 ms at 2^13 and 39.2 ms at 2^14.  From 2^13 the two
-# buffers reach glibc's 128 KiB mmap threshold, so each pass's fresh buffers
-# fault in (137 minor faults per d = 1 p = 1 estimate-corpus job at 2^14,
-# none at 2^12), though in a warm loop of one pass 2^14 was the fastest
-CHUNK_MAX_POINTS = 2 ** 12
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +295,16 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     naming P, p and n: for the first member in family order that overflows,
     at its least such n, and at that n for its first such norm.  A member's
     values come as one (n, norms) array, which one vectorised rule cuts
-    into its rows.  The moduli of
-    an output are taken once for all its norms: a weighted norm reads |g| w
-    of a real iterate (bit-equal to |g w|, w being positive) and |g w| of a
-    complex one.
+    into its rows.  The moduli of an output are taken once for all its
+    norms: a weighted norm reads |g| w of a real iterate (bit-equal to
+    |g w|, w being positive) and |g w| of a complex one.
 
-    On a d = 1 grid the member's transforms go in chunks of k = min(n_max,
-    max(1, CHUNK_MAX_POINTS // M)) rows, fewer where fewer are left: the
-    chunk's mask-cell rows are built by the in-place multiplies of the
-    serial loop, and one `SpatialStep` call transforms them, each row
-    bit-equal to its one-row transform; each norm of the chunk's iterates
-    is one reduction along its rows.  The rows, their ends and a
-    GrowthError are those of one transform per call; no chunk is stepped
-    once every norm has met a value that is not finite or not > 0.  A grid
-    of d >= 2 steps one output per call.
+    The member's transforms go in chunks of min(n_max, step.rows) rows
+    (one row on a grid of d >= 2), each transformed by one `SpatialStep`
+    call, each row bit-equal to its one-row transform, and each norm of a
+    chunk is one reduction along its rows: the rows, their ends and a
+    GrowthError are those of one transform per call.  No chunk is stepped
+    once every norm has met a value that is not finite or not > 0.
 
     A member pairs when its iterates are all real: (1) the mask is
     resolved, as a cell on a Nyquist plane is its own mirror and there
@@ -347,6 +330,9 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     the cut then discards.  One pool of one thread serves every member of
     the call, and the call joins it before it returns or raises.
     """
+    for p, e in norms:
+        if not (p >= 1 and np.isfinite(e)):
+            raise GrowthError(f"norm (p, e) = ({p}, {e}): p must be in [1, inf], e finite")
     spec = Spectrum.of(f)
     F = spec.F[spec.mask.field]
     real, split = False, 0
@@ -356,7 +342,7 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
             absx = np.linalg.norm(spec.grid.spatial_coords(), axis=-1)
         weights = [step.fft_order((1.0 + absx) ** e).ravel() if e else None for _, e in norms]
         real = _real_iterates(spec)
-        chunk = min(n_max, max(1, CHUNK_MAX_POINTS // spec.grid.M)) if spec.grid.d == 1 else 1
+        chunk = min(n_max, step.rows)
         # the mask-cell rows of a chunk, and the moduli of its outputs
         bufs = np.empty((2 + chunk, F.size), dtype=complex)
         mag = np.empty((chunk, spec.grid.n_points))
@@ -407,43 +393,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _iterates(step, bufs, F, r, n, end, paired):
-    """(g, count) per step of the member with ratio row r, in order of k =
-    n + 1..end: g stacks the outputs of up to len(bufs) - 2 transforms on its
-    first axis (one on a grid of d >= 2), which hold the next count iterates.
-    G_n = F r^n comes from n in-place multiplies of F, the float operations
-    of stepping there from G_0.  Each transform gives g_k, or, when the member
-    pairs and two or more k are left, its real part gives g_k and its
-    imaginary part g_(k+1).  bufs is two mask-cell rows, then the rows of a
-    stack, overwritten."""
-    G, B, C = bufs[0], bufs[1], bufs[2:]
-    G[:] = F
-    for _ in range(n):
-        np.multiply(G, r, out=G)
-    while n < end:
-        k = min(len(C), (end - n + 1) // 2 if paired else end - n)
-        for j in range(k):
-            if paired and n + 2 * j + 1 < end:  # g_(m+1) + i g_(m+2), one transform
-                np.multiply(G, r, out=G)
-                np.multiply(G, r, out=B)
-                np.multiply(B, 1j, out=C[j])
-                C[j] += G
-                G, B = B, G
-            else:                               # G_(m+1), its own transform
-                np.multiply(G, r, out=C[j])
-                G = C[j]
-        count = min(end - n, 2 * k) if paired else k
-        yield (step(C[:k]) if len(C) > 1 else step(C[0])[None]), count
-        n += count
-
-
 def _read(step, mag, g, count, real, norms, weights) -> np.ndarray:
     """The (count, len(norms)) array of every norm of each of the count
-    iterates that the stack g of step outputs holds, a row per iterate in
-    order: the rows of g, or, with real, the real and then the imaginary part
-    of each row.  Their moduli are taken once, into the rows of mag,
-    overwritten: a weighted norm reads |g| w of a real iterate, |g w| of a
-    complex one."""
+    iterates that the stack g of one step call's outputs holds, a row per
+    iterate in order: the rows of g, or, with real, the real and then the
+    imaginary part of each row.  Their moduli are taken once, into the rows
+    of mag, overwritten: a weighted norm reads |g| w of a real iterate,
+    |g w| of a complex one."""
     g = g.reshape(len(g), -1)
     parts, mag = (g.real, g.imag) if real else (g,), mag[:len(g)]
     values = np.empty((len(g), len(parts), len(norms)))
@@ -458,15 +414,32 @@ def _read(step, mag, g, count, real, norms, weights) -> np.ndarray:
 def _values(step, bufs, mag, F, r, n, end, paired, norms, weights) -> np.ndarray:
     """The (end - n, len(norms)) array of every norm of g_k, k = n + 1..end,
     a row per k in order, of the member with ratio row r, stepped on step,
-    bufs and mag: either half of a member.  It stops after the step output
-    at which every norm has met a value that is not finite or not > 0, as
-    its row ends there, and then holds fewer rows."""
+    bufs and mag: either half of a member, from G_n = F r^n by n in-place
+    multiplies.  Each chunk builds up to len(bufs) - 2 mask-cell rows, G_k
+    or, while a paired member has two k left, G_k + i G_(k+1), in bufs[2:]
+    and reads the outputs of one step call.  It stops after the chunk at
+    which every norm has met a value that is not finite or not > 0."""
+    G, B, C = bufs[0], bufs[1], bufs[2:]
+    G[:] = F
+    for _ in range(n):
+        np.multiply(G, r, out=G)
     out, cut = [np.empty((0, len(norms)))], np.zeros(len(norms), dtype=bool)
-    for g, count in _iterates(step, bufs, F, r, n, end, paired):
-        out.append(_read(step, mag, g, count, paired, norms, weights))
+    while n < end and not cut.all():
+        k = min(len(C), (end - n + 1) // 2 if paired else end - n)
+        for j in range(k):
+            if paired and n + 2 * j + 1 < end:  # g_(m+1) + i g_(m+2), one transform
+                np.multiply(G, r, out=G)
+                np.multiply(G, r, out=B)
+                np.multiply(B, 1j, out=C[j])
+                C[j] += G
+                G, B = B, G
+            else:                               # G_(m+1), its own transform
+                np.multiply(G, r, out=C[j])
+                G = C[j]
+        count = min(end - n, 2 * k) if paired else k
+        out.append(_read(step, mag, step(C[:k]), count, paired, norms, weights))
         cut |= ~((out[-1] > 0.0) & np.isfinite(out[-1])).all(axis=0)
-        if cut.all():
-            break
+        n += count
     return np.concatenate(out)
 
 
@@ -726,8 +699,8 @@ class PointwiseGrowthReport:
 
 def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
                      mode: str = "growth") -> PointwiseGrowthReport:
-    if N < 0:
-        raise GrowthError("weight exponent N must be >= 0")
+    if not 0 <= N < np.inf:
+        raise GrowthError(f"weight exponent N must be finite and >= 0, got {N}")
     if n_max < 8:
         raise GrowthError("n_max must be >= 8")
     if mode not in ("decay", "growth"):
@@ -759,8 +732,8 @@ class SchwartzDecayReport:
 
 def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
                          n_max: int) -> SchwartzDecayReport:
-    if R <= 0:
-        raise GrowthError("claimed bound R must be positive")
+    if not 0 < R < np.inf:
+        raise GrowthError(f"claimed bound R must be finite and positive, got {R}")
     d = f.grid.d
     # both weights are >= 1, so the two rows vanish at the same n
     ((R_mask, _, rows),) = spatial_norms(f, family_explicit([P]), n_max,

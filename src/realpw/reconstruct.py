@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .grid import SampledFunction, SPATIAL, GridError, make_grid
 from .poly import MultiPoly, PolyFamily, PolyError, eval_symbol_many
 from .transform import DEFAULT_EPS_REL, SupportMask, Spectrum
-from .growth import growth_sequence, growth_sequences
+from .growth import GrowthError, growth_sequence, growth_sequences
 
 DEFAULT_TAU = 0.01
 _SLICE = 8192
@@ -102,6 +102,8 @@ def reconstruct_support(f, family: PolyFamily, p, n_max: int,
     are kept), evaluated in slices of _SLICE cells: on a d = 2, M = 256 grid
     a slice holds under 1 MB of symbol temporaries, the grid 5 MB.
     """
+    if not tau >= 0:                            # inf carves nothing, NaN is refused
+        raise GrowthError(f"tau must be >= 0, got {tau}")
     grid = f.grid
     spec = Spectrum.of(f)
     seqs = growth_sequences(spec, family, p, n_max)
@@ -210,8 +212,8 @@ def pde_support_probe(g: SampledFunction, P: MultiPoly, Q: MultiPoly,
     every cell at or above it (division there is well-conditioned), the cells
     below it are zeroed and their share of the mask's |Fg| mass is reported.
     """
-    if delta_zero <= 0:
-        raise GridError("delta_zero must be positive")
+    if not 0 < delta_zero < np.inf:
+        raise GridError(f"delta_zero must be finite and positive, got {delta_zero}")
     if g.side != SPATIAL:
         raise GridError("probe expects the right-hand side g on the spatial side")
     grid = g.grid

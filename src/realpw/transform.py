@@ -167,6 +167,19 @@ class Spectrum:
 # runs each, one BLAS thread, numpy 2.4, 2-vCPU VM).
 MATRIX_PASS_MAX_K = 32
 
+# A step on a d = 1 grid takes up to CHUNK_MAX_POINTS // M rows (at least
+# one) per ifft call, which bounds the ledger pass's d = 1 chunk: the step's
+# buffer and its output take 64 KiB each, the moduli of the chunk 32 KiB,
+# and a weighted norm at most 96 KiB more.  Median in-process `realpw
+# verify` time (four processes of 24 calls each, one BLAS thread, 2-vCPU
+# VM): 44.2 ms with one transform per call and a modulus per norm, 38.3 ms
+# at 2^11 points, 36.9 ms at 2^12, 39.1 ms at 2^13 and 39.2 ms at 2^14.
+# From 2^13 the two buffers reach glibc's 128 KiB mmap threshold, so each
+# pass's fresh buffers fault in (137 minor faults per d = 1 p = 1
+# estimate-corpus job at 2^14, none at 2^12), though in a warm loop of one
+# pass 2^14 was the fastest
+CHUNK_MAX_POINTS = 2 ** 12
+
 
 def _inverse_dft_block(freqs: np.ndarray, M: int) -> np.ndarray:
     """ifft's kernel on the FFT indices freqs, E_km = exp(2 pi i ((m u_k) mod
@@ -203,18 +216,19 @@ class SpatialStep:
     stays on the ifft pass.  The other axes take numpy's ifft pass and run
     first, last axis first as in ifftn; then the matrix passes follow in
     order of decreasing K_a, so the last pass, the one over whole lines,
-    multiplies by the smallest block.  On a d = 1 grid the step also takes a
-    (k, cells) stack of rows and transforms it by one ifft call over k
-    lines: each output row equals that row's one-row output bit for bit.
+    multiplies by the smallest block.  A call takes a row of mask-cell
+    values or a stack of up to `rows` of them, each pass running on one
+    block of its buffer per row: each output row is its one-row output bit
+    for bit.
 
     Output axis k is grid axis `axes[k]`.  With no matrix axis the output
     equals ifftn's bit for bit with its axes reversed, `ifftn(buf).T`, since
     every line goes through the same 1-D transform.  A matrix pass errs from
     the exact pass by at most sqrt(2) gamma_(2 K_a) + u (gamma_n = n u /
     (1 - n u), u = 2^-53) times the sum of its inputs' moduli over M.  The
-    buffers are allocated once, those of a stack at its first call that needs
-    them, and the result, overwritten by the next call, is unscaled: `norm`
-    and `row_norms` apply the scale and `fft_order` puts weight arrays in the
+    buffers are allocated once, and the result, a view of the one output
+    buffer that the next call overwrites, is unscaled: `norm` and
+    `row_norms` apply the scale and `fft_order` puts weight arrays in the
     output's order.
     """
 
@@ -233,67 +247,66 @@ class SpatialStep:
         self.axes = tuple([a for a in range(d - 1, -1, -1) if a not in matrix]
                           + sorted(matrix, key=lambda a: -freqs[a].size))
         self.matrix_axes = frozenset(matrix)
+        blocks = max(1, CHUNK_MAX_POINTS // M) if d == 1 else 1
         # Pass j transforms axis axes[j]: on the grid with its axes in the
         # order axes[::-1], the passes run last axis first.  A pass's buffer
-        # rows are the occupied lines (index prefixes over the axes not yet
-        # transformed) times the axes already transformed, in reverse order,
-        # and its columns are the axis's frequencies, all M or, on a matrix
-        # pass, the K_a occupied ones; index scatters the previous pass's
-        # output (at first G, on the cells) into the buffer, flat.  The two
-        # full buffers of the last pass are allocated first: the other order
-        # raised the estimate-corpus peak RSS by 0.4 MB.
+        # holds a block per row a call may take, whose rows are the occupied
+        # lines (index prefixes over the axes not yet transformed) times the
+        # axes already transformed, in reverse order, and whose columns are
+        # the axis's frequencies, all M or, on a matrix pass, the K_a
+        # occupied ones; index scatters the previous pass's output (at first
+        # G, on the cells) into the buffer, flat, block after block.  The
+        # two full buffers of the last pass are allocated first: the other
+        # order raised the estimate-corpus peak RSS by 0.4 MB.
         width = [freqs[a].size if a in matrix else M for a in self.axes]
-        full = np.zeros((M ** (d - 1), width[-1]), dtype=complex)
-        out = np.empty((M ** (d - 1), M), dtype=complex)
+        full = np.zeros((blocks * M ** (d - 1), width[-1]), dtype=complex)
+        out = np.empty((blocks * M ** (d - 1), M), dtype=complex)
         self._passes = []
         codes = np.ravel_multi_index(cells[list(self.axes[::-1])], grid.shape)
         for j, a in enumerate(self.axes):
             pos = d - 1 - j
             lines = np.unique(codes // M) if pos else np.zeros(1, dtype=np.intp)
-            rows = (np.searchsorted(lines, codes // M)[:, None] * M ** j
-                    + np.arange(M ** j))
+            n = lines.size * M ** j                 # a block's rows
+            rows = (np.arange(blocks)[:, None, None] * n + np.arange(M ** j)
+                    + np.searchsorted(lines, codes // M)[:, None] * M ** j)
             col = np.searchsorted(freqs[a], codes % M) if a in matrix else codes % M
-            buf = np.zeros((lines.size * M ** j, width[j]), dtype=complex) if pos else full
-            res = np.empty((buf.shape[0], M), dtype=complex) if pos else out
+            buf = np.zeros((blocks * n, width[j]), dtype=complex) if pos else full
+            res = np.empty((blocks * n, M), dtype=complex) if pos else out
             flat = buf.reshape(-1)
             if a in matrix:                 # the real-form block takes (re, im) doubles
                 buf, res = buf.view(float), res.view(float)
-            self._passes.append((flat, buf, res, (rows * width[j] + col[:, None]).ravel(),
+            self._passes.append((flat, buf, res, n, (rows * width[j] + col[:, None]).ravel(),
                                  matrix.get(a)))
             codes = lines
-        self._out = out.reshape(grid.shape)
+        self._out = out.reshape((blocks,) + grid.shape)
         self._scale = _inverse_scale(grid)
         self._cell = grid.h ** grid.d
-        self._index, self._stack = spec.fft_index, None
+
+    @property
+    def rows(self) -> int:
+        """The most rows a call takes: max(1, CHUNK_MAX_POINTS // M) on d = 1, else 1."""
+        return len(self._out)
 
     def __call__(self, G: np.ndarray) -> np.ndarray:
-        """The output of one row G of mask-cell values, or on a d = 1 grid
-        of each row of a (k, cells) stack G: a (k, M) array."""
-        if G.ndim == 2:
-            return self._rows(G)
-        for flat, buf, out, index, block in self._passes:
-            flat[index] = G.ravel()
+        """The output of one row G of mask-cell values, grid-shaped, or of
+        each row of a (k, cells) stack G, stacked on a first axis of k.  A
+        stack of more than `rows` rows raises GridError."""
+        stack = G.ndim == 2
+        k = len(G) if stack else 1
+        if k > self.rows:
+            raise GridError(f"a stack of {k} rows exceeds the step's {self.rows}")
+        for flat, buf, out, n, index, block in self._passes:
+            flat[index[:G.size]] = G.ravel()
             if block is None:
-                G = np.fft.ifft(buf, axis=-1, out=out)
+                G = np.fft.ifft(buf[:k * n], axis=-1, out=out[:k * n])
             else:
-                G = np.matmul(buf, block, out=out).view(complex)
-        return self._out
-
-    def _rows(self, G: np.ndarray) -> np.ndarray:
-        k, M = len(G), self._out.shape[-1]
-        if self._out.ndim != 1:
-            raise GridError("a stack of rows steps on a d = 1 grid only")
-        if self._stack is None or len(self._stack[0]) < k:
-            self._stack = (np.zeros((k, M), dtype=complex), np.empty((k, M), dtype=complex),
-                           (np.arange(k)[:, None] * M + self._index).ravel())
-        buf, out, index = self._stack
-        buf.reshape(-1)[index[:G.size]] = G.ravel()
-        return np.fft.ifft(buf[:k], axis=-1, out=out[:k])
+                G = np.matmul(buf[:k * n], block, out=out[:k * n]).view(complex)
+        return self._out[:k] if stack else self._out[0]
 
     def fft_order(self, values: np.ndarray) -> np.ndarray:
         """A centered-order spatial array in the order of the step's output."""
         return np.ascontiguousarray(
-            np.fft.ifftshift(values.reshape(self._out.shape)).transpose(self.axes))
+            np.fft.ifftshift(values.reshape(self._out.shape[1:])).transpose(self.axes))
 
     def norm(self, g: np.ndarray, p) -> float:
         """Riemann-sum Lp norm of a step output, or of one times a weight."""
@@ -447,6 +460,8 @@ def complex_growth_rate(f: SampledFunction, x0, y, t_samples) -> ComplexGrowthRe
     t = np.asarray(t_samples, dtype=float)
     if t.ndim != 1 or t.size < 3:
         raise GridError("need at least 3 strictly increasing t samples")
+    if not np.isfinite(t).all():
+        raise GridError("t samples must be finite")
     if np.any(np.diff(t) <= 0):
         raise GridError("t samples must be strictly increasing")
     vals = eval_entire(f, [x0 + 1j * ti * y for ti in t])

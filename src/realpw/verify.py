@@ -43,13 +43,12 @@ class Ledgers:
 
     R: max |P(i lam)| over the mask per P of polys; sequences: a
     GrowthSequence per (P, p) of polys x p_values, in that order; rtilde: a
-    growth-mode PointwiseGrowthReport per P at N = RTILDE_N; plancherel: the
-    one (spatial, frequency) pair of 2-norm rows of g_n for polys[0], the
-    spatial row as spatial_norms gives it (ending at a value not > 0), the
-    frequency one as the p = 2 ledger keeps it.  One `spatial_norms` call
-    over polys gives them all, with a spatial 2-norm row per P of which
-    only polys[0]'s is read; the p = 2 ledgers and the frequency side read
-    its Parseval rows, and one GrowthSequence.from_rows builds every ledger.
+    growth-mode PointwiseGrowthReport per P at N = RTILDE_N; plancherel: a
+    (spatial, frequency) pair of 2-norm rows of g_n per P, the spatial row
+    as spatial_norms gives it (ending at a value not > 0), the frequency one
+    its Parseval row.  One `spatial_norms` call over polys gives them all;
+    the p = 2 ledgers read its Parseval rows, and one
+    GrowthSequence.from_rows builds every ledger.
     A member whose mask is not resolved gets no sequences or rtilde (every
     row that reads them skips it), so its pass reads the 2-norms alone.
     """
@@ -57,7 +56,7 @@ class Ledgers:
     R: list
     sequences: list
     rtilde: list
-    plancherel: tuple
+    plancherel: list
 
     @classmethod
     def of(cls, member, n_max: int) -> "Ledgers":
@@ -71,10 +70,8 @@ class Ledgers:
              for k, (R, two, rows) in enumerate(per_poly) for p in ps], n_max, resolved)
         rtilde = [PointwiseGrowthReport.from_row(RTILDE_N, "growth", R, rows[len(spatial_p)])
                   for R, _, rows in per_poly if resolved]
-        R, two, rows = per_poly[0]
-        seq2 = (sequences[ps.index(2)] if 2 in ps
-                else GrowthSequence.from_rows([(polys, 2, R, two, 0)], n_max, resolved)[0])
-        return cls([R for R, _, _ in per_poly], sequences, rtilde, (rows[-1], seq2.norms))
+        return cls([R for R, _, _ in per_poly], sequences, rtilde,
+                   [(rows[-1], two) for _, two, rows in per_poly])
 
 
 @dataclass
@@ -181,10 +178,15 @@ def check_liminf(member, n_max=DESK_NMAX):
 
 
 def check_plancherel(member, n_max=DESK_NMAX, rel_tol=1e-10):
-    """Spatial vs frequency 2-norm of P(d)^n f, every n (discrete Plancherel)."""
-    spat, freq = member.ledgers(n_max).plancherel
-    k = min(spat.size, freq.size)       # a spatial row that vanishes first ends in 0
-    worst = float((np.abs(spat[:k] - freq[:k]) / freq[:k]).max(initial=0.0))
+    """Spatial vs frequency 2-norm of P(d)^n f, every P and n (discrete
+    Plancherel), up to the Parseval row's first value not > 0: a spatial
+    row that vanishes first ends in 0, and an infinite norm reads NaN."""
+    worst = [0.0]
+    for spat, freq in member.ledgers(n_max).plancherel:
+        k = min(spat.size, np.append(freq > 0.0, False).argmin())
+        with np.errstate(invalid="ignore"):
+            worst.append((np.abs(spat[:k] - freq[:k]) / freq[:k]).max(initial=0.0))
+    worst = float(np.max(worst))
     return ("pass" if worst <= rel_tol else "fail", f"worst rel diff {worst:.2e}")
 
 

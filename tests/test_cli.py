@@ -614,6 +614,35 @@ class TestBadInputs:
         assert main(["reconstruct", "--config", cfg]) == EXIT_CONFIG
         assert "'family.per_axis'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("per_axis", [2, 3, 4, 5, 16, 17])
+    def test_lattice_runs_at_the_default_span(self, tmp_path, monkeypatch, per_axis):
+        # an odd lattice spans [-span, span] cells, where it ran from 0 to
+        # 2 span and left the frequency box; an even one keeps the axis it
+        # had, bit for bit: [-span + step, span]
+        built, builder = [], cli.family_quadratic_real
+        monkeypatch.setattr(cli, "family_quadratic_real",
+                            lambda centers, grid: built.append(centers) or builder(centers, grid))
+        c = with_field(small_cfg(), "grid", {"d": 2, "M": 64, "h": 0.2})
+        c["input"]["builtin"]["sigma"] = 0.5
+        c["family"]["per_axis"] = per_axis
+        assert main(["reconstruct", "--config", write_config(tmp_path, "cfg.json", c)]) == EXIT_OK
+        span = 0.98 * 32 * make_grid(2, 64, 0.2).dlam
+        step = span / (per_axis // 2)
+        axis = np.unique(built[0][:, 0])
+        assert axis.size == per_axis and axis[-1] == pytest.approx(span, rel=1e-15)
+        if per_axis % 2:
+            assert axis.tolist() == (-axis[::-1]).tolist()
+        else:
+            assert axis.tolist() == ((np.arange(per_axis) - (per_axis // 2 - 1)) * step).tolist()
+
+    @pytest.mark.parametrize("span,code", [(32, EXIT_OK), (32.5, EXIT_CONFIG), (40, EXIT_CONFIG)])
+    def test_span_past_half_the_grid_names_span_cells(self, tmp_path, capsys, span, code):
+        c = with_field(small_cfg(), "grid", {"d": 2, "M": 64, "h": 0.2})
+        c["input"]["builtin"]["sigma"] = 0.5
+        c["family"].update(per_axis=3, span_cells=span)
+        assert main(["reconstruct", "--config", write_config(tmp_path, "cfg.json", c)]) == code
+        assert ("'family.span_cells'" in capsys.readouterr().err) == (code == EXIT_CONFIG)
+
     def test_input_beyond_double_range_is_config_error(self, tmp_path, capsys):
         # the p = 2 ledger of this input used to overflow to regime "zero",
         # limit 0.0, and the run exited 0

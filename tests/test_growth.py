@@ -16,8 +16,8 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     symbol_ratios, eval_symbol_many, family_quadratic_real,
                     reconstruct_support, growth_sequences, spatial_norms,
                     GrowthSequence, PointwiseGrowthReport, MultiPoly,
-                    family_explicit)
-from realpw import growth
+                    family_explicit, pde_support_probe, complex_growth_rate)
+from realpw import growth, transform
 from realpw.growth import HERMITIAN_TOL
 from realpw.transform import SpatialStep, SupportMask, forward_values, inverse_values
 from conftest import block_iterates
@@ -1222,7 +1222,7 @@ def count_steps(monkeypatch):
 
 def chunks(f, transforms):
     """The SpatialStep calls of a d = 1 member's transforms on f's grid."""
-    return -(-transforms // (growth.CHUNK_MAX_POINTS // f.grid.M))
+    return -(-transforms // (transform.CHUNK_MAX_POINTS // f.grid.M))
 
 
 def offset_interval():
@@ -1623,7 +1623,7 @@ def chunk_ends(rows, paired, n_end):
 
 @pytest.fixture
 def chunk_rows(monkeypatch):
-    """Set growth.CHUNK_MAX_POINTS so that a d = 1 spectrum's chunks hold
+    """Set transform.CHUNK_MAX_POINTS so that a d = 1 spectrum's chunks hold
     `rows` transforms; returns the rows each SpatialStep call transformed."""
     calls, step = [], SpatialStep.__call__
 
@@ -1633,7 +1633,7 @@ def chunk_rows(monkeypatch):
 
     def setting(spec, rows):
         # M - 1 points more: the constant reads as a floor of points over M
-        monkeypatch.setattr(growth, "CHUNK_MAX_POINTS", rows * spec.grid.M + spec.grid.M - 1)
+        monkeypatch.setattr(transform, "CHUNK_MAX_POINTS", rows * spec.grid.M + spec.grid.M - 1)
         return calls
 
     monkeypatch.setattr(SpatialStep, "__call__", counting_step)
@@ -1739,7 +1739,7 @@ class TestChunksMatchParentLoop:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        rows = growth.CHUNK_MAX_POINTS // 1024
+        rows = transform.CHUNK_MAX_POINTS // 1024
         assert row.size == 4096 and sum(calls) == 2048 and set(calls) == {rows} and rows > 1
         assert peak < 4 * 2 ** 20
 
@@ -1923,3 +1923,55 @@ def test_pairing_gate_matches_index_lookup(pairs):
         assert growth._real_iterates(spec) == parent_real_iterates(spec) == want
         decided[want] += 1
     assert min(decided.values()) > 300, decided
+
+
+# ---------------------------------------------------------------------------
+# arguments that are not finite
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+REFUSED = {
+    "pointwise_growth N = nan": (lambda f, P: pointwise_growth(f, P, NAN, 16),
+                                 GrowthError, "weight exponent N"),
+    "pointwise_growth N = inf": (lambda f, P: pointwise_growth(f, P, np.inf, 16),
+                                 GrowthError, "weight exponent N"),
+    "spatial_norms e = nan": (lambda f, P: spatial_norms(f, family_explicit([P]), 16, [(1, NAN)]),
+                              GrowthError, r"\(1, nan\).* e finite"),
+    "spatial_norms p = nan": (lambda f, P: spatial_norms(f, family_explicit([P]), 16, [(NAN, 0)]),
+                              GrowthError, r"\(nan, 0\): p must be in"),
+    "schwartz_decay_check R = nan": (lambda f, P: schwartz_decay_check(f, P, NAN, 2, 16),
+                                     GrowthError, "claimed bound R"),
+    "schwartz_decay_check R = inf": (lambda f, P: schwartz_decay_check(f, P, np.inf, 2, 16),
+                                     GrowthError, "claimed bound R"),
+    "pde_support_probe delta_zero = nan": (lambda f, P: pde_support_probe(f, P, P, delta_zero=NAN),
+                                           GridError, "delta_zero"),
+    "reconstruct_support tau = -1": (
+        lambda f, P: reconstruct_support(f, family_explicit([P]), 2, 16, tau=-1.0),
+        GrowthError, "tau must be >= 0"),
+    "reconstruct_support tau = nan": (
+        lambda f, P: reconstruct_support(f, family_explicit([P]), 2, 16, tau=NAN),
+        GrowthError, "tau must be >= 0"),
+    "complex_growth_rate t = nan": (
+        lambda f, P: complex_growth_rate(f, [0.0], [1.0], [1.0, NAN, 3.0]),
+        GridError, "t samples must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_argument_that_is_not_finite_is_refused_by_name(case):
+    # each used to pass its check: a NaN N or e raised the overflow error of
+    # the norms, N = inf warned "invalid value", R = nan returned a NaN report,
+    # delta_zero = nan an M_limit of 0, tau = -1 and nan kept 1 and 0 cells,
+    # and a NaN t was blamed on the overflow guard
+    call, error, name = REFUSED[case]
+    f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=name):
+            call(f, parse_poly("x1", 1))
+
+
+def test_infinite_tau_is_accepted():
+    f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
+    res = reconstruct_support(f, family_explicit([parse_poly("x1", 1)]), 2, 16, tau=np.inf)
+    assert res.estimated.n_cells == 64

@@ -10,7 +10,8 @@ carve never build a family's members, the ledger layer takes a family only,
 the carve is one block loop with one symbol call and no point cache, the
 Parseval row is one moment sum of a real block in a loop that makes no
 spatial step, a p = 2 pass builds no step, neither the spatial step's pass
-choice nor the ledger pass's split or d = 1 chunk has a knob, a subcommand
+choice nor the ledger pass's split or d = 1 chunk has a knob, the step
+alone sizes a chunk, growth.py holds no generator, a subcommand
 registers only the overrides its handler reads, a builtin input is one
 SampledFunction, and only the readers of every grid point build the grid's
 full coordinate array."""
@@ -357,8 +358,7 @@ def test_moment_loop_makes_no_step():
     # the moment loop and the spatial loop are two loops: the loop that holds
     # the one moment sum runs over n on the real block alone, and every
     # spatial step runs in the member-by-member loop beside it, through
-    # _values, the one generator of the caller's half and the helper's half,
-    # which walks _iterates
+    # _values, which steps the caller's half and the helper's half
     fn = spatial_norms_tree()
     loops = [loop for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))]
     holds = [loop for loop in loops if any(
@@ -368,9 +368,8 @@ def test_moment_loop_makes_no_step():
     calls = [called(node) for node in ast.walk(moment) if isinstance(node, ast.Call)]
     steps = [node for node in ast.walk(fn)
              if isinstance(node, ast.Call) and called(node) == "_values"]
-    assert set(callers_of("step")) == {"growth.py:_iterates"}
-    assert callers_of("_iterates") == ["growth.py:_values"]
-    assert steps and "sum" in calls and not {"step", "_iterates", "_values"} & set(calls)
+    assert set(callers_of("step")) == {"growth.py:_values"}
+    assert steps and "sum" in calls and not {"step", "_values"} & set(calls)
 
 
 def test_p2_pass_steps_no_iterates(monkeypatch):
@@ -466,23 +465,38 @@ def test_split_has_no_knob():
 
 
 def test_chunk_has_no_knob():
-    # the rows of a d = 1 chunk come from M, n_max and one module constant
-    # whose measurement is its comment: spatial_norms reads it, the constant
-    # reads no name (no environment, config or argv), and no other function
-    # of growth.py names it
-    path = ROOT / "src" / "realpw" / "growth.py"
+    # the rows of a d = 1 chunk come from M and one module constant of
+    # transform.py whose measurement is its comment: SpatialStep.__init__
+    # reads it, the constant reads no name (no environment, config or argv),
+    # no other function of transform.py names it, and growth.py does not
+    # name it at all: the ledger pass reads the step's rows
+    path = ROOT / "src" / "realpw" / "transform.py"
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     constant = measured_constant(tree, source, "CHUNK_MAX_POINTS")
     assert not [node for node in ast.walk(constant.value) if isinstance(node, ast.Name)]
-    owner = {id(node): getattr(top, "name", None) for top in tree.body for node in ast.walk(top)}
+    owner = {id(node): f"{top.name}.{getattr(fn, 'name', None)}"
+             for top in tree.body if isinstance(top, ast.ClassDef)
+             for fn in top.body for node in ast.walk(fn)}
+    owner.update({id(node): getattr(top, "name", None) for top in tree.body
+                  if not isinstance(top, ast.ClassDef) for node in ast.walk(top)})
     users = {owner[id(node)] for node in ast.walk(tree)
              if isinstance(node, ast.Name) and node.id == "CHUNK_MAX_POINTS"}
-    assert users == {"spatial_norms", None}       # None: the assignment itself
+    assert users == {"SpatialStep.__init__", None}       # None: the assignment itself
     assignments = [node for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign))
                    and "CHUNK_MAX_POINTS" in {getattr(t, "id", None) for t in (
                        node.targets if isinstance(node, ast.Assign) else [node.target])}]
     assert assignments == [constant]
+    assert "CHUNK_MAX_POINTS" not in (ROOT / "src" / "realpw" / "growth.py").read_text()
+
+
+def test_growth_holds_no_generator():
+    # the ledger pass steps each chunk in one plain loop: no function of
+    # growth.py yields, so no caller drains, stops or resumes a generator
+    path = ROOT / "src" / "realpw" / "growth.py"
+    yields = [f"growth.py:{node.lineno}" for node in nodes(path)
+              if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert yields == []
 
 
 def test_every_override_is_read():

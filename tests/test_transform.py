@@ -12,7 +12,8 @@ from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
                     eval_symbol_many)
 from conftest import block_iterates
 from realpw.grid import lp_norm_values
-from realpw.transform import MATRIX_PASS_MAX_K, SpatialStep, inverse_values
+from realpw.transform import (CHUNK_MAX_POINTS, MATRIX_PASS_MAX_K, SpatialStep,
+                              inverse_values)
 from realpw.verify import acceptance_corpus
 
 
@@ -594,22 +595,35 @@ class TestPrunedStep:
     def test_d1_stack_is_each_row_bit_for_bit(self, name):
         # a (k, cells) stack goes through one ifft call over k lines; each
         # output row is that row's one-row output, for every k up to the
-        # largest yet, and a smaller stack leaves no data for the next
+        # largest yet, and a smaller stack leaves no data for the next.  A
+        # row and a stack share the one output buffer, so the stack's is
+        # copied before the rows overwrite it
         spec = spectrum_on_cells(make_grid(1, 64, 0.5), mask_cells(name, 1, 64))
         step, rng = SpatialStep(spec), np.random.default_rng(9)
         cells = spec.fft_index.size
         for k in (3, 1, 5, 2, 5):
             G = rng.standard_normal((k, cells)) + 1j * rng.standard_normal((k, cells))
-            out = step(G)
+            out = step(G).copy()
             assert out.shape == (k, 64)
             rows = [step(row).copy() for row in G]
             assert [r.tobytes() for r in rows] == [r.tobytes() for r in out]
             assert_step_exact(spec, step, G[-1])
 
-    def test_a_stack_steps_on_d1_only(self):
-        spec = spectrum_on_cells(make_grid(2, 16, 0.5), mask_cells("one cell", 2, 16))
-        with pytest.raises(GridError, match="d = 1 grid only"):
-            SpatialStep(spec)(spec.F[spec.mask.field][None])
+    @pytest.mark.parametrize("d,M", [(1, 16), (2, 16), (3, 8)])
+    def test_a_stack_of_more_than_rows_raises(self, d, M):
+        # a step takes CHUNK_MAX_POINTS // M rows a call on a d = 1 grid, one
+        # on any other: a stack of more raises, naming its count, and a
+        # one-row stack is the row call, bit for bit
+        spec = spectrum_on_cells(make_grid(d, M, 0.5), mask_cells("empty lines", d, M))
+        step, rng = SpatialStep(spec), np.random.default_rng(4)
+        assert step.rows == (CHUNK_MAX_POINTS // M if d == 1 else 1)
+        shape = (step.rows + 1, spec.fft_index.size)
+        G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        with pytest.raises(GridError, match=f"a stack of {step.rows + 1} rows"):
+            step(G)
+        one = step(G[:1]).copy()
+        assert one.shape == (1,) + spec.grid.shape
+        assert_bitwise(one[0], step(G[0]))
 
     @pytest.mark.parametrize("name", CHOICES)
     def test_pass_choice(self, name):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from realpw import make_grid, sample_builtin, growth, verify
+from realpw import make_grid, sample_builtin, growth, transform, verify
 from realpw.verify import (verify_corpus, acceptance_corpus, run_matrix, matrix_failed,
                            CorpusMember, check_limit_vs_R, check_liminf, check_raster,
                            check_cauchy_bound, aligned_h, PROPERTIES)
@@ -102,7 +102,7 @@ def test_one_spatial_pass_per_member(monkeypatch):
     # complex input, the interval's complex P); the intervals (M = 512) step
     # 8 rows per call, the ball row by row
     assert sum(steps) == 8 * 4 + 16 * 4 == 96
-    assert growth.CHUNK_MAX_POINTS // 512 == 8
+    assert transform.CHUNK_MAX_POINTS // 512 == 8
     assert len(steps) == 2 * 1 + 4 * 2 + 2 * 8
     for log in (passes, calls, steps):
         log.clear()
@@ -114,7 +114,7 @@ def test_one_spatial_pass_per_member(monkeypatch):
 def test_under_resolved_member_steps_for_the_2_norms_only(monkeypatch):
     # no row reads an unresolved member's sequences or rtilde rows: its one
     # pass reads only the spatial 2-norms, of every P, and plancherel reads
-    # polys[0]'s; each P steps 16 unpaired transforms in one d = 1 chunk
+    # them all; each P steps 16 unpaired transforms in one d = 1 chunk
     steps, step = [], SpatialStep.__call__
 
     def counting_step(self, G):
@@ -129,16 +129,33 @@ def test_under_resolved_member_steps_for_the_2_norms_only(monkeypatch):
     assert {name: row[member.name] for name, row in matrix.items()} == {
         "limit_vs_R": ("skip", "mask touches the frequency boundary"),
         "liminf": ("skip", "mask touches the frequency boundary"),
-        "plancherel": ("pass", "worst rel diff 2.46e-16"),
+        "plancherel": ("pass", "worst rel diff 4.21e-16"),     # x1^2's row
         "rtilde_vs_R": ("skip", "mask touches the frequency boundary"),
         "raster_radius": ("pass", "raster max modulus equals R bit-exactly"),
         "fd_oracle": ("skip", "input occupies more than a quarter of the Nyquist band"),
         "cauchy_bound": ("skip", "needs a resolved non-empty mask"),
     }
     ledgers = member.ledgers(16)
-    spat, freq = ledgers.plancherel
-    assert (ledgers.sequences, ledgers.rtilde, spat.size, freq.size) == ([], [], 16, 16)
+    assert (ledgers.sequences, ledgers.rtilde) == ([], [])
+    assert [(spat.size, freq.size) for spat, freq in ledgers.plancherel] == [(16, 16)] * 2
     assert ledgers.R == [compute_R(P, member.spec.mask).value for P in member.polys]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_plancherel_reads_every_polynomial(monkeypatch, k):
+    # the spatial 2-norm row of either P, scaled by 1 + 1e-8, fails the row:
+    # every P's (spatial, Parseval) pair is compared
+    spatial_norms = verify.spatial_norms
+
+    def scaled(spec, polys, n_max, norms):
+        out = spatial_norms(spec, polys, n_max, norms)
+        out[k][2][-1] *= 1.0 + 1e-8
+        return out
+
+    monkeypatch.setattr(verify, "spatial_norms", scaled)
+    member = CorpusMember("under-resolved", under_resolved_member().f,
+                          family_explicit([parse_poly("x1", 1), parse_poly("x1^2", 1)]), (2,))
+    assert verify.check_plancherel(member, 16) == ("fail", "worst rel diff 1.00e-08")
 
 
 def test_each_symbol_evaluated_once_per_ledger_build(monkeypatch):
