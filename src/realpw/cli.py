@@ -2,8 +2,10 @@
 
 Exit codes separate outcomes: 0 = computed (the report carries the verdict),
 1 = verify matrix has a failing cell, 2 = configuration rejected, 3 = I/O
-failure.  Identical config + inputs produce byte-identical reports; the
-wall-clock timestamp lives in a separate "meta" field outside that contract.
+failure, each rejection naming its config field (`_named` maps a library
+refusal to it: 'input.path' or 'input' for the input's values).  Identical
+config + inputs produce byte-identical reports; the wall-clock timestamp
+lives in a separate "meta" field outside that contract.
 """
 
 from __future__ import annotations
@@ -122,41 +124,35 @@ def _field(cfg, name):
     raise ConfigError(name, f"expected {valid}, got {raw!r:.60}")
 
 
-def _signal_file(name, load, *args):
+def _named(field_name, call, *args):
+    """call(*args), with a library refusal (never an OSError) named as field_name."""
     try:
-        return load(*args)
-    except SignalIOError as exc:
-        raise ConfigError(name, str(exc))
+        return call(*args)
+    except (GridError, GrowthError, PolyError, SignalIOError) as exc:
+        raise ConfigError(field_name, str(exc))
 
 
 def _load_input(cfg):
+    """(f, the field naming f's values: 'input.path' for a file, 'input' for a builtin)."""
     builtin, path = _field(cfg, "input.builtin"), _field(cfg, "input.path")
     if builtin is not None:
         d, M, h = (_field(cfg, f"grid.{k}") for k in "dMh")
         if M ** d > MAX_GRID_POINTS:
             raise ConfigError("grid.M", f"M^d = {M}^{d} exceeds {MAX_GRID_POINTS} points")
         try:
-            return sample_builtin(builtin, make_grid(d, M, h))
+            return sample_builtin(builtin, make_grid(d, M, h)), "input"
         except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError("input.builtin", str(exc))
     if path is None:
         raise ConfigError("input", "needs either 'builtin' or 'path'")
     if path.endswith(".csv"):
-        f = _signal_file("input.path", load_signal_csv, path, _field(cfg, "input.h"),
-                         _field(cfg, "input.side"))
+        f = _named("input.path", load_signal_csv, path, _field(cfg, "input.h"),
+                   _field(cfg, "input.side"))
     else:
-        f = _signal_file("input.path", load_signal, path)
+        f = _named("input.path", load_signal, path)
     if not isinstance(f, SampledFunction):
         raise ConfigError("input.path", "holds a support mask, not a signal")
-    return f
-
-
-def _spectrum(f, eps_rel):
-    """The input's Spectrum; an input it cannot be built from is named."""
-    try:
-        return Spectrum.of(f, eps_rel)
-    except GridError as exc:
-        raise ConfigError("input", str(exc))
+    return f, "input.path"
 
 
 def _bounded(name, family, grid):
@@ -188,29 +184,27 @@ def _d_vectors(cfg, name, d):
 
 def _build_family(cfg, grid):
     kind = _field(cfg, "family.kind")
-    try:
-        if kind == "linear":
-            family = family_linear(_d_vectors(cfg, "family.directions", grid.d))
-        elif kind == "quadratic":
-            family = family_quadratic(_d_vectors(cfg, "family.centers", grid.d), grid)
-        elif kind == "explicit":
-            family = _parse_polys(cfg, "family.polys", grid)
-        else:
-            per_axis = _field(cfg, "family.per_axis")
-            if per_axis ** grid.d > MAX_COUNT:
-                raise ConfigError("family.per_axis",
-                                  f"per_axis^d = {per_axis}^{grid.d} exceeds {MAX_COUNT} members")
-            span = _field(cfg, "family.span_cells") or (grid.M // 2) * 0.98
-            if span > grid.M // 2:          # the lattice spans [-span, span] cells
-                raise ConfigError("family.span_cells", f"must be at most M/2 = {grid.M // 2}")
-            step = span * grid.dlam / (per_axis // 2)
-            axis_vals = (np.arange(per_axis) - (per_axis - 1) // 2) * step
-            centers = np.stack(np.meshgrid(*[axis_vals] * grid.d, indexing="ij"),
-                               axis=-1).reshape(-1, grid.d)
-            builder = family_quadratic if kind == "quadratic_lattice" else family_quadratic_real
-            family = builder(centers, grid)
-    except PolyError as exc:
-        raise ConfigError("family", str(exc))
+    if kind == "linear":
+        family = _named("family", family_linear, _d_vectors(cfg, "family.directions", grid.d))
+    elif kind == "quadratic":
+        family = _named("family", family_quadratic,
+                        _d_vectors(cfg, "family.centers", grid.d), grid)
+    elif kind == "explicit":
+        family = _parse_polys(cfg, "family.polys", grid)
+    else:
+        per_axis = _field(cfg, "family.per_axis")
+        if per_axis ** grid.d > MAX_COUNT:
+            raise ConfigError("family.per_axis",
+                              f"per_axis^d = {per_axis}^{grid.d} exceeds {MAX_COUNT} members")
+        span = _field(cfg, "family.span_cells") or (grid.M // 2) * 0.98
+        if span > grid.M // 2:          # the lattice spans [-span, span] cells
+            raise ConfigError("family.span_cells", f"must be at most M/2 = {grid.M // 2}")
+        step = span * grid.dlam / (per_axis // 2)
+        axis_vals = (np.arange(per_axis) - (per_axis - 1) // 2) * step
+        centers = np.stack(np.meshgrid(*[axis_vals] * grid.d, indexing="ij"),
+                           axis=-1).reshape(-1, grid.d)
+        builder = family_quadratic if kind == "quadratic_lattice" else family_quadratic_real
+        family = _named("family", builder, centers, grid)
     return _bounded("family", family, grid)
 
 
@@ -233,16 +227,15 @@ def _finish_report(report, path):
 def cmd_estimate(cfg):
     p, n_max, eps_rel, tol, out = (_field(cfg, k) for k in
                                    ("p", "n_max", "eps_rel", "rel_tol", "out"))
-    f = _load_input(cfg)
-    if f.side != "spatial":
-        raise ConfigError("input", "estimate expects a spatial-side input")
+    f, named = _load_input(cfg)
     polys = _parse_polys(cfg, "poly", f.grid)
+    spec = _named(named, Spectrum.of, f, eps_rel)
     rows = [{"growth": seq.to_json_dict(),
              "R": seq.R, "resolved": seq.resolved,
              "relative_gap": seq.relative_gap,
              "within_tolerance": bool(seq.relative_gap <= tol),
              "lower_bound_only": not seq.resolved}
-            for seq in growth_sequences(_spectrum(f, eps_rel), polys, p, n_max)]
+            for seq in _named(named, growth_sequences, spec, polys, p, n_max)]
     _finish_report({"config": cfg, "estimate": rows}, out)
     return EXIT_OK
 
@@ -250,14 +243,14 @@ def cmd_estimate(cfg):
 def cmd_reconstruct(cfg):
     p, n_max, tau, eps_rel, ref, out, mask_out = (_field(cfg, k) for k in (
         "p", "n_max", "tau", "eps_rel", "reference_mask", "out", "mask_out"))
-    f = _load_input(cfg)
+    f, named = _load_input(cfg)
     family = _build_family(cfg, f.grid)
-    reference = _signal_file("reference_mask", load_signal, ref) if ref else None
+    reference = _named("reference_mask", load_signal, ref) if ref else None
     if reference is not None and not (isinstance(reference, SupportMask)
                                       and reference.grid == f.grid):
         raise ConfigError("reference_mask", "must be a support mask on the input's grid")
-    res = reconstruct_support(_spectrum(f, eps_rel), family, p, n_max,
-                              reference=reference, tau=tau)
+    spec = _named(named, Spectrum.of, f, eps_rel)
+    res = _named(named, reconstruct_support, spec, family, p, n_max, reference, tau)
     _finish_report({"config": cfg, "reconstruction": res.to_json_dict()}, out)
     if mask_out:
         save_signal(res.estimated, mask_out)
@@ -270,7 +263,7 @@ def cmd_complex_growth(cfg):
         "out", "csv_out"))
     if t_min >= t_max:
         raise ConfigError("complex_growth.t_max", f"must exceed t_min = {t_min}")
-    f = _load_input(cfg)
+    f, named = _load_input(cfg)
     d = f.grid.d
     ys, x0s = (_d_vectors(cfg, f"complex_growth.{k}", d) for k in ("y", "x0"))
     noted_default, ys, x0s = ys is None, ys or [[1.0] * d], x0s or [[0.0] * d]
@@ -291,11 +284,7 @@ def cmd_complex_growth(cfg):
     writer.writerow(["x0", "y", "t", "log_abs"])
     for y in ys:
         for x0 in x0s:
-            try:
-                rep = complex_growth_rate(f, x0, y, t)
-            except GridError as exc:    # values on the boundary frame, or every sample underflows
-                raise ConfigError("input.path" if _field(cfg, "input.builtin") is None
-                                  else "input", str(exc))
+            rep = _named(named, complex_growth_rate, f, x0, y, t)
             row = rep.to_json_dict()
             if noted_default:
                 row["note"] = "y defaulted to the all-ones direction"

@@ -58,7 +58,7 @@ locates the spectral support in the ball of radius sqrt(R) around the origin.
 from __future__ import annotations
 
 import contextlib
-import contextvars
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -199,8 +199,7 @@ def apply_op_spectral(f, P: MultiPoly, n: int):
     s = max |P(i lam)| over the mask, S = n log s.  An empty mask (or a symbol
     vanishing on it) returns the zero function with S = 0.
     """
-    if n < 1:
-        raise GrowthError(f"iteration count must be >= 1, got {n}")
+    n = _count("iteration count", n, 1)
     spec = Spectrum.of(f)
     (R,), (ratio,) = symbol_ratios(spec, family_explicit([P]))
     row = spec.F[spec.mask.field]               # a copy, stepped in place
@@ -320,16 +319,18 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     On a grid of at least SPLIT_MIN_POINTS points, when the process may run
     on two or more CPUs (its affinity, or os.cpu_count()), each member with
     R > 0 is split in two.  The caller steps n = 1..h, h = n_max // 2
-    rounded down to even, while one helper thread steps n = h + 1..n_max on
-    its own SpatialStep and buffers, from G_h built by h in-place multiplies
-    of F: the float operations of the serial loop, and, h being even, its
-    pairs (n, n + 1).  The helper's array of every norm follows the
-    caller's, so the rows, their ends and a GrowthError are those of the
-    serial loop.  The helper is not told to stop: once the caller's half
-    cuts every row or overflows, it still steps its own half, whose values
-    the cut then discards.  One pool of one thread serves every member of
-    the call, and the call joins it before it returns or raises.
+    rounded down to even, while one helper thread runs `_values`, which sets
+    its own np.errstate, as the caller does: it steps n = h + 1..n_max on its
+    own SpatialStep and buffers, from G_h built by h in-place multiplies of
+    F, the float operations of the serial loop, and, h being even, its pairs
+    (n, n + 1).  The helper's array of every norm follows the caller's, so
+    the rows, their ends and a GrowthError are those of the serial loop.
+    The helper is not told to stop: once the caller's half cuts every row or
+    overflows, it still steps its own half, whose values the cut then
+    discards.  One pool of one thread serves every member of the call, and
+    the call joins it before it returns or raises.
     """
+    n_max = _count("n_max", n_max, 0)
     for p, e in norms:
         if not (p >= 1 and np.isfinite(e)):
             raise GrowthError(f"norm (p, e) = ({p}, {e}): p must be in [1, inf], e finite")
@@ -353,7 +354,7 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     out, size = [], max(1, spec.grid.n_points // max(1, F.size))
     # the helper thread lives within the call: the pool's exit joins it
     with (ThreadPoolExecutor(1) if split else contextlib.nullcontext()) as pool, \
-            np.errstate(over="ignore", invalid="ignore"):   # reported by _cut
+            np.errstate(over="ignore", invalid="ignore"):   # two's overflow: checked by its reader
         for start in range(0, len(family), size):
             stack = family[start:start + size]
             # sums, which the returned rows keep alive, come before the stack's
@@ -371,9 +372,8 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
                 np.sum(W, axis=1, out=sums[:, n - 1])   # the moment sum_j w_j t_j^n
             for m in np.flatnonzero(R > 0.0).tolist() if norms else ():
                 r, paired = ratio[m], real and not stack.coeffs[m].imag.any()
-                # the helper runs in a copy of this context, so under this errstate
-                tail = pool.submit(contextvars.copy_context().run, _values, *helper, F, r,
-                                   split, n_max, paired, norms, weights) if split else None
+                tail = pool.submit(_values, *helper, F, r, split, n_max, paired, norms,
+                                   weights) if split else None
                 values = _values(step, bufs, mag, F, r, 0, split or n_max, paired, norms, weights)
                 if tail:                            # an error in the helper raises
                     values = np.concatenate((values, tail.result()))
@@ -383,6 +383,13 @@ def spatial_norms(f, family: PolyFamily, n_max: int, norms):
             np.sqrt(sums, out=sums)
             out += [(float(R[m]), sums[m], rows[m]) for m in range(len(stack))]
     return out
+
+
+def _count(name, v, least) -> int:
+    """v as an int: a non-boolean integer (numpy's too) >= least, else GrowthError."""
+    if isinstance(v, bool) or not hasattr(v, "__index__") or operator.index(v) < least:
+        raise GrowthError(f"{name} must be an integer >= {least}, got {v!r}")
+    return operator.index(v)
 
 
 def _cpus() -> int:
@@ -424,22 +431,23 @@ def _values(step, bufs, mag, F, r, n, end, paired, norms, weights) -> np.ndarray
     for _ in range(n):
         np.multiply(G, r, out=G)
     out, cut = [np.empty((0, len(norms)))], np.zeros(len(norms), dtype=bool)
-    while n < end and not cut.all():
-        k = min(len(C), (end - n + 1) // 2 if paired else end - n)
-        for j in range(k):
-            if paired and n + 2 * j + 1 < end:  # g_(m+1) + i g_(m+2), one transform
-                np.multiply(G, r, out=G)
-                np.multiply(G, r, out=B)
-                np.multiply(B, 1j, out=C[j])
-                C[j] += G
-                G, B = B, G
-            else:                               # G_(m+1), its own transform
-                np.multiply(G, r, out=C[j])
-                G = C[j]
-        count = min(end - n, 2 * k) if paired else k
-        out.append(_read(step, mag, step(C[:k]), count, paired, norms, weights))
-        cut |= ~((out[-1] > 0.0) & np.isfinite(out[-1])).all(axis=0)
-        n += count
+    with np.errstate(over="ignore", invalid="ignore"):     # reported by _cut
+        while n < end and not cut.all():
+            k = min(len(C), (end - n + 1) // 2 if paired else end - n)
+            for j in range(k):
+                if paired and n + 2 * j + 1 < end:  # g_(m+1) + i g_(m+2), one transform
+                    np.multiply(G, r, out=G)
+                    np.multiply(G, r, out=B)
+                    np.multiply(B, 1j, out=C[j])
+                    C[j] += G
+                    G, B = B, G
+                else:                               # G_(m+1), its own transform
+                    np.multiply(G, r, out=C[j])
+                    G = C[j]
+            count = min(end - n, 2 * k) if paired else k
+            out.append(_read(step, mag, step(C[:k]), count, paired, norms, weights))
+            cut |= ~((out[-1] > 0.0) & np.isfinite(out[-1])).all(axis=0)
+            n += count
     return np.concatenate(out)
 
 
@@ -607,8 +615,7 @@ def growth_sequences(f, family: PolyFamily, p, n_max: int):
     """The list of growth_sequence(f, P, p, n_max) for each P of family, in
     order, from one `spatial_norms` call and one GrowthSequence.from_rows:
     p = 2 reads the pass's Parseval rows, any other p its one spatial row."""
-    if n_max < 8:
-        raise GrowthError(f"n_max must be >= 8, got {n_max}")
+    n_max = _count("n_max", n_max, 8)
     if not np.isinf(p) and not p >= 1:
         raise GrowthError(f"p must be in [1, inf], got {p}")
     spec = Spectrum.of(f)
@@ -701,8 +708,7 @@ def pointwise_growth(f, P: MultiPoly, N: int, n_max: int,
                      mode: str = "growth") -> PointwiseGrowthReport:
     if not 0 <= N < np.inf:
         raise GrowthError(f"weight exponent N must be finite and >= 0, got {N}")
-    if n_max < 8:
-        raise GrowthError("n_max must be >= 8")
+    n_max = _count("n_max", n_max, 8)
     if mode not in ("decay", "growth"):
         raise GrowthError("mode must be 'decay' or 'growth'")
     norm = (np.inf, N if mode == "decay" else -N)
@@ -734,6 +740,8 @@ def schwartz_decay_check(f, P: MultiPoly, R: float, N: int,
                          n_max: int) -> SchwartzDecayReport:
     if not 0 < R < np.inf:
         raise GrowthError(f"claimed bound R must be finite and positive, got {R}")
+    if not 0 <= N < np.inf:
+        raise GrowthError(f"weight exponent N must be finite and >= 0, got {N}")
     d = f.grid.d
     # both weights are >= 1, so the two rows vanish at the same n
     ((R_mask, _, rows),) = spatial_norms(f, family_explicit([P]), n_max,

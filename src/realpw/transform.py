@@ -457,6 +457,8 @@ def complex_growth_rate(f: SampledFunction, x0, y, t_samples) -> ComplexGrowthRe
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x0.shape != (f.grid.d,) or y.shape != x0.shape or not np.isfinite([x0, y]).all():
+        raise GridError(f"x0 = {x0.tolist()} and y = {y.tolist()} must be finite d-vectors")
     t = np.asarray(t_samples, dtype=float)
     if t.ndim != 1 or t.size < 3:
         raise GridError("need at least 3 strictly increasing t samples")

@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from realpw import cli
 from realpw.cli import main, FIELDS, EXIT_OK, EXIT_CONFIG, EXIT_IO
-from realpw import (make_grid, sample_builtin, save_signal, forward_dft, support_mask,
-                    SignalIOError)
+from realpw import (make_grid, sample_builtin, save_signal, save_signal_csv, forward_dft,
+                    support_mask, SignalIOError)
 from realpw.signal_io import signal_from_dict
 from realpw.verify import aligned_h
 
@@ -538,6 +538,19 @@ PROBES = [
 ]
 
 
+# (subcommand, input, p, the refusal): a gaussian signal file scaled by 1e160
+# or 1e308, a file of ones, a frequency-side CSV file, a builtin spectral bump
+INPUT_REFUSALS = [
+    ("estimate", "big", 2, "x1 at p = 2: ||P(d)^1 f|| exceeds the double range"),
+    ("reconstruct", "big", 2, "x1 at p = 2: ||P(d)^1 f|| exceeds the double range"),
+    ("estimate", "huge", "inf", "the input's transform exceeds the double range"),
+    ("complex-growth", "ones", None, "values on the 10-cell boundary frame"),
+    ("estimate", "frequency", 2, "expected a spatial-side function"),
+    ("reconstruct", "frequency", 2, "expected a spatial-side function"),
+    ("complex-growth", "builtin", None, "values on the 10-cell boundary frame"),
+]
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("command,name,value,code,named", PROBES,
                              ids=[f"{c}-{n}={v!r}" for c, n, v, _, _ in PROBES])
@@ -655,7 +668,8 @@ class TestBadInputs:
 
     def test_input_beyond_transform_range_names_input(self, tmp_path, capsys):
         # at 1e308 the forward FFT overflows: the run used to print numpy's
-        # overflow warnings and reject the input as "values must be finite"
+        # overflow warnings and reject the input as "values must be finite".
+        # A signal file's values are named by its path field
         f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
         save_signal(f.with_values(f.values * 1e308), str(tmp_path / "huge.json"))
         for p in (2, "inf"):
@@ -666,7 +680,36 @@ class TestBadInputs:
                 assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
             assert caught == []
             err = capsys.readouterr().err
-            assert "'input'" in err and "double range" in err
+            assert "'input.path'" in err and "double range" in err
+
+    @pytest.mark.parametrize("command, source, p, message", INPUT_REFUSALS,
+                             ids=[f"{c}-{s}" for c, s, _, _ in INPUT_REFUSALS])
+    def test_refusal_of_the_input_values_names_its_field(self, tmp_path, capsys,
+                                                         command, source, p, message):
+        # a signal file's values are named by 'input.path', a builtin's by
+        # 'input': the p = 2 ledger overflows of the file scaled by 1e160
+        # named no field, and the other refusals of a file named 'input'
+        f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
+        if source == "builtin":         # a spectral bump is not compact in x
+            field, cfg = "input", {"grid": {"d": 1, "M": 64, "h": 0.25}, "input": {"builtin": {
+                "kind": "spectral_bump", "support": {"shape": "box", "lo": [-1], "hi": [1]}}}}
+        elif source == "frequency":
+            save_signal_csv(f, str(tmp_path / "f.csv"))
+            field, cfg = "input.path", {"input": {"path": str(tmp_path / "f.csv"), "h": 0.25,
+                                                  "side": "frequency"}}
+        else:
+            scaled = {"big": f.values * 1e160, "huge": f.values * 1e308, "ones": np.ones(64)}
+            save_signal(f.with_values(scaled[source]), str(tmp_path / "f.json"))
+            field, cfg = "input.path", {"input": {"path": str(tmp_path / "f.json")}}
+        cfg.update(poly="x1", n_max=16, family={"kind": "linear", "directions": [[1]]})
+        if p is not None:
+            cfg["p"] = p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", write_config(tmp_path, "cfg.json", cfg)]) \
+                == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config field '{field}': " in err and message in err
 
     def test_tau_past_the_double_range_keeps_every_cell(self, tmp_path):
         # limit * (1 + tau) passes the double range: the run warned of an

@@ -1975,3 +1975,64 @@ def test_infinite_tau_is_accepted():
     f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
     res = reconstruct_support(f, family_explicit([parse_poly("x1", 1)]), 2, 16, tau=np.inf)
     assert res.estimated.n_cells == 64
+
+
+# ---------------------------------------------------------------------------
+# counts, exponents and vectors that are not what the argument takes
+# ---------------------------------------------------------------------------
+
+ONE = [(1, 0)]
+MISTYPED = {
+    "spatial_norms n_max = -1": (lambda f, P: spatial_norms(f, family_explicit([P]), -1, ONE),
+                                 GrowthError, "n_max must be an integer >= 0, got -1"),
+    "spatial_norms n_max = 2.5": (lambda f, P: spatial_norms(f, family_explicit([P]), 2.5, ONE),
+                                  GrowthError, "n_max must be an integer >= 0, got 2.5"),
+    "spatial_norms n_max = True": (lambda f, P: spatial_norms(f, family_explicit([P]), True, ONE),
+                                   GrowthError, "n_max must be an integer >= 0, got True"),
+    "schwartz_decay_check n_max = -3": (lambda f, P: schwartz_decay_check(f, P, 2.0, 2, -3),
+                                        GrowthError, "n_max must be an integer >= 0, got -3"),
+    "schwartz_decay_check N = nan": (lambda f, P: schwartz_decay_check(f, P, 2.0, NAN, 16),
+                                     GrowthError, "weight exponent N"),
+    "growth_sequences n_max = 8.5": (
+        lambda f, P: growth_sequences(f, family_explicit([P]), 1, 8.5),
+        GrowthError, "n_max must be an integer >= 8, got 8.5"),
+    "pointwise_growth n_max = 8.5": (lambda f, P: pointwise_growth(f, P, 2, 8.5),
+                                     GrowthError, "n_max must be an integer >= 8, got 8.5"),
+    "apply_op_spectral n = 2.5": (lambda f, P: apply_op_spectral(f, P, 2.5),
+                                  GrowthError, "iteration count must be an integer >= 1"),
+    "complex_growth_rate x0 = [nan]": (
+        lambda f, P: complex_growth_rate(f, [NAN], [1.0], [1, 2, 3]),
+        GridError, r"x0 = \[nan\] .* finite d-vectors"),
+    "complex_growth_rate y = [nan]": (
+        lambda f, P: complex_growth_rate(f, [0.0], [NAN], [1, 2, 3]),
+        GridError, r"y = \[nan\] must be finite d-vectors"),
+    "complex_growth_rate x0 = [0, 0]": (
+        lambda f, P: complex_growth_rate(f, [0.0, 0.0], [1.0], [1, 2, 3]),
+        GridError, r"x0 = \[0.0, 0.0\] .* finite d-vectors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_argument_of_the_wrong_kind_is_refused_by_name(case):
+    # numpy refused a negative n_max as "negative dimensions are not
+    # allowed" and a float count as "'float' object cannot be interpreted
+    # as an integer"; a NaN N was refused as the norm (inf, nan), a NaN x0
+    # or y as the sum or the supporting function that eval_entire guards
+    call, error, name = MISTYPED[case]
+    f = sample_builtin({"kind": "spatial_bump",
+                        "support": {"shape": "box", "lo": [-2.0], "hi": [2.0]}},
+                       make_grid(1, 256, 0.05))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=name):
+            call(f, parse_poly("x1", 1))
+
+
+def test_numpy_integer_counts_are_accepted():
+    f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
+    family = family_explicit([parse_poly("x1", 1)])
+    ((R, two, rows),) = spatial_norms(f, family, np.int64(16), ONE)
+    ((R_ref, two_ref, rows_ref),) = spatial_norms(f, family, 16, ONE)
+    assert R == R_ref and two.tobytes() == two_ref.tobytes()
+    assert rows[0].tobytes() == rows_ref[0].tobytes()
+    assert growth_sequences(f, family, 1, np.int32(16))[0].n_max == 16

@@ -2,7 +2,8 @@
 leading-underscore name, no library module but the CLI prints, only the
 transform and growth modules name SpatialStep, one ledger pass evaluates
 the symbols, only the ledger pass starts threads, no generator or event
-crosses a thread of the ledger pass, every verify row reads its
+crosses a thread of the ledger pass, one helper in the CLI maps a library
+refusal to its config field, every verify row reads its
 member's one Ledgers build, no caller sees the pass's stacks, every
 JSON read catches RecursionError, one helper estimates every limit, by the
 stack, every library name the bench looks up exists, the ledgers and the
@@ -113,13 +114,15 @@ def test_no_generator_or_event_crosses_a_thread():
     # each half of a member is one array of its values, which one rule
     # cuts: growth.py imports neither threading nor itertools, _values
     # holds no yield, and no function of growth.py names an Event, so no
-    # generator is built in one thread and drained or stopped from another
+    # generator is built in one thread and drained or stopped from another;
+    # nor contextvars: _values sets its own errstate, so the helper takes
+    # no copy of the caller's context
     path = ROOT / "src" / "realpw" / "growth.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     imports = {name.split(".")[0] for node in ast.walk(tree) for name in (
         [alias.name for alias in node.names] if isinstance(node, ast.Import)
         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])}
-    assert not imports & {"threading", "itertools"}
+    assert not imports & {"threading", "itertools", "contextvars"}
     (values,) = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_values"]
     assert not [node for node in ast.walk(values) if isinstance(node, (ast.Yield, ast.YieldFrom))]
@@ -127,6 +130,22 @@ def test_no_generator_or_event_crosses_a_thread():
               if isinstance(fn, (ast.FunctionDef, ast.Lambda)) for node in ast.walk(fn)
               if "Event" in (getattr(node, "id", None), getattr(node, "attr", None))]
     assert events == []
+
+
+def test_one_path_from_a_library_refusal_to_its_field():
+    # _named maps a library refusal to the config field of the refused value,
+    # so no command decides the field at a catch site of its own; main's
+    # catch-all is the safety net, and _parse_polys names the text it parses
+    path = ROOT / "src" / "realpw" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    library = {"GridError", "GrowthError", "SignalIOError", "PolyError"}
+    sites = {(fn.name, node.id) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             for handler in ast.walk(fn) if isinstance(handler, ast.ExceptHandler)
+             and handler.type is not None for node in ast.walk(handler.type)
+             if isinstance(node, ast.Name) and node.id in library}
+    assert [(fn, name) for fn, name in sites if fn not in ("_named", "main")
+            and (fn, name) != ("_parse_polys", "PolyError")] == []
+    assert {name for fn, name in sites if fn == "_named"} == library
 
 
 def test_verify_rows_read_the_ledgers():
