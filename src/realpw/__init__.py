@@ -8,8 +8,8 @@ finite ledgers, reconstructs supports from polynomial families, and
 cross-checks the classical complex growth law along imaginary directions.
 """
 
-from .grid import (Grid, SampledFunction, make_grid, sample_builtin, lp_norm,
-                   smooth_step, GridError, MarginError, SPATIAL, FREQUENCY)
+from .grid import (Grid, SampledFunction, make_grid, sample_builtin, sample_prescribed,
+                   lp_norm, smooth_step, GridError, MarginError, SPATIAL, FREQUENCY)
 from .poly import (MultiPoly, PolyFamily, parse_poly, eval_symbol_many,
                    family_linear, family_quadratic, family_quadratic_real,
                    family_explicit, constant, variable, symbol_bound,

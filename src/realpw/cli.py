@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import math
@@ -20,11 +21,11 @@ import sys
 
 import numpy as np
 
-from .grid import make_grid, sample_builtin, SampledFunction, GridError
+from .grid import make_grid, sample_prescribed, SampledFunction, GridError, FREQUENCY
 from .poly import parse_poly, family_linear, family_quadratic, family_quadratic_real, \
     family_explicit, symbol_bound, PolyError, MAX_COUNT
-from .transform import (Spectrum, SupportMask, complex_growth_rate, OVERFLOW_GUARD,
-                        DEFAULT_EPS_REL, box_supporting_function)
+from .transform import (Spectrum, SupportMask, complex_growth_rate, inverse_dft,
+                        OVERFLOW_GUARD, DEFAULT_EPS_REL, box_supporting_function)
 from .growth import growth_sequences, GrowthError
 from .reconstruct import reconstruct_support, DEFAULT_TAU
 from .signal_io import (save_signal, load_signal, load_signal_csv,
@@ -133,14 +134,16 @@ def _named(field_name, call, *args):
 
 
 def _load_input(cfg):
-    """(f, the field naming f's values: 'input.path' for a file, 'input' for a builtin)."""
+    """(f, the field naming f's values: 'input.path' for a file, 'input' for a
+    builtin).  A builtin comes on the side it is prescribed on, so a spectral
+    bump's spectrum is its samples, with no transform."""
     builtin, path = _field(cfg, "input.builtin"), _field(cfg, "input.path")
     if builtin is not None:
         d, M, h = (_field(cfg, f"grid.{k}") for k in "dMh")
         if M ** d > MAX_GRID_POINTS:
             raise ConfigError("grid.M", f"M^d = {M}^{d} exceeds {MAX_GRID_POINTS} points")
         try:
-            return sample_builtin(builtin, make_grid(d, M, h)), "input"
+            return sample_prescribed(builtin, make_grid(d, M, h)), "input"
         except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError("input.builtin", str(exc))
     if path is None:
@@ -264,6 +267,8 @@ def cmd_complex_growth(cfg):
     if t_min >= t_max:
         raise ConfigError("complex_growth.t_max", f"must exceed t_min = {t_min}")
     f, named = _load_input(cfg)
+    if named == "input" and f.side == FREQUENCY:    # Ff(z) of a builtin's spatial samples
+        f = inverse_dft(f)
     d = f.grid.d
     ys, x0s = (_d_vectors(cfg, f"complex_growth.{k}", d) for k in ("y", "x0"))
     noted_default, ys, x0s = ys is None, ys or [[1.0] * d], x0s or [[0.0] * d]
@@ -350,7 +355,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="realpw",
         description="Spectral support from growth of iterated differential operators")
@@ -361,7 +368,11 @@ def main(argv=None) -> int:
         for field_name in overrides:
             option, kind, text = OVERRIDES[field_name]
             sp.add_argument(option, dest=field_name, type=kind, help=text)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         return COMMANDS[args.command][0](_read_config(args))

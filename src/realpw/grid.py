@@ -264,15 +264,14 @@ def _check_margin(lo, hi, halfwidth, step, what):
         )
 
 
-def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
-    """Construct one of the built-in test inputs on `grid`.
+def sample_prescribed(spec: dict, grid: Grid) -> SampledFunction:
+    """One of the built-in test inputs on `grid`, on the side it is prescribed on.
 
     spec["kind"] selects the family:
 
     * "spectral_bump": smooth plateau bump prescribed on the frequency side
       (spec["support"]: box / ball / annulus / union of those, coordinates in
-      frequency units), returned as the spatial-side function obtained by the
-      inverse transform of its samples on the frequency lattice.
+      frequency units), returned as its samples on the frequency lattice.
       spec["edge_width"] defaults to 1.5 frequency cells.
     * "spatial_bump": the same plateau construction directly in x;
       spec["support"] in spatial units, edge width default 0.2 * the smallest
@@ -283,6 +282,25 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
     frequency side) must stay inside its box with a 10-cell margin, and every
     vector (box lo and hi, a center, mu) needs d entries.
     """
+    side, values, label = _samples(spec, grid)
+    return SampledFunction(grid, side, values, label=label)
+
+
+def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
+    """The spatial side of `sample_prescribed(spec, grid)`: a spectral bump is
+    the inverse transform of its frequency samples, any other kind is its
+    spatial samples."""
+    side, values, label = _samples(spec, grid)
+    if side == FREQUENCY:
+        from .transform import inverse_values  # cycle-free: transform imports nothing here at runtime
+
+        values = inverse_values(values, grid)
+    return SampledFunction(grid, SPATIAL, values, label=label)
+
+
+def _samples(spec: dict, grid: Grid):
+    """(side, values, label) of a built-in input, values on the side it is
+    prescribed on."""
     kind = spec.get("kind")
     if kind == "spectral_bump":
         lo, hi, distance = _support(spec["support"], grid.d)
@@ -292,12 +310,9 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         axis = grid.frequency_axis()
         cells = [np.flatnonzero((axis >= l) & (axis <= u)) for l, u in zip(lo, hi)]
         box = np.stack(np.meshgrid(*(axis[c] for c in cells), indexing="ij"), axis=-1)
-        F = np.zeros(grid.n_points)
+        F = np.zeros(grid.n_points, dtype=complex)     # as SampledFunction keeps it: no copy
         F.reshape(grid.shape)[np.ix_(*cells)] = _plateau(distance, box, w)
-        from .transform import inverse_values  # cycle-free: transform imports nothing here at runtime
-
-        return SampledFunction(grid, SPATIAL, inverse_values(F, grid),
-                               label=spec.get("label", "spectral bump"))
+        return FREQUENCY, F, spec.get("label", "spectral bump")
 
     if kind == "spatial_bump":
         lo, hi, distance = _support(spec["support"], grid.d)
@@ -305,7 +320,7 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         half = np.min(hi - lo) / 2.0
         w = _edge_width(spec, 0.2 * half)
         f = _plateau(distance, grid.spatial_coords(), w)
-        return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "spatial bump"))
+        return SPATIAL, f, spec.get("label", "spatial bump")
 
     if kind == "gaussian":
         sigma = float(spec.get("sigma", 1.0))
@@ -325,7 +340,6 @@ def sample_builtin(spec: dict, grid: Grid) -> SampledFunction:
         x = grid.spatial_coords()
         with np.errstate(over="ignore"):    # |x|^2 / (2 sigma^2) = inf: exp gives 0
             f = np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * sigma ** 2))
-        f = f * np.exp(1j * x @ mu)
-        return SampledFunction(grid, SPATIAL, f, label=spec.get("label", "gaussian"))
+        return SPATIAL, f * np.exp(1j * x @ mu), spec.get("label", "gaussian")
 
     raise GridError(f"unknown builtin kind {spec.get('kind')!r}")

@@ -6,7 +6,7 @@ s = max |P(i lam)| over the mask, so no intermediate value can overflow:
 the ledger identity is  ||P(d)^n f||_p = exp(S) * ||g||_p  with S = n*log(s).
 
 Every function here takes an input's `Spectrum` (transform and mask, built
-once) in place of the spatial input, and reads each symbol through
+once) in place of the input, and reads each symbol through
 `symbol_ratios`, which evaluates it on the mask cells only.  Every ledger
 comes from one pass, `spatial_norms`, one (R, two, rows) per member, which
 runs each stack of members in two plain loops.  The moment loop runs over n
@@ -30,7 +30,7 @@ more CPUs, the spatial loop splits each member's n-range in two: the caller
 steps n = 1..h, h = n_max // 2 rounded down to even, and one helper thread,
 with its own step, steps n = h + 1..n_max from G_h and returns its array of
 values, which follows the caller's; one helper pool serves the whole call.
-Its rows are bit-equal to the serial loop's.  A spatial input is masked at
+Its rows are bit-equal to the serial loop's.  An input is masked at
 DEFAULT_EPS_REL; a Spectrum carries its own threshold, so another one is
 chosen with Spectrum.of(f, eps_rel).
 
@@ -194,7 +194,7 @@ def symbol_ratios(spec: Spectrum, family: PolyFamily):
 def apply_op_spectral(f, P: MultiPoly, n: int):
     """Apply P(d)^n spectrally; returns (g, S) with P(d)^n f = exp(S) * g.
 
-    f is a spatial-side SampledFunction or its Spectrum.  Realized as
+    f is a SampledFunction on either side, or its Spectrum.  Realized as
     multiplication by (P(i lam)/s)^n on the support mask with
     s = max |P(i lam)| over the mask, S = n log s.  An empty mask (or a symbol
     vanishing on it) returns the zero function with S = 0.
@@ -268,7 +268,7 @@ def apply_op_fd(f: SampledFunction, P: MultiPoly,
 
 def spatial_norms(f, family: PolyFamily, n_max: int, norms):
     """The one ledger pass: the list of each member's (R, two, rows), in
-    family order.  f is a SampledFunction or its Spectrum.
+    family order.  f is a SampledFunction on either side, or its Spectrum.
 
     Members go through `symbol_ratios` in stacks of at most n_points //
     (mask cells), so a (members x mask cells) block holds at most n_points
@@ -603,7 +603,7 @@ class GrowthSequence:
 def growth_sequence(f, P: MultiPoly, p, n_max: int) -> GrowthSequence:
     """Ledger L_n = log ||P(d)^n f||_p for n = 1..n_max plus the limit estimate.
 
-    f is a spatial-side SampledFunction or its Spectrum.  p = 2 avoids the
+    f is a SampledFunction on either side, or its Spectrum.  p = 2 avoids the
     per-step inverse transform: the spatial 2-norm equals the frequency-side
     2-norm under the grid measures (discrete Parseval), so the ledger is
     summed directly on the mask cells.  This is growth_sequences for one P.
@@ -616,7 +616,7 @@ def growth_sequences(f, family: PolyFamily, p, n_max: int):
     order, from one `spatial_norms` call and one GrowthSequence.from_rows:
     p = 2 reads the pass's Parseval rows, any other p its one spatial row."""
     n_max = _count("n_max", n_max, 8)
-    if not np.isinf(p) and not p >= 1:
+    if not p >= 1:                              # -inf and NaN too
         raise GrowthError(f"p must be in [1, inf], got {p}")
     spec = Spectrum.of(f)
     norms = [] if p == 2 else [(p, 0)]

@@ -91,8 +91,8 @@ def reconstruct_support(f, family: PolyFamily, p, n_max: int,
                         tau: float = DEFAULT_TAU) -> ReconstructionResult:
     """Estimate supp Ff as the cells passing |P(i lam)| <= limit(P)*(1+tau)
     for every family member, limits taken from growth sequences.  f is a
-    spatial-side SampledFunction or its Spectrum; the estimate carries the
-    Spectrum's mask threshold.
+    SampledFunction on either side, or its Spectrum; the estimate carries
+    the Spectrum's mask threshold.
 
     Members whose sequence truncates are excluded and reported.  Family order
     cannot matter: the estimate is an intersection.  It is carved

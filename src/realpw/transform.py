@@ -33,17 +33,23 @@ def _inverse_scale(grid: Grid) -> float:
     return (2.0 * np.pi) ** (grid.d / 2.0) / grid.h ** grid.d
 
 
+def _centered(transform, values: np.ndarray, grid: Grid, scale: float) -> np.ndarray:
+    """scale * fftshift(transform(ifftshift(values))), flat, bit for bit, with
+    two grid-sized arrays: the shifted copy, complex even for real values, is
+    transformed in place and shifted back into the result, scaled in place."""
+    buf = np.fft.ifftshift(values.reshape(grid.shape)).astype(complex, copy=False)
+    transform(buf, out=buf)
+    out = np.fft.fftshift(buf)
+    out *= scale
+    return out.ravel()
+
+
 def forward_values(values: np.ndarray, grid: Grid) -> np.ndarray:
-    v = values.reshape(grid.shape)
-    out = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(v)))
-    scale = grid.h ** grid.d / (2.0 * np.pi) ** (grid.d / 2.0)
-    return (scale * out).ravel()
+    return _centered(np.fft.fftn, values, grid, grid.h ** grid.d / (2.0 * np.pi) ** (grid.d / 2.0))
 
 
 def inverse_values(values: np.ndarray, grid: Grid) -> np.ndarray:
-    v = values.reshape(grid.shape)
-    out = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(v)))
-    return (_inverse_scale(grid) * out).ravel()
+    return _centered(np.fft.ifftn, values, grid, _inverse_scale(grid))
 
 
 def forward_dft(f: SampledFunction) -> SampledFunction:
@@ -121,8 +127,10 @@ def support_mask(F: SampledFunction, eps_rel: float = DEFAULT_EPS_REL) -> Suppor
 class Spectrum:
     """An input's transform and support mask, computed once for all its ledgers.
 
-    F is in centered order; coords and fft_index locate the mask cells (in the
-    order of F[mask.field]) by frequency and by flat position in FFT order.
+    f is the input, a SampledFunction on either side; F is its transform, in
+    centered order (f's own values if f is frequency-side); coords and
+    fft_index locate the mask cells (in the order of F[mask.field]) by
+    frequency and by flat position in FFT order.
     """
 
     f: SampledFunction
@@ -133,27 +141,28 @@ class Spectrum:
 
     @classmethod
     def of(cls, f, eps_rel: float | None = None) -> "Spectrum":
-        """Transform and mask a spatial-side f at eps_rel (DEFAULT_EPS_REL if
-        None).  A Spectrum is passed through, and rejected if an eps_rel is
-        given that it was not masked at.  An f whose transform overflows a
-        double raises GridError."""
+        """Mask a SampledFunction f on either side, or its Spectrum, at
+        eps_rel (DEFAULT_EPS_REL if None).  A spatial-side f is transformed; a
+        frequency-side f is its own transform, and no FFT runs.  A Spectrum
+        is passed through, and rejected if an eps_rel is given that it was
+        not masked at.  An f whose transform overflows a double raises
+        GridError."""
         if isinstance(f, Spectrum):
             if eps_rel is not None and f.mask.eps_rel != eps_rel:
                 raise GridError(f"spectrum masked at eps_rel={f.mask.eps_rel}, not {eps_rel}")
             return f
-        if f.side != SPATIAL:
-            raise GridError("expected a spatial-side function")
-        grid = f.grid
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = forward_values(f.values, grid)
-        try:
-            transform = SampledFunction(grid, FREQUENCY, F)
-        except GridError:       # F is on f's grid, so only a value can be bad
-            raise GridError("the input's transform exceeds the double range; "
-                            "its values are too large") from None
+        grid, transform = f.grid, f
+        if f.side == SPATIAL:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    transform = SampledFunction(grid, FREQUENCY, forward_values(f.values, grid))
+            except GridError:       # the transform is on f's grid, so only a value can be bad
+                raise GridError("the input's transform exceeds the double range; "
+                                "its values are too large") from None
         mask = support_mask(transform, DEFAULT_EPS_REL if eps_rel is None else eps_rel)
         cells = (np.argwhere(mask.field.reshape(grid.shape)) + grid.M // 2) % grid.M
-        return cls(f, F, mask, mask.coords(), np.ravel_multi_index(cells.T, grid.shape))
+        return cls(f, transform.values, mask, mask.coords(),
+                   np.ravel_multi_index(cells.T, grid.shape))
 
     @property
     def grid(self) -> Grid:

@@ -30,7 +30,8 @@ GOLDEN = ROOT / "tests" / "golden.json"
 SEEDS = range(5)
 
 
-def _workloads():
+def bench_workloads():
+    """bench/workloads.py, imported from the bench directory."""
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import workloads
@@ -66,7 +67,7 @@ def _figures(workload, job, rep) -> dict:
 def outputs(seeds=SEEDS) -> dict:
     """{workload: {seed: {job: figures}}} of every workload's jobs."""
     from realpw.cli import main
-    workloads = _workloads()
+    workloads = bench_workloads()
     out = {}
     for workload, build in workloads.WORKLOADS.items():
         out[workload] = {}

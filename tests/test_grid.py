@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realpw import (make_grid, sample_builtin, lp_norm, smooth_step,
-                    SampledFunction, GridError, MarginError)
+from realpw import (make_grid, sample_builtin, sample_prescribed, inverse_dft, lp_norm,
+                    smooth_step, SampledFunction, GridError, MarginError)
 from realpw.grid import lp_norm_moduli, lp_norm_values
 
 
@@ -272,6 +272,22 @@ class TestSampleBuiltin:
                             "support": {"shape": "box", "lo": [-1], "hi": [1]}}, g)
         assert f.side == "spatial"
         assert [fld.name for fld in dataclasses.fields(f)] == ["grid", "side", "values", "label"]
+
+    @pytest.mark.parametrize("builtin", [
+        {"kind": "spectral_bump", "support": {"shape": "ball", "radius": 2.0}, "label": "b"},
+        {"kind": "spatial_bump", "support": {"shape": "box", "lo": [-1, -2], "hi": [2, 1]}},
+        {"kind": "gaussian", "sigma": 0.5, "mu": [1.0, -2.0]}])
+    def test_sample_builtin_is_the_prescribed_sides_spatial_side(self, builtin):
+        # a spectral bump comes on the frequency side, its spatial side the
+        # inverse transform of its samples, bit for bit; any other kind comes
+        # as its spatial samples
+        g = make_grid(2, 64, 0.2)
+        prescribed, f = sample_prescribed(builtin, g), sample_builtin(builtin, g)
+        spectral = builtin["kind"] == "spectral_bump"
+        assert prescribed.side == ("frequency" if spectral else "spatial")
+        assert prescribed.label == f.label
+        spatial = inverse_dft(prescribed) if spectral else prescribed
+        assert spatial.values.tobytes() == f.values.tobytes()
 
     def test_spectral_bump_boundary_decay_is_limited(self):
         # A width-2 spectrum cannot decay to 1e-12 within |x| <= 25.6 (no

@@ -2036,3 +2036,20 @@ def test_numpy_integer_counts_are_accepted():
     assert R == R_ref and two.tobytes() == two_ref.tobytes()
     assert rows[0].tobytes() == rows_ref[0].tobytes()
     assert growth_sequences(f, family, 1, np.int32(16))[0].n_max == 16
+
+
+@pytest.mark.parametrize("p", [-np.inf, np.nan, 0.5])
+def test_p_out_of_range_is_refused_before_any_transform(monkeypatch, p):
+    # p = -inf passed growth_sequences' own check (`not isinf(p) and not p >= 1`)
+    # and was refused only after Spectrum.of had transformed the input
+    calls, original = [], transform.forward_values
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transform, "forward_values", counting)
+    f = sample_builtin({"kind": "gaussian", "sigma": 0.5}, make_grid(1, 64, 0.25))
+    with pytest.raises(GrowthError, match=r"p must be in \[1, inf\], got "):
+        growth_sequences(f, family_explicit([parse_poly("x1", 1)]), p, 16)
+    assert calls == []

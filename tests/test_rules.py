@@ -14,8 +14,9 @@ spatial step, a p = 2 pass builds no step, neither the spatial step's pass
 choice nor the ledger pass's split or d = 1 chunk has a knob, the step
 alone sizes a chunk, growth.py holds no generator, a subcommand
 registers only the overrides its handler reads, a builtin input is one
-SampledFunction, and only the readers of every grid point build the grid's
-full coordinate array."""
+SampledFunction, only the readers of every grid point build the grid's
+full coordinate array, and a subcommand transforms a builtin spectral bump
+only to evaluate Ff(z)."""
 
 import ast
 import importlib
@@ -292,7 +293,7 @@ def test_only_whole_grid_readers_build_every_coordinate():
     # on a d = 3, M = 128 grid: only the functions that read every point call
     # them.  A guard takes the largest |coordinate| from M and the step, and
     # eval_entire reads its support's coordinates from the support's indices
-    readers = {"grid.py:sample_builtin", "growth.py:spatial_norms",
+    readers = {"grid.py:_samples", "growth.py:spatial_norms",
                "reconstruct.py:reconstruct_support", "reconstruct.py:pde_support_probe"}
     callers = set(callers_of("spatial_coords") + callers_of("frequency_coords"))
     assert callers - readers == set()
@@ -559,10 +560,11 @@ def test_every_override_is_read():
 
 
 def test_builtin_is_one_sampled_function(monkeypatch):
-    # each kind of builtin input is constructed once, on the spatial side: a
-    # spectral bump built on the frequency side, transformed and then copied
-    # was three SampledFunctions, each a finiteness scan of the whole grid
-    from realpw import grid, make_grid, sample_builtin
+    # each kind of builtin input is constructed once, by sample_builtin on
+    # the spatial side and by sample_prescribed on the side it is prescribed
+    # on: a spectral bump built on the frequency side, transformed and then
+    # copied was three SampledFunctions, each a finiteness scan of the grid
+    from realpw import grid, make_grid, sample_builtin, sample_prescribed
     built, post_init = [], grid.SampledFunction.__post_init__
 
     def counting(self):
@@ -571,10 +573,50 @@ def test_builtin_is_one_sampled_function(monkeypatch):
 
     monkeypatch.setattr(grid.SampledFunction, "__post_init__", counting)
     counts = {}
-    for builtin in ({"kind": "spectral_bump", "support": {"shape": "ball", "radius": 1.0}},
-                    {"kind": "spatial_bump", "support": {"shape": "ball", "radius": 1.0}},
-                    {"kind": "gaussian", "sigma": 0.25}):
-        built.clear()
-        assert sample_builtin(builtin, make_grid(2, 64, 0.1)).side == "spatial"
-        counts[builtin["kind"]] = list(built)
-    assert counts == dict.fromkeys(("spectral_bump", "spatial_bump", "gaussian"), ["spatial"])
+    for sampler in (sample_builtin, sample_prescribed):
+        for builtin in ({"kind": "spectral_bump", "support": {"shape": "ball", "radius": 1.0}},
+                        {"kind": "spatial_bump", "support": {"shape": "ball", "radius": 1.0}},
+                        {"kind": "gaussian", "sigma": 0.25}):
+            built.clear()
+            f = sampler(builtin, make_grid(2, 64, 0.1))
+            counts[sampler.__name__, builtin["kind"]] = (f.side, list(built))
+    assert counts == {("sample_builtin", "spectral_bump"): ("spatial", ["spatial"]),
+                      ("sample_builtin", "spatial_bump"): ("spatial", ["spatial"]),
+                      ("sample_builtin", "gaussian"): ("spatial", ["spatial"]),
+                      ("sample_prescribed", "spectral_bump"): ("frequency", ["frequency"]),
+                      ("sample_prescribed", "spatial_bump"): ("spatial", ["spatial"]),
+                      ("sample_prescribed", "gaussian"): ("spatial", ["spatial"])}
+
+
+def test_a_builtin_spectrum_is_not_transformed(monkeypatch, tmp_path):
+    # estimate and reconstruct read a spectral bump's spectrum from its
+    # frequency samples: no inverse transform samples it and no forward
+    # transform takes it back.  complex-growth evaluates Ff(z) of its
+    # spatial samples, one inverse transform
+    import json
+    import sys
+    from realpw import cli, transform
+    calls = []
+    for name in ("forward_values", "inverse_values"):
+        original = getattr(transform, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("realpw.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    cfg = {"grid": {"d": 1, "M": 512, "h": 0.1}, "poly": "x1", "p": 1, "n_max": 16,
+           "input": {"builtin": {"kind": "spectral_bump", "edge_width": 15.0,
+                                 "support": {"shape": "box", "lo": [-20.0], "hi": [20.0]}}},
+           "family": {"kind": "linear", "directions": [[1]]},
+           "complex_growth": {"t_min": 1.0, "t_max": 20.0}, "out": str(tmp_path / "out.json")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    counts = {}
+    for command in ("estimate", "reconstruct", "complex-growth"):
+        calls.clear()
+        assert cli.main([command, "--config", str(path)]) == 0
+        counts[command] = list(calls)
+    assert counts == {"estimate": [], "reconstruct": [], "complex-growth": ["inverse_values"]}

@@ -1,19 +1,23 @@
 import itertools
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from realpw import (make_grid, sample_builtin, SampledFunction, forward_dft,
-                    inverse_dft, support_mask, compute_R, supporting_function,
+from realpw import (make_grid, sample_builtin, sample_prescribed, SampledFunction,
+                    forward_dft, inverse_dft, support_mask, compute_R, supporting_function,
                     box_supporting_function, eval_entire, complex_growth_rate,
                     parse_poly, lp_norm, GridError, PolyError, Spectrum,
                     growth_sequence, estimate_limit, family_explicit,
                     eval_symbol_many)
+from realpw import transform
 from conftest import block_iterates
+from golden import bench_workloads
 from realpw.grid import lp_norm_values
 from realpw.transform import (CHUNK_MAX_POINTS, MATRIX_PASS_MAX_K, SpatialStep,
-                              inverse_values)
+                              forward_values, inverse_values)
 from realpw.verify import acceptance_corpus
 
 
@@ -72,6 +76,72 @@ class TestDft:
         F = forward_dft(f)
         freq_norm = np.sqrt(g.dlam * np.sum(np.abs(F.values) ** 2))
         assert lp_norm(f, 2) == pytest.approx(freq_norm, rel=1e-12)
+
+
+class TestInPlaceTransforms:
+    # each transform shifts its input into one complex buffer, transforms it
+    # in place and scales the shifted result in place: bit for bit the
+    # out-of-place composition it replaced
+    @pytest.mark.parametrize("d,M", [(1, 64), (1, 66), (2, 32), (2, 34), (3, 8), (3, 10)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_bit_equal_to_the_out_of_place_composition(self, d, M, real):
+        grid = make_grid(d, M, 0.3)
+        rng = np.random.default_rng(M + d)
+        values = rng.standard_normal(grid.n_points)
+        if not real:
+            values = values + 1j * rng.standard_normal(grid.n_points)
+        before = values.copy()
+        v = values.reshape(grid.shape)
+        pairs = [(forward_values, np.fft.fftn, grid.h ** d / (2.0 * np.pi) ** (d / 2.0)),
+                 (inverse_values, np.fft.ifftn, (2.0 * np.pi) ** (d / 2.0) / grid.h ** d)]
+        for call, fft, scale in pairs:
+            want = (scale * np.fft.fftshift(fft(np.fft.ifftshift(v)))).ravel()
+            got = call(values, grid)
+            assert got.dtype == complex and got.tobytes() == want.tobytes()
+        assert values.tobytes() == before.tobytes()
+
+
+def bench_spectral_bumps(seed, workdir):
+    """(grid, builtin) of every spectral bump the bench workloads build at
+    seed: the six estimate-corpus inputs and the two-box reconstruct input."""
+    workloads, inputs = bench_workloads(), {}
+    for build in (workloads.estimate_corpus, workloads.reconstruct_twobox):
+        for job in build(seed, workdir):
+            cfg = json.loads(pathlib.Path(job.argv[-1]).read_text())
+            g = cfg["grid"]
+            inputs[build, json.dumps(cfg["input"]["builtin"], sort_keys=True)] = (
+                make_grid(g["d"], g["M"], g["h"]), cfg["input"]["builtin"])
+    return list(inputs.values())
+
+
+class TestFrequencySideSpectrum:
+    def test_no_transform_and_the_samples_as_F(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(transform, "forward_values", lambda *a: calls.append(a))
+        F = sample_prescribed({"kind": "spectral_bump",
+                               "support": {"shape": "ball", "radius": 3.0}}, make_grid(2, 64, 0.2))
+        spec = Spectrum.of(F, 1e-6)
+        assert calls == [] and spec.f is F and spec.F is F.values
+        assert spec.mask.eps_rel == 1e-6 and spec.mask.n_cells > 0
+
+    def test_bench_bumps_mask_as_their_spatial_samples(self, tmp_path):
+        # Spectrum.of of a spectral bump's frequency samples against that of
+        # its spatial samples (an inverse transform, then a forward one): the
+        # masks are bit-equal and F agrees to 1e-15 of max |F| on the mask
+        count, worst = 0, 0.0
+        for seed in range(40):
+            for grid, builtin in bench_spectral_bumps(seed, str(tmp_path)):
+                direct = Spectrum.of(sample_prescribed(builtin, grid))
+                trip = Spectrum.of(sample_builtin(builtin, grid))
+                assert direct.mask.field.tobytes() == trip.mask.field.tobytes(), (seed, builtin)
+                assert direct.mask.resolved == trip.mask.resolved
+                assert direct.coords.tobytes() == trip.coords.tobytes()
+                assert direct.fft_index.tobytes() == trip.fft_index.tobytes()
+                on = direct.mask.field
+                worst = max(worst, np.abs(direct.F[on] - trip.F[on]).max()
+                            / np.abs(direct.F).max())
+                count += 1
+        assert count == 40 * 7 and worst <= 1e-15
 
 
 class TestSupportMask:
